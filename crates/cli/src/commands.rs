@@ -29,6 +29,11 @@ pub type CliError = Box<dyn std::error::Error>;
 /// Returns the subcommand's failure, or an [`ArgsError`] for an unknown
 /// command.
 pub fn dispatch(args: &ParsedArgs) -> Result<(), CliError> {
+    // `--help` anywhere after a known command prints its usage and runs
+    // nothing.
+    if args.flag("help") && print_command_help(&args.command) {
+        return Ok(());
+    }
     // Only `trace`, `bench`, `faults`, `lifetime`, `infer` and `serve`
     // take positional arguments (their action, plus the trace path).
     if args.command != "trace"
@@ -63,35 +68,49 @@ pub fn dispatch(args: &ParsedArgs) -> Result<(), CliError> {
     }
 }
 
-/// Prints usage for every subcommand.
-pub fn print_help() {
-    println!(
-        "xbar — power side-channel attacks on NVM crossbar neural networks
-
-USAGE: xbar <command> [--option value]...
-
-COMMANDS:
-  train     train a victim and save it
+/// The usage block of every subcommand, in `xbar help` order.
+const COMMAND_USAGE: &[(&str, &str)] = &[
+    (
+        "train",
+        "  train     train a victim and save it
             --out FILE [--dataset digits|objects] [--head linear|softmax]
-            [--samples N] [--seed S]
-  probe     deploy a model on a crossbar and probe its column 1-norms
-            --model FILE [--seed S] [--compressed-queries K]
-  attack    run the Fig.4 single-pixel attacks against a deployed model
-            --model FILE [--strength X] [--dataset ...] [--samples N] [--seed S]
-  blackbox  run the Fig.5 surrogate pipeline against a deployed model
+            [--samples N] [--seed S]",
+    ),
+    (
+        "probe",
+        "  probe     deploy a model on a crossbar and probe its column 1-norms
+            --model FILE [--seed S] [--compressed-queries K]",
+    ),
+    (
+        "attack",
+        "  attack    run the Fig.4 single-pixel attacks against a deployed model
+            --model FILE [--strength X] [--dataset ...] [--samples N] [--seed S]",
+    ),
+    (
+        "blackbox",
+        "  blackbox  run the Fig.5 surrogate pipeline against a deployed model
             --model FILE --queries Q [--lambda L] [--eps E]
-            [--access label|raw] [--dataset ...] [--samples N] [--seed S]
-  recover   recover the weights of a linear model via basis probes
-            --model FILE [--seed S]
-  campaign  run a figure's experiment grid on the parallel campaign
+            [--access label|raw] [--dataset ...] [--samples N] [--seed S]",
+    ),
+    (
+        "recover",
+        "  recover   recover the weights of a linear model via basis probes
+            --model FILE [--seed S]",
+    ),
+    (
+        "campaign",
+        "  campaign  run a figure's experiment grid on the parallel campaign
             runtime (checkpointed and resumable)
             --figure fig4|fig5|ablations [--threads N] [--resume]
             [--journal FILE] [--out FILE] [--retries N] [--quick]
             [--backend naive|blocked|parallel[:N]] [--trace FILE]
             [--faults SPEC.json]
             [--transients FLIP[,JITTER]] [--progress stderr|json|none]
-            [--progress-every N]
-  bench     micro-benchmarks
+            [--progress-every N]",
+    ),
+    (
+        "bench",
+        "  bench     micro-benchmarks
             mvm [--quick] [--out FILE]   size x threads backend matrix:
                                          naive vs blocked vs parallel
                                          batched MVM, prepared-handle
@@ -101,8 +120,11 @@ COMMANDS:
             serve [--quick] [--out FILE] campaign-service throughput and
                                          latency at 1/8/64 concurrent
                                          sessions (writes
-                                         results/BENCH_serve.json)
-  serve     multi-tenant attack-campaign service (NDJSON over TCP)
+                                         results/BENCH_serve.json)",
+    ),
+    (
+        "serve",
+        "  serve     multi-tenant attack-campaign service (NDJSON over TCP)
             host --model FILE [--name NAME] [--addr HOST:PORT]
                  [--workers N] [--max-sessions N] [--max-inflight N]
                  [--journal FILE] [--seed S]
@@ -119,8 +141,11 @@ COMMANDS:
             stats [--addr HOST:PORT] [--prom]
             scrape a running service's live metrics plane: per-victim
             request counters, gauges and latency histograms
-            (--prom prints Prometheus text exposition instead)
-  faults    deterministic device fault injection
+            (--prom prints Prometheus text exposition instead)",
+    ),
+    (
+        "faults",
+        "  faults    deterministic device fault injection
             sweep [--quick] [--threads N] [--out FILE] [--resume]
                   [--journal FILE] [--retries N]
                   [--backend naive|blocked|parallel[:N]]
@@ -128,8 +153,11 @@ COMMANDS:
                   [--progress-every N]
             attack-success-vs-fault-rate robustness curves over stuck-at,
             variation, drift and line-resistance axes (writes
-            results/faults-sweep.json; bit-identical at any thread count)
-  lifetime  device-lifetime robustness
+            results/faults-sweep.json; bit-identical at any thread count)",
+    ),
+    (
+        "lifetime",
+        "  lifetime  device-lifetime robustness
             sweep [--quick] [--threads N] [--out FILE] [--resume]
                   [--journal FILE] [--retries N]
                   [--backend naive|blocked|parallel[:N]]
@@ -137,8 +165,11 @@ COMMANDS:
                   [--progress stderr|json|none] [--progress-every N]
             (drift time x transient rate x defense) cross-sweep with
             probe recalibration and graceful degradation — failed cells
-            are journaled and skipped (writes results/lifetime-sweep.json)
-  infer     Bayesian weight recovery from the power side channel
+            are journaled and skipped (writes results/lifetime-sweep.json)",
+    ),
+    (
+        "infer",
+        "  infer     Bayesian weight recovery from the power side channel
             sweep [--quick] [--threads N] [--out FILE] [--resume]
                   [--journal FILE] [--retries N]
                   [--backend naive|blocked|parallel[:N]]
@@ -148,15 +179,41 @@ COMMANDS:
             readings, swept over query budget x noise x chain count;
             reports coverage, credible-interval widths, split-R-hat
             convergence and posterior-guided attack bands (writes
-            results/infer-sweep.json; bit-identical at any thread count)
-  trace     inspect an xbar-obs JSONL trace written by --trace
+            results/infer-sweep.json; bit-identical at any thread count)",
+    ),
+    (
+        "trace",
+        "  trace     inspect an xbar-obs JSONL trace written by --trace
             summarize FILE   per-stage totals: counters per trial,
                              value series, span counts and wall times;
                              also reads `serve host --metrics` snapshot
                              files (last snapshot wins — counters are
-                             cumulative)
-  help      this message"
-    );
+                             cumulative)",
+    ),
+    ("help", "  help      this message"),
+];
+
+/// The header `xbar help` and every per-command usage print first.
+const USAGE_HEADER: &str = "xbar — power side-channel attacks on NVM crossbar neural networks\n\nUSAGE: xbar <command> [--option value]...\n\n";
+
+/// Prints usage for every subcommand.
+pub fn print_help() {
+    println!("{USAGE_HEADER}COMMANDS:");
+    for (_, usage) in COMMAND_USAGE {
+        println!("{usage}");
+    }
+}
+
+/// Prints one subcommand's usage (`xbar <command> ... --help`), or
+/// returns `false` if `command` is unknown.
+fn print_command_help(command: &str) -> bool {
+    match COMMAND_USAGE.iter().find(|(name, _)| *name == command) {
+        Some((_, usage)) => {
+            println!("{USAGE_HEADER}{usage}");
+            true
+        }
+        None => false,
+    }
 }
 
 /// Reads a fault-spec JSON file into a validated [`xbar_faults::FaultSpec`].
@@ -1412,6 +1469,26 @@ mod tests {
         // Bad executor and recalibration options fail before any work.
         assert!(dispatch(&parse(&["lifetime", "sweep", "--threads", "lots"])).is_err());
         assert!(dispatch(&parse(&["lifetime", "sweep", "--recalibrate", "sometimes"])).is_err());
+    }
+
+    #[test]
+    fn help_flag_prints_usage_and_runs_nothing() {
+        // These would start a full sweep (or fail validation) if
+        // `--help` did not short-circuit before any work.
+        for tokens in [
+            &["lifetime", "sweep", "--help"][..],
+            &["lifetime", "sweep", "--help", "--recalibrate", "sometimes"],
+            &["faults", "sweep", "--threads", "lots", "--help"],
+            &["train", "--help"],
+            &["lifetime", "--help"],
+        ] {
+            assert!(dispatch(&parse(tokens)).is_ok(), "{tokens:?}");
+        }
+        assert!(COMMAND_USAGE
+            .iter()
+            .any(|(name, usage)| *name == "lifetime" && usage.contains("sweep")));
+        // An unknown command stays an error, help flag or not.
+        assert!(dispatch(&parse(&["frobnicate", "--help"])).is_err());
     }
 
     #[test]

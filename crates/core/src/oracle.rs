@@ -11,15 +11,16 @@ use xbar_crossbar::backend::{BackendKind, BackendSpec, EvalBackend, PreparedEval
 use xbar_crossbar::device::DeviceModel;
 use xbar_crossbar::power::PowerModel;
 use xbar_crossbar::CrossbarError;
-use xbar_faults::{FaultInjection, TransientInjection};
+use xbar_faults::{FaultInjection, FaultPlan, TransientInjection};
 use xbar_linalg::{vec_ops, Matrix};
 use xbar_nn::network::SingleLayerNet;
 
 /// A schedule on which the oracle's hardware decays: every
 /// `interval_queries` queries the fault plan's `drift_time` advances by
 /// `time_step` and the array is redeployed from the pristine
-/// programming (stuck-at and variation draws are key-stable, so only
-/// the drift factors move — monotonically toward `g_min`).
+/// programming by re-timing the deployment's compiled fault plan
+/// (stuck-at and variation decisions stay fixed, so only the drift
+/// factors move — monotonically toward `g_min`).
 ///
 /// Epochs are a pure function of a query's *global index*
 /// (`epoch = index / interval_queries`), never of batch boundaries or
@@ -316,10 +317,14 @@ pub struct Oracle {
     net: SingleLayerNet,
     xbar: CrossbarArray,
     /// The as-programmed array before any fault plan — kept so an
-    /// active [`DriftSchedule`] can redeploy the plan at a later
-    /// `drift_time` (the key-stable draws leave stuck-at and variation
-    /// identical; only the drift factors advance).
+    /// active [`DriftSchedule`] can re-apply the plan at a later
+    /// `drift_time`.
     pristine: CrossbarArray,
+    /// The deployment's compiled fault plan, held only with an active
+    /// [`DriftSchedule`]: each drift epoch re-times it against
+    /// `pristine` (stuck-at and variation decisions stay fixed; only the
+    /// drift factors advance). Clones and session views share it.
+    plan: Option<Arc<FaultPlan>>,
     config: OracleConfig,
     query_count: usize,
     queries_issued: u64,
@@ -342,7 +347,9 @@ impl Oracle {
     ///
     /// If the config carries a [`FaultInjection`], the compiled fault
     /// plan is applied to the freshly programmed array here, once — the
-    /// oracle *is* the faulted hardware from then on. Fault draws are
+    /// oracle *is* the faulted hardware from then on. This is the
+    /// deployment's only compilation: with an active [`DriftSchedule`]
+    /// the plan is kept and re-timed at each epoch. Fault draws are
     /// keyed by the injection's own `(campaign_seed, trial_index)` key,
     /// not by `seed`, so they are independent of the oracle's noise
     /// streams.
@@ -359,15 +366,20 @@ impl Oracle {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let pristine = CrossbarArray::program(net.weights(), &config.device, &mut rng)?;
         let mut xbar = pristine.clone();
+        let mut plan = None;
         if let Some(injection) = &config.faults {
-            let plan = injection.compile(xbar.num_outputs(), xbar.num_inputs())?;
-            xbar = plan.apply(&xbar)?;
+            let compiled = injection.compile(xbar.num_outputs(), xbar.num_inputs())?;
+            xbar = compiled.apply(&xbar)?;
+            if config.drift.is_active() {
+                plan = Some(Arc::new(compiled));
+            }
         }
         config.backend.validate()?;
         Ok(Oracle {
             net,
             xbar,
             pristine,
+            plan,
             config: *config,
             query_count: 0,
             queries_issued: 0,
@@ -460,30 +472,29 @@ impl Oracle {
     }
 
     /// Whether queries can change the deployed array (active schedule
-    /// with a fault injection to re-apply).
+    /// with a fault injection to re-apply) — exactly when the oracle
+    /// holds its compiled plan.
     fn drifting(&self) -> bool {
-        self.config.drift.is_active() && self.config.faults.is_some()
+        self.plan.is_some()
     }
 
     /// Redeploys the array if global query `index` falls in a later
-    /// drift epoch than the currently deployed one. The fault plan is
-    /// recompiled under its original key at the advanced `drift_time`
-    /// and re-applied to the pristine programming: the key-stable draw
-    /// order keeps stuck-at and variation decisions identical while
-    /// the drift factors decay.
+    /// drift epoch than the currently deployed one. The deployment's
+    /// compiled plan is re-applied to the pristine programming at the
+    /// advanced `drift_time`: its stuck-at and variation decisions stay
+    /// fixed while the drift factors decay — bit-identical to
+    /// recompiling the spec at that time under the same key.
     fn advance_drift_to(&mut self, index: u64) -> Result<()> {
+        let Some(plan) = &self.plan else {
+            return Ok(());
+        };
         let epoch = self.config.drift.epoch(index);
-        if epoch <= self.drift_epoch || !self.drifting() {
+        if epoch <= self.drift_epoch {
             return Ok(());
         }
         let advanced = epoch - self.drift_epoch;
         self.drift_epoch = epoch;
-        let injection = self.config.faults.expect("drifting() checked faults");
-        let mut spec = injection.spec;
-        spec.drift_time += epoch as f64 * self.config.drift.time_step;
-        let plan = FaultInjection::new(spec, injection.key)
-            .compile(self.pristine.num_outputs(), self.pristine.num_inputs())?;
-        self.xbar = plan.apply(&self.pristine)?;
+        self.xbar = plan.apply_at(&self.pristine, self.drift_time())?;
         xbar_obs::count(xbar_obs::names::ORACLE_DRIFT_ADVANCE, advanced);
         Ok(())
     }
@@ -615,6 +626,7 @@ impl Oracle {
             net: self.net.clone(),
             xbar: self.xbar.clone(),
             pristine: self.pristine.clone(),
+            plan: self.plan.clone(),
             config,
             query_count: 0,
             queries_issued: 0,
@@ -1359,6 +1371,79 @@ mod tests {
             o.query(u).unwrap();
         }
         assert_eq!(o.drift_time(), 0.0);
+    }
+
+    #[test]
+    fn drift_epochs_retime_the_plan_compiled_at_deployment() {
+        use xbar_faults::{FaultInjection, FaultKey, FaultSpec};
+        let net = SingleLayerNet::from_weights(
+            Matrix::from_rows(&[&[1.0, -0.5, 0.2, 0.7], &[0.25, 0.5, -1.0, -0.3]]),
+            Activation::Identity,
+        );
+        let device = DeviceModel {
+            g_min: 0.02,
+            g_max: 1.0,
+            ..DeviceModel::ideal()
+        };
+        let spec = FaultSpec::none()
+            .with_stuck_on_rate(0.1)
+            .with_stuck_off_rate(0.1)
+            .with_variation_sigma(0.1)
+            .with_drift(0.1, 0.2, 0.0);
+        let key = FaultKey::new(31, 4);
+        let (interval, step, epochs) = (2u64, 25.0, 5u64);
+        let cfg = OracleConfig::ideal()
+            .with_device(device)
+            .with_faults(FaultInjection::new(spec, key))
+            .with_drift_schedule(DriftSchedule::every(interval, step));
+        let seed = 8;
+
+        // Each epoch's deployed array, rebuilt by compiling the spec at
+        // that epoch's drift time and applying it to the pristine array.
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let pristine = CrossbarArray::program(net.weights(), &device, &mut rng).unwrap();
+        let expected: Vec<Vec<f64>> = (0..=epochs)
+            .map(|epoch| {
+                let at = FaultSpec {
+                    drift_time: epoch as f64 * step,
+                    ..spec
+                };
+                FaultInjection::new(at, key)
+                    .compile(2, 4)
+                    .unwrap()
+                    .apply(&pristine)
+                    .unwrap()
+                    .effective_weights()
+                    .col_l1_norms()
+            })
+            .collect();
+
+        let counters = Arc::new(xbar_obs::Counters::new());
+        let u = [0.8, 0.5, 0.9, 0.1];
+        let seen = xbar_obs::with_scope(counters.clone(), None, || {
+            let mut o = Oracle::new(net, &cfg, seed).unwrap();
+            let mut seen = vec![o.true_column_norms()];
+            o.query(&u).unwrap();
+            // After each round the last query issued is the first of
+            // the next epoch.
+            for _ in 0..epochs {
+                for _ in 0..interval {
+                    o.query(&u).unwrap();
+                }
+                seen.push(o.true_column_norms());
+            }
+            seen
+        });
+        assert_eq!(seen, expected);
+        let observed = counters.ambient();
+        assert_eq!(
+            observed.counter(xbar_obs::names::XBAR_FAULT_PLAN_COMPILE),
+            1
+        );
+        assert_eq!(
+            observed.counter(xbar_obs::names::ORACLE_DRIFT_ADVANCE),
+            epochs
+        );
     }
 
     #[test]

@@ -21,14 +21,16 @@
 //!    bit-identical at any thread count and independent of compilation
 //!    order — the same discipline `xbar-runtime` uses for trial RNGs.
 //! 3. [`FaultPlan::apply`] — materialises a faulted copy of a
-//!    programmed array. A [`FaultyBackend`] wraps any
+//!    programmed array. [`FaultPlan::apply_at`] does the same at any
+//!    other drift time, so a drifting deployment compiles its plan once. A [`FaultyBackend`] wraps any
 //!    [`EvalBackend`](xbar_crossbar::backend::EvalBackend) and applies
 //!    the plan before delegating; a no-op plan delegates directly and
 //!    is bit-identical to the bare backend.
 //!
 //! Observability: compilation counts
 //! [`xbar_obs::names::XBAR_FAULT_PLAN_COMPILE`] and observes the stuck
-//! fraction; application counts [`xbar_obs::names::XBAR_FAULT_APPLY`]
+//! fraction under the [`xbar_obs::names::SPAN_FAULT_COMPILE`] span;
+//! application counts [`xbar_obs::names::XBAR_FAULT_APPLY`]
 //! and [`xbar_obs::names::XBAR_FAULT_STUCK_DEVICES`] under the
 //! [`xbar_obs::names::SPAN_FAULT_APPLY`] span.
 //!

@@ -1,6 +1,8 @@
 //! Compiled fault plans: per-device draws keyed by
 //! `(campaign_seed, trial_index, device_index)`.
 
+use std::sync::OnceLock;
+
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -56,12 +58,14 @@ impl FaultKey {
         }
     }
 
-    /// The RNG owning device `device_index`'s draws under this key.
-    fn device_rng(&self, device_index: u64) -> ChaCha8Rng {
+    /// The keyed generator on stream 0, never drawn from: device `d`'s
+    /// RNG is a clone of it moved to `set_stream(d)`. Seeding once and
+    /// cloning per device skips the seed expansion per device while
+    /// yielding exactly the streams `seed_from_u64` + `set_stream(d)`
+    /// would.
+    fn root_rng(&self) -> ChaCha8Rng {
         let base = splitmix64(self.campaign_seed ^ splitmix64(self.trial_index ^ FAULT_DOMAIN));
-        let mut rng = ChaCha8Rng::seed_from_u64(base);
-        rng.set_stream(device_index);
-        rng
+        ChaCha8Rng::seed_from_u64(base)
     }
 }
 
@@ -107,25 +111,46 @@ pub enum StuckKind {
 /// every per-device decision is drawn and frozen, so applying the plan
 /// is a deterministic, RNG-free transform.
 ///
+/// The plan stores each device's drift *exponent* `ν_d`, not its drift
+/// factor, so one plan can be applied at any drift time
+/// ([`FaultPlan::apply_at`]): a drifting deployment compiles once and
+/// re-times the same draws at every drift epoch.
+///
 /// Plans compare equal iff all decisions are equal ([`PartialEq`]),
 /// which the thread-invariance tests use directly.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct FaultPlan {
     spec: FaultSpec,
     key: FaultKey,
     outputs: usize,
     inputs: usize,
     /// Per-device stuck decisions (`2·M·N`, G⁺ then G⁻ row-major).
-    /// Empty for a no-op plan.
+    /// Empty for a plan that perturbs nothing at any drift time.
     stuck: Vec<StuckKind>,
     /// Per-device lognormal variation factors (1.0 = untouched).
     scale: Vec<f64>,
-    /// Per-device drift factors in `(0, 1]` (1.0 = untouched).
-    drift: Vec<f64>,
+    /// Per-device drift exponents `ν_d`; empty when `drift_nu` is zero.
+    drift_nu: Vec<f64>,
     /// Per-input-line attenuation factors (length `N`).
     line_scale: Vec<f64>,
     stuck_on: usize,
     stuck_off: usize,
+    /// [`FaultPlan::drift_factors`], materialised on first request.
+    drift_view: OnceLock<Vec<f64>>,
+}
+
+impl PartialEq for FaultPlan {
+    fn eq(&self, other: &Self) -> bool {
+        // `drift_view` is a cache of the other fields and is left out.
+        self.spec == other.spec
+            && self.key == other.key
+            && (self.outputs, self.inputs) == (other.outputs, other.inputs)
+            && self.stuck == other.stuck
+            && self.scale == other.scale
+            && self.drift_nu == other.drift_nu
+            && self.line_scale == other.line_scale
+            && (self.stuck_on, self.stuck_off) == (other.stuck_on, other.stuck_off)
+    }
 }
 
 impl FaultSpec {
@@ -133,68 +158,80 @@ impl FaultSpec {
     /// drawing every per-device decision from its own
     /// `(campaign_seed, trial_index, device_index)` RNG stream.
     ///
-    /// Every device consumes the same fixed draw sequence (stuck
-    /// uniform, variation gaussian, drift gaussian) regardless of which
-    /// effects are enabled, so enabling one fault model never reshuffles
-    /// another's draws.
+    /// Every device draws in the same fixed order (stuck uniform,
+    /// variation gaussian, drift gaussian) regardless of which effects
+    /// are enabled, so enabling one fault model never reshuffles
+    /// another's draws. The drift gaussian comes last, so it is left
+    /// undrawn when no drift exponent needs it.
+    ///
+    /// Drift exponents are drawn whenever `drift_nu > 0`, even at a
+    /// zero `drift_time`, so the plan can later be re-timed with
+    /// [`FaultPlan::apply_at`].
     ///
     /// # Errors
     ///
     /// Propagates [`FaultSpec::validate`].
     pub fn compile(&self, outputs: usize, inputs: usize, key: FaultKey) -> Result<FaultPlan> {
         self.validate()?;
+        let _span = xbar_obs::span(xbar_obs::names::SPAN_FAULT_COMPILE);
         xbar_obs::count(xbar_obs::names::XBAR_FAULT_PLAN_COMPILE, 1);
-        if self.is_empty() {
+        let mut plan = FaultPlan {
+            spec: *self,
+            key,
+            outputs,
+            inputs,
+            stuck: Vec::new(),
+            scale: Vec::new(),
+            drift_nu: Vec::new(),
+            line_scale: Vec::new(),
+            stuck_on: 0,
+            stuck_off: 0,
+            drift_view: OnceLock::new(),
+        };
+        if self.is_empty() && self.drift_nu == 0.0 {
             xbar_obs::observe(xbar_obs::names::XBAR_FAULT_STUCK_FRACTION, 0.0);
-            return Ok(FaultPlan {
-                spec: *self,
-                key,
-                outputs,
-                inputs,
-                stuck: Vec::new(),
-                scale: Vec::new(),
-                drift: Vec::new(),
-                line_scale: Vec::new(),
-                stuck_on: 0,
-                stuck_off: 0,
-            });
+            return Ok(plan);
         }
         let num_devices = 2 * outputs * inputs;
-        let mut stuck = Vec::with_capacity(num_devices);
-        let mut scale = Vec::with_capacity(num_devices);
-        let mut drift = Vec::with_capacity(num_devices);
-        let (mut stuck_on, mut stuck_off) = (0usize, 0usize);
+        plan.stuck.reserve_exact(num_devices);
+        plan.scale.reserve_exact(num_devices);
         let variation = self.variation_sigma > 0.0;
-        let drifting = self.drift_active();
+        let drifting = self.drift_nu > 0.0;
+        let dispersed = drifting && self.drift_sigma > 0.0;
+        if drifting {
+            plan.drift_nu.reserve_exact(num_devices);
+        }
+        let root = key.root_rng();
         for d in 0..num_devices {
-            let mut rng = key.device_rng(d as u64);
-            // Fixed draw order per device; all three always consumed.
+            let mut rng = root.clone();
+            rng.set_stream(d as u64);
             let u: f64 = rng.gen_range(0.0..1.0);
             let z_var = gaussian(&mut rng);
-            let z_drift = gaussian(&mut rng);
             let kind = if u < self.stuck_on_rate {
-                stuck_on += 1;
+                plan.stuck_on += 1;
                 StuckKind::On
             } else if u < self.stuck_on_rate + self.stuck_off_rate {
-                stuck_off += 1;
+                plan.stuck_off += 1;
                 StuckKind::Off
             } else {
                 StuckKind::Free
             };
-            stuck.push(kind);
-            scale.push(if variation {
+            plan.stuck.push(kind);
+            plan.scale.push(if variation {
                 (self.variation_sigma * z_var).exp()
             } else {
                 1.0
             });
-            drift.push(if drifting {
-                let nu_d = self.drift_nu * (self.drift_sigma * z_drift).exp();
-                (1.0 + self.drift_time).powf(-nu_d)
-            } else {
-                1.0
-            });
+            if drifting {
+                // Undispersed, `exp(0 · z)` is exactly 1: `ν_d = drift_nu`.
+                plan.drift_nu.push(if dispersed {
+                    self.drift_nu * (self.drift_sigma * gaussian(&mut rng)).exp()
+                } else {
+                    self.drift_nu
+                });
+            }
         }
-        let line_scale = (0..inputs)
+        plan.line_scale = (0..inputs)
             .map(|j| {
                 if self.line_resistance > 0.0 {
                     1.0 / (1.0 + self.line_resistance * j as f64)
@@ -206,21 +243,10 @@ impl FaultSpec {
         if num_devices > 0 {
             xbar_obs::observe(
                 xbar_obs::names::XBAR_FAULT_STUCK_FRACTION,
-                (stuck_on + stuck_off) as f64 / num_devices as f64,
+                plan.stuck_devices() as f64 / num_devices as f64,
             );
         }
-        Ok(FaultPlan {
-            spec: *self,
-            key,
-            outputs,
-            inputs,
-            stuck,
-            scale,
-            drift,
-            line_scale,
-            stuck_on,
-            stuck_off,
-        })
+        Ok(plan)
     }
 }
 
@@ -241,7 +267,9 @@ impl FaultPlan {
     }
 
     /// Whether applying this plan is guaranteed to return a
-    /// bit-identical copy (compiled from an empty spec).
+    /// bit-identical copy (compiled from an empty spec). A drift-only
+    /// plan compiled at `drift_time = 0` is a no-op, yet
+    /// [`FaultPlan::apply_at`] a later time still ages the array.
     pub fn is_noop(&self) -> bool {
         self.spec.is_empty()
     }
@@ -266,32 +294,68 @@ impl FaultPlan {
         2 * self.outputs * self.inputs
     }
 
-    /// Per-device drift factors in `(0, 1]` (1.0 = untouched), in the
-    /// canonical device order (G⁺ row-major then G⁻). Empty for a no-op
-    /// plan. Exposed so lifetime tests can check the monotone-decay
-    /// contract: at a fixed key, each device's factor is non-increasing
-    /// in [`FaultSpec::drift_time`].
+    /// Per-device drift factors in `(0, 1]` (1.0 = untouched) at the
+    /// plan's own `drift_time`, in the canonical device order (G⁺
+    /// row-major then G⁻). Empty for a no-op plan. Exposed so lifetime
+    /// tests can check the monotone-decay contract: at a fixed key, each
+    /// device's factor is non-increasing in [`FaultSpec::drift_time`].
+    ///
+    /// Applying a plan never needs this vector; it is materialised on
+    /// the first call and cached.
     pub fn drift_factors(&self) -> &[f64] {
-        &self.drift
+        if self.is_noop() {
+            return &[];
+        }
+        self.drift_view.get_or_init(|| {
+            (0..self.num_devices())
+                .map(|idx| self.drift_factor(self.spec.drift_time, idx))
+                .collect()
+        })
     }
 
-    /// Materialises a faulted copy of a programmed array.
-    ///
-    /// Per free device: the variation factor is applied and clamped to
-    /// the device's conductance range (mirroring programming), then the
-    /// drift factor relaxes the value toward `g_min`. Stuck devices are
-    /// pinned to their rail. Finally the per-line attenuation scales
-    /// every device on its input line, stuck or not — wire resistance
-    /// is downstream of the device.
-    ///
-    /// A no-op plan returns an exact clone; untouched effects never
-    /// perturb bits (factors of exactly 1.0 skip the arithmetic).
+    /// Device `idx`'s drift factor at `drift_time`: `(1 + t)^(-ν_d)`, or
+    /// exactly 1.0 while drift is inert (zero time or zero `drift_nu`).
+    fn drift_factor(&self, drift_time: f64, idx: usize) -> f64 {
+        if drift_time > 0.0 && !self.drift_nu.is_empty() {
+            (1.0 + drift_time).powf(-self.drift_nu[idx])
+        } else {
+            1.0
+        }
+    }
+
+    /// Materialises a faulted copy of a programmed array at the plan's
+    /// own `drift_time` — [`FaultPlan::apply_at`] with
+    /// `self.spec().drift_time`.
     ///
     /// # Errors
     ///
-    /// Returns [`FaultsError::ShapeMismatch`] if the array's shape is
-    /// not the one the plan was compiled for.
+    /// As [`FaultPlan::apply_at`].
     pub fn apply(&self, array: &CrossbarArray) -> Result<CrossbarArray> {
+        self.apply_at(array, self.spec.drift_time)
+    }
+
+    /// Materialises a faulted copy of a programmed array as it reads at
+    /// `drift_time`, bit-identical to compiling the spec with that
+    /// `drift_time` under the same key and applying the result.
+    ///
+    /// Per free device: the variation factor is applied and clamped to
+    /// the device's conductance range (mirroring programming), then the
+    /// drift factor `(1 + drift_time)^(-ν_d)` relaxes the value toward
+    /// `g_min`. Stuck devices are pinned to their rail. Finally the
+    /// per-line attenuation scales every device on its input line, stuck
+    /// or not — wire resistance is downstream of the device.
+    ///
+    /// A spec that is empty at `drift_time` returns an exact clone;
+    /// untouched effects never perturb bits (factors of exactly 1.0
+    /// skip the arithmetic).
+    ///
+    /// # Errors
+    ///
+    /// * [`FaultsError::ShapeMismatch`] if the array's shape is not the
+    ///   one the plan was compiled for.
+    /// * [`FaultsError::InvalidSpec`] naming `drift_time` if it is
+    ///   negative or not finite.
+    pub fn apply_at(&self, array: &CrossbarArray, drift_time: f64) -> Result<CrossbarArray> {
         let got = (array.num_outputs(), array.num_inputs());
         if got != (self.outputs, self.inputs) {
             return Err(FaultsError::ShapeMismatch {
@@ -299,13 +363,18 @@ impl FaultPlan {
                 got,
             });
         }
+        let spec = FaultSpec {
+            drift_time,
+            ..self.spec
+        };
+        spec.validate()?;
         let _span = xbar_obs::span(xbar_obs::names::SPAN_FAULT_APPLY);
         xbar_obs::count(xbar_obs::names::XBAR_FAULT_APPLY, 1);
         xbar_obs::count(
             xbar_obs::names::XBAR_FAULT_STUCK_DEVICES,
             self.stuck_devices() as u64,
         );
-        if self.is_noop() {
+        if spec.is_empty() {
             return Ok(array.clone());
         }
         let device = *array.device();
@@ -321,7 +390,7 @@ impl FaultPlan {
                     if s != 1.0 {
                         out = (out * s).clamp(device.g_min, device.g_max);
                     }
-                    let d = self.drift[idx];
+                    let d = self.drift_factor(drift_time, idx);
                     if d != 1.0 {
                         out = device.g_min + (out - device.g_min) * d;
                     }
@@ -436,6 +505,66 @@ mod tests {
             .unwrap();
         let sum = |a: &CrossbarArray| a.input_line_conductances().iter().sum::<f64>();
         assert!(sum(&longer) < sum(&faulted));
+    }
+
+    #[test]
+    fn cloned_root_streams_match_the_keying_contract() {
+        let key = FaultKey::new(0xC0FFEE, 9);
+        let root = key.root_rng();
+        let base = splitmix64(key.campaign_seed ^ splitmix64(key.trial_index ^ FAULT_DOMAIN));
+        for d in [0u64, 1, 2, 63, 1 << 20] {
+            let mut hoisted = root.clone();
+            hoisted.set_stream(d);
+            let mut seeded = ChaCha8Rng::seed_from_u64(base);
+            seeded.set_stream(d);
+            let a: Vec<u64> = (0..8).map(|_| hoisted.gen()).collect();
+            let b: Vec<u64> = (0..8).map(|_| seeded.gen()).collect();
+            assert_eq!(a, b, "device {d}");
+        }
+    }
+
+    #[test]
+    fn drift_factors_follow_the_plans_own_time() {
+        let key = FaultKey::new(3, 1);
+        let spec = FaultSpec::none()
+            .with_stuck_off_rate(0.1)
+            .with_drift(0.2, 0.3, 50.0);
+        let plan = spec.compile(3, 4, key).unwrap();
+        let factors = plan.drift_factors();
+        assert_eq!(factors.len(), plan.num_devices());
+        assert!(factors.iter().all(|&d| d > 0.0 && d < 1.0));
+        // Inert drift reads as exactly 1.0 per device; a no-op plan has
+        // no factors at all.
+        let at_zero = FaultSpec {
+            drift_time: 0.0,
+            ..spec
+        }
+        .compile(3, 4, key)
+        .unwrap();
+        assert!(at_zero.drift_factors().iter().all(|&d| d == 1.0));
+        let drift_only = FaultSpec::none().with_drift(0.2, 0.3, 0.0);
+        assert!(drift_only
+            .compile(3, 4, key)
+            .unwrap()
+            .drift_factors()
+            .is_empty());
+        // The lazily filled view is not part of plan equality.
+        assert_eq!(plan, spec.compile(3, 4, key).unwrap());
+    }
+
+    #[test]
+    fn apply_at_rejects_invalid_drift_times() {
+        let plan = FaultSpec::none()
+            .with_drift(0.1, 0.0, 1.0)
+            .compile(2, 2, FaultKey::new(0, 0))
+            .unwrap();
+        let xbar = programmed(2, 2, 4);
+        for t in [-1.0, f64::NAN, f64::INFINITY] {
+            assert!(matches!(
+                plan.apply_at(&xbar, t),
+                Err(FaultsError::InvalidSpec { name: "drift_time" })
+            ));
+        }
     }
 
     #[test]

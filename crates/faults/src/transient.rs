@@ -129,11 +129,13 @@ impl TransientSpec {
             key.campaign_seed
                 ^ splitmix64(key.trial_index ^ splitmix64(query_index ^ TRANSIENT_DOMAIN)),
         );
+        // Seeded once; each device clones it onto its own stream.
+        let root = ChaCha8Rng::seed_from_u64(base);
         let device = *array.device();
         let jittering = self.jitter_sigma > 0.0;
         let mut flips = 0u64;
         let perturbed = array.map_conductances(|idx, g| {
-            let mut rng = ChaCha8Rng::seed_from_u64(base);
+            let mut rng = root.clone();
             rng.set_stream(idx as u64);
             // Fixed draw order per device; both always consumed.
             let u: f64 = rng.gen_range(0.0..1.0);

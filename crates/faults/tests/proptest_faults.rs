@@ -11,6 +11,8 @@
 //!   the wrapped backend at any base query index.
 //! * At a fixed key, every device's drift factor is monotonically
 //!   non-increasing in `drift_time` (hardware only decays).
+//! * A plan compiled at one drift time and applied at another is
+//!   bit-identical to compiling at the second time and applying.
 //! * A `PreparedEval` handle taken through a fault-plan application is
 //!   stale — reuse is an error, never silently unfaulted numbers.
 
@@ -33,6 +35,18 @@ fn programmed(m: usize, n: usize, seed: u64, device: &DeviceModel) -> CrossbarAr
         w[(0, 0)] = 0.5;
     }
     CrossbarArray::program(&w, device, &mut rng).unwrap()
+}
+
+/// Every conductance's bit pattern (G⁺ then G⁻), so equality means
+/// bit-identical rather than `==` on floats.
+fn conductance_bits(array: &CrossbarArray) -> Vec<u64> {
+    array
+        .g_plus()
+        .as_slice()
+        .iter()
+        .chain(array.g_minus().as_slice())
+        .map(|g| g.to_bits())
+        .collect()
 }
 
 fn sample_batch(batch: usize, n: usize, seed: u64) -> Matrix {
@@ -243,6 +257,58 @@ proptest! {
                 device, a, b, t1, t1 + dt
             );
         }
+    }
+
+    /// The re-timing contract: a plan compiled at one drift time and
+    /// applied at another is bit-identical to compiling the spec at the
+    /// second time under the same key and applying that — including a
+    /// drift-only spec compiled at `drift_time = 0` (empty at that time,
+    /// so the plan is a no-op there) and undispersed exponents
+    /// (`drift_sigma = 0`).
+    #[test]
+    fn retimed_plan_matches_plan_compiled_at_that_time(
+        m in 1usize..9,
+        n in 1usize..9,
+        seed in any::<u64>(),
+        trial in any::<u64>(),
+        drift_only in any::<bool>(),
+        dispersed in any::<bool>(),
+        compiled_at_zero in any::<bool>(),
+        t0 in 0.001f64..500.0,
+        t in 0.0f64..1000.0,
+    ) {
+        let device = DeviceModel {
+            g_min: 0.05,
+            g_max: 1.0,
+            ..DeviceModel::ideal()
+        };
+        let array = programmed(m, n, seed ^ 0x22, &device);
+        let base = if drift_only {
+            FaultSpec::none()
+        } else {
+            FaultSpec::none()
+                .with_stuck_on_rate(0.05)
+                .with_stuck_off_rate(0.05)
+                .with_variation_sigma(0.1)
+                .with_line_resistance(0.01)
+        };
+        let sigma = if dispersed { 0.3 } else { 0.0 };
+        let compiled_time = if compiled_at_zero { 0.0 } else { t0 };
+        let key = FaultKey::new(seed, trial);
+        let plan = base.with_drift(0.2, sigma, compiled_time).compile(m, n, key).unwrap();
+        if drift_only && compiled_at_zero {
+            prop_assert!(plan.is_noop());
+        }
+        let direct = base.with_drift(0.2, sigma, t).compile(m, n, key).unwrap();
+        prop_assert_eq!(
+            conductance_bits(&plan.apply_at(&array, t).unwrap()),
+            conductance_bits(&direct.apply(&array).unwrap())
+        );
+        // At its own time, re-timing is plain application.
+        prop_assert_eq!(
+            conductance_bits(&plan.apply_at(&array, compiled_time).unwrap()),
+            conductance_bits(&plan.apply(&array).unwrap())
+        );
     }
 
     /// Staleness across fault application: a handle prepared from the

@@ -35,6 +35,9 @@ pub const XBAR_MVM_BATCH: &str = "xbar.mvm_batch";
 pub const XBAR_BATCH_OCCUPANCY: &str = "xbar.batch_occupancy";
 
 /// One fault plan compiled from a `FaultSpec` (`FaultSpec::compile`).
+/// A deployment compiles its plan once: a drifting oracle re-times the
+/// same plan at every drift epoch instead of recompiling it, so this
+/// counts once per deployment, not once per epoch.
 pub const XBAR_FAULT_PLAN_COMPILE: &str = "xbar.fault_plan_compile";
 
 /// One fault plan applied to a programmed array (one faulted copy
@@ -57,8 +60,8 @@ pub const XBAR_TRANSIENT_APPLY: &str = "xbar.transient_apply";
 /// summed over every perturbed query.
 pub const XBAR_TRANSIENT_FLIPS: &str = "xbar.transient_flips";
 
-/// One drift epoch advanced by the oracle's drift schedule (the fault
-/// plan recompiled at a later `drift_time` and re-applied).
+/// One drift epoch advanced by the oracle's drift schedule (the
+/// deployment's compiled fault plan re-applied at a later `drift_time`).
 pub const ORACLE_DRIFT_ADVANCE: &str = "oracle.drift_advance";
 
 /// One recalibration of a cached column-norm estimate (a fresh probe
@@ -92,8 +95,12 @@ pub const SPAN_CRAFT: &str = "blackbox.craft";
 /// Span: evaluating the oracle on clean and adversarial inputs.
 pub const SPAN_EVALUATE: &str = "blackbox.evaluate";
 
+/// Span: compiling a fault plan — drawing every per-device decision
+/// (`FaultSpec::compile`).
+pub const SPAN_FAULT_COMPILE: &str = "faults.compile";
+
 /// Span: materialising a faulted copy of a programmed array
-/// (`FaultPlan::apply`).
+/// (`FaultPlan::apply` / `FaultPlan::apply_at`).
 pub const SPAN_FAULT_APPLY: &str = "faults.apply";
 
 /// Span: one fault-robustness sweep trial (deploy faulted oracle, probe,
