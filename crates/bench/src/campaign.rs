@@ -8,8 +8,7 @@
 //!   subset of the grid can run, in any order, on any number of
 //!   threads, and still reproduce the serial binary bit for bit.
 //! * **Fig. 5** — one trial per independent run of a (dataset, access)
-//!   row, matching the parallel granularity the binary previously got
-//!   from `rayon`.
+//!   row.
 //! * **Ablations** — one trial per condition of studies 1 (measurement
 //!   noise), 1b (compressed probing), 2 (device non-idealities) and
 //!   3 (power defenses); studies 4/4b/5 stay serial in the driver.

@@ -3,18 +3,20 @@
 //!
 //! For each crossbar size in the matrix (up to 1024x1024 = 1,048,576
 //! devices in the full run; smaller under `--quick`) and each thread
-//! count in 1/2/4/8, one row times the naive, blocked, and parallel
-//! backends on warm [`PreparedEval`](xbar_crossbar::backend::PreparedEval)
-//! handles, verifies the outputs are bit-identical across backends, and
+//! count in 1/2/4/8, one row times the naive backend and the tiled
+//! backend at one thread (`blocked`) and at the row's thread count
+//! (`parallel:N`) on warm
+//! [`PreparedEval`](xbar_crossbar::backend::PreparedEval) handles,
+//! verifies the outputs are bit-identical across backends, and
 //! records the prepare-hit vs prepare-miss cost of the prepared-handle
 //! API. A fault-lifecycle section times [`FaultyBackend`] deployment
 //! (plan compile, plan apply, faulted prepare+eval) on the largest
 //! size. CI uploads the report as the `BENCH_mvm.json` artifact and
 //! smoke-asserts `bit_identical` and `parallel_speedup` on every row.
 //!
-//! `host_threads` records the machine's available parallelism so the
-//! thread-scaling columns are interpretable: on a single-core host the
-//! 2/4/8-thread rows measure scheduling overhead, not speedup.
+//! `host_threads` (the machine's available parallelism) and `cpu_model`
+//! name the host so the thread-scaling columns are interpretable: thread
+//! counts above `host_threads` measure scheduling overhead, not speedup.
 
 use std::time::Instant;
 
@@ -48,13 +50,14 @@ pub struct MvmBenchRow {
     pub batch: usize,
     /// Timed iterations per backend (after one warm-up).
     pub iterations: usize,
-    /// Parallel-backend thread count for this row.
+    /// Tiled-backend thread count for this row (`parallel:N`).
     pub threads: usize,
     /// Mean nanoseconds per warm batched MVM, naive backend.
     pub naive_nanos: u64,
-    /// Mean nanoseconds per warm batched MVM, blocked backend.
+    /// Mean nanoseconds per warm batched MVM, tiled backend on one
+    /// thread (`blocked`).
     pub blocked_nanos: u64,
-    /// Mean nanoseconds per warm batched MVM, parallel backend at
+    /// Mean nanoseconds per warm batched MVM, tiled backend at
     /// `threads` threads.
     pub parallel_nanos: u64,
     /// `naive_nanos / parallel_nanos` — the smoke-tested speedup, safe
@@ -125,6 +128,9 @@ pub struct MvmBenchReport {
     /// The host's available parallelism when the benchmark ran. Thread
     /// counts above this measure oversubscription, not speedup.
     pub host_threads: usize,
+    /// The CPU model from `/proc/cpuinfo` (`"unknown"` where that file
+    /// is unavailable).
+    pub cpu_model: String,
     /// The (size x threads) matrix, sizes ascending, threads ascending
     /// within a size.
     pub rows: Vec<MvmBenchRow>,
@@ -190,7 +196,7 @@ fn bench_size(
 
     let mut rows = Vec::with_capacity(THREAD_COUNTS.len());
     for threads in THREAD_COUNTS {
-        let parallel = BackendSpec::new(BackendKind::Parallel)
+        let parallel = BackendSpec::new(BackendKind::Blocked)
             .with_threads(threads)
             .build()
             .map_err(|e| e.to_string())?;
@@ -317,6 +323,18 @@ fn bench_faults(
     })
 }
 
+/// The first `model name` in `/proc/cpuinfo`, or `"unknown"`.
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find_map(|l| l.strip_prefix("model name"))
+                .map(|rest| rest.trim_start_matches([' ', '\t', ':']).trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
 /// Runs the benchmark matrix, prints one summary line per row, and
 /// persists the report (default `results/BENCH_mvm.json`).
 ///
@@ -332,9 +350,8 @@ pub fn run_mvm_bench(quick: bool, json_out: Option<&str>) -> Result<MvmBenchRepo
     } else {
         &[(256, 128, 64, 5), (512, 512, 128, 3), (1024, 1024, 256, 3)]
     };
-    let host_threads = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
+    let host_threads = xbar_linalg::par::host_threads();
+    let cpu_model = cpu_model();
 
     let mut rng = ChaCha8Rng::seed_from_u64(MVM_BENCH_SEED);
     let mut rows = Vec::new();
@@ -348,6 +365,7 @@ pub fn run_mvm_bench(quick: bool, json_out: Option<&str>) -> Result<MvmBenchRepo
         quick,
         seed: MVM_BENCH_SEED,
         host_threads,
+        cpu_model,
         rows,
         faults,
     };
@@ -372,7 +390,10 @@ pub fn run_mvm_bench(quick: bool, json_out: Option<&str>) -> Result<MvmBenchRepo
             row.bit_identical,
         );
     }
-    println!("host threads: {host_threads} (thread counts above this measure oversubscription)");
+    println!(
+        "host: {host_threads} threads, {} (thread counts above this measure oversubscription)",
+        report.cpu_model
+    );
     println!(
         "faults {}x{}: faulty(blocked) {:.3} ms, overhead {:.2}x, compile {:.3} ms, \
          apply {:.3} ms, zero-fault bit-identical: {}",
@@ -434,6 +455,7 @@ mod tests {
         let json = std::fs::read_to_string(&path).unwrap();
         assert!(json.contains("\"bit_identical\": true"));
         assert!(json.contains("\"host_threads\""));
+        assert!(json.contains("\"cpu_model\""));
         assert!(json.contains("\"parallel_speedup\""));
         assert!(json.contains("\"prepared_speedup\""));
         assert!(json.contains("\"fault_overhead\""));

@@ -1167,7 +1167,7 @@ mod tests {
         for backend in [
             BackendSpec::new(BackendKind::Naive),
             BackendSpec::new(BackendKind::Blocked),
-            BackendSpec::new(BackendKind::Parallel).with_threads(3),
+            BackendSpec::new(BackendKind::Blocked).with_threads(3),
         ] {
             let cfg_b = cfg.with_backend(backend);
             // One big batch.
@@ -1185,6 +1185,14 @@ mod tests {
     #[test]
     fn blocked_backend_is_bit_identical_on_noiseless_batches() {
         let mut naive = toy_oracle(OutputAccess::Raw);
+        // `blocked` is the tiled kernel on exactly one thread.
+        assert_eq!(
+            OracleConfig::ideal()
+                .with_backend(BackendKind::Blocked)
+                .backend
+                .threads,
+            1
+        );
         let mut blocked = {
             let net = SingleLayerNet::from_weights(
                 Matrix::from_rows(&[&[1.0, -0.5, 0.0], &[0.25, 0.5, -1.0]]),
@@ -1282,7 +1290,7 @@ mod tests {
         for backend in [
             BackendSpec::new(BackendKind::Naive),
             BackendSpec::new(BackendKind::Blocked),
-            BackendSpec::new(BackendKind::Parallel).with_threads(2),
+            BackendSpec::new(BackendKind::Blocked).with_threads(2),
         ] {
             let mut o = Oracle::new(net.clone(), &cfg.with_backend(backend), 42).unwrap();
             let mut split = o.query_batch(&refs[..4]).unwrap();
@@ -1347,7 +1355,7 @@ mod tests {
         for backend in [
             BackendSpec::new(BackendKind::Naive),
             BackendSpec::new(BackendKind::Blocked),
-            BackendSpec::new(BackendKind::Parallel).with_threads(2),
+            BackendSpec::new(BackendKind::Blocked).with_threads(2),
         ] {
             let mut o = Oracle::new(net.clone(), &cfg.with_backend(backend), 42).unwrap();
             assert_eq!(o.query_batch(&refs).unwrap(), one_by_one, "{backend}");
@@ -1569,7 +1577,7 @@ mod tests {
             for backend in [
                 BackendSpec::new(BackendKind::Naive),
                 BackendSpec::new(BackendKind::Blocked),
-                BackendSpec::new(BackendKind::Parallel).with_threads(2),
+                BackendSpec::new(BackendKind::Blocked).with_threads(2),
             ] {
                 let deployed = serveable_oracle(access, backend);
                 let inputs = probe_inputs(5);

@@ -18,21 +18,19 @@
 //!   rejected with [`CrossbarError::StalePrepared`] — never silently
 //!   reused.
 //!
-//! Three backends implement the trait:
+//! Two backends implement the trait:
 //!
 //! * [`NaiveBackend`] — the reference implementation: a straight loop
 //!   over the existing per-vector calls against the prepared snapshot.
 //! * [`BlockedBackend`] — evaluates from the prepared weights (or line
 //!   conductances) with a cache-blocked kernel over `outputs x batch`
-//!   tiles. Every output cell is still one full-length ascending-index
+//!   tiles, on one thread or fanned out over sample runs (output-row
+//!   blocks for small batches) with [`xbar_linalg::par`]. Every output
+//!   cell is still one full-length ascending-index
 //!   [`xbar_linalg::vec_ops::dot`] — the identical floating-point
-//!   reduction the per-vector path performs — so outputs are
-//!   **bit-identical** to [`NaiveBackend`], not merely close.
-//! * [`ParallelBackend`] — the blocked kernel tiled over batch chunks
-//!   (or output-row blocks for small batches) across a scoped thread
-//!   pool. Threads only change *which* worker computes a cell, never
-//!   the reduction inside it, so outputs stay bit-identical to
-//!   [`NaiveBackend`] at any thread count.
+//!   reduction the per-vector path performs — computed by exactly one
+//!   worker, so outputs are **bit-identical** to [`NaiveBackend`] at any
+//!   thread count, not merely close.
 //!
 //! Noisy variants take a per-sample RNG-stream factory (sample index →
 //! fresh [`ChaCha8Rng`]), so per-device noise draws depend only on the
@@ -54,7 +52,7 @@ use crate::{CrossbarError, Result};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use xbar_linalg::vec_ops::dot;
-use xbar_linalg::Matrix;
+use xbar_linalg::{par, Matrix};
 
 /// A per-sample RNG-stream factory: maps the index of a sample within
 /// the batch to the RNG that sample's noise draws must come from.
@@ -65,29 +63,26 @@ use xbar_linalg::Matrix;
 pub type RngStreams<'a> = &'a mut dyn FnMut(usize) -> ChaCha8Rng;
 
 /// Which [`EvalBackend`] implementation to use — the value carried by
-/// configs and CLI flags (usually inside a [`BackendSpec`]).
+/// configs and CLI flags (usually inside a [`BackendSpec`], which adds
+/// tile sizes and a thread count).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum BackendKind {
     /// Per-vector loop over the existing sequential calls.
     #[default]
     Naive,
-    /// Cache-blocked batch kernel (bit-identical outputs).
+    /// The tiled batch kernel ([`BlockedBackend`]) on one or more
+    /// threads (bit-identical outputs at any thread count).
     Blocked,
-    /// The blocked kernel fanned out across a scoped thread pool
-    /// (bit-identical outputs at any thread count).
-    Parallel,
 }
 
 impl BackendKind {
     /// Constructs the backend this kind names, with default
-    /// [`BatchConfig`] (and, for [`BackendKind::Parallel`], auto thread
-    /// count). Use [`BackendSpec::build`] to carry explicit tile sizes
-    /// or a thread count.
+    /// [`BatchConfig`] on one thread. Use [`BackendSpec::build`] to
+    /// carry explicit tile sizes or a thread count.
     pub fn build(self) -> Box<dyn EvalBackend> {
         match self {
             BackendKind::Naive => Box::new(NaiveBackend),
             BackendKind::Blocked => Box::new(BlockedBackend::default()),
-            BackendKind::Parallel => Box::new(ParallelBackend::default()),
         }
     }
 
@@ -96,7 +91,6 @@ impl BackendKind {
         match self {
             BackendKind::Naive => "naive",
             BackendKind::Blocked => "blocked",
-            BackendKind::Parallel => "parallel",
         }
     }
 }
@@ -114,16 +108,14 @@ impl std::str::FromStr for BackendKind {
         match s {
             "naive" => Ok(BackendKind::Naive),
             "blocked" => Ok(BackendKind::Blocked),
-            "parallel" => Ok(BackendKind::Parallel),
             other => Err(format!(
-                "unknown backend {other:?} (expected naive, blocked, or parallel)"
+                "unknown backend {other:?} (expected naive or blocked)"
             )),
         }
     }
 }
 
-/// Tile sizes for the blocked kernel ([`BlockedBackend`] and
-/// [`ParallelBackend`] workers).
+/// Tile sizes for the tiled kernel ([`BlockedBackend`]).
 ///
 /// The defaults keep one tile of effective weights plus the tile's
 /// input/output slices within a typical L1/L2 working set. Tiling never
@@ -183,41 +175,50 @@ impl BatchConfig {
 }
 
 /// A complete, serializable backend selection: which kernel, its tile
-/// sizes, and (for [`BackendKind::Parallel`]) the worker thread count.
+/// sizes, and the tiled kernel's worker thread count.
 ///
 /// This is the one value configs and CLI flags carry; `--backend` flags
 /// parse it via [`std::str::FromStr`] with the grammar
-/// `naive | blocked | parallel[:THREADS]` (`parallel` alone, or
-/// `THREADS == 0`, auto-sizes to the host's available parallelism).
+/// `naive | blocked | parallel[:THREADS]`. `blocked` is the tiled kernel
+/// on one thread (so `blocked` ≡ `parallel:1`); `parallel` alone, or
+/// `THREADS == 0`, auto-sizes to the host's available parallelism.
 ///
 /// ```
 /// use xbar_crossbar::backend::{BackendKind, BackendSpec};
 ///
 /// let spec: BackendSpec = "parallel:4".parse()?;
-/// assert_eq!(spec.kind, BackendKind::Parallel);
+/// assert_eq!(spec.kind, BackendKind::Blocked);
 /// assert_eq!(spec.threads, 4);
+/// assert_eq!("parallel:1".parse::<BackendSpec>()?.to_string(), "blocked");
 /// assert!("blocked:4".parse::<BackendSpec>().is_err());
 /// # Ok::<(), String>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BackendSpec {
     /// Which kernel to run.
     pub kind: BackendKind,
-    /// Tile sizes for the blocked/parallel kernels (ignored by
+    /// Tile sizes for the tiled kernel (ignored by
     /// [`BackendKind::Naive`]).
     pub batch: BatchConfig,
-    /// Worker threads for [`BackendKind::Parallel`]; `0` auto-sizes to
-    /// the host's available parallelism. Ignored by the other kinds.
+    /// Worker threads for the tiled kernel: `1` runs on the calling
+    /// thread, `0` auto-sizes to the host's available parallelism.
+    /// Ignored by [`BackendKind::Naive`].
     pub threads: usize,
 }
 
+impl Default for BackendSpec {
+    fn default() -> Self {
+        BackendSpec::new(BackendKind::default())
+    }
+}
+
 impl BackendSpec {
-    /// A spec for `kind` with default tile sizes and auto threads.
+    /// A spec for `kind` with default tile sizes on one thread.
     pub fn new(kind: BackendKind) -> Self {
         BackendSpec {
             kind,
             batch: BatchConfig::default(),
-            threads: 0,
+            threads: 1,
         }
     }
 
@@ -228,7 +229,8 @@ impl BackendSpec {
         self
     }
 
-    /// Builder-style setter for the parallel worker count (`0` = auto).
+    /// Builder-style setter for the tiled kernel's worker count
+    /// (`0` = auto).
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -252,8 +254,9 @@ impl BackendSpec {
     pub fn build(&self) -> Result<Box<dyn EvalBackend>> {
         Ok(match self.kind {
             BackendKind::Naive => Box::new(NaiveBackend),
-            BackendKind::Blocked => Box::new(BlockedBackend::new(self.batch)?),
-            BackendKind::Parallel => Box::new(ParallelBackend::new(self.batch, self.threads)?),
+            BackendKind::Blocked => {
+                Box::new(BlockedBackend::new(self.batch)?.with_threads(self.threads))
+            }
         })
     }
 }
@@ -266,10 +269,10 @@ impl From<BackendKind> for BackendSpec {
 
 impl std::fmt::Display for BackendSpec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.kind == BackendKind::Parallel && self.threads > 0 {
-            write!(f, "parallel:{}", self.threads)
-        } else {
-            f.write_str(self.kind.label())
+        match (self.kind, self.threads) {
+            (BackendKind::Naive, _) | (BackendKind::Blocked, 1) => f.write_str(self.kind.label()),
+            (BackendKind::Blocked, 0) => f.write_str("parallel"),
+            (BackendKind::Blocked, threads) => write!(f, "parallel:{threads}"),
         }
     }
 }
@@ -278,29 +281,32 @@ impl std::str::FromStr for BackendSpec {
     type Err = String;
 
     fn from_str(s: &str) -> std::result::Result<Self, String> {
-        let (kind_str, threads) = match s.split_once(':') {
+        let (name, threads) = match s.split_once(':') {
             None => (s, None),
-            Some((kind, threads)) => (kind, Some(threads)),
+            Some((name, threads)) => (name, Some(threads)),
         };
-        let kind: BackendKind = kind_str.parse()?;
-        match threads {
-            None => Ok(BackendSpec::new(kind)),
-            Some(t) => {
-                if kind != BackendKind::Parallel {
-                    return Err(format!(
-                        "backend {kind_str:?} does not take a thread count \
-                         (the :N suffix applies to parallel only)"
-                    ));
-                }
-                let threads: usize = t.parse().map_err(|_| {
+        if name == "parallel" {
+            let threads = match threads {
+                None => 0,
+                Some(t) => t.parse().map_err(|_| {
                     format!(
                         "invalid thread count {t:?} in backend spec \
                          (expected parallel:N with N a non-negative integer)"
                     )
-                })?;
-                Ok(BackendSpec::new(kind).with_threads(threads))
-            }
+                })?,
+            };
+            return Ok(BackendSpec::new(BackendKind::Blocked).with_threads(threads));
         }
+        let kind: BackendKind = name.parse().map_err(|_| {
+            format!("unknown backend {name:?} (expected naive, blocked, or parallel[:N])")
+        })?;
+        if threads.is_some() {
+            return Err(format!(
+                "backend {name:?} does not take a thread count \
+                 (the :N suffix applies to parallel only)"
+            ));
+        }
+        Ok(BackendSpec::new(kind))
     }
 }
 
@@ -549,11 +555,11 @@ fn noisy_power_per_sample(
 /// The tiled noiseless MVM kernel over output rows `row0..row1`,
 /// writing sample `s`'s row `i` into `out[s][i - row0]`.
 ///
-/// This is the one kernel [`BlockedBackend`] and every
-/// [`ParallelBackend`] worker run: each output cell is one full-length
-/// ascending-index [`dot`] — the identical reduction `checked_mvm`'s
-/// `matvec` performs — so tile boundaries and work partitioning never
-/// change a single bit of the result.
+/// This is the one kernel every [`BlockedBackend`] worker runs: each
+/// output cell is one full-length ascending-index [`dot`] — the
+/// identical reduction `checked_mvm`'s `matvec` performs — so tile
+/// boundaries and work partitioning never change a single bit of the
+/// result.
 fn mvm_tiles_into(
     w_eff: &Matrix,
     inputs: &[&[f64]],
@@ -648,32 +654,69 @@ impl EvalBackend for NaiveBackend {
     }
 }
 
-/// The cache-blocked batch backend.
+/// The tiled batch backend, on one thread or fanned out over several.
 ///
 /// Noiseless evaluation reads the handle's materialised weights (or
 /// line conductances) and walks `outputs x batch` tiles so a tile of
-/// weight rows stays cache-resident across the tile's samples. Each
-/// output cell is one full-length ascending-index dot product, so every
-/// number equals the per-vector path's bit for bit.
-#[derive(Debug, Clone, Copy, Default)]
+/// weight rows stays cache-resident across the tile's samples. With
+/// more than one worker, MVM splits the batch into contiguous sample
+/// runs, one per worker, each writing a disjoint slice of the output;
+/// when the batch is smaller than the pool, workers instead take
+/// contiguous output-row blocks. Either way every output cell is one
+/// full-length ascending-index [`dot`] computed by exactly one worker,
+/// so every number equals the per-vector path's bit for bit at any
+/// thread count — threads only change which worker computes a cell,
+/// never the reduction inside it.
+///
+/// Noisy variants stay sequential per sample: the per-sample RNG-stream
+/// factory is an exclusive closure, and per-device draw order is part
+/// of the contract.
+///
+/// All observability events are emitted on the calling thread before
+/// work is fanned out (the obs collector scope is thread-local), so
+/// traces are identical to [`NaiveBackend`]'s at any thread count.
+#[derive(Debug, Clone, Copy)]
 pub struct BlockedBackend {
     config: BatchConfig,
+    threads: usize,
+}
+
+impl Default for BlockedBackend {
+    fn default() -> Self {
+        BlockedBackend {
+            config: BatchConfig::default(),
+            threads: 1,
+        }
+    }
 }
 
 impl BlockedBackend {
-    /// A blocked backend with the given tile sizes.
+    /// A one-thread tiled backend with the given tile sizes.
     ///
     /// # Errors
     ///
     /// Propagates [`BatchConfig::validate`].
     pub fn new(config: BatchConfig) -> Result<Self> {
         config.validate()?;
-        Ok(BlockedBackend { config })
+        Ok(BlockedBackend { config, threads: 1 })
+    }
+
+    /// Builder-style setter for the worker count (`0` = the host's
+    /// available parallelism, resolved here once).
+    #[must_use]
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = par::resolve(threads);
+        self
     }
 
     /// The tile sizes in effect.
     pub fn config(&self) -> BatchConfig {
         self.config
+    }
+
+    /// The worker count in effect (at least 1).
+    pub fn threads(&self) -> usize {
+        self.threads
     }
 }
 
@@ -693,9 +736,39 @@ impl EvalBackend for BlockedBackend {
         record_batch(inputs);
         // One analog MVM per sample, exactly like the per-vector path.
         xbar_obs::count(xbar_obs::names::XBAR_ANALOG_MVM, inputs.len() as u64);
-        let m = prepared.weights().rows();
+        let w_eff = prepared.weights();
+        let m = w_eff.rows();
+        let config = self.config;
         let mut out: Vec<Vec<f64>> = inputs.iter().map(|_| vec![0.0; m]).collect();
-        mvm_tiles_into(prepared.weights(), inputs, 0, m, self.config, &mut out);
+        let threads = self.threads.min(m.max(1));
+        if (1..threads).contains(&inputs.len()) {
+            // Narrow batch: contiguous output-row blocks, one per
+            // worker, computed into worker-local buffers and stitched
+            // back (an O(M·B) copy against O(M·N·B) compute).
+            let rows_per = m.div_ceil(threads);
+            let mut blocks: Vec<(usize, Vec<Vec<f64>>)> = (0..m)
+                .step_by(rows_per)
+                .map(|row0| (row0, Vec::new()))
+                .collect();
+            par::for_each_run(&mut blocks, threads, |_, run| {
+                for (row0, local) in run {
+                    let row1 = (*row0 + rows_per).min(m);
+                    *local = inputs.iter().map(|_| vec![0.0; row1 - *row0]).collect();
+                    mvm_tiles_into(w_eff, inputs, *row0, row1, config, local);
+                }
+            });
+            for (row0, local) in blocks {
+                for (sample_out, rows) in out.iter_mut().zip(local) {
+                    sample_out[row0..row0 + rows.len()].copy_from_slice(&rows);
+                }
+            }
+        } else {
+            // Contiguous sample runs, one per worker, each writing its
+            // own disjoint output slice (inline on one thread).
+            par::for_each_run(&mut out, threads, |s0, run| {
+                mvm_tiles_into(w_eff, &inputs[s0..s0 + run.len()], 0, m, config, run);
+            });
+        }
         Ok(out)
     }
 
@@ -712,205 +785,20 @@ impl EvalBackend for BlockedBackend {
         // One power read per sample, exactly like the per-vector path.
         xbar_obs::count(xbar_obs::names::XBAR_POWER_READ, inputs.len() as u64);
         let conductances = prepared.line_conductances();
-        Ok(inputs
-            .iter()
-            .map(|input| {
+        let v_dd = model.v_dd;
+        // One O(N) dot per sample: not worth a fan-out below a few
+        // samples per worker.
+        let threads = if inputs.len() < 2 * self.threads {
+            1
+        } else {
+            self.threads
+        };
+        let mut out = vec![0.0; inputs.len()];
+        par::for_each_run(&mut out, threads, |s0, run| {
+            for (o, input) in run.iter_mut().zip(&inputs[s0..]) {
                 // Same accumulation as `total_current`, amortising the
                 // per-line conductance totals across batches.
-                model.v_dd * dot(conductances, input)
-            })
-            .collect())
-    }
-
-    fn noisy_mvm_prepared(
-        &self,
-        prepared: &PreparedEval,
-        array: &CrossbarArray,
-        inputs: &[&[f64]],
-        streams: RngStreams<'_>,
-    ) -> Result<Vec<Vec<f64>>> {
-        prepared.ensure_current(array)?;
-        validate_batch(prepared.array(), inputs)?;
-        record_batch(inputs);
-        noisy_mvm_per_sample(prepared.array(), inputs, streams)
-    }
-
-    fn noisy_power_prepared(
-        &self,
-        model: &PowerModel,
-        prepared: &PreparedEval,
-        array: &CrossbarArray,
-        inputs: &[&[f64]],
-        streams: RngStreams<'_>,
-    ) -> Result<Vec<f64>> {
-        prepared.ensure_current(array)?;
-        validate_batch(prepared.array(), inputs)?;
-        record_batch(inputs);
-        noisy_power_per_sample(model, prepared.array(), inputs, streams)
-    }
-}
-
-/// The multi-threaded blocked backend: the same tiled kernel as
-/// [`BlockedBackend`], fanned out over a scoped thread pool.
-///
-/// Noiseless MVM partitions the batch into contiguous sample chunks,
-/// one per worker, each writing a disjoint slice of the output; when
-/// the batch is smaller than the pool, workers instead take contiguous
-/// output-row blocks. Either way every output cell is still one
-/// full-length ascending-index [`dot`] computed by exactly one worker,
-/// so results are **bit-identical** to [`NaiveBackend`] at any thread
-/// count — parallelism only changes which thread computes a cell, never
-/// the reduction inside it.
-///
-/// Noisy variants stay sequential per sample: the per-sample RNG-stream
-/// factory is an exclusive closure, and per-device draw order is part
-/// of the contract.
-///
-/// All observability events are emitted on the calling thread before
-/// work is fanned out (the obs collector scope is thread-local), so
-/// traces are identical to the other backends' at any thread count.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ParallelBackend {
-    config: BatchConfig,
-    threads: usize,
-}
-
-impl ParallelBackend {
-    /// A parallel backend with the given tile sizes and worker count
-    /// (`threads == 0` auto-sizes to the host's available parallelism).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`BatchConfig::validate`].
-    pub fn new(config: BatchConfig, threads: usize) -> Result<Self> {
-        config.validate()?;
-        Ok(ParallelBackend { config, threads })
-    }
-
-    /// The tile sizes in effect.
-    pub fn config(&self) -> BatchConfig {
-        self.config
-    }
-
-    /// The configured worker count (`0` = auto).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The worker count actually used: the configured count, or the
-    /// host's available parallelism when configured as `0`.
-    pub fn resolved_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        }
-    }
-}
-
-impl EvalBackend for ParallelBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Parallel
-    }
-
-    fn mvm_prepared(
-        &self,
-        prepared: &PreparedEval,
-        array: &CrossbarArray,
-        inputs: &[&[f64]],
-    ) -> Result<Vec<Vec<f64>>> {
-        prepared.ensure_current(array)?;
-        validate_batch(prepared.array(), inputs)?;
-        // All events on the calling thread: obs scopes are thread-local
-        // and must not lose worker-side counts.
-        record_batch(inputs);
-        xbar_obs::count(xbar_obs::names::XBAR_ANALOG_MVM, inputs.len() as u64);
-        let w_eff = prepared.weights();
-        let m = w_eff.rows();
-        let config = self.config;
-        let mut out: Vec<Vec<f64>> = inputs.iter().map(|_| vec![0.0; m]).collect();
-        let threads = self
-            .resolved_threads()
-            .min(inputs.len().max(1))
-            .min(m.max(1));
-        if threads <= 1 || inputs.is_empty() {
-            mvm_tiles_into(w_eff, inputs, 0, m, config, &mut out);
-            return Ok(out);
-        }
-        if inputs.len() >= threads {
-            // Wide batch: contiguous sample chunks, one per worker,
-            // each writing its own disjoint output slice.
-            let chunk = inputs.len().div_ceil(threads);
-            std::thread::scope(|scope| {
-                for (input_chunk, out_chunk) in inputs.chunks(chunk).zip(out.chunks_mut(chunk)) {
-                    scope.spawn(move || {
-                        mvm_tiles_into(w_eff, input_chunk, 0, m, config, out_chunk);
-                    });
-                }
-            });
-        } else {
-            // Narrow batch: contiguous output-row blocks, one per
-            // worker, computed into worker-local buffers and stitched
-            // back (an O(M·B) copy against O(M·N·B) compute).
-            let rows_per = m.div_ceil(threads);
-            let partials = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..m)
-                    .step_by(rows_per)
-                    .map(|row0| {
-                        let row1 = (row0 + rows_per).min(m);
-                        scope.spawn(move || {
-                            let mut local: Vec<Vec<f64>> =
-                                inputs.iter().map(|_| vec![0.0; row1 - row0]).collect();
-                            mvm_tiles_into(w_eff, inputs, row0, row1, config, &mut local);
-                            (row0, local)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("parallel mvm worker panicked"))
-                    .collect::<Vec<_>>()
-            });
-            for (row0, local) in partials {
-                for (sample_out, rows) in out.iter_mut().zip(local) {
-                    sample_out[row0..row0 + rows.len()].copy_from_slice(&rows);
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    fn power_prepared(
-        &self,
-        model: &PowerModel,
-        prepared: &PreparedEval,
-        array: &CrossbarArray,
-        inputs: &[&[f64]],
-    ) -> Result<Vec<f64>> {
-        prepared.ensure_current(array)?;
-        validate_batch(prepared.array(), inputs)?;
-        record_batch(inputs);
-        xbar_obs::count(xbar_obs::names::XBAR_POWER_READ, inputs.len() as u64);
-        let conductances = prepared.line_conductances();
-        let v_dd = model.v_dd;
-        let threads = self.resolved_threads();
-        let mut out = vec![0.0; inputs.len()];
-        if threads <= 1 || inputs.len() < 2 * threads {
-            // One O(N) dot per sample: not worth a fan-out below a few
-            // samples per worker.
-            for (o, input) in out.iter_mut().zip(inputs) {
                 *o = v_dd * dot(conductances, input);
-            }
-            return Ok(out);
-        }
-        let chunk = inputs.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (input_chunk, out_chunk) in inputs.chunks(chunk).zip(out.chunks_mut(chunk)) {
-                scope.spawn(move || {
-                    for (o, input) in out_chunk.iter_mut().zip(input_chunk) {
-                        *o = v_dd * dot(conductances, input);
-                    }
-                });
             }
         });
         Ok(out)
@@ -1042,7 +930,7 @@ mod tests {
             // the sample-chunk (b >= threads) and row-block (b < threads)
             // paths are crossed.
             for threads in [0usize, 1, 2, 3, 8, 32] {
-                let parallel = ParallelBackend::new(BatchConfig::default(), threads).unwrap();
+                let parallel = BlockedBackend::default().with_threads(threads);
                 assert_eq!(
                     mvm(&parallel, &xbar, &refs).unwrap(),
                     naive,
@@ -1065,7 +953,7 @@ mod tests {
         for spec in [
             BackendSpec::new(BackendKind::Naive),
             BackendSpec::new(BackendKind::Blocked),
-            BackendSpec::new(BackendKind::Parallel).with_threads(2),
+            BackendSpec::new(BackendKind::Blocked).with_threads(2),
         ] {
             let backend = spec.build().unwrap();
             let prepared = backend.prepare(&xbar).unwrap();
@@ -1094,11 +982,7 @@ mod tests {
         let refs = refs(&inputs);
         let model = PowerModel::default();
         let mut stream = |_: usize| ChaCha8Rng::seed_from_u64(9);
-        for kind in [
-            BackendKind::Naive,
-            BackendKind::Blocked,
-            BackendKind::Parallel,
-        ] {
+        for kind in [BackendKind::Naive, BackendKind::Blocked] {
             let backend = kind.build();
             let prepared = backend.prepare(&xbar).unwrap();
             // Even an identity conductance map invalidates the handle.
@@ -1187,7 +1071,7 @@ mod tests {
         let naive = noisy_mvm(&NaiveBackend, &xbar, &refs, &mut { stream }).unwrap();
         for backend in [
             Box::new(BlockedBackend::default()) as Box<dyn EvalBackend>,
-            Box::new(ParallelBackend::new(BatchConfig::default(), 4).unwrap()),
+            Box::new(BlockedBackend::default().with_threads(4)),
         ] {
             assert_eq!(
                 naive,
@@ -1218,7 +1102,7 @@ mod tests {
         for backend in [
             BackendKind::Naive.build(),
             BackendKind::Blocked.build(),
-            BackendKind::Parallel.build(),
+            "parallel".parse::<BackendSpec>().unwrap().build().unwrap(),
         ] {
             assert!(matches!(
                 mvm(backend.as_ref(), &xbar, &refs),
@@ -1238,7 +1122,7 @@ mod tests {
         for backend in [
             BackendKind::Naive.build(),
             BackendKind::Blocked.build(),
-            BackendKind::Parallel.build(),
+            "parallel".parse::<BackendSpec>().unwrap().build().unwrap(),
         ] {
             assert!(mvm(backend.as_ref(), &xbar, &refs).unwrap().is_empty());
         }
@@ -1246,17 +1130,17 @@ mod tests {
 
     #[test]
     fn kind_roundtrips_through_strings() {
-        for kind in [
-            BackendKind::Naive,
-            BackendKind::Blocked,
-            BackendKind::Parallel,
-        ] {
+        for kind in [BackendKind::Naive, BackendKind::Blocked] {
             assert_eq!(kind.label().parse::<BackendKind>().unwrap(), kind);
             assert_eq!(kind.to_string(), kind.label());
             assert_eq!(kind.build().kind(), kind);
         }
         assert!("gpu".parse::<BackendKind>().is_err());
+        // Thread counts belong to the spec, not the kind.
+        assert!("parallel".parse::<BackendKind>().is_err());
         assert_eq!(BackendKind::default(), BackendKind::Naive);
+        // `BackendKind::Blocked.build()` is the tiled kernel on one thread.
+        assert_eq!(BlockedBackend::default().threads(), 1);
     }
 
     #[test]
@@ -1271,11 +1155,29 @@ mod tests {
         );
         assert_eq!(
             "parallel".parse::<BackendSpec>().unwrap(),
-            BackendSpec::new(BackendKind::Parallel)
+            BackendSpec::new(BackendKind::Blocked).with_threads(0)
         );
         let spec: BackendSpec = "parallel:8".parse().unwrap();
-        assert_eq!(spec.kind, BackendKind::Parallel);
+        assert_eq!(spec.kind, BackendKind::Blocked);
         assert_eq!(spec.threads, 8);
+        // `blocked` is the tiled kernel on exactly one thread, however it
+        // is spelled; `parallel` alone is the host's core count.
+        let blocked: BackendSpec = "blocked".parse().unwrap();
+        assert_eq!(blocked.threads, 1);
+        assert_eq!(BackendSpec::from(BackendKind::Blocked), blocked);
+        assert_eq!("parallel:1".parse::<BackendSpec>().unwrap(), blocked);
+        assert_eq!(
+            "parallel:1".parse::<BackendSpec>().unwrap().to_string(),
+            "blocked"
+        );
+        let auto = "parallel".parse::<BackendSpec>().unwrap();
+        assert_eq!(
+            BlockedBackend::new(auto.batch)
+                .unwrap()
+                .with_threads(auto.threads)
+                .threads(),
+            par::host_threads()
+        );
         // Display round-trips through FromStr.
         for s in ["naive", "blocked", "parallel", "parallel:8"] {
             let spec: BackendSpec = s.parse().unwrap();
@@ -1305,11 +1207,11 @@ mod tests {
             .with_batch(BatchConfig::default().with_block_outputs(0));
         assert!(bad.validate().is_err());
         assert!(bad.build().is_err());
-        let good = BackendSpec::new(BackendKind::Parallel)
+        let good = BackendSpec::new(BackendKind::Blocked)
             .with_batch(BatchConfig::default().with_block_outputs(8))
             .with_threads(2);
         assert!(good.validate().is_ok());
-        assert_eq!(good.build().unwrap().kind(), BackendKind::Parallel);
+        assert_eq!(good.build().unwrap().kind(), BackendKind::Blocked);
     }
 
     #[test]
@@ -1321,7 +1223,9 @@ mod tests {
             .with_block_outputs(8)
             .with_block_samples(4);
         assert_eq!(BlockedBackend::new(cfg).unwrap().config(), cfg);
-        assert_eq!(ParallelBackend::new(cfg, 3).unwrap().resolved_threads(), 3);
-        assert!(ParallelBackend::new(cfg, 0).unwrap().resolved_threads() >= 1);
+        let tiled = BlockedBackend::new(cfg).unwrap();
+        assert_eq!(tiled.threads(), 1);
+        assert_eq!(tiled.with_threads(3).threads(), 3);
+        assert_eq!(tiled.with_threads(0).threads(), par::host_threads());
     }
 }

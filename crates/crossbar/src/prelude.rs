@@ -16,8 +16,8 @@
 
 pub use crate::array::CrossbarArray;
 pub use crate::backend::{
-    BackendKind, BackendSpec, BatchConfig, BlockedBackend, EvalBackend, NaiveBackend,
-    ParallelBackend, PreparedEval, RngStreams,
+    BackendKind, BackendSpec, BatchConfig, BlockedBackend, EvalBackend, NaiveBackend, PreparedEval,
+    RngStreams,
 };
 pub use crate::device::DeviceModel;
 pub use crate::mapping::WeightMapping;

@@ -11,9 +11,7 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use xbar_crossbar::array::CrossbarArray;
-use xbar_crossbar::backend::{
-    BatchConfig, BlockedBackend, EvalBackend, NaiveBackend, ParallelBackend,
-};
+use xbar_crossbar::backend::{BatchConfig, BlockedBackend, EvalBackend, NaiveBackend};
 use xbar_crossbar::device::DeviceModel;
 use xbar_crossbar::power::PowerModel;
 use xbar_crossbar::CrossbarError;
@@ -188,11 +186,9 @@ proptest! {
         let refs: Vec<&[f64]> = (0..batch).map(|b| inputs.row(b)).collect();
 
         let naive = NaiveBackend;
-        let parallel = ParallelBackend::new(
-            BatchConfig::default().with_block_outputs(block_outputs),
-            threads,
-        )
-        .unwrap();
+        let parallel = BlockedBackend::new(BatchConfig::default().with_block_outputs(block_outputs))
+            .unwrap()
+            .with_threads(threads);
 
         let out_naive = mvm(&naive, &array, &refs).unwrap();
         let whole = mvm(&parallel, &array, &refs).unwrap();
@@ -237,7 +233,7 @@ proptest! {
         let backend: Box<dyn EvalBackend> = match backend_pick {
             0 => Box::new(NaiveBackend),
             1 => Box::new(BlockedBackend::default()),
-            _ => Box::new(ParallelBackend::new(BatchConfig::default(), 2).unwrap()),
+            _ => Box::new(BlockedBackend::default().with_threads(2)),
         };
 
         let prepared = backend.prepare(&array).unwrap();
@@ -287,7 +283,7 @@ proptest! {
         for backend in [
             Box::new(NaiveBackend) as Box<dyn EvalBackend>,
             Box::new(BlockedBackend::default()),
-            Box::new(ParallelBackend::new(BatchConfig::default(), 2).unwrap()),
+            Box::new(BlockedBackend::default().with_threads(2)),
         ] {
             prop_assert!(mvm(backend.as_ref(), &array, &refs).is_err());
             prop_assert!(power(backend.as_ref(), &PowerModel::default(), &array, &refs)

@@ -22,9 +22,9 @@
 //! * [`chain`] — the chain runner: burn-in, thinning, and multi-chain
 //!   support, with every random draw keyed by
 //!   `(campaign_seed, chain_index, step)` so results are bit-identical
-//!   at any thread count ([`run_chains`] parallelises over
-//!   `std::thread::scope`, the same discipline as the crossbar's
-//!   `ParallelBackend`).
+//!   at any thread count ([`run_chains`] fans chains out with
+//!   `xbar_linalg::par`, the same fan-out as the crossbar's tiled
+//!   backend).
 //! * [`likelihood`] — the power-observation likelihood:
 //!   [`PowerObservations`] wraps `Oracle::query_batch` /
 //!   `Oracle::observe_batch_keyed`, so inference composes with faults,

@@ -1,14 +1,36 @@
 use crate::{LinalgError, Result};
 use rand::distributions::Distribution;
 use rand::Rng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub, SubAssign};
 
-/// Minimum number of rows before [`Matrix::matmul`] switches to the
-/// rayon-parallel kernel. Below this the sequential kernel is faster.
+/// Minimum number of rows before [`Matrix::matmul`] fans its rows out
+/// over [`crate::par`] (one run per core). Below this the sequential
+/// kernel is faster.
 const PAR_ROW_THRESHOLD: usize = 64;
+
+/// Runs `kernel(i, row)` over every `cols`-wide row of the row-major
+/// buffer `out`: inline below `PAR_ROW_THRESHOLD` rows, otherwise over
+/// one contiguous run of rows per core.
+fn for_each_row<F>(out: &mut [f64], cols: usize, kernel: F)
+where
+    F: Fn(usize, &mut [f64]) + Sync,
+{
+    let rows = out.chunks_mut(cols.max(1));
+    if rows.len() < PAR_ROW_THRESHOLD {
+        for (i, row) in rows.enumerate() {
+            kernel(i, row);
+        }
+        return;
+    }
+    let mut rows: Vec<&mut [f64]> = rows.collect();
+    crate::par::for_each_run(&mut rows, 0, |offset, run| {
+        for (j, row) in run.iter_mut().enumerate() {
+            kernel(offset + j, row);
+        }
+    });
+}
 
 /// A dense, row-major matrix of `f64` values.
 ///
@@ -399,8 +421,9 @@ impl Matrix {
 
     /// Matrix-matrix product `self * other`.
     ///
-    /// Uses a cache-friendly `ikj` kernel, parallelised over row blocks with
-    /// rayon once the output has at least `PAR_ROW_THRESHOLD` rows.
+    /// Uses a cache-friendly `ikj` kernel, parallelised over row blocks
+    /// with [`crate::par`] once the output has at least `PAR_ROW_THRESHOLD`
+    /// rows.
     ///
     /// # Panics
     ///
@@ -439,15 +462,7 @@ impl Matrix {
                 }
             }
         };
-        if m >= PAR_ROW_THRESHOLD {
-            out.par_chunks_mut(n)
-                .enumerate()
-                .for_each(|(i, row)| kernel(i, row));
-        } else {
-            for (i, row) in out.chunks_mut(n).enumerate() {
-                kernel(i, row);
-            }
-        }
+        for_each_row(&mut out, n, kernel);
         Ok(Matrix {
             rows: m,
             cols: n,
@@ -464,7 +479,7 @@ impl Matrix {
     /// performs — so `a.matmul_nt(&b)` row `i` is bit-identical to
     /// `b.matvec(a.row(i))`. Batch evaluation paths rely on this to stay
     /// bit-identical to their per-vector counterparts. Rows are
-    /// independent, so the rayon split above `PAR_ROW_THRESHOLD` cannot
+    /// independent, so the row split above `PAR_ROW_THRESHOLD` cannot
     /// change results.
     ///
     /// # Errors
@@ -487,15 +502,7 @@ impl Matrix {
                 *o = crate::vec_ops::dot(a_row, b_row);
             }
         };
-        if m >= PAR_ROW_THRESHOLD {
-            out.par_chunks_mut(n.max(1))
-                .enumerate()
-                .for_each(|(i, row)| kernel(i, row));
-        } else {
-            for (i, row) in out.chunks_mut(n.max(1)).enumerate() {
-                kernel(i, row);
-            }
-        }
+        for_each_row(&mut out, n, kernel);
         Ok(Matrix {
             rows: m,
             cols: n,
@@ -955,7 +962,7 @@ mod tests {
 
     #[test]
     fn matmul_parallel_matches_sequential() {
-        // Exceeds PAR_ROW_THRESHOLD so the rayon path is exercised.
+        // Exceeds PAR_ROW_THRESHOLD so the parallel path is exercised.
         let mut r = rng();
         let a = Matrix::random_uniform(100, 40, -1.0, 1.0, &mut r);
         let b = Matrix::random_uniform(40, 30, -1.0, 1.0, &mut r);
@@ -1005,7 +1012,7 @@ mod tests {
     #[test]
     fn matmul_nt_matches_explicit_transpose_and_matvec() {
         let mut r = rng();
-        // Exceeds PAR_ROW_THRESHOLD so the rayon path is exercised.
+        // Exceeds PAR_ROW_THRESHOLD so the parallel path is exercised.
         let a = Matrix::random_uniform(70, 9, -1.0, 1.0, &mut r);
         let b = Matrix::random_uniform(5, 9, -1.0, 1.0, &mut r);
         let got = a.matmul_nt(&b).unwrap();

@@ -13,7 +13,7 @@
 //! including on panic.
 //!
 //! Scopes do **not** cross thread boundaries: work spawned onto other
-//! threads (e.g. the rayon-backed matmul in `xbar-linalg`) is not
+//! threads (e.g. any `xbar_linalg::par` fan-out) is not
 //! observed. The instrumented call sites in this workspace all run on
 //! the thread that owns the trial, so per-trial counters stay
 //! thread-count-invariant.
