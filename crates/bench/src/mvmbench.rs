@@ -7,7 +7,8 @@
 //! backend at one thread (`blocked`) and at the row's thread count
 //! (`parallel:N`) on warm
 //! [`PreparedEval`](xbar_crossbar::backend::PreparedEval) handles,
-//! verifies the outputs are bit-identical across backends, and
+//! reports the tiled kernel's throughput in GMAC/s, verifies the
+//! outputs are bit-identical across backends, and
 //! records the prepare-hit vs prepare-miss cost of the prepared-handle
 //! API. A fault-lifecycle section times [`FaultyBackend`] deployment
 //! (plan compile, plan apply, faulted prepare+eval) on the largest
@@ -60,6 +61,11 @@ pub struct MvmBenchRow {
     /// Mean nanoseconds per warm batched MVM, tiled backend at
     /// `threads` threads.
     pub parallel_nanos: u64,
+    /// The one-thread tiled kernel's throughput in GMAC/s
+    /// (`devices * batch` multiply-adds per `blocked_nanos`).
+    pub blocked_gmacs: f64,
+    /// The tiled kernel's throughput at `threads` threads, in GMAC/s.
+    pub parallel_gmacs: f64,
     /// `naive_nanos / parallel_nanos` — the smoke-tested speedup, safe
     /// at any host core count because the tiled kernel beats the naive
     /// per-vector loop even single-threaded.
@@ -194,6 +200,7 @@ fn bench_size(
     let probe = batch.clamp(1, 8);
     let probe_refs = &refs[..probe];
 
+    let macs = (outputs * inputs * batch) as f64;
     let mut rows = Vec::with_capacity(THREAD_COUNTS.len());
     for threads in THREAD_COUNTS {
         let parallel = BackendSpec::new(BackendKind::Blocked)
@@ -236,6 +243,8 @@ fn bench_size(
             naive_nanos,
             blocked_nanos,
             parallel_nanos,
+            blocked_gmacs: macs / blocked_nanos.max(1) as f64,
+            parallel_gmacs: macs / parallel_nanos.max(1) as f64,
             parallel_speedup: naive_nanos as f64 / parallel_nanos.max(1) as f64,
             parallel_over_blocked: blocked_nanos as f64 / parallel_nanos.max(1) as f64,
             bit_identical,
@@ -344,11 +353,18 @@ fn cpu_model() -> String {
 /// with the naive outputs on any bit.
 pub fn run_mvm_bench(quick: bool, json_out: Option<&str>) -> Result<MvmBenchReport, String> {
     // (outputs, inputs, batch, iterations); sizes ascending. The full
-    // matrix tops out at 1024x1024 = 1,048,576 devices.
+    // matrix tops out at 1024x1024 = 1,048,576 devices. The paper-shaped
+    // 10x784 row with batch 61 is ragged in both register-tile
+    // dimensions, so its bit-identity check covers the remainder paths.
     let sizes: &[(usize, usize, usize, usize)] = if quick {
-        &[(128, 64, 32, 3), (256, 128, 64, 3)]
+        &[(10, 784, 61, 20), (128, 64, 32, 3), (256, 128, 64, 3)]
     } else {
-        &[(256, 128, 64, 5), (512, 512, 128, 3), (1024, 1024, 256, 3)]
+        &[
+            (10, 784, 61, 20),
+            (256, 128, 64, 5),
+            (512, 512, 128, 3),
+            (1024, 1024, 256, 3),
+        ]
     };
     let host_threads = xbar_linalg::par::host_threads();
     let cpu_model = cpu_model();
@@ -371,9 +387,9 @@ pub fn run_mvm_bench(quick: bool, json_out: Option<&str>) -> Result<MvmBenchRepo
     };
     for row in &report.rows {
         println!(
-            "mvm {}x{} ({} devices) batch={} threads={}: naive {:.3} ms, blocked {:.3} ms, \
-             parallel {:.3} ms ({:.2}x naive, {:.2}x blocked), prepared warm/cold {:.3}/{:.3} ms \
-             ({:.2}x), bit-identical: {}",
+            "mvm {}x{} ({} devices) batch={} threads={}: naive {:.3} ms, blocked {:.3} ms \
+             ({:.2} GMAC/s), parallel {:.3} ms ({:.2} GMAC/s; {:.2}x naive, {:.2}x blocked), \
+             prepared warm/cold {:.3}/{:.3} ms ({:.2}x), bit-identical: {}",
             row.outputs,
             row.inputs,
             row.devices,
@@ -381,7 +397,9 @@ pub fn run_mvm_bench(quick: bool, json_out: Option<&str>) -> Result<MvmBenchRepo
             row.threads,
             row.naive_nanos as f64 / 1e6,
             row.blocked_nanos as f64 / 1e6,
+            row.blocked_gmacs,
             row.parallel_nanos as f64 / 1e6,
+            row.parallel_gmacs,
             row.parallel_speedup,
             row.parallel_over_blocked,
             row.warm_batch_nanos as f64 / 1e6,
@@ -428,8 +446,8 @@ mod tests {
         let path = dir.join("BENCH_mvm.json");
         let report = run_mvm_bench(true, path.to_str()).unwrap();
 
-        // 2 quick sizes x 4 thread counts.
-        assert_eq!(report.rows.len(), 8);
+        // 3 quick sizes x 4 thread counts.
+        assert_eq!(report.rows.len(), 12);
         assert!(report.host_threads >= 1);
         for row in &report.rows {
             assert!(
@@ -440,14 +458,16 @@ mod tests {
             assert_eq!(row.devices, row.outputs * row.inputs);
             assert!(row.naive_nanos > 0 && row.blocked_nanos > 0 && row.parallel_nanos > 0);
             assert!(row.parallel_speedup > 0.0 && row.parallel_over_blocked > 0.0);
+            assert!(row.blocked_gmacs > 0.0 && row.parallel_gmacs > 0.0);
             assert!(row.prepare_nanos > 0 && row.cold_batch_nanos > 0 && row.warm_batch_nanos > 0);
             assert!(row.prepared_speedup > 0.0);
             assert!(row.prepared_probe_batch >= 1 && row.prepared_probe_batch <= row.batch);
         }
         assert_eq!(
             report.rows.iter().map(|r| r.threads).collect::<Vec<_>>(),
-            [1, 2, 4, 8, 1, 2, 4, 8]
+            [1, 2, 4, 8, 1, 2, 4, 8, 1, 2, 4, 8]
         );
+        assert_eq!((report.rows[0].outputs, report.rows[0].batch), (10, 61));
         assert!(report.faults.faulty_noop_bit_identical);
         assert!(report.faults.fault_overhead > 0.0);
         assert!(report.faults.fault_compile_nanos > 0 && report.faults.fault_apply_nanos > 0);
@@ -457,6 +477,7 @@ mod tests {
         assert!(json.contains("\"host_threads\""));
         assert!(json.contains("\"cpu_model\""));
         assert!(json.contains("\"parallel_speedup\""));
+        assert!(json.contains("\"blocked_gmacs\""));
         assert!(json.contains("\"prepared_speedup\""));
         assert!(json.contains("\"fault_overhead\""));
         std::fs::remove_dir_all(&dir).ok();

@@ -24,13 +24,14 @@
 //!   over the existing per-vector calls against the prepared snapshot.
 //! * [`BlockedBackend`] — evaluates from the prepared weights (or line
 //!   conductances) with a cache-blocked kernel over `outputs x batch`
-//!   tiles, on one thread or fanned out over sample runs (output-row
-//!   blocks for small batches) with [`xbar_linalg::par`]. Every output
-//!   cell is still one full-length ascending-index
-//!   [`xbar_linalg::vec_ops::dot`] — the identical floating-point
-//!   reduction the per-vector path performs — computed by exactly one
-//!   worker, so outputs are **bit-identical** to [`NaiveBackend`] at any
-//!   thread count, not merely close.
+//!   tiles, each run through the register-tiled
+//!   [`xbar_linalg::vec_ops::dot_tile`], on one thread or fanned out
+//!   over sample runs (output-row blocks for small batches) with
+//!   [`xbar_linalg::par`]. Every output cell is still one full-length
+//!   ascending-index [`xbar_linalg::vec_ops::dot`] reduction — the
+//!   identical floating-point sum the per-vector path performs —
+//!   computed by exactly one worker, so outputs are **bit-identical** to
+//!   [`NaiveBackend`] at any thread count, not merely close.
 //!
 //! Noisy variants take a per-sample RNG-stream factory (sample index →
 //! fresh [`ChaCha8Rng`]), so per-device noise draws depend only on the
@@ -51,7 +52,7 @@ use crate::power::PowerModel;
 use crate::{CrossbarError, Result};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use xbar_linalg::vec_ops::dot;
+use xbar_linalg::vec_ops::{dot, dot_tile};
 use xbar_linalg::{par, Matrix};
 
 /// A per-sample RNG-stream factory: maps the index of a sample within
@@ -118,9 +119,12 @@ impl std::str::FromStr for BackendKind {
 /// Tile sizes for the tiled kernel ([`BlockedBackend`]).
 ///
 /// The defaults keep one tile of effective weights plus the tile's
-/// input/output slices within a typical L1/L2 working set. Tiling never
-/// changes results — each output cell is one full-length reduction — so
-/// these are pure performance knobs.
+/// input/output slices within a typical L1/L2 working set. Within a
+/// tile, [`xbar_linalg::vec_ops::dot_tile`] computes 4 rows x 4
+/// samples per pass (a fixed register tile, not a knob). Tiling never
+/// changes results — each output cell is one full-length ascending
+/// reduction, whichever tile or SIMD lane computes it — so these are
+/// pure performance knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BatchConfig {
     /// Output rows per tile.
@@ -556,10 +560,11 @@ fn noisy_power_per_sample(
 /// writing sample `s`'s row `i` into `out[s][i - row0]`.
 ///
 /// This is the one kernel every [`BlockedBackend`] worker runs: each
-/// output cell is one full-length ascending-index [`dot`] — the
-/// identical reduction `checked_mvm`'s `matvec` performs — so tile
-/// boundaries and work partitioning never change a single bit of the
-/// result.
+/// `block_outputs x block_samples` tile goes through [`dot_tile`],
+/// whose 4x4 register tile computes 16 cells side by side, each still
+/// one full-length ascending-index [`dot`] reduction — the identical
+/// sum `checked_mvm`'s `matvec` performs — so tile boundaries, SIMD
+/// lanes and work partitioning never change a single bit of the result.
 fn mvm_tiles_into(
     w_eff: &Matrix,
     inputs: &[&[f64]],
@@ -568,6 +573,7 @@ fn mvm_tiles_into(
     config: BatchConfig,
     out: &mut [Vec<f64>],
 ) {
+    let n = w_eff.cols();
     let bo = config.block_outputs.max(1);
     let bs = config.block_samples.max(1);
     for s0 in (0..inputs.len()).step_by(bs) {
@@ -575,11 +581,15 @@ fn mvm_tiles_into(
         let mut i0 = row0;
         while i0 < row1 {
             let i1 = (i0 + bo).min(row1);
-            for (sample_out, input) in out[s0..s1].iter_mut().zip(&inputs[s0..s1]) {
-                for (k, cell) in sample_out[i0 - row0..i1 - row0].iter_mut().enumerate() {
-                    *cell = dot(w_eff.row(i0 + k), input);
-                }
-            }
+            let mut cells: Vec<&mut [f64]> = out[s0..s1]
+                .iter_mut()
+                .map(|sample_out| &mut sample_out[i0 - row0..i1 - row0])
+                .collect();
+            dot_tile(
+                &w_eff.as_slice()[i0 * n..i1 * n],
+                &inputs[s0..s1],
+                &mut cells,
+            );
             i0 = i1;
         }
     }
@@ -658,15 +668,17 @@ impl EvalBackend for NaiveBackend {
 ///
 /// Noiseless evaluation reads the handle's materialised weights (or
 /// line conductances) and walks `outputs x batch` tiles so a tile of
-/// weight rows stays cache-resident across the tile's samples. With
+/// weight rows stays cache-resident across the tile's samples; inside a
+/// tile, [`dot_tile`] streams 4 weight rows against a packed panel of 4
+/// samples with 16 independent accumulators, one per output cell. With
 /// more than one worker, MVM splits the batch into contiguous sample
 /// runs, one per worker, each writing a disjoint slice of the output;
 /// when the batch is smaller than the pool, workers instead take
 /// contiguous output-row blocks. Either way every output cell is one
-/// full-length ascending-index [`dot`] computed by exactly one worker,
-/// so every number equals the per-vector path's bit for bit at any
-/// thread count — threads only change which worker computes a cell,
-/// never the reduction inside it.
+/// full-length ascending-index [`dot`] reduction computed by exactly
+/// one worker, so every number equals the per-vector path's bit for bit
+/// at any thread count — threads and register lanes only change which
+/// worker or lane computes a cell, never the reduction inside it.
 ///
 /// Noisy variants stay sequential per sample: the per-sample RNG-stream
 /// factory is an exclusive closure, and per-device draw order is part
@@ -903,17 +915,25 @@ mod tests {
         batch.iter().map(Vec::as_slice).collect()
     }
 
+    /// (outputs, inputs, batch) shapes the tiled-kernel tests cover: a
+    /// small ragged array, the paper's 10x784 victim with a batch ragged
+    /// in both register-tile dimensions, and single-sample batches.
+    const SHAPES: [(usize, usize, usize); 4] =
+        [(13, 29, 37), (10, 784, 61), (10, 784, 1), (13, 29, 1)];
+
     #[test]
     fn blocked_mvm_is_bit_identical_to_naive() {
-        let xbar = array(13, 29, 1);
-        let inputs = batch(29, 37, 2);
-        let refs = refs(&inputs);
-        let naive = mvm(&NaiveBackend, &xbar, &refs).unwrap();
-        let blocked = mvm(&BlockedBackend::default(), &xbar, &refs).unwrap();
-        assert_eq!(naive, blocked);
-        // And both equal the sequential per-vector loop.
-        for (input, row) in refs.iter().zip(&naive) {
-            assert_eq!(row, &xbar.checked_mvm(input).unwrap());
+        for (seed, (m, n, b)) in (1..).step_by(2).zip(SHAPES) {
+            let xbar = array(m, n, seed);
+            let inputs = batch(n, b, seed + 1);
+            let refs = refs(&inputs);
+            let naive = mvm(&NaiveBackend, &xbar, &refs).unwrap();
+            let blocked = mvm(&BlockedBackend::default(), &xbar, &refs).unwrap();
+            assert_eq!(naive, blocked, "{m}x{n} batch {b}");
+            // And both equal the sequential per-vector loop.
+            for (input, row) in refs.iter().zip(&naive) {
+                assert_eq!(row, &xbar.checked_mvm(input).unwrap());
+            }
         }
     }
 
@@ -1040,19 +1060,25 @@ mod tests {
 
     #[test]
     fn tiny_tiles_do_not_change_results() {
-        let xbar = array(9, 11, 5);
-        let inputs = batch(11, 10, 6);
-        let refs = refs(&inputs);
         let tiny = BlockedBackend::new(
             BatchConfig::default()
                 .with_block_outputs(2)
                 .with_block_samples(3),
         )
         .unwrap();
-        assert_eq!(
-            mvm(&tiny, &xbar, &refs).unwrap(),
-            mvm(&NaiveBackend, &xbar, &refs).unwrap()
-        );
+        for (seed, (m, n, b)) in (5..)
+            .step_by(2)
+            .zip([(9, 11, 10)].into_iter().chain(SHAPES))
+        {
+            let xbar = array(m, n, seed);
+            let inputs = batch(n, b, seed + 1);
+            let refs = refs(&inputs);
+            assert_eq!(
+                mvm(&tiny, &xbar, &refs).unwrap(),
+                mvm(&NaiveBackend, &xbar, &refs).unwrap(),
+                "{m}x{n} batch {b}"
+            );
+        }
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //!   (row-parallel) matrix multiplication, norms, stacking and slicing.
 //! * [`par`] — the workspace's one data-parallel fan-out: thread-count
 //!   resolution and contiguous runs over scoped threads.
-//! * [`vec_ops`] — slice-level vector kernels (dot, axpy, norms, argmax).
+//! * [`vec_ops`] — slice-level vector kernels (dot and its register-tiled
+//!   batch form `dot_tile`, axpy, norms, argmax).
 //! * [`qr`] — Householder QR and least-squares solves.
 //! * [`lu`] — LU with partial pivoting, determinants, inverses.
 //! * [`cholesky`] — Cholesky factorisation and ridge-regularised solves.

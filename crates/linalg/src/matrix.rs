@@ -10,26 +10,17 @@ use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub, SubAssign};
 /// kernel is faster.
 const PAR_ROW_THRESHOLD: usize = 64;
 
-/// Runs `kernel(i, row)` over every `cols`-wide row of the row-major
-/// buffer `out`: inline below `PAR_ROW_THRESHOLD` rows, otherwise over
-/// one contiguous run of rows per core.
-fn for_each_row<F>(out: &mut [f64], cols: usize, kernel: F)
+/// Runs `kernel(offset, run)` over contiguous runs of the `cols`-wide
+/// rows of the row-major buffer `out`, where `offset` is the index of
+/// `run[0]`: one inline run below `PAR_ROW_THRESHOLD` rows, otherwise
+/// one run per core.
+fn for_each_row_run<F>(out: &mut [f64], cols: usize, kernel: F)
 where
-    F: Fn(usize, &mut [f64]) + Sync,
+    F: Fn(usize, &mut [&mut [f64]]) + Sync,
 {
-    let rows = out.chunks_mut(cols.max(1));
-    if rows.len() < PAR_ROW_THRESHOLD {
-        for (i, row) in rows.enumerate() {
-            kernel(i, row);
-        }
-        return;
-    }
-    let mut rows: Vec<&mut [f64]> = rows.collect();
-    crate::par::for_each_run(&mut rows, 0, |offset, run| {
-        for (j, row) in run.iter_mut().enumerate() {
-            kernel(offset + j, row);
-        }
-    });
+    let mut rows: Vec<&mut [f64]> = out.chunks_mut(cols.max(1)).collect();
+    let threads = if rows.len() < PAR_ROW_THRESHOLD { 1 } else { 0 };
+    crate::par::for_each_run(&mut rows, threads, kernel);
 }
 
 /// A dense, row-major matrix of `f64` values.
@@ -450,19 +441,20 @@ impl Matrix {
         }
         let (m, k, n) = (self.rows, self.cols, other.cols);
         let mut out = vec![0.0; m * n];
-        let kernel = |i: usize, out_row: &mut [f64]| {
-            let a_row = &self.data[i * k..(i + 1) * k];
-            for (p, &a_ip) in a_row.iter().enumerate() {
-                if a_ip == 0.0 {
-                    continue;
-                }
-                let b_row = &other.data[p * n..(p + 1) * n];
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a_ip * b;
+        for_each_row_run(&mut out, n, |offset, run| {
+            for (i, out_row) in (offset..).zip(run.iter_mut()) {
+                let a_row = &self.data[i * k..(i + 1) * k];
+                for (p, &a_ip) in a_row.iter().enumerate() {
+                    if a_ip == 0.0 {
+                        continue;
+                    }
+                    let b_row = &other.data[p * n..(p + 1) * n];
+                    for (o, &b) in out_row.iter_mut().zip(b_row) {
+                        *o += a_ip * b;
+                    }
                 }
             }
-        };
-        for_each_row(&mut out, n, kernel);
+        });
         Ok(Matrix {
             rows: m,
             cols: n,
@@ -474,13 +466,16 @@ impl Matrix {
     /// `self` is `m x k` and `other` is `n x k`, without forming the
     /// transpose.
     ///
-    /// Every output entry is a single row-row [`crate::vec_ops::dot`] —
-    /// the same full-length ascending-index reduction [`Matrix::matvec`]
-    /// performs — so `a.matmul_nt(&b)` row `i` is bit-identical to
-    /// `b.matvec(a.row(i))`. Batch evaluation paths rely on this to stay
-    /// bit-identical to their per-vector counterparts. Rows are
-    /// independent, so the row split above `PAR_ROW_THRESHOLD` cannot
-    /// change results.
+    /// Runs on the register-tiled [`crate::vec_ops::dot_tile`] kernel
+    /// (the rows of `self` as its samples, the rows of `other` as its
+    /// weight rows). Every output entry is still one row-row
+    /// [`crate::vec_ops::dot`] — the same full-length ascending-index
+    /// reduction [`Matrix::matvec`] performs; the tile only computes 16
+    /// such sums side by side — so `a.matmul_nt(&b)` row `i` is
+    /// bit-identical to `b.matvec(a.row(i))`. Batch evaluation paths rely
+    /// on this to stay bit-identical to their per-vector counterparts.
+    /// Rows are independent, so the row split above `PAR_ROW_THRESHOLD`
+    /// cannot change results.
     ///
     /// # Errors
     ///
@@ -496,13 +491,10 @@ impl Matrix {
         }
         let (m, n) = (self.rows, other.rows);
         let mut out = vec![0.0; m * n];
-        let kernel = |i: usize, out_row: &mut [f64]| {
-            let a_row = self.row(i);
-            for (o, b_row) in out_row.iter_mut().zip(other.rows_iter()) {
-                *o = crate::vec_ops::dot(a_row, b_row);
-            }
-        };
-        for_each_row(&mut out, n, kernel);
+        let samples: Vec<&[f64]> = (0..m).map(|i| self.row(i)).collect();
+        for_each_row_run(&mut out, n, |offset, run| {
+            crate::vec_ops::dot_tile(&other.data, &samples[offset..offset + run.len()], run);
+        });
         Ok(Matrix {
             rows: m,
             cols: n,
@@ -1023,6 +1015,38 @@ mod tests {
             assert_eq!(got.row(i), b.matvec(a.row(i)).as_slice());
         }
         assert!(a.matmul_nt(&Matrix::zeros(5, 8)).is_err());
+    }
+
+    #[test]
+    fn matmul_nt_matches_dot_cell_by_cell_on_ragged_shapes() {
+        let mut r = rng();
+        // Row counts on both sides cross the 4x4 tile, the one-row tile
+        // and the plain-dot sample remainder; 70 rows also cross the
+        // parallel split; k = 0 is the empty reduction.
+        for (m, n, k) in [
+            (1, 1, 1),
+            (3, 5, 7),
+            (9, 10, 13),
+            (70, 6, 5),
+            (6, 9, 0),
+            (0, 4, 3),
+            (5, 0, 3),
+        ] {
+            let a = Matrix::random_uniform(m, k, -1.0, 1.0, &mut r);
+            let b = Matrix::random_uniform(n, k, -1.0, 1.0, &mut r);
+            let got = a.matmul_nt(&b).unwrap();
+            assert_eq!(got.shape(), (m, n));
+            for i in 0..m {
+                for j in 0..n {
+                    let want = crate::vec_ops::dot(a.row(i), b.row(j));
+                    assert_eq!(
+                        got[(i, j)].to_bits(),
+                        want.to_bits(),
+                        "{m}x{n}x{k} ({i}, {j})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
