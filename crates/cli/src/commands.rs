@@ -3,6 +3,7 @@
 use crate::args::{ArgsError, ParsedArgs};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::collections::BTreeMap;
 use xbar_core::blackbox::{run_blackbox_attack, BlackBoxConfig};
 use xbar_core::oracle::{Oracle, OracleConfig, OutputAccess};
 use xbar_core::persist;
@@ -139,8 +140,9 @@ const COMMAND_USAGE: &[(&str, &str)] = &[
             scripted multi-session client: concurrent budgeted
             sessions plus a same-seed determinism check
             stats [--addr HOST:PORT] [--prom]
-            scrape a running service's live metrics plane: per-victim
-            request counters, gauges and latency histograms
+            scrape a running service's live metrics: per-victim
+            request and library counters, gauges and latency
+            histograms
             (--prom prints Prometheus text exposition instead)",
     ),
     (
@@ -184,8 +186,8 @@ const COMMAND_USAGE: &[(&str, &str)] = &[
     (
         "trace",
         "  trace     inspect an xbar-obs JSONL trace written by --trace
-            summarize FILE   per-stage totals: counters per trial,
-                             value series, span counts and wall times;
+            summarize FILE   per-campaign counters and histograms
+                             (count, p50/p90/p99, max; spans in ns);
                              also reads `serve host --metrics` snapshot
                              files (last snapshot wins — counters are
                              cumulative)",
@@ -440,7 +442,6 @@ fn cmd_serve_host(args: &ParsedArgs) -> Result<(), CliError> {
             .map(std::path::PathBuf::from),
         metrics,
         metrics_every,
-        ..ServeConfig::default()
     };
     let server = Server::start(
         args.get("addr").unwrap_or("127.0.0.1:7878"),
@@ -555,7 +556,7 @@ fn cmd_serve_drive(args: &ParsedArgs) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `xbar serve stats`: scrape the live metrics plane of a running
+/// `xbar serve stats`: scrape the live metrics of a running
 /// service. Read-only — consumes no budget, admitted even when the
 /// session table is full or the server is draining.
 fn cmd_serve_stats(args: &ParsedArgs) -> Result<(), CliError> {
@@ -568,7 +569,7 @@ fn cmd_serve_stats(args: &ParsedArgs) -> Result<(), CliError> {
         return Ok(());
     }
     let stats = client.stats()?;
-    print!("{}", render_serve_stats(&stats));
+    print!("{}", render_metrics(&snapshot_scopes(&stats)?));
     Ok(())
 }
 
@@ -659,118 +660,148 @@ fn json_f64(v: &serde::Value) -> f64 {
     }
 }
 
-/// Renders a serve `stats` snapshot (the JSON shape of
-/// [`xbar_obs::MetricsSnapshot::to_json`]) as per-victim counter, gauge
-/// and histogram tables. Shared by `xbar serve stats` and the
-/// serve-metrics section of `xbar trace summarize`.
-fn render_serve_stats(stats: &serde::Value) -> String {
-    use serde::Value;
+/// One scope's metrics read back from a campaign trace or a service
+/// stats snapshot: what [`xbar_obs::ScopeMetrics`] encodes, keyed by
+/// the names as read.
+#[derive(Default)]
+struct ScopeTables {
+    counters: BTreeMap<String, u64>,
+    gauges: BTreeMap<String, f64>,
+    histograms: BTreeMap<String, xbar_obs::Histogram>,
+}
 
-    let mut out = String::new();
-    let Some(Value::Object(victims)) = stats.get("victims") else {
-        out.push_str("snapshot has no victims section\n");
-        return out;
-    };
+impl ScopeTables {
+    /// Folds in one encoded scope — a snapshot section (`counters`,
+    /// `gauges`, `histograms`) or a trace record (`counters`, `values`,
+    /// `spans`): counters add, gauges overwrite, histograms merge.
+    fn absorb(&mut self, json: &serde::Value) {
+        use serde::Value;
+        if let Some(Value::Object(fields)) = json.get("counters") {
+            for (name, v) in fields {
+                *self.counters.entry(name.clone()).or_default() += json_u64(v);
+            }
+        }
+        if let Some(Value::Object(fields)) = json.get("gauges") {
+            for (name, v) in fields {
+                self.gauges.insert(name.clone(), json_f64(v));
+            }
+        }
+        for kind in ["histograms", "values", "spans"] {
+            if let Some(Value::Object(fields)) = json.get(kind) {
+                for (name, h) in fields {
+                    let field = |key: &str| h.get(key).map(json_u64).unwrap_or(0);
+                    let buckets: Vec<(f64, u64)> = h
+                        .get("buckets")
+                        .and_then(Value::as_array)
+                        .unwrap_or(&[])
+                        .iter()
+                        .filter_map(|pair| match pair.as_array()? {
+                            [le, count] => Some((json_f64(le), json_u64(count))),
+                            _ => None,
+                        })
+                        .collect();
+                    let read = xbar_obs::Histogram::from_parts(
+                        u128::from(field("sum")),
+                        field("min"),
+                        field("max"),
+                        &buckets,
+                    );
+                    self.histograms
+                        .entry(name.clone())
+                        .or_default()
+                        .merge(&read);
+                }
+            }
+        }
+    }
+}
+
+/// Renders scoped metrics as counter, gauge and histogram tables
+/// (histograms with count / p50 / p90 / p99 / max; timing histograms
+/// are in nanoseconds). The one renderer behind `xbar serve stats` and
+/// `xbar trace summarize`, for campaign traces and service snapshots
+/// alike.
+fn render_metrics(scopes: &[(String, ScopeTables)]) -> String {
     let mut counter_rows: Vec<Vec<String>> = Vec::new();
     let mut gauge_rows: Vec<Vec<String>> = Vec::new();
     let mut histogram_rows: Vec<Vec<String>> = Vec::new();
-    for (victim, section) in victims {
-        if let Some(Value::Object(counters)) = section.get("counters") {
-            for (name, v) in counters {
-                counter_rows.push(vec![victim.clone(), name.clone(), json_u64(v).to_string()]);
-            }
+    for (scope, tables) in scopes {
+        for (name, total) in &tables.counters {
+            counter_rows.push(vec![scope.clone(), name.clone(), total.to_string()]);
         }
-        if let Some(Value::Object(gauges)) = section.get("gauges") {
-            for (name, v) in gauges {
-                gauge_rows.push(vec![victim.clone(), name.clone(), fmt(json_f64(v), 1)]);
-            }
+        for (name, level) in &tables.gauges {
+            gauge_rows.push(vec![scope.clone(), name.clone(), fmt(*level, 1)]);
         }
-        if let Some(Value::Object(histograms)) = section.get("histograms") {
-            for (name, h) in histograms {
-                let q = |key: &str| h.get(key).map(json_f64).unwrap_or(0.0);
-                histogram_rows.push(vec![
-                    victim.clone(),
-                    name.clone(),
-                    h.get("count").map(json_u64).unwrap_or(0).to_string(),
-                    fmt(q("p50"), 1),
-                    fmt(q("p90"), 1),
-                    fmt(q("p99"), 1),
-                    fmt(q("max"), 1),
-                ]);
-            }
+        for (name, h) in &tables.histograms {
+            histogram_rows.push(vec![
+                scope.clone(),
+                name.clone(),
+                h.count().to_string(),
+                fmt(h.quantile(0.50), 1),
+                fmt(h.quantile(0.90), 1),
+                fmt(h.quantile(0.99), 1),
+                h.max().to_string(),
+            ]);
         }
     }
-    if !counter_rows.is_empty() {
-        out.push_str("--- service counters (cumulative) ---\n");
-        out.push_str(&format_table(
-            &["victim", "counter", "total"],
+    let mut out = String::new();
+    for (title, header, rows) in [
+        (
+            "counters",
+            &["scope", "counter", "total"][..],
             &counter_rows,
-        ));
-        out.push('\n');
-    }
-    if !gauge_rows.is_empty() {
-        out.push_str("--- service gauges (instantaneous) ---\n");
-        out.push_str(&format_table(&["victim", "gauge", "value"], &gauge_rows));
-        out.push('\n');
-    }
-    if !histogram_rows.is_empty() {
-        out.push_str("--- service histograms ---\n");
-        out.push_str(&format_table(
-            &["victim", "histogram", "count", "p50", "p90", "p99", "max"],
+        ),
+        ("gauges", &["scope", "gauge", "value"][..], &gauge_rows),
+        (
+            "histograms",
+            &["scope", "histogram", "count", "p50", "p90", "p99", "max"][..],
             &histogram_rows,
-        ));
-        out.push('\n');
+        ),
+    ] {
+        if !rows.is_empty() {
+            out.push_str(&format!("--- {title} ---\n"));
+            out.push_str(&format_table(header, rows));
+            out.push('\n');
+        }
     }
-    if counter_rows.is_empty() && gauge_rows.is_empty() && histogram_rows.is_empty() {
-        out.push_str("snapshot is empty — no metrics recorded yet\n");
+    if out.is_empty() {
+        out.push_str("no metrics recorded yet\n");
     }
     out
 }
 
-/// Aggregates an `xbar-obs` JSONL trace into per-stage tables: counter
-/// totals and per-trial means, value-series summaries, and span counts
-/// with mean wall times. Totals are recomputed from the per-trial
-/// records, so a trace whose run was killed before the `end` line still
-/// summarizes. Also understands the `xbar-serve-metrics` snapshot
-/// records written by `serve host --metrics` — snapshots are cumulative,
-/// so only the last one is rendered.
+/// Reads a service stats snapshot ([`xbar_obs::MetricsSnapshot::to_json`])
+/// into one table set per victim.
+fn snapshot_scopes(stats: &serde::Value) -> Result<Vec<(String, ScopeTables)>, CliError> {
+    let Some(serde::Value::Object(victims)) = stats.get("victims") else {
+        return Err("stats snapshot has no victims section".into());
+    };
+    Ok(victims
+        .iter()
+        .map(|(victim, section)| {
+            let mut tables = ScopeTables::default();
+            tables.absorb(section);
+            (victim.clone(), tables)
+        })
+        .collect())
+}
+
+/// Summarizes an `xbar-obs` JSONL trace and/or the `xbar-serve-metrics`
+/// snapshot records written by `serve host --metrics`. Each campaign
+/// section becomes one scope whose totals are recomputed from its trial
+/// records (so a trace whose run was killed before the `end` line still
+/// summarizes); snapshots are cumulative, so only the last one is
+/// rendered. A trace of another format version is refused.
 fn summarize_trace(path: &str) -> Result<String, CliError> {
     use serde::Value;
-    use std::collections::BTreeMap;
-
-    fn field_u64(record: &Value, key: &str) -> u64 {
-        record.get(key).map(json_u64).unwrap_or(0)
-    }
-
-    #[derive(Default)]
-    struct CounterAgg {
-        total: u64,
-        trials: usize,
-        min: u64,
-        max: u64,
-    }
-    #[derive(Default)]
-    struct ValueAgg {
-        count: u64,
-        sum: f64,
-        min: f64,
-        max: f64,
-    }
-    #[derive(Default)]
-    struct SpanAgg {
-        count: u64,
-        total_nanos: u64,
-    }
+    use xbar_obs::trace::{TRACE_FORMAT_VERSION, TRACE_KIND};
 
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read trace {path}: {e}"))?;
-    let mut campaigns: Vec<String> = Vec::new();
-    let mut trials_ok = 0usize;
-    let mut trials_failed = 0usize;
-    let mut counters: BTreeMap<String, CounterAgg> = BTreeMap::new();
-    let mut values: BTreeMap<String, ValueAgg> = BTreeMap::new();
-    let mut spans: BTreeMap<String, SpanAgg> = BTreeMap::new();
-    // Live-plane snapshots are cumulative: keep only the last one.
+    let mut out = String::new();
+    let mut campaigns: Vec<(String, ScopeTables)> = Vec::new();
+    let (mut trials_ok, mut trials_failed) = (0usize, 0usize);
+    // Snapshots are cumulative: keep only the last one.
     let mut serve_snapshots = 0usize;
     let mut serve_stats: Option<Value> = None;
 
@@ -779,67 +810,40 @@ fn summarize_trace(path: &str) -> Result<String, CliError> {
         if line.is_empty() {
             continue;
         }
-        let record = serde_json::parse_value(line)
-            .map_err(|e| format!("trace {path} line {}: {e}", line_no + 1))?;
+        let at = format!("trace {path} line {}", line_no + 1);
+        let record = serde_json::parse_value(line).map_err(|e| format!("{at}: {e}"))?;
+        let field = |key: &str| record.get(key).map(json_u64).unwrap_or(0);
         match record.get("kind").and_then(Value::as_str) {
-            Some("xbar-trace") => {
-                campaigns.push(format!(
-                    "{} (seed {}, {} trials)",
-                    record
-                        .get("campaign")
-                        .and_then(Value::as_str)
-                        .unwrap_or("?"),
-                    field_u64(&record, "campaign_seed"),
-                    field_u64(&record, "total_trials"),
+            Some(TRACE_KIND) => {
+                let version = field("format_version");
+                if version != u64::from(TRACE_FORMAT_VERSION) {
+                    return Err(format!(
+                        "{at}: trace format version {version} is not supported \
+                         (this xbar reads version {TRACE_FORMAT_VERSION}; re-run the \
+                         campaign with --trace to regenerate it)"
+                    )
+                    .into());
+                }
+                let name = record
+                    .get("campaign")
+                    .and_then(Value::as_str)
+                    .unwrap_or("?");
+                out.push_str(&format!(
+                    "campaign: {name} (seed {}, {} trials)\n",
+                    field("campaign_seed"),
+                    field("total_trials"),
                 ));
+                campaigns.push((name.to_string(), ScopeTables::default()));
             }
             Some("trial") => {
+                let Some((_, tables)) = campaigns.last_mut() else {
+                    return Err(format!("{at}: trial record before any xbar-trace header").into());
+                };
                 match record.get("status").and_then(Value::as_str) {
                     Some("ok") => trials_ok += 1,
                     _ => trials_failed += 1,
                 }
-                if let Some(Value::Object(fields)) = record.get("counters") {
-                    for (name, v) in fields {
-                        let delta = json_u64(v);
-                        let agg = counters.entry(name.clone()).or_default();
-                        if agg.trials == 0 {
-                            (agg.min, agg.max) = (delta, delta);
-                        } else {
-                            agg.min = agg.min.min(delta);
-                            agg.max = agg.max.max(delta);
-                        }
-                        agg.trials += 1;
-                        agg.total += delta;
-                    }
-                }
-                if let Some(Value::Object(fields)) = record.get("values") {
-                    for (name, v) in fields {
-                        let count = field_u64(v, "count");
-                        if count == 0 {
-                            continue;
-                        }
-                        let (lo, hi) = (
-                            v.get("min").map(json_f64).unwrap_or(0.0),
-                            v.get("max").map(json_f64).unwrap_or(0.0),
-                        );
-                        let agg = values.entry(name.clone()).or_default();
-                        if agg.count == 0 {
-                            (agg.min, agg.max) = (lo, hi);
-                        } else {
-                            agg.min = agg.min.min(lo);
-                            agg.max = agg.max.max(hi);
-                        }
-                        agg.count += count;
-                        agg.sum += v.get("sum").map(json_f64).unwrap_or(0.0);
-                    }
-                }
-                if let Some(Value::Object(fields)) = record.get("spans") {
-                    for (name, v) in fields {
-                        let agg = spans.entry(name.clone()).or_default();
-                        agg.count += field_u64(v, "count");
-                        agg.total_nanos += field_u64(v, "total_nanos");
-                    }
-                }
+                tables.absorb(&record);
             }
             Some(kind) if kind == xbar_serve::METRICS_RECORD_KIND => {
                 serve_snapshots += 1;
@@ -851,99 +855,24 @@ fn summarize_trace(path: &str) -> Result<String, CliError> {
             _ => {}
         }
     }
-
-    // A trial trace needs its header; a pure serve-metrics snapshot
-    // file has no header and that is fine.
     if campaigns.is_empty() && serve_snapshots == 0 {
         return Err(format!("trace {path} has no xbar-trace header").into());
     }
-
-    let mut out = String::new();
-    let trials = trials_ok + trials_failed;
-    for campaign in &campaigns {
-        out.push_str(&format!("campaign: {campaign}\n"));
-    }
     if !campaigns.is_empty() {
+        let trials = trials_ok + trials_failed;
         out.push_str(&format!(
-            "trials recorded: {trials} ({trials_ok} ok, {trials_failed} failed)\n\n"
+            "trials recorded: {trials} ({trials_ok} ok, {trials_failed} failed)\n"
         ));
     }
-
-    if trials > 0 {
-        let counter_rows: Vec<Vec<String>> = counters
-            .iter()
-            .map(|(name, agg)| {
-                vec![
-                    name.clone(),
-                    agg.total.to_string(),
-                    fmt(agg.total as f64 / trials as f64, 2),
-                    agg.min.to_string(),
-                    agg.max.to_string(),
-                ]
-            })
-            .collect();
-        out.push_str("--- counters (deterministic) ---\n");
-        out.push_str(&format_table(
-            &["counter", "total", "per trial", "min", "max"],
-            &counter_rows,
-        ));
-        out.push('\n');
-
-        if !values.is_empty() {
-            let value_rows: Vec<Vec<String>> = values
-                .iter()
-                .map(|(name, agg)| {
-                    vec![
-                        name.clone(),
-                        agg.count.to_string(),
-                        fmt(agg.sum / agg.count as f64, 4),
-                        fmt(agg.min, 4),
-                        fmt(agg.max, 4),
-                    ]
-                })
-                .collect();
-            out.push_str("--- value series ---\n");
-            out.push_str(&format_table(
-                &["series", "samples", "mean", "min", "max"],
-                &value_rows,
-            ));
-            out.push('\n');
-        }
-
-        if !spans.is_empty() {
-            let span_rows: Vec<Vec<String>> = spans
-                .iter()
-                .map(|(name, agg)| {
-                    let mean_ms = if agg.count > 0 {
-                        agg.total_nanos as f64 / agg.count as f64 / 1e6
-                    } else {
-                        0.0
-                    };
-                    vec![
-                        name.clone(),
-                        agg.count.to_string(),
-                        fmt(agg.total_nanos as f64 / 1e9, 3),
-                        fmt(mean_ms, 3),
-                    ]
-                })
-                .collect();
-            out.push_str("--- spans (wall clock) ---\n");
-            out.push_str(&format_table(
-                &["span", "count", "total s", "mean ms"],
-                &span_rows,
-            ));
-            out.push('\n');
-        }
-    } else if !campaigns.is_empty() {
-        out.push_str("no trial records — nothing to aggregate\n");
-    }
-
+    let mut scopes = campaigns;
     if let Some(stats) = &serve_stats {
         out.push_str(&format!(
             "serve-metrics snapshots: {serve_snapshots} (rendering the last — counters are cumulative)\n"
         ));
-        out.push_str(&render_serve_stats(stats));
+        scopes.extend(snapshot_scopes(stats)?);
     }
+    out.push('\n');
+    out.push_str(&render_metrics(&scopes));
     Ok(out)
 }
 
@@ -1416,7 +1345,7 @@ mod tests {
             "4",
         ]))
         .unwrap();
-        // Scrape the live metrics plane both ways, then stop the server.
+        // Scrape the live metrics both ways, then stop the server.
         dispatch(&parse(&["serve", "stats", "--addr", &addr])).unwrap();
         dispatch(&parse(&["serve", "stats", "--addr", &addr, "--prom"])).unwrap();
         let mut client = xbar_serve::Client::connect(addr.as_str()).unwrap();
@@ -1427,29 +1356,42 @@ mod tests {
 
     #[test]
     fn serve_stats_renders_a_snapshot() {
-        use serde_json::parse_value;
+        use xbar_obs::{names, MetricsRegistry};
 
-        let stats = parse_value(
-            r#"{"victims":{"toy":{
-                "counters":{"serve.requests":9,"serve.queries":40},
-                "gauges":{"serve.inflight":0.0},
-                "histograms":{"serve.request_ns":{"count":9,"sum":900,
-                    "min":10,"max":200,"p50":95.0,"p90":180.0,
-                    "p99":199.0,"p999":200.0,"buckets":[[256.0,9]]}}}}}"#,
-        )
-        .unwrap();
-        let rendered = render_serve_stats(&stats);
-        assert!(rendered.contains("service counters"), "{rendered}");
-        assert!(rendered.contains("serve.queries"), "{rendered}");
-        assert!(rendered.contains("40"), "{rendered}");
-        assert!(rendered.contains("serve.inflight"), "{rendered}");
-        assert!(rendered.contains("serve.request_ns"), "{rendered}");
-        assert!(rendered.contains("95.0"), "{rendered}");
+        let registry = MetricsRegistry::new(2);
+        registry
+            .shard(0)
+            .counter_add("toy", names::SERVE_QUERIES, 40);
+        for ns in [10, 95, 95, 200] {
+            registry.shard(1).record("toy", names::SERVE_REQUEST_NS, ns);
+        }
+        registry.gauge_set("_server", names::SERVE_INFLIGHT, 3.0);
+        let snapshot = registry.snapshot();
+        let stats = xbar_serve::metrics::json_to_value(&snapshot.to_json());
+        let rendered = render_metrics(&snapshot_scopes(&stats).unwrap());
+        for needle in [
+            "--- counters ---",
+            "serve.queries",
+            "40",
+            "serve.inflight",
+            "3.0",
+            "serve.request_ns",
+            "p50",
+        ] {
+            assert!(rendered.contains(needle), "{needle}: {rendered}");
+        }
+        // The read-back histogram renders the recorded quantiles.
+        let h = snapshot
+            .scope("toy")
+            .unwrap()
+            .histogram(names::SERVE_REQUEST_NS)
+            .unwrap();
+        assert!(rendered.contains(&fmt(h.quantile(0.9), 1)), "{rendered}");
         // Degenerate shapes degrade gracefully instead of panicking.
-        let empty = parse_value(r#"{"victims":{}}"#).unwrap();
-        assert!(render_serve_stats(&empty).contains("no metrics recorded"));
-        let hostile = parse_value(r#"{"something":"else"}"#).unwrap();
-        assert!(render_serve_stats(&hostile).contains("no victims"));
+        let empty = serde_json::parse_value(r#"{"victims":{}}"#).unwrap();
+        assert!(render_metrics(&snapshot_scopes(&empty).unwrap()).contains("no metrics"));
+        let hostile = serde_json::parse_value(r#"{"something":"else"}"#).unwrap();
+        assert!(snapshot_scopes(&hostile).is_err());
     }
 
     #[test]
@@ -1570,26 +1512,63 @@ mod tests {
     #[test]
     fn trace_summarize_reads_a_trace() {
         use std::time::Duration;
-        use xbar_obs::{Collector, Counters, TraceWriter};
+        use xbar_obs::{names, MetricsShard, TraceWriter};
 
         let path = tmp("trace.jsonl");
-        let counters = Counters::new();
-        counters.counter_add(Some(0), xbar_obs::names::ORACLE_QUERY, 40);
-        counters.counter_add(Some(0), xbar_obs::names::PROBE_MEASUREMENT, 8);
-        counters.observe(Some(0), xbar_obs::names::ORACLE_POWER, 1.25);
-        let obs = counters.take_trial(0);
+        let shard = MetricsShard::new();
+        shard.counter_add("t", names::ORACLE_QUERY, 40);
+        shard.counter_add("t", names::PROBE_MEASUREMENT, 8);
+        shard.record("t", names::XBAR_BATCH_OCCUPANCY, 16);
+        shard.record("t", names::SPAN_PROBE, 2_000_000);
+        let metrics = shard.take_scope("t");
         let mut writer = TraceWriter::create(std::path::Path::new(&path)).unwrap();
-        writer.campaign_header("test-campaign", 9, 1).unwrap();
+        writer.campaign_header("test-campaign", 9, 2).unwrap();
+        for trial in 0..2 {
+            writer
+                .trial(trial, true, 1, Duration::from_millis(2), &metrics)
+                .unwrap();
+        }
         writer
-            .trial(0, true, 1, Duration::from_millis(2), &obs)
+            .end(2, 0, 0, Duration::from_millis(3), &metrics)
             .unwrap();
-        writer.end(1, 0, 0, Duration::from_millis(3), &obs).unwrap();
         drop(writer);
 
         dispatch(&parse(&["trace", "summarize", &path])).unwrap();
         let summary = summarize_trace(&path).unwrap();
-        assert!(summary.contains("test-campaign"), "{summary}");
-        assert!(summary.contains(xbar_obs::names::ORACLE_QUERY), "{summary}");
+        assert!(summary.contains("campaign: test-campaign"), "{summary}");
+        assert!(
+            summary.contains("trials recorded: 2 (2 ok, 0 failed)"),
+            "{summary}"
+        );
+        // Counters sum over the trial records; values and spans render
+        // as histograms.
+        let row = |name: &str| {
+            summary
+                .lines()
+                .find(|line| line.contains(name))
+                .unwrap_or_else(|| panic!("no {name} row: {summary}"))
+                .split('|')
+                .map(str::trim)
+                .filter(|cell| !cell.is_empty())
+                .collect::<Vec<_>>()
+                .join(" ")
+        };
+        assert_eq!(row("oracle.query"), "test-campaign oracle.query 80");
+        assert!(row("xbar.batch_occupancy").starts_with("test-campaign xbar.batch_occupancy 2 "));
+        assert!(
+            row("| probe ").starts_with("test-campaign probe 2 "),
+            "{summary}"
+        );
+        assert!(summary.contains("p50"), "{summary}");
+
+        // A version-1 trace is refused with a clear error.
+        std::fs::write(
+            &path,
+            "{\"kind\":\"xbar-trace\",\"format_version\":1,\"campaign\":\"old\"}\n",
+        )
+        .unwrap();
+        let err = summarize_trace(&path).unwrap_err().to_string();
+        assert!(err.contains("format version 1"), "{err}");
 
         // Unknown action and missing path are rejected.
         assert!(dispatch(&parse(&["trace", "frobnicate", &path])).is_err());
@@ -1632,8 +1611,8 @@ mod tests {
         let mut mixed = std::fs::read_to_string(&path).unwrap();
         mixed.insert_str(
             0,
-            "{\"kind\":\"xbar-trace\",\"campaign\":\"mixed\",\"campaign_seed\":7,\
-             \"total_trials\":1}\n{\"kind\":\"trial\",\"status\":\"ok\",\
+            "{\"kind\":\"xbar-trace\",\"format_version\":2,\"campaign\":\"mixed\",\
+             \"campaign_seed\":7,\"total_trials\":1}\n{\"kind\":\"trial\",\"status\":\"ok\",\
              \"counters\":{\"serve.sessions\":2}}\n",
         );
         std::fs::write(&path, mixed).unwrap();

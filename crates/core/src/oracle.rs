@@ -499,15 +499,12 @@ impl Oracle {
         Ok(())
     }
 
-    /// Calibrates one raw power measurement to weight units and records
-    /// the observation.
+    /// Calibrates one raw power measurement to weight units.
     fn calibrate(&self, raw: f64, u: &[f64]) -> f64 {
         let mapping = self.xbar.mapping();
         let m = self.xbar.num_outputs() as f64;
         let baseline = 2.0 * m * mapping.g_min * u.iter().sum::<f64>();
-        let calibrated = (raw / self.config.power.v_dd - baseline) / mapping.scale;
-        xbar_obs::observe(xbar_obs::names::ORACLE_POWER, calibrated);
-        calibrated
+        (raw / self.config.power.v_dd - baseline) / mapping.scale
     }
 
     /// One attacker query: runs the input on the crossbar and returns what
@@ -647,7 +644,9 @@ impl Oracle {
     /// observations to that session issuing the same queries alone
     /// through its [`Oracle::session_view`]. Budget accounting, query
     /// counting, and [`QueryRecord`] indexing are the caller's job (the
-    /// session manager's, in `xbar serve`).
+    /// session manager's, in `xbar serve`); each answered sample still
+    /// counts one [`xbar_obs::names::ORACLE_QUERY`] in the ambient
+    /// recording scope.
     ///
     /// Takes `&self`: keyed observation never mutates the deployed
     /// hardware.
@@ -683,6 +682,7 @@ impl Oracle {
                 .into());
             }
         }
+        xbar_obs::count(xbar_obs::names::ORACLE_QUERY, inputs.len() as u64);
         self.observe_keyed_unchecked(inputs, keys)
     }
 
@@ -1426,9 +1426,9 @@ mod tests {
             })
             .collect();
 
-        let counters = Arc::new(xbar_obs::Counters::new());
+        let shard = Arc::new(xbar_obs::MetricsShard::new());
         let u = [0.8, 0.5, 0.9, 0.1];
-        let seen = xbar_obs::with_scope(counters.clone(), None, || {
+        let seen = xbar_obs::with_scope(&shard, "drift", || {
             let mut o = Oracle::new(net, &cfg, seed).unwrap();
             let mut seen = vec![o.true_column_norms()];
             o.query(&u).unwrap();
@@ -1443,7 +1443,7 @@ mod tests {
             seen
         });
         assert_eq!(seen, expected);
-        let observed = counters.ambient();
+        let observed = shard.take_scope("drift");
         assert_eq!(
             observed.counter(xbar_obs::names::XBAR_FAULT_PLAN_COMPILE),
             1

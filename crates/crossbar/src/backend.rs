@@ -40,7 +40,7 @@
 //!
 //! All backends emit the same observability events — one
 //! [`xbar_obs::names::XBAR_MVM_BATCH`] count and one
-//! [`xbar_obs::names::XBAR_BATCH_OCCUPANCY`] observation per batch, plus
+//! [`xbar_obs::names::XBAR_BATCH_OCCUPANCY`] histogram sample per batch, plus
 //! the per-sample analog-MVM / power-read counts the per-vector path
 //! already emits, always on the calling thread — so campaign traces do
 //! not depend on the backend choice or thread count.
@@ -518,7 +518,7 @@ fn validate_batch(array: &CrossbarArray, inputs: &[&[f64]]) -> Result<()> {
 /// across backends so traces are backend-invariant).
 fn record_batch(inputs: &[&[f64]]) {
     xbar_obs::count(xbar_obs::names::XBAR_MVM_BATCH, 1);
-    xbar_obs::observe(xbar_obs::names::XBAR_BATCH_OCCUPANCY, inputs.len() as f64);
+    xbar_obs::observe(xbar_obs::names::XBAR_BATCH_OCCUPANCY, inputs.len() as u64);
 }
 
 /// Per-sample noisy MVM loop shared by all backends: the per-device

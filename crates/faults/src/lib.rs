@@ -28,8 +28,8 @@
 //!    is bit-identical to the bare backend.
 //!
 //! Observability: compilation counts
-//! [`xbar_obs::names::XBAR_FAULT_PLAN_COMPILE`] and observes the stuck
-//! fraction under the [`xbar_obs::names::SPAN_FAULT_COMPILE`] span;
+//! [`xbar_obs::names::XBAR_FAULT_PLAN_COMPILE`] under the
+//! [`xbar_obs::names::SPAN_FAULT_COMPILE`] span;
 //! application counts [`xbar_obs::names::XBAR_FAULT_APPLY`]
 //! and [`xbar_obs::names::XBAR_FAULT_STUCK_DEVICES`] under the
 //! [`xbar_obs::names::SPAN_FAULT_APPLY`] span.

@@ -189,7 +189,6 @@ impl FaultSpec {
             drift_view: OnceLock::new(),
         };
         if self.is_empty() && self.drift_nu == 0.0 {
-            xbar_obs::observe(xbar_obs::names::XBAR_FAULT_STUCK_FRACTION, 0.0);
             return Ok(plan);
         }
         let num_devices = 2 * outputs * inputs;
@@ -240,12 +239,6 @@ impl FaultSpec {
                 }
             })
             .collect();
-        if num_devices > 0 {
-            xbar_obs::observe(
-                xbar_obs::names::XBAR_FAULT_STUCK_FRACTION,
-                plan.stuck_devices() as f64 / num_devices as f64,
-            );
-        }
         Ok(plan)
     }
 }

@@ -1,152 +1,54 @@
 //! # xbar-obs
 //!
-//! A zero-dependency observability layer for the attack pipeline:
-//! counters, value summaries ("histograms" in the min/max/sum/count
-//! sense), and wall-clock spans, collected per campaign trial and
-//! emitted as a JSON Lines trace.
-//!
-//! ## Determinism contract
-//!
-//! The crate splits everything it records into two classes, mirroring
-//! the `journal` vs `progress` split in `xbar-runtime`:
-//!
-//! * **Deterministic**: counter values, observation value summaries, and
-//!   span *counts*. These depend only on the work a trial performs, are
-//!   attributed to the trial that performed them (via the thread-local
-//!   [`scope`]), and are therefore bit-identical across thread counts
-//!   and scheduling orders.
-//! * **Timing**: span wall-clock durations, measured with the monotonic
-//!   clock. These are reported alongside the deterministic data but live
-//!   in their own fields (`total_nanos`) so consumers can diff traces
-//!   while ignoring them.
+//! A zero-dependency observability layer with one recording model:
+//! counters, gauges and log-bucketed histograms, recorded per scope
+//! into a sharded registry. Campaign trials, the campaign service and
+//! every instrumented library call record into it.
 //!
 //! ## Architecture
 //!
-//! * [`Collector`] is the sink trait: counter / observation / span
-//!   events, all `&self` (implementations use interior mutability) so a
-//!   single collector can be shared across worker threads.
-//! * [`NullCollector`] ignores everything; with no scope installed the
-//!   instrumentation free functions are a thread-local read and an
-//!   `Option` check, so un-observed code pays near-zero overhead.
-//! * [`Counters`] is the deterministic registry: a mutex-guarded map
-//!   from `(trial, name)` to counts / summaries / span stats, drained
-//!   per trial by the campaign executor.
-//! * [`TraceWriter`] appends campaign sections (header, one record per
-//!   trial, an aggregate end record) to a JSONL trace file.
-//! * [`scope`] carries the ambient `(collector, trial)` pair through a
-//!   thread so instrumentation sites ([`count`], [`observe`], [`span`])
-//!   need no plumbing.
-//! * [`metrics`] is the second, *live* telemetry plane: log-bucketed
-//!   latency histograms, gauges, and a sharded [`MetricsRegistry`]
-//!   keyed by `(victim, metric)` for long-running services (the
-//!   campaign service's `stats` op scrapes it). Unlike the trial
-//!   plane, its histograms carry timing-class data; its counters and
-//!   bucket *totals* remain deterministic and shard-order-invariant.
+//! * [`names`] holds the typed static metric names —
+//!   [`CounterName`], [`HistogramName`] (value or timing class) and
+//!   [`GaugeName`] — so a kind clash fails to compile and recording on
+//!   an existing key allocates nothing.
+//! * [`MetricsShard`] maps a scope key (a served victim, a campaign) to
+//!   its [`ScopeMetrics`]; [`MetricsRegistry`] shards recording across
+//!   threads and merges the shards into a [`MetricsSnapshot`] on scrape
+//!   (the campaign service's `stats` op). [`Histogram`] has one fixed
+//!   bucket layout, so any two histograms merge exactly.
+//! * [`scope`] carries the ambient `(shard, key)` pair through a thread
+//!   so instrumentation sites ([`count`], [`observe`], [`span`]) need
+//!   no plumbing. With no scope installed they are a thread-local read
+//!   and an `Option` check, so un-observed code pays near-zero
+//!   overhead. A span records its wall-clock duration into a timing
+//!   histogram.
+//! * The campaign executor (`xbar-runtime`) gives each trial attempt a
+//!   fresh shard — a retried attempt's events are dropped with its
+//!   shard — and [`TraceWriter`] appends each finished trial's
+//!   [`ScopeMetrics`] to a JSON Lines trace. The service gives each
+//!   evaluation worker its own shard, installed as the ambient scope of
+//!   the job's victim, so library counters show up in `stats`.
 //!
-//! Instrumented layers name their events with the dotted constants in
-//! [`names`]; anything that aggregates traces (the `xbar trace
-//! summarize` subcommand, `CampaignMetrics`) keys off those names.
+//! ## Determinism contract
+//!
+//! Counters and value histograms depend only on the work performed
+//! and are attributed to the scope that performed it, so they are
+//! bit-identical across thread counts, backends and scheduling orders.
+//! Timing histograms (spans, latencies) carry wall-clock nanoseconds:
+//! only their counts are deterministic. Traces file value histograms
+//! under `values` and timing histograms under `spans`, so consumers can
+//! diff traces while ignoring the timing fields.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod counters;
 pub mod json;
 pub mod metrics;
 pub mod names;
 pub mod scope;
 pub mod trace;
 
-pub use counters::{Counters, SpanStats, TrialObservations, ValueSummary};
-pub use metrics::{Histogram, Metric, MetricsRegistry, MetricsShard, MetricsSnapshot};
+pub use metrics::{Histogram, MetricsRegistry, MetricsShard, MetricsSnapshot, ScopeMetrics};
+pub use names::{CounterName, GaugeName, HistogramName};
 pub use scope::{count, observe, span, with_scope, SpanGuard};
 pub use trace::TraceWriter;
-
-use std::time::{Duration, Instant};
-
-/// An opaque handle returned by [`Collector::span_begin`] and consumed
-/// by [`Collector::span_end`]. Carries the monotonic start time so
-/// collectors need no per-span state.
-#[derive(Debug, Clone, Copy)]
-pub struct SpanToken {
-    started: Instant,
-}
-
-impl SpanToken {
-    /// A token anchored at the current monotonic instant.
-    pub fn begin() -> Self {
-        SpanToken {
-            started: Instant::now(),
-        }
-    }
-
-    /// Monotonic time elapsed since the token was created.
-    pub fn elapsed(&self) -> Duration {
-        self.started.elapsed()
-    }
-}
-
-impl Default for SpanToken {
-    fn default() -> Self {
-        SpanToken::begin()
-    }
-}
-
-/// Receives observability events.
-///
-/// All methods take `&self`: implementations are shared across worker
-/// threads and use interior mutability. `trial` attributes the event to
-/// a campaign trial (`None` for work outside any trial); attribution is
-/// what makes the deterministic half of the data thread-count-invariant.
-pub trait Collector: Send + Sync {
-    /// Adds `delta` to the counter `name`.
-    fn counter_add(&self, trial: Option<u64>, name: &str, delta: u64);
-
-    /// Records one observation of the value series `name` (count / sum /
-    /// min / max are kept, i.e. a coarse histogram).
-    fn observe(&self, trial: Option<u64>, name: &str, value: f64);
-
-    /// Opens a span. The default implementation just anchors a
-    /// [`SpanToken`] at the current monotonic instant.
-    fn span_begin(&self, _trial: Option<u64>, _name: &str) -> SpanToken {
-        SpanToken::begin()
-    }
-
-    /// Closes a span opened by [`Collector::span_begin`], recording its
-    /// occurrence (deterministic) and wall time (timing).
-    fn span_end(&self, trial: Option<u64>, name: &str, token: SpanToken);
-}
-
-/// A collector that discards every event.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullCollector;
-
-impl Collector for NullCollector {
-    fn counter_add(&self, _trial: Option<u64>, _name: &str, _delta: u64) {}
-
-    fn observe(&self, _trial: Option<u64>, _name: &str, _value: f64) {}
-
-    fn span_end(&self, _trial: Option<u64>, _name: &str, _token: SpanToken) {}
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn span_token_elapsed_is_monotone() {
-        let token = SpanToken::begin();
-        let first = token.elapsed();
-        let second = token.elapsed();
-        assert!(second >= first);
-    }
-
-    #[test]
-    fn null_collector_accepts_everything() {
-        let collector = NullCollector;
-        collector.counter_add(Some(3), "a", 1);
-        collector.observe(None, "b", 0.5);
-        let token = collector.span_begin(Some(3), "c");
-        collector.span_end(Some(3), "c", token);
-    }
-}

@@ -1,16 +1,16 @@
-//! Live service metrics: histograms, gauges, and the sharded
-//! per-victim registry behind the campaign service's `stats` plane.
+//! The one recording model: histograms, per-scope metrics, and the
+//! sharded registry that campaign trials and the campaign service both
+//! record into.
 //!
-//! This module is the *timing-class* counterpart to the deterministic
-//! trial plane in [`crate::counters`]. Where [`crate::Counters`]
-//! attributes events to campaign trials and guarantees
-//! thread-count-invariant content, the metrics registry attributes
-//! events to long-lived *victims* served by a process and is built for
-//! concurrent hot paths: it is sharded so that each worker or
-//! connection records into its own lock (uncontended in the steady
-//! state), and shards are merged only when a snapshot is scraped.
+//! A [`MetricsShard`] maps a *scope* — a served victim, a campaign —
+//! to its [`ScopeMetrics`]: counters, gauges, and log-bucketed
+//! [`Histogram`]s keyed by the typed static names of
+//! [`crate::names`]. Each recording thread holds its own shard, so the
+//! hot path takes only an uncontended lock; a campaign gives every
+//! trial attempt a fresh shard, and the service one shard per worker
+//! and per handler group inside a [`MetricsRegistry`].
 //!
-//! The merge is well-defined because every piece of state is a
+//! Merging shards is well-defined because every piece of state is a
 //! commutative monoid:
 //!
 //! * counters add;
@@ -23,19 +23,20 @@
 //!   shard 0 (via [`MetricsRegistry::gauge_set`]), so the merge never
 //!   has to arbitrate between shards.
 //!
-//! Snapshots carry both *deterministic* fields (counts, sums of
-//! integer-valued series, bucket totals — a pure function of the
-//! workload served) and *timing* fields (latency quantiles, min/max of
-//! wall-clock series). Consumers that diff snapshots across runs, like
-//! the cross-worker e2e test in `xbar-serve`, compare the former and
-//! only sanity-check the latter.
+//! Counters and value histograms are *deterministic* — a pure function
+//! of the work done. Timing histograms (spans, latencies) carry
+//! wall-clock nanoseconds; only their counts are deterministic.
+//! Consumers that diff snapshots across runs, like the cross-worker
+//! e2e test in `xbar-serve`, compare the former and only sanity-check
+//! the latter.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::json::JsonValue;
+use crate::names::{CounterName, GaugeName, HistogramName};
 
-/// The victim-slot name used for server-wide metrics that belong to no
+/// The scope used for server-wide metrics that belong to no
 /// particular victim (in-flight gauges, drain state, request errors
 /// that never resolved a victim).
 pub const SERVER_SCOPE: &str = "_server";
@@ -68,11 +69,9 @@ fn bucket_bounds() -> &'static [f64; NUM_BUCKETS] {
 
 /// Index of the bucket whose `(prev_bound, bound]` range contains
 /// `value` (bucket 0 also absorbs 0; the last bucket absorbs overflow).
-fn bucket_index(value: u64) -> usize {
-    let bounds = bucket_bounds();
-    let v = value as f64;
-    bounds
-        .partition_point(|bound| *bound < v)
+fn bucket_index(value: f64) -> usize {
+    bucket_bounds()
+        .partition_point(|bound| *bound < value)
         .min(NUM_BUCKETS - 1)
 }
 
@@ -115,9 +114,25 @@ impl Histogram {
         }
     }
 
+    /// Rebuilds a histogram from the fields of its JSON encoding
+    /// ([`Histogram::to_json`]): the exact `sum`, `min` and `max`, and
+    /// the `(le, count)` pairs of its non-empty buckets. Read-back
+    /// histograms therefore merge exactly like the recorded ones.
+    pub fn from_parts(sum: u128, min: u64, max: u64, buckets: &[(f64, u64)]) -> Histogram {
+        let mut histogram = Histogram::new();
+        for &(le, count) in buckets {
+            histogram.counts[bucket_index(le)] += count;
+            histogram.count += count;
+        }
+        if histogram.count > 0 {
+            (histogram.sum, histogram.min, histogram.max) = (sum, min, max);
+        }
+        histogram
+    }
+
     /// Records one observation.
     pub fn record(&mut self, value: u64) {
-        self.counts[bucket_index(value)] += 1;
+        self.counts[bucket_index(value as f64)] += 1;
         self.count += 1;
         self.sum = self.sum.saturating_add(u128::from(value));
         self.min = self.min.min(value);
@@ -234,29 +249,109 @@ impl Histogram {
     }
 }
 
-/// One live metric: a monotone counter, a last-write-wins gauge, or a
-/// log-bucketed histogram.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Metric {
-    /// A monotonically increasing count.
-    Counter(u64),
-    /// An instantaneous level (set, not accumulated).
-    Gauge(f64),
-    /// A value distribution.
-    Histogram(Histogram),
+/// Every metric one scope recorded: the trace record of a campaign
+/// trial, or one victim's section of a service snapshot.
+///
+/// Maps are keyed by the typed static names of [`crate::names`] and
+/// iterate in name order, so every encoding is deterministic.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ScopeMetrics {
+    /// Counter totals.
+    pub counters: BTreeMap<CounterName, u64>,
+    /// Gauge levels.
+    pub gauges: BTreeMap<GaugeName, f64>,
+    /// Value and timing histograms.
+    pub histograms: BTreeMap<HistogramName, Histogram>,
 }
 
-type MetricKey = (String, String);
+impl ScopeMetrics {
+    /// The counter `name`, or 0 if it never fired.
+    pub fn counter(&self, name: CounterName) -> u64 {
+        self.counters.get(&name).copied().unwrap_or(0)
+    }
 
-/// One shard of the live metrics plane: a mutex-guarded map from
-/// `(victim, metric)` to [`Metric`].
+    /// The gauge `name`, if it was ever set.
+    pub fn gauge(&self, name: GaugeName) -> Option<f64> {
+        self.gauges.get(&name).copied()
+    }
+
+    /// The histogram `name`, if it recorded anything.
+    pub fn histogram(&self, name: HistogramName) -> Option<&Histogram> {
+        self.histograms.get(&name)
+    }
+
+    /// Whether nothing at all was recorded.
+    pub fn is_empty(&self) -> bool {
+        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
+    }
+
+    /// Folds `other` into `self`: counters add, histograms merge, and a
+    /// gauge already present keeps its level (gauges have one writer).
+    pub fn merge(&mut self, other: &ScopeMetrics) {
+        for (name, delta) in &other.counters {
+            *self.counters.entry(*name).or_insert(0) += delta;
+        }
+        for (name, level) in &other.gauges {
+            self.gauges.entry(*name).or_insert(*level);
+        }
+        for (name, histogram) in &other.histograms {
+            self.histograms.entry(*name).or_default().merge(histogram);
+        }
+    }
+
+    fn histograms_json(&self, timing: Option<bool>) -> JsonValue {
+        let mut obj = JsonValue::object();
+        for (name, histogram) in &self.histograms {
+            if timing.is_none_or(|timing| name.timing == timing) {
+                obj.push(name.name, histogram.to_json());
+            }
+        }
+        obj
+    }
+
+    fn counters_json(&self) -> JsonValue {
+        let mut obj = JsonValue::object();
+        for (name, total) in &self.counters {
+            obj.push(name.0, *total);
+        }
+        obj
+    }
+
+    /// The service-snapshot encoding: `{"counters": {..}, "gauges":
+    /// {..}, "histograms": {name: Histogram::to_json}}`.
+    pub fn to_json(&self) -> JsonValue {
+        let mut gauges = JsonValue::object();
+        for (name, level) in &self.gauges {
+            gauges.push(name.0, *level);
+        }
+        let mut obj = JsonValue::object();
+        obj.push("counters", self.counters_json())
+            .push("gauges", gauges)
+            .push("histograms", self.histograms_json(None));
+        obj
+    }
+
+    /// The campaign-trace encoding: `{"counters": {..}, "values":
+    /// {..}, "spans": {..}}`, value histograms under `values` and
+    /// timing histograms (spans) under `spans`.
+    pub fn to_trace_json(&self) -> JsonValue {
+        let mut obj = JsonValue::object();
+        obj.push("counters", self.counters_json())
+            .push("values", self.histograms_json(Some(false)))
+            .push("spans", self.histograms_json(Some(true)));
+        obj
+    }
+}
+
+/// One shard of the metrics registry: a mutex-guarded map from scope
+/// (a victim, a campaign) to its [`ScopeMetrics`].
 ///
-/// Hot paths hold only their own shard's lock, so with one shard per
-/// worker/connection the common case is uncontended. All methods take
-/// `&self`.
+/// Each recording thread holds its own shard, so the lock is
+/// uncontended in the steady state. Recording on a scope and name
+/// already present allocates nothing. All methods take `&self`.
 #[derive(Debug, Default)]
 pub struct MetricsShard {
-    inner: Mutex<BTreeMap<MetricKey, Metric>>,
+    scopes: Mutex<BTreeMap<String, ScopeMetrics>>,
 }
 
 impl MetricsShard {
@@ -265,53 +360,42 @@ impl MetricsShard {
         MetricsShard::default()
     }
 
-    /// Adds `delta` to the counter `(victim, name)`.
-    ///
-    /// If the key already holds a different metric kind the call is
-    /// ignored (names are library constants; a kind clash is a bug
-    /// caught by `debug_assert`).
-    pub fn counter_add(&self, victim: &str, name: &str, delta: u64) {
-        let mut inner = self.inner.lock().expect("metrics shard lock");
-        let entry = inner
-            .entry((victim.to_string(), name.to_string()))
-            .or_insert(Metric::Counter(0));
-        match entry {
-            Metric::Counter(total) => *total += delta,
-            _ => debug_assert!(false, "metric {victim}/{name} is not a counter"),
+    fn with<R>(&self, scope: &str, f: impl FnOnce(&mut ScopeMetrics) -> R) -> R {
+        let mut scopes = self.scopes.lock().expect("metrics shard lock");
+        if !scopes.contains_key(scope) {
+            scopes.insert(scope.to_owned(), ScopeMetrics::default());
         }
+        f(scopes.get_mut(scope).expect("inserted above"))
     }
 
-    /// Sets the gauge `(victim, name)` to `value`.
-    pub fn gauge_set(&self, victim: &str, name: &str, value: f64) {
-        let mut inner = self.inner.lock().expect("metrics shard lock");
-        let entry = inner
-            .entry((victim.to_string(), name.to_string()))
-            .or_insert(Metric::Gauge(0.0));
-        match entry {
-            Metric::Gauge(current) => *current = value,
-            _ => debug_assert!(false, "metric {victim}/{name} is not a gauge"),
-        }
+    /// Adds `delta` to the counter `name` of `scope`.
+    pub fn counter_add(&self, scope: &str, name: CounterName, delta: u64) {
+        self.with(scope, |m| *m.counters.entry(name).or_insert(0) += delta);
     }
 
-    /// Records `value` into the histogram `(victim, name)`.
-    pub fn record(&self, victim: &str, name: &str, value: u64) {
-        let mut inner = self.inner.lock().expect("metrics shard lock");
-        let entry = inner
-            .entry((victim.to_string(), name.to_string()))
-            .or_insert_with(|| Metric::Histogram(Histogram::new()));
-        match entry {
-            Metric::Histogram(histogram) => histogram.record(value),
-            _ => debug_assert!(false, "metric {victim}/{name} is not a histogram"),
-        }
+    /// Sets the gauge `name` of `scope` to `value`.
+    pub fn gauge_set(&self, scope: &str, name: GaugeName, value: f64) {
+        self.with(scope, |m| {
+            m.gauges.insert(name, value);
+        });
     }
 
-    /// A copy of this shard's metrics (used by the registry merge).
-    fn drain_copy(&self) -> BTreeMap<MetricKey, Metric> {
-        self.inner.lock().expect("metrics shard lock").clone()
+    /// Records `value` into the histogram `name` of `scope`.
+    pub fn record(&self, scope: &str, name: HistogramName, value: u64) {
+        self.with(scope, |m| {
+            m.histograms.entry(name).or_default().record(value)
+        });
+    }
+
+    /// Removes and returns everything recorded under `scope` (empty if
+    /// nothing was).
+    pub fn take_scope(&self, scope: &str) -> ScopeMetrics {
+        let mut scopes = self.scopes.lock().expect("metrics shard lock");
+        scopes.remove(scope).unwrap_or_default()
     }
 }
 
-/// The sharded live-metrics registry.
+/// The sharded metrics registry.
 ///
 /// Construction fixes the shard count; recording sites obtain an
 /// `Arc<MetricsShard>` via [`MetricsRegistry::shard`] (indices wrap, so
@@ -349,125 +433,46 @@ impl MetricsRegistry {
     /// Sets a gauge on shard 0 — the convention that keeps gauges
     /// single-writer so the shard merge never arbitrates between stale
     /// copies.
-    pub fn gauge_set(&self, victim: &str, name: &str, value: f64) {
-        self.shards[0].gauge_set(victim, name, value);
+    pub fn gauge_set(&self, scope: &str, name: GaugeName, value: f64) {
+        self.shards[0].gauge_set(scope, name, value);
     }
 
     /// Merges every shard into one coherent snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut merged: BTreeMap<MetricKey, Metric> = BTreeMap::new();
+        let mut scopes: BTreeMap<String, ScopeMetrics> = BTreeMap::new();
         for shard in &self.shards {
-            for (key, metric) in shard.drain_copy() {
-                match merged.entry(key) {
-                    std::collections::btree_map::Entry::Vacant(slot) => {
-                        slot.insert(metric);
-                    }
-                    std::collections::btree_map::Entry::Occupied(mut slot) => {
-                        match (slot.get_mut(), metric) {
-                            (Metric::Counter(total), Metric::Counter(delta)) => *total += delta,
-                            (Metric::Histogram(mine), Metric::Histogram(theirs)) => {
-                                mine.merge(&theirs)
-                            }
-                            // Gauges are single-writer (shard 0); a
-                            // duplicate on another shard is ignored.
-                            (Metric::Gauge(_), Metric::Gauge(_)) => {}
-                            _ => debug_assert!(false, "metric kind clash across shards"),
-                        }
+            for (scope, metrics) in shard.scopes.lock().expect("metrics shard lock").iter() {
+                match scopes.get_mut(scope) {
+                    Some(merged) => merged.merge(metrics),
+                    None => {
+                        scopes.insert(scope.clone(), metrics.clone());
                     }
                 }
             }
         }
-        MetricsSnapshot { metrics: merged }
+        MetricsSnapshot { scopes }
     }
 }
 
-/// A coherent point-in-time merge of every shard's metrics, grouped by
-/// victim on encode.
+/// A coherent point-in-time merge of every shard's metrics, by scope.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsSnapshot {
-    metrics: BTreeMap<MetricKey, Metric>,
+    scopes: BTreeMap<String, ScopeMetrics>,
 }
 
 impl MetricsSnapshot {
-    /// An empty snapshot.
-    pub fn empty() -> Self {
-        MetricsSnapshot {
-            metrics: BTreeMap::new(),
-        }
+    /// The metrics of `scope`, if it recorded anything.
+    pub fn scope(&self, scope: &str) -> Option<&ScopeMetrics> {
+        self.scopes.get(scope)
     }
 
-    /// Whether the snapshot holds no metrics at all.
-    pub fn is_empty(&self) -> bool {
-        self.metrics.is_empty()
-    }
-
-    /// The metric `(victim, name)`, if present.
-    pub fn get(&self, victim: &str, name: &str) -> Option<&Metric> {
-        self.metrics.get(&(victim.to_string(), name.to_string()))
-    }
-
-    /// The counter `(victim, name)`, or 0 if absent.
-    pub fn counter(&self, victim: &str, name: &str) -> u64 {
-        match self.get(victim, name) {
-            Some(Metric::Counter(total)) => *total,
-            _ => 0,
-        }
-    }
-
-    /// The victims (scopes) present, sorted and deduplicated.
-    pub fn victims(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self.metrics.keys().map(|(v, _)| v.as_str()).collect();
-        names.dedup();
-        names
-    }
-
-    /// Iterates `(victim, name, metric)` in sorted order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &str, &Metric)> {
-        self.metrics
-            .iter()
-            .map(|((victim, name), metric)| (victim.as_str(), name.as_str(), metric))
-    }
-
-    /// The snapshot as JSON: `{"victims": {victim: {"counters": {...},
+    /// The snapshot as JSON: `{"victims": {scope: {"counters": {...},
     /// "gauges": {...}, "histograms": {name: {...}}}}}`.
     pub fn to_json(&self) -> JsonValue {
         let mut victims = JsonValue::object();
-        let mut current: Option<(&str, JsonValue, JsonValue, JsonValue)> = None;
-        let flush = |victims: &mut JsonValue,
-                     entry: Option<(&str, JsonValue, JsonValue, JsonValue)>| {
-            if let Some((victim, counters, gauges, histograms)) = entry {
-                let mut obj = JsonValue::object();
-                obj.push("counters", counters)
-                    .push("gauges", gauges)
-                    .push("histograms", histograms);
-                victims.push(victim, obj);
-            }
-        };
-        for (victim, name, metric) in self.iter() {
-            let start_new = !matches!(&current, Some((v, ..)) if *v == victim);
-            if start_new {
-                flush(&mut victims, current.take());
-                current = Some((
-                    victim,
-                    JsonValue::object(),
-                    JsonValue::object(),
-                    JsonValue::object(),
-                ));
-            }
-            let (_, counters, gauges, histograms) = current.as_mut().expect("just set");
-            match metric {
-                Metric::Counter(total) => {
-                    counters.push(name, *total);
-                }
-                Metric::Gauge(value) => {
-                    gauges.push(name, *value);
-                }
-                Metric::Histogram(histogram) => {
-                    histograms.push(name, histogram.to_json());
-                }
-            }
+        for (scope, metrics) in &self.scopes {
+            victims.push(scope, metrics.to_json());
         }
-        flush(&mut victims, current.take());
         let mut obj = JsonValue::object();
         obj.push("victims", victims);
         obj
@@ -475,70 +480,77 @@ impl MetricsSnapshot {
 
     /// The snapshot in Prometheus text exposition format. Metric names
     /// are sanitised (`serve.request_ns` → `xbar_serve_request_ns`),
-    /// the victim becomes a `victim` label, counters gain `_total`, and
+    /// the scope becomes a `victim` label, counters gain `_total`, and
     /// histograms emit cumulative `_bucket{le=...}` series plus `_sum`
     /// and `_count`.
     pub fn to_prometheus(&self) -> String {
-        fn sanitise(name: &str) -> String {
+        enum Series<'a> {
+            Counter(u64),
+            Gauge(f64),
+            Histogram(&'a Histogram),
+        }
+
+        // Group by metric name so each gets exactly one # TYPE header.
+        let mut by_name: BTreeMap<&str, Vec<(&str, Series)>> = BTreeMap::new();
+        for (scope, metrics) in &self.scopes {
+            for (name, total) in &metrics.counters {
+                by_name
+                    .entry(name.0)
+                    .or_default()
+                    .push((scope, Series::Counter(*total)));
+            }
+            for (name, level) in &metrics.gauges {
+                by_name
+                    .entry(name.0)
+                    .or_default()
+                    .push((scope, Series::Gauge(*level)));
+            }
+            for (name, histogram) in &metrics.histograms {
+                by_name
+                    .entry(name.name)
+                    .or_default()
+                    .push((scope, Series::Histogram(histogram)));
+            }
+        }
+        let mut out = String::new();
+        for (name, series) in by_name {
             let cleaned: String = name
                 .chars()
                 .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
                 .collect();
-            format!("xbar_{cleaned}")
-        }
-
-        // Group by metric name so each gets exactly one # TYPE header.
-        let mut by_name: BTreeMap<&str, Vec<(&str, &Metric)>> = BTreeMap::new();
-        for (victim, name, metric) in self.iter() {
-            by_name.entry(name).or_default().push((victim, metric));
-        }
-        let mut out = String::new();
-        for (name, series) in by_name {
-            let base = sanitise(name);
-            match series.first().map(|(_, m)| m) {
-                Some(Metric::Counter(_)) => {
-                    out.push_str(&format!("# TYPE {base}_total counter\n"));
-                    for (victim, metric) in &series {
-                        if let Metric::Counter(total) = metric {
-                            out.push_str(&format!("{base}_total{{victim=\"{victim}\"}} {total}\n"));
-                        }
+            let base = format!("xbar_{cleaned}");
+            let kind = match series[0].1 {
+                Series::Counter(_) => "counter",
+                Series::Gauge(_) => "gauge",
+                Series::Histogram(_) => "histogram",
+            };
+            let suffix = if kind == "counter" { "_total" } else { "" };
+            out.push_str(&format!("# TYPE {base}{suffix} {kind}\n"));
+            for (victim, series) in &series {
+                match series {
+                    Series::Counter(total) => {
+                        out.push_str(&format!("{base}_total{{victim=\"{victim}\"}} {total}\n"));
                     }
-                }
-                Some(Metric::Gauge(_)) => {
-                    out.push_str(&format!("# TYPE {base} gauge\n"));
-                    for (victim, metric) in &series {
-                        if let Metric::Gauge(value) = metric {
-                            out.push_str(&format!("{base}{{victim=\"{victim}\"}} {value}\n"));
-                        }
+                    Series::Gauge(level) => {
+                        out.push_str(&format!("{base}{{victim=\"{victim}\"}} {level}\n"));
                     }
-                }
-                Some(Metric::Histogram(_)) => {
-                    out.push_str(&format!("# TYPE {base} histogram\n"));
-                    for (victim, metric) in &series {
-                        if let Metric::Histogram(histogram) = metric {
-                            let mut cumulative = 0u64;
-                            for (le, count) in histogram.nonzero_buckets() {
-                                cumulative += count;
-                                out.push_str(&format!(
-                                    "{base}_bucket{{victim=\"{victim}\",le=\"{le}\"}} {cumulative}\n"
-                                ));
-                            }
+                    Series::Histogram(histogram) => {
+                        let mut cumulative = 0u64;
+                        for (le, count) in histogram.nonzero_buckets() {
+                            cumulative += count;
                             out.push_str(&format!(
-                                "{base}_bucket{{victim=\"{victim}\",le=\"+Inf\"}} {}\n",
-                                histogram.count()
-                            ));
-                            out.push_str(&format!(
-                                "{base}_sum{{victim=\"{victim}\"}} {}\n",
-                                histogram.sum().min(u128::from(u64::MAX))
-                            ));
-                            out.push_str(&format!(
-                                "{base}_count{{victim=\"{victim}\"}} {}\n",
-                                histogram.count()
+                                "{base}_bucket{{victim=\"{victim}\",le=\"{le}\"}} {cumulative}\n"
                             ));
                         }
+                        let count = histogram.count();
+                        let sum = histogram.sum().min(u128::from(u64::MAX));
+                        out.push_str(&format!(
+                            "{base}_bucket{{victim=\"{victim}\",le=\"+Inf\"}} {count}\n\
+                             {base}_sum{{victim=\"{victim}\"}} {sum}\n\
+                             {base}_count{{victim=\"{victim}\"}} {count}\n"
+                        ));
                     }
                 }
-                None => {}
             }
         }
         out
@@ -548,18 +560,19 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::names;
 
     #[test]
     fn bucket_index_is_monotone_and_clamped() {
-        assert_eq!(bucket_index(0), 0);
-        assert_eq!(bucket_index(1), 0);
+        assert_eq!(bucket_index(0.0), 0);
+        assert_eq!(bucket_index(1.0), 0);
         let mut last = 0;
         for v in [2u64, 10, 1000, 1 << 20, 1 << 43] {
-            let idx = bucket_index(v);
+            let idx = bucket_index(v as f64);
             assert!(idx >= last, "index not monotone at {v}");
             last = idx;
         }
-        assert_eq!(bucket_index(u64::MAX), NUM_BUCKETS - 1);
+        assert_eq!(bucket_index(u64::MAX as f64), NUM_BUCKETS - 1);
     }
 
     #[test]
@@ -633,64 +646,96 @@ mod tests {
     }
 
     #[test]
+    fn from_parts_inverts_the_json_fields() {
+        let mut h = Histogram::new();
+        for v in [0u64, 3, 3, 90, 70_000] {
+            h.record(v);
+        }
+        let rebuilt = Histogram::from_parts(h.sum(), h.min(), h.max(), &h.nonzero_buckets());
+        assert_eq!(rebuilt, h);
+        assert_eq!(Histogram::from_parts(0, 0, 0, &[]), Histogram::new());
+    }
+
+    #[test]
     fn registry_merges_shards_deterministically() {
         let registry = MetricsRegistry::new(3);
         for i in 0..30u64 {
             let shard = registry.shard(i as usize);
-            shard.counter_add("mnist", "serve.queries", 1);
-            shard.record("mnist", "serve.request_ns", 100 + i);
+            shard.counter_add("mnist", names::SERVE_QUERIES, 1);
+            shard.record("mnist", names::SERVE_REQUEST_NS, 100 + i);
         }
-        registry.gauge_set("_server", "serve.inflight", 4.0);
+        registry.gauge_set(SERVER_SCOPE, names::SERVE_INFLIGHT, 4.0);
         let snapshot = registry.snapshot();
-        assert_eq!(snapshot.counter("mnist", "serve.queries"), 30);
-        match snapshot.get("mnist", "serve.request_ns") {
-            Some(Metric::Histogram(h)) => {
-                assert_eq!(h.count(), 30);
-                assert_eq!(h.min(), 100);
-                assert_eq!(h.max(), 129);
-            }
-            other => panic!("expected histogram, got {other:?}"),
-        }
-        assert!(matches!(
-            snapshot.get("_server", "serve.inflight"),
-            Some(Metric::Gauge(v)) if *v == 4.0
-        ));
+        let mnist = snapshot.scope("mnist").unwrap();
+        assert_eq!(mnist.counter(names::SERVE_QUERIES), 30);
+        let h = mnist.histogram(names::SERVE_REQUEST_NS).unwrap();
+        assert_eq!((h.count(), h.min(), h.max()), (30, 100, 129));
+        let server = snapshot.scope(SERVER_SCOPE).unwrap();
+        assert_eq!(server.gauge(names::SERVE_INFLIGHT), Some(4.0));
         // The same workload recorded on one shard snapshots identically
         // (modulo nothing: all state is a commutative monoid).
         let solo = MetricsRegistry::new(1);
         for i in 0..30u64 {
             let shard = solo.shard(0);
-            shard.counter_add("mnist", "serve.queries", 1);
-            shard.record("mnist", "serve.request_ns", 100 + i);
+            shard.counter_add("mnist", names::SERVE_QUERIES, 1);
+            shard.record("mnist", names::SERVE_REQUEST_NS, 100 + i);
         }
-        solo.gauge_set("_server", "serve.inflight", 4.0);
+        solo.gauge_set(SERVER_SCOPE, names::SERVE_INFLIGHT, 4.0);
         assert_eq!(solo.snapshot(), snapshot);
+    }
+
+    #[test]
+    fn take_scope_drains_one_scope() {
+        let shard = MetricsShard::new();
+        shard.counter_add("a", names::ORACLE_QUERY, 2);
+        shard.counter_add("b", names::ORACLE_QUERY, 5);
+        assert_eq!(shard.take_scope("a").counter(names::ORACLE_QUERY), 2);
+        assert!(shard.take_scope("a").is_empty());
+        assert_eq!(shard.take_scope("b").counter(names::ORACLE_QUERY), 5);
     }
 
     #[test]
     fn snapshot_json_groups_by_victim() {
         let registry = MetricsRegistry::new(2);
-        registry.shard(0).counter_add("a", "serve.requests", 2);
-        registry.shard(1).counter_add("b", "serve.requests", 3);
-        registry.shard(0).record("a", "serve.request_ns", 50);
-        registry.gauge_set("_server", "serve.inflight", 0.0);
+        registry.shard(0).counter_add("a", names::SERVE_REQUESTS, 2);
+        registry.shard(1).counter_add("b", names::SERVE_REQUESTS, 3);
+        registry.shard(0).record("a", names::SERVE_REQUEST_NS, 50);
+        registry.gauge_set(SERVER_SCOPE, names::SERVE_INFLIGHT, 0.0);
         let rendered = registry.snapshot().to_json().render();
-        assert!(rendered.contains("\"victims\""), "{rendered}");
-        assert!(rendered.contains("\"a\""), "{rendered}");
-        assert!(rendered.contains("\"serve.requests\":2"), "{rendered}");
-        assert!(rendered.contains("\"serve.requests\":3"), "{rendered}");
-        assert!(rendered.contains("\"serve.inflight\":0.0"), "{rendered}");
+        assert!(rendered.starts_with("{\"victims\":{\"_server\":{\"counters\":{},\"gauges\":{\"serve.inflight\":0.0},\"histograms\":{}},\"a\":{\"counters\":{\"serve.requests\":2}"), "{rendered}");
+        assert!(
+            rendered.contains("\"b\":{\"counters\":{\"serve.requests\":3}"),
+            "{rendered}"
+        );
+        assert!(
+            rendered.contains("\"serve.request_ns\":{\"count\":1"),
+            "{rendered}"
+        );
+    }
+
+    #[test]
+    fn trace_json_files_values_and_spans_apart() {
+        let shard = MetricsShard::new();
+        shard.counter_add("t", names::ORACLE_QUERY, 7);
+        shard.record("t", names::XBAR_BATCH_OCCUPANCY, 16);
+        shard.record("t", names::SPAN_PROBE, 1_000);
+        let rendered = shard.take_scope("t").to_trace_json().render();
+        assert!(rendered.starts_with("{\"counters\":{\"oracle.query\":7},\"values\":{\"xbar.batch_occupancy\":{\"count\":1,\"sum\":16,"), "{rendered}");
+        assert!(
+            rendered.contains("\"spans\":{\"probe\":{\"count\":1,\"sum\":1000,"),
+            "{rendered}"
+        );
     }
 
     #[test]
     fn prometheus_exposition_is_well_formed() {
         let registry = MetricsRegistry::new(1);
         let shard = registry.shard(0);
-        shard.counter_add("mnist", "serve.queries", 7);
+        shard.counter_add("mnist", names::SERVE_QUERIES, 7);
         for v in [10u64, 20, 20, 4000] {
-            shard.record("mnist", "serve.request_ns", v);
+            shard.record("mnist", names::SERVE_REQUEST_NS, v);
         }
-        registry.gauge_set("_server", "serve.inflight", 2.0);
+        registry.gauge_set(SERVER_SCOPE, names::SERVE_INFLIGHT, 2.0);
         let text = registry.snapshot().to_prometheus();
         assert!(
             text.contains("# TYPE xbar_serve_queries_total counter"),
@@ -709,10 +754,14 @@ mod tests {
             "{text}"
         );
         assert!(
-            text.contains("le=\"+Inf\"}} 4") || text.contains("le=\"+Inf\"} 4"),
+            text.contains("xbar_serve_request_ns_bucket{victim=\"mnist\",le=\"+Inf\"} 4"),
             "{text}"
         );
         assert!(text.contains("# TYPE xbar_serve_inflight gauge"), "{text}");
+        assert!(
+            text.contains("xbar_serve_inflight{victim=\"_server\"} 2"),
+            "{text}"
+        );
         // Bucket series are cumulative and end at the total count.
         let last_bucket = text
             .lines()

@@ -1,195 +1,218 @@
-//! Well-known event names used by the instrumented crates.
+//! Well-known metric names used by the instrumented crates.
 //!
-//! Names are dotted `layer.event` strings. Instrumentation sites use
-//! these constants rather than string literals so that aggregation code
-//! (the campaign executor's per-trial totals, `xbar trace summarize`)
-//! and the emitting code cannot drift apart.
+//! Names are dotted `layer.event` strings wrapped in one typed handle
+//! per metric kind — [`CounterName`], [`HistogramName`], [`GaugeName`]
+//! — so recording a counter under a histogram's name does not compile.
+//! Instrumentation sites use these constants rather than string
+//! literals so that aggregation code (the campaign executor's
+//! per-trial totals, `xbar trace summarize`, the service's `stats` op)
+//! and the emitting code cannot drift apart. Registries key metrics by
+//! the handles' `&'static str`s, so recording on an existing key
+//! allocates nothing.
 
-/// One oracle query consumed against the attacker's budget
-/// (`Oracle::query` / `Oracle::query_batch`).
-pub const ORACLE_QUERY: &str = "oracle.query";
+/// The name of a monotone counter.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct CounterName(pub &'static str);
 
-/// A calibrated power reading returned to the attacker, recorded as an
-/// observation (value series) so traces carry the power totals.
-pub const ORACLE_POWER: &str = "oracle.power";
+/// The name of a last-write-wins gauge.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct GaugeName(pub &'static str);
+
+/// The name and class of a [`crate::Histogram`].
+///
+/// A *value* histogram records a deterministic quantity (batch sizes,
+/// queue depths): its content is a pure function of the work done. A
+/// *timing* histogram records wall-clock nanoseconds (span durations,
+/// request latencies); only its `count` is deterministic. Campaign
+/// traces file the two classes under `values` and `spans`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct HistogramName {
+    /// The dotted name.
+    pub name: &'static str,
+    /// Whether the histogram records wall-clock nanoseconds.
+    pub timing: bool,
+}
+
+impl HistogramName {
+    /// A value-class histogram name.
+    pub const fn value(name: &'static str) -> Self {
+        HistogramName {
+            name,
+            timing: false,
+        }
+    }
+
+    /// A timing-class histogram name (also the name of a span).
+    pub const fn timing(name: &'static str) -> Self {
+        HistogramName { name, timing: true }
+    }
+}
+
+/// One oracle query answered: a budgeted query (`Oracle::query` /
+/// `Oracle::query_batch`) or a keyed observation
+/// (`Oracle::observe_batch_keyed`, the service's evaluation path).
+pub const ORACLE_QUERY: CounterName = CounterName("oracle.query");
 
 /// One power-probe measurement (basis or random input) issued by the
 /// probing routines in `xbar-core`.
-pub const PROBE_MEASUREMENT: &str = "probe.measurement";
+pub const PROBE_MEASUREMENT: CounterName = CounterName("probe.measurement");
 
 /// One analog matrix-vector product evaluated on the crossbar.
-pub const XBAR_ANALOG_MVM: &str = "xbar.analog_mvm";
+pub const XBAR_ANALOG_MVM: CounterName = CounterName("xbar.analog_mvm");
 
 /// One total-supply-current / power-model readout of the crossbar.
-pub const XBAR_POWER_READ: &str = "xbar.power_read";
+pub const XBAR_POWER_READ: CounterName = CounterName("xbar.power_read");
 
 /// One iterative IR-drop nodal solve.
-pub const XBAR_IR_DROP_SOLVE: &str = "xbar.ir_drop_solve";
+pub const XBAR_IR_DROP_SOLVE: CounterName = CounterName("xbar.ir_drop_solve");
 
 /// One batched evaluation call (`EvalBackend::mvm_prepared` and
 /// friends), regardless of how many samples the batch carried.
-pub const XBAR_MVM_BATCH: &str = "xbar.mvm_batch";
+pub const XBAR_MVM_BATCH: CounterName = CounterName("xbar.mvm_batch");
 
-/// Observation (value series): number of samples in each batched
-/// evaluation call — the batch occupancy summary.
-pub const XBAR_BATCH_OCCUPANCY: &str = "xbar.batch_occupancy";
+/// Value histogram: number of samples in each batched evaluation
+/// call — the batch occupancy.
+pub const XBAR_BATCH_OCCUPANCY: HistogramName = HistogramName::value("xbar.batch_occupancy");
 
 /// One fault plan compiled from a `FaultSpec` (`FaultSpec::compile`).
 /// A deployment compiles its plan once: a drifting oracle re-times the
 /// same plan at every drift epoch instead of recompiling it, so this
 /// counts once per deployment, not once per epoch.
-pub const XBAR_FAULT_PLAN_COMPILE: &str = "xbar.fault_plan_compile";
+pub const XBAR_FAULT_PLAN_COMPILE: CounterName = CounterName("xbar.fault_plan_compile");
 
 /// One fault plan applied to a programmed array (one faulted copy
 /// materialised).
-pub const XBAR_FAULT_APPLY: &str = "xbar.fault_apply";
+pub const XBAR_FAULT_APPLY: CounterName = CounterName("xbar.fault_apply");
 
 /// Devices pinned to a rail (stuck-at-on/off) by an applied fault plan,
 /// counted once per application.
-pub const XBAR_FAULT_STUCK_DEVICES: &str = "xbar.fault_stuck_devices";
-
-/// Observation (value series): fraction of devices a fault plan marks
-/// stuck, recorded once per compilation.
-pub const XBAR_FAULT_STUCK_FRACTION: &str = "xbar.fault_stuck_fraction";
+pub const XBAR_FAULT_STUCK_DEVICES: CounterName = CounterName("xbar.fault_stuck_devices");
 
 /// One per-query transient perturbation materialised (a read-disturbed
 /// copy of the deployed array for a single query).
-pub const XBAR_TRANSIENT_APPLY: &str = "xbar.transient_apply";
+pub const XBAR_TRANSIENT_APPLY: CounterName = CounterName("xbar.transient_apply");
 
 /// Devices flipped to a rail by per-query read-disturb transients,
 /// summed over every perturbed query.
-pub const XBAR_TRANSIENT_FLIPS: &str = "xbar.transient_flips";
+pub const XBAR_TRANSIENT_FLIPS: CounterName = CounterName("xbar.transient_flips");
 
 /// One drift epoch advanced by the oracle's drift schedule (the
 /// deployment's compiled fault plan re-applied at a later `drift_time`).
-pub const ORACLE_DRIFT_ADVANCE: &str = "oracle.drift_advance";
+pub const ORACLE_DRIFT_ADVANCE: CounterName = CounterName("oracle.drift_advance");
 
 /// One recalibration of a cached column-norm estimate (a fresh probe
 /// issued because a recalibration policy declared the estimate stale).
-pub const PROBE_RECALIBRATION: &str = "probe.recalibration";
+pub const PROBE_RECALIBRATION: CounterName = CounterName("probe.recalibration");
 
 /// One gradient-sign (FGSM/FGV) batch crafted.
-pub const ATTACK_FGSM_BATCH: &str = "attack.fgsm_batch";
+pub const ATTACK_FGSM_BATCH: CounterName = CounterName("attack.fgsm_batch");
 
 /// One PGD step applied to a batch.
-pub const ATTACK_PGD_STEP: &str = "attack.pgd_step";
+pub const ATTACK_PGD_STEP: CounterName = CounterName("attack.pgd_step");
 
 /// One candidate pixel examined by the single-pixel attack search.
-pub const ATTACK_PIXEL_STEP: &str = "attack.pixel_step";
+pub const ATTACK_PIXEL_STEP: CounterName = CounterName("attack.pixel_step");
 
-/// Span: a full campaign trial (`runner.run`, final attempt).
-pub const SPAN_TRIAL: &str = "trial";
+/// Span: one campaign trial attempt (`runner.run`); a trace keeps
+/// only the final attempt's.
+pub const SPAN_TRIAL: HistogramName = HistogramName::timing("trial");
 
 /// Span: probing the column norms of the victim.
-pub const SPAN_PROBE: &str = "probe";
+pub const SPAN_PROBE: HistogramName = HistogramName::timing("probe");
 
 /// Span: collecting the surrogate's training queries from the oracle.
-pub const SPAN_COLLECT_QUERIES: &str = "blackbox.collect_queries";
+pub const SPAN_COLLECT_QUERIES: HistogramName = HistogramName::timing("blackbox.collect_queries");
 
 /// Span: training the surrogate network.
-pub const SPAN_TRAIN_SURROGATE: &str = "blackbox.train_surrogate";
+pub const SPAN_TRAIN_SURROGATE: HistogramName = HistogramName::timing("blackbox.train_surrogate");
 
 /// Span: crafting adversarial examples from the surrogate.
-pub const SPAN_CRAFT: &str = "blackbox.craft";
+pub const SPAN_CRAFT: HistogramName = HistogramName::timing("blackbox.craft");
 
 /// Span: evaluating the oracle on clean and adversarial inputs.
-pub const SPAN_EVALUATE: &str = "blackbox.evaluate";
+pub const SPAN_EVALUATE: HistogramName = HistogramName::timing("blackbox.evaluate");
 
 /// Span: compiling a fault plan — drawing every per-device decision
 /// (`FaultSpec::compile`).
-pub const SPAN_FAULT_COMPILE: &str = "faults.compile";
+pub const SPAN_FAULT_COMPILE: HistogramName = HistogramName::timing("faults.compile");
 
 /// Span: materialising a faulted copy of a programmed array
 /// (`FaultPlan::apply` / `FaultPlan::apply_at`).
-pub const SPAN_FAULT_APPLY: &str = "faults.apply";
+pub const SPAN_FAULT_APPLY: HistogramName = HistogramName::timing("faults.apply");
 
 /// Span: one fault-robustness sweep trial (deploy faulted oracle, probe,
 /// attack, evaluate).
-pub const SPAN_FAULT_TRIAL: &str = "faults.sweep_trial";
+pub const SPAN_FAULT_TRIAL: HistogramName = HistogramName::timing("faults.sweep_trial");
 
 /// Span: one device-lifetime sweep trial (deploy decaying oracle, probe,
 /// recalibrate, attack, evaluate).
-pub const SPAN_LIFETIME_TRIAL: &str = "lifetime.sweep_trial";
+pub const SPAN_LIFETIME_TRIAL: HistogramName = HistogramName::timing("lifetime.sweep_trial");
 
 /// One power observation collected for posterior inference
 /// (`xbar-infer`), through either the budgeted or the keyed oracle
 /// entry point.
-pub const INFER_OBSERVATION: &str = "infer.observation";
+pub const INFER_OBSERVATION: CounterName = CounterName("infer.observation");
 
 /// One MCMC transition applied (any kernel), summed across chains.
-pub const INFER_MCMC_STEP: &str = "infer.mcmc_step";
+pub const INFER_MCMC_STEP: CounterName = CounterName("infer.mcmc_step");
 
 /// One likelihood (or posterior) density evaluation spent by an MCMC
 /// transition, summed across chains.
-pub const INFER_LIKELIHOOD_EVAL: &str = "infer.likelihood_eval";
+pub const INFER_LIKELIHOOD_EVAL: CounterName = CounterName("infer.likelihood_eval");
 
 /// One MCMC chain run to completion.
-pub const INFER_CHAIN: &str = "infer.chain";
+pub const INFER_CHAIN: CounterName = CounterName("infer.chain");
 
 /// Span: a multi-chain posterior sampling run (`run_chains`), covering
 /// every chain and the join.
-pub const SPAN_INFER_CHAINS: &str = "infer.chains";
+pub const SPAN_INFER_CHAINS: HistogramName = HistogramName::timing("infer.chains");
 
 /// Span: one posterior-inference sweep trial (collect observations,
 /// sample chains, summarise, attack, evaluate).
-pub const SPAN_INFER_TRIAL: &str = "infer.sweep_trial";
+pub const SPAN_INFER_TRIAL: HistogramName = HistogramName::timing("infer.sweep_trial");
 
-/// One attack session admitted by the campaign service (`xbar serve`),
-/// counting resumes as well as fresh sessions.
-pub const SERVE_SESSIONS: &str = "serve.sessions";
+// --- Campaign service (`xbar serve`), recorded per victim and
+// scraped via the `stats` op ---
 
-/// A session turned away by admission control (session table full).
-pub const SERVE_ADMISSION_REJECT: &str = "serve.admission_reject";
+/// One fresh attack session admitted by the campaign service.
+pub const SERVE_SESSIONS: CounterName = CounterName("serve.sessions");
 
-/// Observation (value series): evaluation-queue depth sampled each time
-/// the campaign service enqueues a job.
-pub const SERVE_QUEUE_DEPTH: &str = "serve.queue_depth";
+/// Value histogram: evaluation-queue depth (queued samples) at each
+/// job's enqueue, recorded by the worker that answers it. Its count is
+/// the number of jobs enqueued; the depths depend on scheduling.
+pub const SERVE_QUEUE_DEPTH: HistogramName = HistogramName::value("serve.queue_depth");
 
-/// Span: one client request handled by the campaign service, from parse
+/// Client requests handled (any op, any outcome). Rejected requests
+/// also count under `serve.reject.<code>`, one counter per rejection
+/// code (named next to the codes, in `xbar-serve`).
+pub const SERVE_REQUESTS: CounterName = CounterName("serve.requests");
+
+/// Oracle queries answered on behalf of a victim.
+pub const SERVE_QUERIES: CounterName = CounterName("serve.queries");
+
+/// Timing histogram: end-to-end per-request latency, from line parse
 /// to response write.
-pub const SPAN_SERVE_REQUEST: &str = "serve.request";
+pub const SERVE_REQUEST_NS: HistogramName = HistogramName::timing("serve.request_ns");
 
-// --- Live metrics plane (crate::metrics, scraped via the `stats` op) ---
-//
-// These name the campaign service's *live* metrics, keyed by victim in
-// a [`crate::MetricsRegistry`] rather than by trial. Counters and
-// histogram bucket totals are deterministic for a deterministic
-// workload; `*_ns` histograms carry wall-clock timing.
-
-/// Live counter: client requests handled (any op, any outcome).
-pub const SERVE_REQUESTS: &str = "serve.requests";
-
-/// Live counter: oracle queries answered on behalf of a victim.
-pub const SERVE_QUERIES: &str = "serve.queries";
-
-/// Live counter name prefix: rejected requests, one counter per
-/// rejection code (`serve.reject.busy`, `serve.reject.session_table_full`,
-/// ...).
-pub const SERVE_REJECT_PREFIX: &str = "serve.reject.";
-
-/// Live histogram (ns): end-to-end per-request latency, from line parse
-/// to response write.
-pub const SERVE_REQUEST_NS: &str = "serve.request_ns";
-
-/// Live histogram (ns): time a query job waited in the evaluation queue
+/// Timing histogram: time a query job waited in the evaluation queue
 /// before a worker picked it up.
-pub const SERVE_QUEUE_WAIT_NS: &str = "serve.queue_wait_ns";
+pub const SERVE_QUEUE_WAIT_NS: HistogramName = HistogramName::timing("serve.queue_wait_ns");
 
-/// Live histogram (ns): time a worker spent evaluating one query job
+/// Timing histogram: time a worker spent evaluating one query job
 /// (one keyed batch on the victim oracle).
-pub const SERVE_EVAL_NS: &str = "serve.eval_ns";
+pub const SERVE_EVAL_NS: HistogramName = HistogramName::timing("serve.eval_ns");
 
-/// Live histogram (ns): latency of each durable session-journal write.
-pub const SERVE_JOURNAL_WRITE_NS: &str = "serve.journal_write_ns";
+/// Timing histogram: latency of each durable session-journal write.
+pub const SERVE_JOURNAL_WRITE_NS: HistogramName = HistogramName::timing("serve.journal_write_ns");
 
-/// Live gauge: query jobs currently in flight (enqueued, not yet
+/// Gauge: query jobs currently in flight (enqueued, not yet
 /// answered), sampled at scrape time.
-pub const SERVE_INFLIGHT: &str = "serve.inflight";
+pub const SERVE_INFLIGHT: GaugeName = GaugeName("serve.inflight");
 
-/// Live gauge: attached sessions in the session table, sampled at
+/// Gauge: attached sessions in the session table, sampled at
 /// scrape time.
-pub const SERVE_ATTACHED_SESSIONS: &str = "serve.attached_sessions";
+pub const SERVE_ATTACHED_SESSIONS: GaugeName = GaugeName("serve.attached_sessions");
 
-/// Live gauge: 1 while the server is draining (shutdown requested),
+/// Gauge: 1 while the server is draining (shutdown requested),
 /// else 0.
-pub const SERVE_DRAINING: &str = "serve.draining";
+pub const SERVE_DRAINING: GaugeName = GaugeName("serve.draining");

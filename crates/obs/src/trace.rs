@@ -2,39 +2,43 @@
 //!
 //! A trace file holds one or more *campaign sections*, each of which is:
 //!
-//! 1. a header line: `{"kind":"xbar-trace","format_version":1,
+//! 1. a header line: `{"kind":"xbar-trace","format_version":2,
 //!    "campaign":…,"campaign_seed":…,"total_trials":…}`
 //! 2. one `{"kind":"trial",…}` line per executed trial, in completion
-//!    order, carrying the trial's counters / value summaries / span
-//!    stats (see [`TrialObservations::to_json`]),
+//!    order, carrying the final attempt's `counters`, `values` (value
+//!    histograms) and `spans` (timing histograms) — see
+//!    [`ScopeMetrics::to_trace_json`]; every histogram entry is a
+//!    [`crate::Histogram::to_json`] object,
 //! 3. a `{"kind":"end",…}` line with campaign totals: the merged
-//!    observations plus completed / failed / skipped counts.
+//!    metrics plus completed / failed / skipped counts.
 //!
-//! Counter and value content is deterministic (thread-count-invariant);
-//! the `wall_nanos` / `elapsed_nanos` / `total_nanos` fields are the
-//! only wall-clock data. Each line is flushed as it is written, like
-//! the campaign journal.
+//! Counters, values and span `count`s are deterministic
+//! (thread-count-invariant); the other span fields and the
+//! `wall_nanos` / `elapsed_nanos` fields are wall-clock data. Each
+//! line is flushed as it is written, like the campaign journal.
+//! Version 1 traces (min/max/sum value summaries, span `total_nanos`)
+//! are not read back.
 
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::time::Duration;
 
-use crate::counters::TrialObservations;
 use crate::json::JsonValue;
+use crate::ScopeMetrics;
 
 /// The `kind` tag of a trace header line.
 pub const TRACE_KIND: &str = "xbar-trace";
 
 /// Current trace format version.
-pub const TRACE_FORMAT_VERSION: u32 = 1;
+pub const TRACE_FORMAT_VERSION: u32 = 2;
 
 fn duration_nanos(d: Duration) -> u64 {
     d.as_nanos().min(u128::from(u64::MAX)) as u64
 }
 
-fn extend_with_observations(record: &mut JsonValue, observations: &TrialObservations) {
-    if let (JsonValue::Object(fields), JsonValue::Object(extra)) = (record, observations.to_json())
+fn extend_with_metrics(record: &mut JsonValue, metrics: &ScopeMetrics) {
+    if let (JsonValue::Object(fields), JsonValue::Object(extra)) = (record, metrics.to_trace_json())
     {
         fields.extend(extra);
     }
@@ -83,7 +87,7 @@ impl TraceWriter {
         ok: bool,
         attempts: u32,
         wall: Duration,
-        observations: &TrialObservations,
+        metrics: &ScopeMetrics,
     ) -> io::Result<()> {
         let mut record = JsonValue::object();
         record
@@ -92,7 +96,7 @@ impl TraceWriter {
             .push("status", if ok { "ok" } else { "failed" })
             .push("attempts", attempts)
             .push("wall_nanos", duration_nanos(wall));
-        extend_with_observations(&mut record, observations);
+        extend_with_metrics(&mut record, metrics);
         self.write_line(&record)
     }
 
@@ -103,7 +107,7 @@ impl TraceWriter {
         failed: usize,
         skipped: usize,
         elapsed: Duration,
-        totals: &TrialObservations,
+        totals: &ScopeMetrics,
     ) -> io::Result<()> {
         let mut record = JsonValue::object();
         record
@@ -112,7 +116,7 @@ impl TraceWriter {
             .push("failed", failed)
             .push("skipped", skipped)
             .push("elapsed_nanos", duration_nanos(elapsed));
-        extend_with_observations(&mut record, totals);
+        extend_with_metrics(&mut record, totals);
         self.write_line(&record)
     }
 }
@@ -120,8 +124,7 @@ impl TraceWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Collector;
-    use crate::Counters;
+    use crate::{names, MetricsShard};
 
     #[test]
     fn trace_sections_round_trip_as_lines() {
@@ -130,27 +133,30 @@ mod tests {
             std::process::id(),
             std::thread::current().id()
         ));
-        let counters = Counters::new();
-        counters.counter_add(Some(0), "oracle.query", 12);
-        counters.observe(Some(0), "oracle.power", 1.5);
+        let shard = MetricsShard::new();
+        shard.counter_add("fig4", names::ORACLE_QUERY, 12);
+        shard.record("fig4", names::SPAN_PROBE, 1_500);
+        let metrics = shard.take_scope("fig4");
 
         let mut writer = TraceWriter::create(&path).unwrap();
         writer.campaign_header("fig4", 42, 2).unwrap();
-        let obs = counters.take_trial(0);
         writer
-            .trial(0, true, 1, Duration::from_millis(3), &obs)
+            .trial(0, true, 1, Duration::from_millis(3), &metrics)
             .unwrap();
-        writer.end(1, 0, 1, Duration::from_millis(5), &obs).unwrap();
+        writer
+            .end(1, 0, 1, Duration::from_millis(5), &metrics)
+            .unwrap();
         drop(writer);
 
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).ok();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3);
-        assert!(lines[0].starts_with("{\"kind\":\"xbar-trace\""));
+        assert!(lines[0].starts_with("{\"kind\":\"xbar-trace\",\"format_version\":2,"));
         assert!(lines[0].contains("\"campaign\":\"fig4\""));
         assert!(lines[1].contains("\"kind\":\"trial\""));
         assert!(lines[1].contains("\"oracle.query\":12"));
+        assert!(lines[1].contains("\"spans\":{\"probe\":{\"count\":1,"));
         assert!(lines[1].contains("\"status\":\"ok\""));
         assert!(lines[2].contains("\"kind\":\"end\""));
         assert!(lines[2].contains("\"skipped\":1"));

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use serde::Value;
-use xbar_obs::{Collector, Counters, TraceWriter, TrialObservations};
+use xbar_obs::{MetricsShard, ScopeMetrics, TraceWriter};
 
 use crate::campaign::Campaign;
 use crate::journal::{
@@ -140,9 +140,9 @@ struct Finished<O> {
     wall: Duration,
     result: Result<O, String>,
     /// What the trial's final attempt recorded through `xbar-obs`
-    /// (earlier, retried attempts are discarded with `reset_trial` so
-    /// the deterministic counters describe exactly one clean run).
-    observations: TrialObservations,
+    /// (each attempt records into a fresh shard, so a retried attempt's
+    /// events are dropped and the counters describe one clean run).
+    metrics: ScopeMetrics,
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -227,7 +227,8 @@ pub fn run_campaign<R: TrialRunner>(
 
 /// [`run_campaign`] with an optional JSONL trace.
 ///
-/// Every trial executes under an `xbar-obs` scope, so oracle queries,
+/// Every trial attempt executes under an `xbar-obs` scope of its own
+/// (a fresh shard, keyed by the campaign name), so oracle queries,
 /// power probes, crossbar evaluations, and attack-stage spans recorded
 /// by the lower layers are attributed to the trial that performed them.
 /// If `trace_path` is set, the campaign writes an `xbar-obs` trace
@@ -256,7 +257,7 @@ pub fn run_campaign_traced<R: TrialRunner>(
         }
         None => None,
     };
-    let mut trace_totals = TrialObservations::default();
+    let mut trace_totals = ScopeMetrics::default();
 
     // Resume: harvest completed trials from the existing journal.
     let resumed: HashMap<usize, Value> = match (journal_path, resume) {
@@ -302,19 +303,14 @@ pub fn run_campaign_traced<R: TrialRunner>(
         let worker_count = config.threads.max(1).min(pending.len());
         let max_attempts = config.max_retries.saturating_add(1);
         let trial_deadline = config.trial_deadline;
-        // One deterministic registry shared by all workers; events are
-        // keyed by trial index, so sharing is attribution-safe.
-        let counters = Arc::new(Counters::new());
 
         // Shared by reference into the move closures below.
         let cursor = &cursor;
         let pending_ref = &pending;
-        let counters_ref = &counters;
 
         std::thread::scope(|scope| -> Result<(), RuntimeError> {
             for _ in 0..worker_count {
                 let tx = tx.clone();
-                let collector: Arc<dyn Collector> = Arc::clone(counters_ref) as _;
                 scope.spawn(move || {
                     loop {
                         let k = cursor.fetch_add(1, Ordering::Relaxed);
@@ -325,26 +321,23 @@ pub fn run_campaign_traced<R: TrialRunner>(
                         let spec = &campaign.trials[trial_index];
                         let trial_start = Instant::now();
                         let mut attempts = 0u32;
-                        let result = loop {
+                        let (result, shard) = loop {
                             attempts += 1;
                             let ctx = TrialContext {
                                 trial_index,
                                 campaign_seed: campaign.seed,
                                 attempt: attempts,
                             };
-                            // Retry hygiene: a failed attempt's partial
-                            // observations must not leak into the next
-                            // attempt's (deterministic) counters.
-                            counters_ref.reset_trial(trial_index as u64);
+                            // Retry hygiene: each attempt records into a
+                            // fresh shard, so a failed attempt's partial
+                            // events never reach the next attempt's
+                            // (deterministic) counters.
+                            let shard = Arc::new(MetricsShard::new());
                             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                                xbar_obs::with_scope(
-                                    Arc::clone(&collector),
-                                    Some(trial_index as u64),
-                                    || {
-                                        let _span = xbar_obs::span(xbar_obs::names::SPAN_TRIAL);
-                                        runner.run(spec, &ctx)
-                                    },
-                                )
+                                xbar_obs::with_scope(&shard, &campaign.name, || {
+                                    let _span = xbar_obs::span(xbar_obs::names::SPAN_TRIAL);
+                                    runner.run(spec, &ctx)
+                                })
                             }));
                             let flat = match outcome {
                                 Ok(Ok(output)) => Ok(output),
@@ -352,7 +345,7 @@ pub fn run_campaign_traced<R: TrialRunner>(
                                 Err(payload) => Err(panic_message(payload)),
                             };
                             match flat {
-                                Ok(output) => break Ok(output),
+                                Ok(output) => break (Ok(output), shard),
                                 Err(message) => {
                                     // Permanent errors reproduce
                                     // deterministically: one attempt.
@@ -366,7 +359,7 @@ pub fn run_campaign_traced<R: TrialRunner>(
                                     if retryable {
                                         continue;
                                     }
-                                    break Err(message);
+                                    break (Err(message), shard);
                                 }
                             }
                         };
@@ -375,7 +368,7 @@ pub fn run_campaign_traced<R: TrialRunner>(
                             attempts,
                             wall: trial_start.elapsed(),
                             result,
-                            observations: counters_ref.take_trial(trial_index as u64),
+                            metrics: shard.take_scope(&campaign.name),
                         };
                         // The receiver hangs up only on a journal write
                         // error; stop producing in that case.
@@ -416,11 +409,11 @@ pub fn run_campaign_traced<R: TrialRunner>(
                         finished.result.is_ok(),
                         finished.attempts,
                         finished.wall,
-                        &finished.observations,
+                        &finished.metrics,
                     )?;
                 }
-                metrics.absorb_observations(&finished.observations);
-                trace_totals.merge(&finished.observations);
+                metrics.absorb_observations(&finished.metrics);
+                trace_totals.merge(&finished.metrics);
                 match finished.result {
                     Ok(output) => {
                         metrics.completed += 1;
@@ -437,7 +430,7 @@ pub fn run_campaign_traced<R: TrialRunner>(
                                 attempts: finished.attempts,
                                 wall: finished.wall,
                                 error: None,
-                                observations: Some(&finished.observations),
+                                observations: Some(&finished.metrics),
                             },
                             &metrics,
                         );
@@ -450,7 +443,7 @@ pub fn run_campaign_traced<R: TrialRunner>(
                                 attempts: finished.attempts,
                                 wall: finished.wall,
                                 error: Some(&message),
-                                observations: Some(&finished.observations),
+                                observations: Some(&finished.metrics),
                             },
                             &metrics,
                         );
@@ -675,6 +668,8 @@ mod tests {
         type Output = DrawOutput;
 
         fn run(&self, spec: &DrawSpec, ctx: &TrialContext) -> Result<DrawOutput, String> {
+            // Every attempt spends its queries, the failing ones too.
+            xbar_obs::count(xbar_obs::names::ORACLE_QUERY, spec.draws as u64);
             let mut seen = self.attempts_seen.lock().unwrap();
             let count = seen.entry(ctx.trial_index).or_insert(0);
             *count += 1;
@@ -693,7 +688,8 @@ mod tests {
             fail_first: 1,
             attempts_seen: Mutex::new(HashMap::new()),
         };
-        let report = run_campaign(
+        let trace = test_path("flaky-trace");
+        let report = run_campaign_traced(
             &flaky,
             &campaign,
             &ExecutorConfig {
@@ -704,11 +700,35 @@ mod tests {
             None,
             false,
             &mut NullSink,
+            Some(&trace),
         )
         .unwrap();
         assert!(report.all_ok());
         // Every trial needed a retry, so all surface as degraded.
         assert_eq!(report.metrics.degraded, 6);
+        // The failed first attempts' queries are dropped with their
+        // shards: the totals and each traced trial record hold exactly
+        // one clean attempt's worth.
+        let draws = |trial: usize| campaign.trials[trial].draws as u64;
+        let clean_queries: u64 = (0..campaign.len()).map(draws).sum();
+        assert_eq!(report.metrics.oracle_queries, clean_queries);
+        let text = std::fs::read_to_string(&trace).unwrap();
+        std::fs::remove_file(&trace).ok();
+        let mut traced = 0;
+        for line in text.lines() {
+            let record = serde_json::parse_value(line).unwrap();
+            if record.get("kind").and_then(Value::as_str) != Some("trial") {
+                continue;
+            }
+            let trial = match record.get("trial") {
+                Some(Value::U64(trial)) => *trial as usize,
+                other => panic!("bad trial field {other:?}"),
+            };
+            let queries = record.get("counters").and_then(|c| c.get("oracle.query"));
+            assert_eq!(queries, Some(&Value::U64(draws(trial))), "{line}");
+            traced += 1;
+        }
+        assert_eq!(traced, campaign.len());
         // Retried trials produce exactly what a clean run produces.
         let clean = run_campaign(
             &DrawRunner,

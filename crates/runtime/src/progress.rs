@@ -8,7 +8,7 @@ use std::io::Write;
 use std::time::Duration;
 
 use xbar_obs::json::JsonValue;
-use xbar_obs::TrialObservations;
+use xbar_obs::ScopeMetrics;
 
 /// Counters describing a campaign run so far.
 #[derive(Debug, Clone, Default)]
@@ -62,12 +62,12 @@ impl CampaignMetrics {
         }
     }
 
-    /// Folds one finished trial's observations into the cumulative
-    /// query/power totals.
-    pub fn absorb_observations(&mut self, observations: &TrialObservations) {
-        self.oracle_queries += observations.counter(xbar_obs::names::ORACLE_QUERY);
-        self.probe_measurements += observations.counter(xbar_obs::names::PROBE_MEASUREMENT);
-        self.mvm_batches += observations.counter(xbar_obs::names::XBAR_MVM_BATCH);
+    /// Folds one finished trial's recorded metrics into the cumulative
+    /// query/probe/batch totals.
+    pub fn absorb_observations(&mut self, metrics: &ScopeMetrics) {
+        self.oracle_queries += metrics.counter(xbar_obs::names::ORACLE_QUERY);
+        self.probe_measurements += metrics.counter(xbar_obs::names::PROBE_MEASUREMENT);
+        self.mvm_batches += metrics.counter(xbar_obs::names::XBAR_MVM_BATCH);
     }
 }
 
@@ -82,9 +82,8 @@ pub struct TrialOutcome<'a> {
     pub wall: Duration,
     /// The failure message, if the trial failed permanently.
     pub error: Option<&'a str>,
-    /// What the trial's final attempt recorded through `xbar-obs`
-    /// (`None` when the executor ran without a collector).
-    pub observations: Option<&'a TrialObservations>,
+    /// What the trial's final attempt recorded through `xbar-obs`.
+    pub observations: Option<&'a ScopeMetrics>,
 }
 
 /// Receives progress events from the executor.
@@ -280,7 +279,6 @@ impl<W: Write> ProgressSink for JsonlReporter<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xbar_obs::Collector;
 
     #[test]
     fn metrics_arithmetic() {
@@ -317,12 +315,12 @@ mod tests {
 
     #[test]
     fn absorb_observations_sums_query_and_probe_counters() {
-        let counters = xbar_obs::Counters::new();
-        counters.counter_add(Some(0), xbar_obs::names::ORACLE_QUERY, 25);
-        counters.counter_add(Some(0), xbar_obs::names::PROBE_MEASUREMENT, 4);
-        counters.counter_add(Some(0), xbar_obs::names::XBAR_MVM_BATCH, 3);
-        counters.counter_add(Some(0), "something.else", 7);
-        let obs = counters.take_trial(0);
+        let shard = xbar_obs::MetricsShard::new();
+        shard.counter_add("c", xbar_obs::names::ORACLE_QUERY, 25);
+        shard.counter_add("c", xbar_obs::names::PROBE_MEASUREMENT, 4);
+        shard.counter_add("c", xbar_obs::names::XBAR_MVM_BATCH, 3);
+        shard.counter_add("c", xbar_obs::names::ATTACK_PGD_STEP, 7);
+        let obs = shard.take_scope("c");
 
         let mut metrics = CampaignMetrics::default();
         metrics.absorb_observations(&obs);

@@ -125,7 +125,7 @@ impl Client {
             .ok_or_else(|| ServeError::Protocol("close response missing status".into()))
     }
 
-    /// Scrapes the live metrics plane as a JSON snapshot. Read-only:
+    /// Scrapes the live metrics as a JSON snapshot. Read-only:
     /// consumes no budget and is answered even while the server drains
     /// or its session table is full.
     pub fn stats(&mut self) -> Result<serde::Value> {
@@ -135,7 +135,7 @@ impl Client {
             .ok_or_else(|| ServeError::Protocol("stats response missing stats".into()))
     }
 
-    /// Scrapes the live metrics plane in Prometheus text exposition
+    /// Scrapes the live metrics in Prometheus text exposition
     /// format.
     pub fn stats_prometheus(&mut self) -> Result<String> {
         let mut request = Request::new("stats");

@@ -10,7 +10,8 @@
 //!   manager's journal-write timings (already serialised by the session
 //!   lock);
 //! * shards `1 ..= workers` — one per evaluation worker (queue wait,
-//!   evaluation time);
+//!   queue depth, evaluation time, and the library counters recorded
+//!   while the shard is the worker's ambient `xbar-obs` scope);
 //! * the remaining [`HANDLER_SHARDS`] — connection handlers, assigned
 //!   round-robin (request latency, request/query/rejection counters).
 //!
@@ -23,7 +24,7 @@ use std::sync::Arc;
 
 use xbar_obs::json::JsonValue;
 use xbar_obs::metrics::SERVER_SCOPE;
-use xbar_obs::{MetricsRegistry, MetricsShard};
+use xbar_obs::{names, MetricsRegistry, MetricsShard};
 
 /// The `kind` tag stamped on every periodic metrics-snapshot record the
 /// server appends to its `--metrics` JSONL file.
@@ -76,19 +77,13 @@ impl ServeMetrics {
     /// Refreshes the point-in-time gauges ahead of a scrape or a
     /// periodic snapshot.
     pub fn refresh_gauges(&self, attached_sessions: usize, inflight: usize, draining: bool) {
-        let names = xbar_obs::names::SERVE_ATTACHED_SESSIONS;
-        self.registry
-            .gauge_set(SERVER_SCOPE, names, attached_sessions as f64);
-        self.registry.gauge_set(
-            SERVER_SCOPE,
-            xbar_obs::names::SERVE_INFLIGHT,
-            inflight as f64,
-        );
-        self.registry.gauge_set(
-            SERVER_SCOPE,
-            xbar_obs::names::SERVE_DRAINING,
-            if draining { 1.0 } else { 0.0 },
-        );
+        for (name, level) in [
+            (names::SERVE_ATTACHED_SESSIONS, attached_sessions as f64),
+            (names::SERVE_INFLIGHT, inflight as f64),
+            (names::SERVE_DRAINING, if draining { 1.0 } else { 0.0 }),
+        ] {
+            self.registry.gauge_set(SERVER_SCOPE, name, level);
+        }
     }
 }
 
@@ -180,13 +175,9 @@ mod tests {
         metrics.refresh_gauges(5, 17, false);
         metrics.refresh_gauges(2, 0, true);
         let snapshot = metrics.registry().snapshot();
-        use xbar_obs::Metric;
-        let gauge = |name: &str| match snapshot.get(SERVER_SCOPE, name) {
-            Some(Metric::Gauge(v)) => *v,
-            other => panic!("expected gauge for {name}, got {other:?}"),
-        };
-        assert_eq!(gauge(xbar_obs::names::SERVE_ATTACHED_SESSIONS), 2.0);
-        assert_eq!(gauge(xbar_obs::names::SERVE_INFLIGHT), 0.0);
-        assert_eq!(gauge(xbar_obs::names::SERVE_DRAINING), 1.0);
+        let server = snapshot.scope(SERVER_SCOPE).expect("server scope");
+        assert_eq!(server.gauge(names::SERVE_ATTACHED_SESSIONS), Some(2.0));
+        assert_eq!(server.gauge(names::SERVE_INFLIGHT), Some(0.0));
+        assert_eq!(server.gauge(names::SERVE_DRAINING), Some(1.0));
     }
 }

@@ -14,6 +14,12 @@
 //! integration test pins down. Repeated jobs for one victim still share
 //! its prepared evaluation handle through the oracle's cache.
 //!
+//! With live metrics, each worker records into its own shard: queue
+//! wait, evaluation time and queue depth explicitly, and — because the
+//! shard is installed as the ambient `xbar-obs` scope of the job's
+//! victim while it evaluates — the library's own counters
+//! (`oracle.query`, `xbar.mvm_batch`, `xbar.power_read`, ...).
+//!
 //! Shutdown is by sender-drop: workers block on the queue until every
 //! [`JobQueue`] clone is gone, then drain what remains and exit —
 //! in-flight jobs are always answered.
@@ -44,11 +50,13 @@ pub struct Job {
     pub reply: mpsc::Sender<std::result::Result<Vec<Observation>, String>>,
 }
 
-/// A [`Job`] plus the instant it entered the queue, so the dequeuing
-/// worker can attribute queue-wait latency to the job's victim.
+/// A [`Job`] plus the instant it entered the queue and the queue depth
+/// (in samples) it joined, so the dequeuing worker can attribute both
+/// to the job's victim.
 struct QueuedJob {
     job: Job,
     enqueued: Instant,
+    depth: usize,
 }
 
 /// Handle for enqueuing jobs onto the worker pool. Clone one per
@@ -76,10 +84,10 @@ impl JobQueue {
             self.inflight.fetch_sub(samples, Ordering::SeqCst);
             return Err(job);
         }
-        xbar_obs::observe(names::SERVE_QUEUE_DEPTH, (occupied + samples) as f64);
         let queued = QueuedJob {
             job,
             enqueued: Instant::now(),
+            depth: occupied + samples,
         };
         match self.tx.send(queued) {
             Ok(()) => Ok(()),
@@ -106,15 +114,9 @@ pub struct WorkerPool {
 
 impl WorkerPool {
     /// Spawns `workers` evaluation threads. `max_inflight` caps queued
-    /// samples across the pool (backpressure); `collector` observes the
-    /// pool's trial plane and `metrics` its live plane (each worker
-    /// records into its own shard) when given.
-    pub fn start(
-        workers: usize,
-        max_inflight: usize,
-        collector: Option<Arc<dyn xbar_obs::Collector>>,
-        metrics: Option<&ServeMetrics>,
-    ) -> Self {
+    /// samples across the pool (backpressure); with `metrics` each
+    /// worker records into its own shard.
+    pub fn start(workers: usize, max_inflight: usize, metrics: Option<&ServeMetrics>) -> Self {
         let (tx, rx) = mpsc::channel::<QueuedJob>();
         let rx = Arc::new(Mutex::new(rx));
         let inflight = Arc::new(AtomicUsize::new(0));
@@ -122,14 +124,8 @@ impl WorkerPool {
             .map(|index| {
                 let rx = Arc::clone(&rx);
                 let inflight = Arc::clone(&inflight);
-                let collector = collector.clone();
                 let shard = metrics.map(|m| m.worker_shard(index));
-                std::thread::spawn(move || match collector {
-                    Some(collector) => xbar_obs::with_scope(collector, None, || {
-                        worker_loop(&rx, &inflight, shard.as_deref())
-                    }),
-                    None => worker_loop(&rx, &inflight, shard.as_deref()),
-                })
+                std::thread::spawn(move || worker_loop(&rx, &inflight, shard.as_ref()))
             })
             .collect();
         WorkerPool {
@@ -161,7 +157,7 @@ impl WorkerPool {
 fn worker_loop(
     rx: &Mutex<mpsc::Receiver<QueuedJob>>,
     inflight: &AtomicUsize,
-    shard: Option<&MetricsShard>,
+    shard: Option<&Arc<MetricsShard>>,
 ) {
     loop {
         // The receiver lock is held only across the blocking `recv`
@@ -170,17 +166,28 @@ fn worker_loop(
         // one.
         let next = rx.lock().expect("queue lock").recv();
         // Every sender gone and the queue empty: drained, exit.
-        let Ok(QueuedJob { job, enqueued }) = next else {
+        let Ok(QueuedJob {
+            job,
+            enqueued,
+            depth,
+        }) = next
+        else {
             return;
         };
         let started = Instant::now();
         let inputs: Vec<&[f64]> = job.inputs.iter().map(Vec::as_slice).collect();
-        let result = job
-            .oracle
-            .observe_batch_keyed(&inputs, &job.keys)
-            .map_err(|e| e.to_string());
+        let evaluate = || {
+            job.oracle
+                .observe_batch_keyed(&inputs, &job.keys)
+                .map_err(|e| e.to_string())
+        };
+        let result = match shard {
+            Some(shard) => xbar_obs::with_scope(shard, &job.victim, evaluate),
+            None => evaluate(),
+        };
         if let Some(shard) = shard {
             let waited = started.saturating_duration_since(enqueued);
+            shard.record(&job.victim, names::SERVE_QUEUE_DEPTH, depth as u64);
             shard.record(
                 &job.victim,
                 names::SERVE_QUEUE_WAIT_NS,
@@ -246,7 +253,7 @@ mod tests {
     #[test]
     fn pooled_results_match_direct_keyed_evaluation() {
         let oracle = victim();
-        let pool = WorkerPool::start(2, 1024, None, None);
+        let pool = WorkerPool::start(2, 1024, None);
         let queue = pool.queue();
         let inputs_a = vec![vec![0.1, 0.2, 0.3], vec![0.4, 0.5, 0.6]];
         let inputs_b = vec![vec![-0.1, 0.7, 0.0]];
@@ -275,7 +282,7 @@ mod tests {
     fn backpressure_rejects_without_losing_jobs() {
         let oracle = victim();
         // One worker, tiny in-flight cap.
-        let pool = WorkerPool::start(1, 2, None, None);
+        let pool = WorkerPool::start(1, 2, None);
         let queue = pool.queue();
         let (job_big, _rx) = job(&oracle, 1, 0, vec![vec![0.0; 3]; 3]);
         // 3 samples > cap of 2: rejected, job returned intact.
@@ -294,7 +301,7 @@ mod tests {
     #[test]
     fn shutdown_drains_pending_jobs() {
         let oracle = victim();
-        let pool = WorkerPool::start(1, 4096, None, None);
+        let pool = WorkerPool::start(1, 4096, None);
         let queue = pool.queue();
         let receivers: Vec<_> = (0..32)
             .map(|i| {

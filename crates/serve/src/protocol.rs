@@ -66,7 +66,7 @@ pub mod codes {
 ///   (optional, `None` = unlimited).
 /// * `"query"` — issue a batch: `session` + non-empty `inputs`.
 /// * `"close"` — detach a session (its state persists for resume).
-/// * `"stats"` — scrape the live metrics plane. Read-only: consumes no
+/// * `"stats"` — scrape the live metrics. Read-only: consumes no
 ///   budget, needs no session, and is admitted even when the session
 ///   table is full or the server is draining. `format` selects the
 ///   encoding: absent/`"json"` fills [`Response::stats`], `"prom"`

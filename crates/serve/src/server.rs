@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 use xbar_core::oracle::QueryKey;
 use xbar_obs::json::JsonValue;
 use xbar_obs::metrics::SERVER_SCOPE;
-use xbar_obs::names;
+use xbar_obs::{names, CounterName};
 use xbar_runtime::jsonl::JsonlAppender;
 
 use crate::metrics::{json_to_value, ServeMetrics, METRICS_RECORD_KIND};
@@ -36,8 +36,6 @@ pub struct ServeConfig {
     pub max_inflight: usize,
     /// Session journal path (`None` = in-memory sessions only).
     pub journal: Option<PathBuf>,
-    /// Observability sink for the server's threads (`None` = unobserved).
-    pub collector: Option<Arc<dyn xbar_obs::Collector>>,
     /// Periodic live-metrics snapshot file (`None` = no snapshots). A
     /// [`METRICS_RECORD_KIND`] JSONL record is appended every
     /// [`ServeConfig::metrics_every`], plus a final one on drain.
@@ -53,7 +51,6 @@ impl Default for ServeConfig {
             max_sessions: 256,
             max_inflight: 4096,
             journal: None,
-            collector: None,
             metrics: None,
             metrics_every: Duration::from_secs(1),
         }
@@ -81,7 +78,7 @@ struct Shared {
 
 impl Shared {
     /// Refreshes the point-in-time gauges and returns a coherent merged
-    /// snapshot of the live metrics plane. Safe at any lifecycle point:
+    /// snapshot of the live metrics. Safe at any lifecycle point:
     /// during drain the session lock and shard locks still exist, so a
     /// scrape racing a shutdown sees a consistent (if final) picture.
     fn scrape(&self, queue: &JobQueue) -> xbar_obs::MetricsSnapshot {
@@ -142,12 +139,7 @@ impl Server {
             shutdown: AtomicBool::new(false),
             metrics: metrics.clone(),
         });
-        let pool = WorkerPool::start(
-            config.workers,
-            config.max_inflight,
-            config.collector.clone(),
-            Some(&metrics),
-        );
+        let pool = WorkerPool::start(config.workers, config.max_inflight, Some(&metrics));
         let handlers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
 
@@ -156,10 +148,7 @@ impl Server {
             let handlers = Arc::clone(&handlers);
             let conns = Arc::clone(&conns);
             let queue = pool.queue();
-            let collector = config.collector.clone();
-            std::thread::spawn(move || {
-                accept_loop(&listener, &shared, &queue, &handlers, &conns, collector)
-            })
+            std::thread::spawn(move || accept_loop(&listener, &shared, &queue, &handlers, &conns))
         };
 
         let metrics_handle = match &config.metrics {
@@ -274,7 +263,6 @@ fn accept_loop(
     queue: &JobQueue,
     handlers: &Mutex<Vec<JoinHandle<()>>>,
     conns: &Arc<Mutex<Vec<TcpStream>>>,
-    collector: Option<Arc<dyn xbar_obs::Collector>>,
 ) {
     // Connection ordinal, used only to spread handlers over the
     // metrics shard pool.
@@ -290,16 +278,11 @@ fn accept_loop(
                 }
                 let shared = Arc::clone(shared);
                 let queue = queue.clone();
-                let collector = collector.clone();
                 let shard = shared
                     .metrics
                     .handler_shard(ordinal.fetch_add(1, Ordering::Relaxed));
-                let handle = std::thread::spawn(move || match collector {
-                    Some(collector) => xbar_obs::with_scope(collector, None, || {
-                        handle_connection(stream, &shared, &queue, &shard)
-                    }),
-                    None => handle_connection(stream, &shared, &queue, &shard),
-                });
+                let handle =
+                    std::thread::spawn(move || handle_connection(stream, &shared, &queue, &shard));
                 handlers.lock().expect("handlers lock").push(handle);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -329,13 +312,10 @@ fn handle_connection(
         let too_large = line.is_none();
         let response = match line {
             Some(line) if line.trim().is_empty() => continue,
-            Some(line) => {
-                let _span = xbar_obs::span(names::SPAN_SERVE_REQUEST);
-                match serde_json::from_str::<Request>(&line) {
-                    Ok(request) => handle_request(&request, shared, queue, &mut attached),
-                    Err(e) => Response::failure("?", codes::USAGE, format!("bad request: {e}")),
-                }
-            }
+            Some(line) => match serde_json::from_str::<Request>(&line) {
+                Ok(request) => handle_request(&request, shared, queue, &mut attached),
+                Err(e) => Response::failure("?", codes::USAGE, format!("bad request: {e}")),
+            },
             None => Response::failure(
                 "?",
                 codes::TOO_LARGE,
@@ -411,10 +391,47 @@ fn record_request_metrics(shard: &xbar_obs::MetricsShard, response: &Response, s
             let queries = response.records.as_ref().map_or(0, Vec::len) as u64;
             shard.counter_add(victim, names::SERVE_QUERIES, queries);
         }
-    } else if let Some(code) = &response.code {
-        let name = format!("{}{code}", names::SERVE_REJECT_PREFIX);
-        shard.counter_add(victim, &name, 1);
+    } else if let Some(counter) = response.code.as_deref().and_then(reject_counter) {
+        shard.counter_add(victim, counter, 1);
     }
+}
+
+/// The counter `serve.reject.<code>` for each rejection code.
+const REJECT_COUNTERS: [(&str, CounterName); 10] = [
+    (codes::USAGE, CounterName("serve.reject.usage")),
+    (
+        codes::UNKNOWN_VICTIM,
+        CounterName("serve.reject.unknown_victim"),
+    ),
+    (
+        codes::UNKNOWN_SESSION,
+        CounterName("serve.reject.unknown_session"),
+    ),
+    (
+        codes::SESSION_TABLE_FULL,
+        CounterName("serve.reject.session_table_full"),
+    ),
+    (codes::BUSY, CounterName("serve.reject.busy")),
+    (
+        codes::BUDGET_EXHAUSTED,
+        CounterName("serve.reject.budget_exhausted"),
+    ),
+    (codes::CONFLICT, CounterName("serve.reject.conflict")),
+    (
+        codes::SHUTTING_DOWN,
+        CounterName("serve.reject.shutting_down"),
+    ),
+    (codes::INTERNAL, CounterName("serve.reject.internal")),
+    (codes::TOO_LARGE, CounterName("serve.reject.too_large")),
+];
+
+/// The rejection counter of wire error `code`, if it is one of
+/// [`codes`].
+fn reject_counter(code: &str) -> Option<CounterName> {
+    REJECT_COUNTERS
+        .iter()
+        .find(|(known, _)| *known == code)
+        .map(|(_, counter)| *counter)
 }
 
 fn handle_request(
@@ -464,12 +481,7 @@ fn handle_request(
                     }
                     Response::success(op).with_status(status)
                 }
-                Err(reject) => {
-                    if reject.code == codes::SESSION_TABLE_FULL {
-                        xbar_obs::count(names::SERVE_ADMISSION_REJECT, 1);
-                    }
-                    Response::failure(op, reject.code, reject.message)
-                }
+                Err(reject) => Response::failure(op, reject.code, reject.message),
             }
         }
         "query" => handle_query(request, shared, queue),
@@ -568,5 +580,19 @@ fn handle_query(request: &Request, shared: &Shared, queue: &JobQueue) -> Respons
         }
         Ok(Err(message)) => Response::failure(op, codes::INTERNAL, message),
         Err(_) => Response::failure(op, codes::SHUTTING_DOWN, "evaluation aborted by shutdown"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_rejection_code_has_its_own_counter() {
+        for (code, counter) in REJECT_COUNTERS {
+            assert_eq!(counter.0, format!("serve.reject.{code}"));
+            assert_eq!(reject_counter(code), Some(counter));
+        }
+        assert_eq!(reject_counter("no_such_code"), None);
     }
 }

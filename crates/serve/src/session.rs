@@ -114,8 +114,9 @@ impl SessionManager {
         }
     }
 
-    /// Installs a live-metrics shard: every durable journal write is
-    /// timed into `serve.journal_write_ns` under the session's victim.
+    /// Installs a live-metrics shard: fresh sessions count
+    /// `serve.sessions` and every durable journal write is timed into
+    /// `serve.journal_write_ns`, both under the session's victim.
     /// Callers already serialise on the session-table lock, so one
     /// shared shard adds no contention.
     pub fn set_metrics_shard(&mut self, shard: Arc<MetricsShard>) {
@@ -226,7 +227,9 @@ impl SessionManager {
         self.persist(id, &state)?;
         let status = state.status(id);
         self.attached.insert(id.to_string(), state);
-        xbar_obs::count(xbar_obs::names::SERVE_SESSIONS, 1);
+        if let Some(shard) = &self.metrics {
+            shard.counter_add(victim, xbar_obs::names::SERVE_SESSIONS, 1);
+        }
         Ok(status)
     }
 
