@@ -730,22 +730,31 @@ impl Oracle {
         let (powers, raw_outputs) = if noisy_power && noisy_read {
             // Both noise sources share each query's stream (power draws
             // first, then read draws), so the stages cannot be split
-            // into separate batch calls — run per sample.
+            // into separate batch calls — run per sample. Without
+            // transients the exact reading comes from the cached
+            // handle's line conductances (the sum `total_current`
+            // forms); a transient sample is its own fresh generation and
+            // measures its perturbed array directly.
+            let power = &self.config.power;
             let mut powers = Vec::with_capacity(inputs.len());
             let mut outs = Vec::with_capacity(inputs.len());
             for (i, u) in inputs.iter().enumerate() {
                 let mut rng = Self::stream_rng(keys[i].seed, keys[i].index);
-                let perturbed;
-                let array = match transients {
+                let (raw, out) = match transients {
                     Some(injection) => {
-                        perturbed = injection.perturbed(&self.xbar, keys[i].index);
-                        &perturbed
+                        let perturbed = injection.perturbed(&self.xbar, keys[i].index);
+                        let raw = power.measure(&perturbed, u, &mut rng)?;
+                        (raw, perturbed.noisy_mvm(u, &mut rng)?)
                     }
-                    None => &self.xbar,
+                    None => {
+                        xbar_obs::count(xbar_obs::names::XBAR_POWER_READ, 1);
+                        let exact = vec_ops::dot(session.prepared.line_conductances(), u);
+                        let raw = power.corrupt(power.v_dd * exact, &mut rng);
+                        (raw, self.xbar.noisy_mvm(u, &mut rng)?)
+                    }
                 };
-                let raw = self.config.power.measure(array, u, &mut rng)?;
                 powers.push(self.calibrate(raw, u));
-                outs.push(array.noisy_mvm(u, &mut rng)?);
+                outs.push(out);
             }
             (powers, Some(outs))
         } else {
@@ -1179,6 +1188,85 @@ mod tests {
             split.extend(o.query_batch(&refs[2..5]).unwrap());
             split.extend(o.query_batch(&refs[5..]).unwrap());
             assert_eq!(split, one_by_one, "{backend} split");
+        }
+    }
+
+    #[test]
+    fn both_noise_power_from_the_prepared_handle_matches_per_vector_measure() {
+        // Read noise plus power noise with raw outputs: each sample's
+        // exact reading comes from the cached handle's line
+        // conductances. Both backends, batched or one query at a time,
+        // must reproduce the per-vector `PowerModel::measure` +
+        // `noisy_mvm` reference on the same streams, bit for bit.
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let net = SingleLayerNet::from_weights(
+            Matrix::random_uniform(5, 40, -1.0, 1.0, &mut rng),
+            Activation::Identity,
+        );
+        let device = DeviceModel {
+            g_min: 0.05,
+            g_max: 1.0,
+            read_sigma: 0.01,
+            ..DeviceModel::ideal()
+        };
+        let cfg = OracleConfig::ideal()
+            .with_access(OutputAccess::Raw)
+            .with_device(device)
+            .with_power(PowerModel::default().with_noise(0.05).with_averages(2));
+        let inputs: Vec<Vec<f64>> = (0..13)
+            .map(|i| {
+                (0..40)
+                    .map(|j| ((i * 40 + j) as f64 * 0.37).sin())
+                    .collect()
+            })
+            .collect();
+        let refs: Vec<&[f64]> = inputs.iter().map(Vec::as_slice).collect();
+        let bits = |records: &[QueryRecord]| -> Vec<(u64, u64, Vec<u64>)> {
+            records
+                .iter()
+                .map(|r| {
+                    let obs = &r.observation;
+                    let output = obs.output.as_ref().expect("raw access");
+                    (
+                        r.index,
+                        obs.power.to_bits(),
+                        output.iter().map(|y| y.to_bits()).collect(),
+                    )
+                })
+                .collect()
+        };
+
+        let reference = Oracle::new(net.clone(), &cfg, 99).unwrap();
+        let want: Vec<QueryRecord> = refs
+            .iter()
+            .enumerate()
+            .map(|(i, u)| {
+                let mut rng = Oracle::stream_rng(99, i as u64);
+                let raw = cfg.power.measure(&reference.xbar, u, &mut rng).unwrap();
+                let mut output = reference.xbar.noisy_mvm(u, &mut rng).unwrap();
+                reference.net.activation().apply_row(&mut output);
+                QueryRecord {
+                    index: i as u64,
+                    observation: Observation {
+                        label: Some(vec_ops::argmax(&output)),
+                        output: Some(output),
+                        power: reference.calibrate(raw, u),
+                    },
+                }
+            })
+            .collect();
+        for backend in [BackendKind::Naive, BackendKind::Blocked] {
+            let cfg_b = cfg.with_backend(backend);
+            let mut batched = Oracle::new(net.clone(), &cfg_b, 99).unwrap();
+            assert_eq!(
+                bits(&batched.query_batch(&refs).unwrap()),
+                bits(&want),
+                "{backend}"
+            );
+            let mut single = Oracle::new(net.clone(), &cfg_b, 99).unwrap();
+            let one_by_one: Vec<QueryRecord> =
+                refs.iter().map(|u| single.query(u).unwrap()).collect();
+            assert_eq!(bits(&one_by_one), bits(&want), "{backend} one at a time");
         }
     }
 

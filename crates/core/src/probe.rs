@@ -175,9 +175,15 @@ impl RecalibratingProbe {
 /// (`N` queries total, times `repeats` for noise averaging).
 ///
 /// `beta` is the probe amplitude (the paper's `β e_j` inputs); the result
-/// is normalised back by `beta`. The `N` basis probes of each repeat are
-/// issued as one [`Oracle::query_batch`], so the configured backend can
-/// amortise the per-query setup across the whole scan.
+/// is normalised back by `beta`. Each repeat scans the `N` basis probes
+/// in consecutive [`Oracle::query_batch`] chunks of up to 64 one-hot
+/// rows built in one reused buffer, so the scan never materialises all
+/// `N` length-`N` probes at once. The chunks' global query indices are
+/// consecutive, so the readings are bit-identical to issuing the repeat
+/// as one batch.
+///
+/// The budget is all-or-nothing per repeat: a repeat that does not fit
+/// in the remaining budget fails before any of its queries is consumed.
 ///
 /// # Errors
 ///
@@ -185,30 +191,10 @@ impl RecalibratingProbe {
 ///   `repeats == 0`.
 /// * Propagates query-budget exhaustion.
 pub fn probe_column_norms(oracle: &mut Oracle, beta: f64, repeats: usize) -> Result<Vec<f64>> {
-    if !(beta.is_finite() && beta != 0.0) {
-        return Err(AttackError::InvalidParameter { name: "beta" });
-    }
-    if repeats == 0 {
-        return Err(AttackError::InvalidParameter { name: "repeats" });
-    }
+    validate_probe(beta, repeats)?;
     let _span = xbar_obs::span(xbar_obs::names::SPAN_PROBE);
-    let n = oracle.num_inputs();
-    let probes: Vec<Vec<f64>> = (0..n)
-        .map(|j| {
-            let mut probe = vec![0.0; n];
-            probe[j] = beta;
-            probe
-        })
-        .collect();
-    let refs: Vec<&[f64]> = probes.iter().map(Vec::as_slice).collect();
-    let mut norms = vec![0.0; n];
-    for _ in 0..repeats {
-        let records = oracle.query_batch(&refs)?;
-        xbar_obs::count(xbar_obs::names::PROBE_MEASUREMENT, n as u64);
-        for (norm, rec) in norms.iter_mut().zip(&records) {
-            *norm += rec.observation.power;
-        }
-    }
+    let columns: Vec<usize> = (0..oracle.num_inputs()).collect();
+    let mut norms = one_hot_scan(oracle, &columns, beta, repeats)?;
     for norm in &mut norms {
         *norm /= repeats as f64 * beta;
     }
@@ -228,36 +214,71 @@ pub fn probe_columns_subset(
     beta: f64,
     repeats: usize,
 ) -> Result<Vec<(usize, f64)>> {
+    validate_probe(beta, repeats)?;
+    if indices.iter().any(|&j| j >= oracle.num_inputs()) {
+        return Err(AttackError::InvalidParameter { name: "indices" });
+    }
+    let sums = one_hot_scan(oracle, indices, beta, repeats)?;
+    Ok(indices
+        .iter()
+        .zip(&sums)
+        .map(|(&j, &sum)| (j, sum / (repeats as f64 * beta)))
+        .collect())
+}
+
+/// One-hot rows per [`Oracle::query_batch`] chunk of a probe scan.
+const SCAN_CHUNK: usize = 64;
+
+fn validate_probe(beta: f64, repeats: usize) -> Result<()> {
     if !(beta.is_finite() && beta != 0.0) {
         return Err(AttackError::InvalidParameter { name: "beta" });
     }
     if repeats == 0 {
         return Err(AttackError::InvalidParameter { name: "repeats" });
     }
+    Ok(())
+}
+
+/// Sums `repeats` power readings of the one-hot inputs `beta · e_j`, one
+/// per entry of `columns` (in range), in order.
+///
+/// Each repeat is issued in [`SCAN_CHUNK`]-row chunks through one
+/// buffer: row `r` of a chunk starting at `c0` carries `beta` at
+/// `columns[c0 + r]`, which is reset to `0.0` after the chunk is read.
+/// A repeat is refused, with nothing consumed, unless all of its
+/// queries fit in the remaining budget.
+fn one_hot_scan(
+    oracle: &mut Oracle,
+    columns: &[usize],
+    beta: f64,
+    repeats: usize,
+) -> Result<Vec<f64>> {
     let n = oracle.num_inputs();
-    let mut probes = Vec::with_capacity(indices.len());
-    for &j in indices {
-        if j >= n {
-            return Err(AttackError::InvalidParameter { name: "indices" });
-        }
-        let mut probe = vec![0.0; n];
-        probe[j] = beta;
-        probes.push(probe);
-    }
-    let refs: Vec<&[f64]> = probes.iter().map(Vec::as_slice).collect();
-    let mut sums = vec![0.0; indices.len()];
+    let mut buffer = vec![0.0; SCAN_CHUNK.min(columns.len()) * n];
+    let mut sums = vec![0.0; columns.len()];
     for _ in 0..repeats {
-        let records = oracle.query_batch(&refs)?;
-        xbar_obs::count(xbar_obs::names::PROBE_MEASUREMENT, indices.len() as u64);
-        for (sum, rec) in sums.iter_mut().zip(&records) {
-            *sum += rec.observation.power;
+        if let Some(budget) = oracle.config().query_budget {
+            if oracle.query_count() + columns.len() > budget {
+                return Err(AttackError::QueryBudgetExhausted { budget });
+            }
         }
+        for (chunk, chunk_sums) in columns.chunks(SCAN_CHUNK).zip(sums.chunks_mut(SCAN_CHUNK)) {
+            let rows = &mut buffer[..chunk.len() * n];
+            for (row, &j) in rows.chunks_mut(n).zip(chunk) {
+                row[j] = beta;
+            }
+            let refs: Vec<&[f64]> = rows.chunks(n).collect();
+            let records = oracle.query_batch(&refs)?;
+            for (sum, rec) in chunk_sums.iter_mut().zip(&records) {
+                *sum += rec.observation.power;
+            }
+            for (row, &j) in rows.chunks_mut(n).zip(chunk) {
+                row[j] = 0.0;
+            }
+        }
+        xbar_obs::count(xbar_obs::names::PROBE_MEASUREMENT, columns.len() as u64);
     }
-    Ok(indices
-        .iter()
-        .zip(&sums)
-        .map(|(&j, &sum)| (j, sum / (repeats as f64 * beta)))
-        .collect())
+    Ok(sums)
 }
 
 /// Outcome of a query-limited search for the largest-norm input.
@@ -546,6 +567,87 @@ mod tests {
         assert_eq!(got[0].0, 2);
         assert!((got[0].1 - 0.25).abs() < 1e-9);
         assert!((got[1].1 - 1.0).abs() < 1e-9);
+    }
+
+    /// A noisy oracle over `n` inputs: every reading carries its own
+    /// keyed noise draw, so any change to query order or keying shows.
+    fn noisy_oracle(n: usize, budget: Option<usize>) -> Oracle {
+        let w = Matrix::random_uniform(3, n, -1.0, 1.0, &mut ChaCha8Rng::seed_from_u64(6));
+        let net = SingleLayerNet::from_weights(w, Activation::Identity);
+        let mut cfg = OracleConfig::ideal()
+            .with_access(OutputAccess::None)
+            .with_power(PowerModel::default().with_noise(0.05));
+        if let Some(budget) = budget {
+            cfg = cfg.with_query_budget(budget);
+        }
+        Oracle::new(net, &cfg, 17).unwrap()
+    }
+
+    /// Sums of `repeats` scans, each issued as one `query_batch` of all
+    /// the one-hot probes.
+    fn one_batch_sums(
+        oracle: &mut Oracle,
+        columns: &[usize],
+        beta: f64,
+        repeats: usize,
+    ) -> Vec<f64> {
+        let n = oracle.num_inputs();
+        let probes: Vec<Vec<f64>> = columns
+            .iter()
+            .map(|&j| {
+                let mut probe = vec![0.0; n];
+                probe[j] = beta;
+                probe
+            })
+            .collect();
+        let refs: Vec<&[f64]> = probes.iter().map(Vec::as_slice).collect();
+        let mut sums = vec![0.0; columns.len()];
+        for _ in 0..repeats {
+            for (sum, rec) in sums.iter_mut().zip(oracle.query_batch(&refs).unwrap()) {
+                *sum += rec.observation.power;
+            }
+        }
+        sums
+    }
+
+    #[test]
+    fn chunked_scan_is_bit_identical_to_one_batch_per_repeat() {
+        // 150 inputs: two full chunks plus a partial one.
+        let (n, beta, repeats) = (150, 0.5, 2);
+        let mut chunked = noisy_oracle(n, None);
+        let got = probe_column_norms(&mut chunked, beta, repeats).unwrap();
+        let mut reference = noisy_oracle(n, None);
+        let columns: Vec<usize> = (0..n).collect();
+        let want: Vec<f64> = one_batch_sums(&mut reference, &columns, beta, repeats)
+            .iter()
+            .map(|sum| sum / (repeats as f64 * beta))
+            .collect();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
+        assert_eq!(chunked.query_count(), repeats * n);
+
+        // The subset probe shares the scan: unordered, repeated indices
+        // spanning more than one chunk.
+        let indices: Vec<usize> = (0..100).map(|i| (i * 37) % n).chain([5, 5]).collect();
+        let got = probe_columns_subset(&mut chunked, &indices, beta, repeats).unwrap();
+        let want = one_batch_sums(&mut reference, &indices, beta, repeats);
+        for ((&(j, norm), &sum), &i) in got.iter().zip(&want).zip(&indices) {
+            assert_eq!(j, i);
+            assert_eq!(norm.to_bits(), (sum / (repeats as f64 * beta)).to_bits());
+        }
+    }
+
+    #[test]
+    fn chunked_scan_budget_is_all_or_nothing_per_repeat() {
+        // Room for one and a half scans: the first repeat runs, the
+        // second is refused before any of its queries is spent.
+        let n = 150;
+        let mut o = noisy_oracle(n, Some(n * 3 / 2));
+        assert!(matches!(
+            probe_column_norms(&mut o, 1.0, 2),
+            Err(AttackError::QueryBudgetExhausted { budget }) if budget == n * 3 / 2
+        ));
+        assert_eq!(o.query_count(), n);
     }
 
     #[test]

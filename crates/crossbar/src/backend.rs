@@ -539,23 +539,6 @@ fn noisy_mvm_per_sample(
         .collect()
 }
 
-/// Per-sample noisy power loop shared by all backends.
-fn noisy_power_per_sample(
-    model: &PowerModel,
-    array: &CrossbarArray,
-    inputs: &[&[f64]],
-    streams: RngStreams<'_>,
-) -> Result<Vec<f64>> {
-    inputs
-        .iter()
-        .enumerate()
-        .map(|(i, input)| {
-            let mut rng = streams(i);
-            model.measure(array, input, &mut rng)
-        })
-        .collect()
-}
-
 /// The tiled noiseless MVM kernel over output rows `row0..row1`,
 /// writing sample `s`'s row `i` into `out[s][i - row0]`.
 ///
@@ -660,7 +643,13 @@ impl EvalBackend for NaiveBackend {
         prepared.ensure_current(array)?;
         validate_batch(prepared.array(), inputs)?;
         record_batch(inputs);
-        noisy_power_per_sample(model, prepared.array(), inputs, streams)
+        // The reference: the per-vector `measure`, which rebuilds the
+        // line conductances for every sample.
+        inputs
+            .iter()
+            .enumerate()
+            .map(|(i, input)| model.measure(prepared.array(), input, &mut streams(i)))
+            .collect()
     }
 }
 
@@ -682,7 +671,9 @@ impl EvalBackend for NaiveBackend {
 ///
 /// Noisy variants stay sequential per sample: the per-sample RNG-stream
 /// factory is an exclusive closure, and per-device draw order is part
-/// of the contract.
+/// of the contract. Noisy power still reads the handle's line
+/// conductances for the exact part of each reading and only draws the
+/// measurement noise per sample.
 ///
 /// All observability events are emitted on the calling thread before
 /// work is fanned out (the obs collector scope is thread-local), so
@@ -840,7 +831,16 @@ impl EvalBackend for BlockedBackend {
         prepared.ensure_current(array)?;
         validate_batch(prepared.array(), inputs)?;
         record_batch(inputs);
-        noisy_power_per_sample(model, prepared.array(), inputs, streams)
+        xbar_obs::count(xbar_obs::names::XBAR_POWER_READ, inputs.len() as u64);
+        // The exact reading is `power_prepared`'s dot over the handle's
+        // line conductances — the same sum `total_current` forms — so
+        // only the per-sample noise draws remain sequential.
+        let conductances = prepared.line_conductances();
+        Ok(inputs
+            .iter()
+            .enumerate()
+            .map(|(i, input)| model.corrupt(model.v_dd * dot(conductances, input), &mut streams(i)))
+            .collect())
     }
 }
 

@@ -94,10 +94,17 @@ impl Kernel {
 
 /// The running state one kernel transition consumes and produces: the
 /// current point plus its cached density (log-posterior for the random
-/// walk, log-likelihood for elliptical slice).
+/// walk, log-likelihood for elliptical slice), and scratch buffers that
+/// live across the chain so a transition allocates nothing.
 pub(crate) struct ChainState {
     pub theta: Vec<f64>,
     pub cached: f64,
+    /// The candidate point; swapped with `theta` on accept.
+    proposal: Vec<f64>,
+    /// Elliptical slice's auxiliary draw.
+    nu: Vec<f64>,
+    /// Elliptical slice's prior means.
+    means: Vec<f64>,
 }
 
 impl ChainState {
@@ -107,7 +114,14 @@ impl ChainState {
             Kernel::RandomWalk { .. } => model.log_posterior(&theta),
             Kernel::EllipticalSlice => model.log_likelihood(&theta),
         };
-        ChainState { theta, cached }
+        let dim = theta.len();
+        ChainState {
+            theta,
+            cached,
+            proposal: Vec::with_capacity(dim),
+            nu: Vec::with_capacity(dim),
+            means: Vec::with_capacity(dim),
+        }
     }
 }
 
@@ -127,20 +141,22 @@ pub(crate) fn rwm_step<M: BayesModel + ?Sized>(
     state: &mut ChainState,
     rng: &mut ChaCha8Rng,
 ) -> StepStats {
-    let proposal: Vec<f64> = state
-        .theta
-        .iter()
-        .zip(steps)
-        .map(|(&x, &s)| x + s * gaussian(rng))
-        .collect();
-    let log_post = model.log_posterior(&proposal);
+    state.proposal.clear();
+    state.proposal.extend(
+        state
+            .theta
+            .iter()
+            .zip(steps)
+            .map(|(&x, &s)| x + s * gaussian(rng)),
+    );
+    let log_post = model.log_posterior(&state.proposal);
     // Accept with probability min(1, exp(delta)); the comparison is in
     // log space and a -inf proposal (outside a prior's support) can
     // never win.
     let delta = log_post - state.cached;
     let accept = delta >= 0.0 || rng.gen_range(0.0f64..1.0).ln() < delta;
     if accept {
-        state.theta = proposal;
+        std::mem::swap(&mut state.theta, &mut state.proposal);
         state.cached = log_post;
     }
     StepStats {
@@ -164,17 +180,13 @@ pub(crate) fn ess_step<M: BayesModel + ?Sized>(
 ) -> StepStats {
     let priors = model.priors();
     // The auxiliary ellipse: nu ~ N(0, prior covariance).
-    let nu: Vec<f64> = priors
-        .iter()
-        .map(|p| {
-            let (_, sigma) = p.as_gaussian().expect("validated Gaussian prior");
-            sigma * gaussian(rng)
-        })
-        .collect();
-    let means: Vec<f64> = priors
-        .iter()
-        .map(|p| p.as_gaussian().expect("validated Gaussian prior").0)
-        .collect();
+    state.nu.clear();
+    state.means.clear();
+    for p in priors {
+        let (mean, sigma) = p.as_gaussian().expect("validated Gaussian prior");
+        state.nu.push(sigma * gaussian(rng));
+        state.means.push(mean);
+    }
 
     let log_y = state.cached + rng.gen_range(0.0f64..1.0).ln();
     let mut theta_angle = rng.gen_range(0.0..2.0 * std::f64::consts::PI);
@@ -184,17 +196,19 @@ pub(crate) fn ess_step<M: BayesModel + ?Sized>(
 
     for _ in 0..MAX_SHRINKS {
         let (sin, cos) = theta_angle.sin_cos();
-        let proposal: Vec<f64> = state
-            .theta
-            .iter()
-            .zip(&nu)
-            .zip(&means)
-            .map(|((&x, &v), &m)| m + (x - m) * cos + v * sin)
-            .collect();
-        let ll = model.log_likelihood(&proposal);
+        state.proposal.clear();
+        state.proposal.extend(
+            state
+                .theta
+                .iter()
+                .zip(&state.nu)
+                .zip(&state.means)
+                .map(|((&x, &v), &m)| m + (x - m) * cos + v * sin),
+        );
+        let ll = model.log_likelihood(&state.proposal);
         evals += 1;
         if ll > log_y {
-            state.theta = proposal;
+            std::mem::swap(&mut state.theta, &mut state.proposal);
             state.cached = ll;
             break;
         }
