@@ -202,6 +202,14 @@ pub const SERVE_QUEUE_WAIT_NS: HistogramName = HistogramName::timing("serve.queu
 /// (one keyed batch on the victim oracle).
 pub const SERVE_EVAL_NS: HistogramName = HistogramName::timing("serve.eval_ns");
 
+/// Timing histogram: time to decode one request line into a typed
+/// request (recorded for every non-blank line that fits the length
+/// bound, including lines that fail to decode).
+pub const SERVE_DECODE_NS: HistogramName = HistogramName::timing("serve.decode_ns");
+
+/// Timing histogram: time to encode one response line.
+pub const SERVE_ENCODE_NS: HistogramName = HistogramName::timing("serve.encode_ns");
+
 /// Timing histogram: latency of each durable session-journal write.
 pub const SERVE_JOURNAL_WRITE_NS: HistogramName = HistogramName::timing("serve.journal_write_ns");
 

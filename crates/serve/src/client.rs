@@ -11,12 +11,15 @@ use std::time::Duration;
 use xbar_core::oracle::QueryRecord;
 
 use crate::protocol::{codes, Request, Response, SessionStatus};
+use crate::wire::{write_request, RequestRef};
 use crate::{Result, ServeError};
 
 /// A blocking NDJSON client: one request in flight at a time.
 pub struct Client {
     writer: TcpStream,
     reader: BufReader<TcpStream>,
+    /// The encoded request line, reused across requests.
+    line: Vec<u8>,
     /// How long to keep retrying [`codes::BUSY`] backpressure responses
     /// before giving up.
     busy_patience: Duration,
@@ -32,6 +35,7 @@ impl Client {
         Ok(Client {
             writer: stream,
             reader,
+            line: Vec::new(),
             busy_patience: Duration::from_secs(30),
         })
     }
@@ -45,9 +49,20 @@ impl Client {
 
     /// Sends one raw request and reads its response line.
     pub fn request(&mut self, request: &Request) -> Result<Response> {
-        let mut line = serde_json::to_string(request)?;
-        line.push('\n');
-        self.writer.write_all(line.as_bytes())?;
+        self.encode(&RequestRef::of(request));
+        self.send()
+    }
+
+    /// Encodes `request` as the next line to send.
+    fn encode(&mut self, request: &RequestRef<'_>) {
+        self.line.clear();
+        write_request(request, &mut self.line);
+        self.line.push(b'\n');
+    }
+
+    /// Sends the encoded line and reads its response line.
+    fn send(&mut self) -> Result<Response> {
+        self.writer.write_all(&self.line)?;
         self.writer.flush()?;
         let mut reply = String::new();
         if self.reader.read_line(&mut reply)? == 0 {
@@ -92,12 +107,10 @@ impl Client {
     /// ([`codes::BUSY`]) until `busy_patience` runs out. Returns the
     /// records in input order, indices continuing the session's stream.
     pub fn query(&mut self, session: &str, inputs: &[Vec<f64>]) -> Result<Vec<QueryRecord>> {
-        let mut request = Request::new("query");
-        request.session = Some(session.to_string());
-        request.inputs = Some(inputs.to_vec());
+        self.encode(&RequestRef::query(session, inputs));
         let deadline = std::time::Instant::now() + self.busy_patience;
         loop {
-            let response = self.request(&request)?;
+            let response = self.send()?;
             if response.ok {
                 return response
                     .records

@@ -13,14 +13,18 @@
 //! so a session's [`xbar_core::oracle::QueryRecord`] stream is
 //! bit-identical whether it is served alone, interleaved with other
 //! sessions on any number of evaluation workers, or resumed after a
-//! server restart. The float payloads survive the wire because the
-//! vendored `serde_json` round-trips `f64` exactly
-//! (`float_roundtrip`).
+//! server restart. The float payloads survive the wire because both
+//! codecs round-trip `f64` exactly: [`wire`] for requests (shortest
+//! round-trip digits out, `str::parse` in) and the vendored
+//! `serde_json` for responses (`float_roundtrip`).
 //!
 //! ## Architecture
 //!
 //! * [`protocol`] — the newline-delimited JSON wire protocol
 //!   ([`Request`] / [`Response`]).
+//! * [`wire`] — the typed [`Request`] codec on the query path, with
+//!   no `serde::Value` tree, equivalent to the `serde_json` shim by
+//!   contract.
 //! * [`registry`] — [`VictimRegistry`]: named, deployed, non-drifting
 //!   oracles shared by every session.
 //! * [`session`] — [`SessionManager`]: per-session budgets and query
@@ -48,6 +52,7 @@ pub mod protocol;
 pub mod registry;
 pub mod server;
 pub mod session;
+pub mod wire;
 
 pub use client::Client;
 pub use metrics::{ServeMetrics, METRICS_RECORD_KIND};
@@ -55,6 +60,7 @@ pub use protocol::{codes, Request, Response, SessionStatus};
 pub use registry::VictimRegistry;
 pub use server::{ServeConfig, Server};
 pub use session::{SessionManager, SessionRecord};
+pub use wire::{decode_request, encode_request, WireError};
 
 /// Errors from the service and its client.
 #[derive(Debug)]

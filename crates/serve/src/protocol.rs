@@ -23,6 +23,23 @@
 //! given they must match). Error responses set `ok:false` plus a
 //! machine-readable `code` from [`codes`] — `codes::BUSY` means
 //! backpressure: nothing was consumed and the client should retry.
+//!
+//! ## Codecs
+//!
+//! [`Request`] lines go through the typed codec in [`crate::wire`] in
+//! both directions ([`crate::wire::encode_request`] in the client,
+//! [`crate::wire::decode_request`] in the server), with no
+//! `serde::Value` tree. The vendored `serde_json` shim stays the
+//! reference: encoded lines are its bytes exactly, and the decoder
+//! accepts and rejects exactly the lines `serde_json::from_str` does,
+//! with equal values (see the [`crate::wire`] docs for the shim's
+//! quirks this includes). A line that fails to decode is answered with
+//! [`codes::USAGE`]. That is why `Request` keeps its serde derives:
+//! they are the reference the codec is tested against.
+//!
+//! [`Response`] stays on the shim in both directions: it carries a
+//! free-form `stats` value, and a reply is small next to a bulk
+//! request.
 
 use serde::{Deserialize, Serialize};
 use xbar_core::oracle::QueryRecord;

@@ -20,6 +20,7 @@ use crate::pool::{Job, JobQueue, WorkerPool};
 use crate::protocol::{codes, Request, Response};
 use crate::registry::VictimRegistry;
 use crate::session::SessionManager;
+use crate::wire::decode_request;
 use crate::Result;
 
 /// Server tuning knobs.
@@ -304,30 +305,42 @@ fn handle_connection(
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
     // Sessions this connection attached, detached when it goes away so
     // their admission slots free up (state persists for resume).
     let mut attached: Vec<String> = Vec::new();
-    while let Some(line) = read_request_line(&mut reader, shared.max_line_bytes) {
+    while let Some(line) = read_request_line(&mut reader, shared.max_line_bytes, &mut buf) {
         let started = Instant::now();
         let too_large = line.is_none();
+        let mut decode_ns = None;
         let response = match line {
             Some(line) if line.trim().is_empty() => continue,
-            Some(line) => match serde_json::from_str::<Request>(&line) {
-                Ok(request) => handle_request(&request, shared, queue, &mut attached),
-                Err(e) => Response::failure("?", codes::USAGE, format!("bad request: {e}")),
-            },
+            Some(line) => {
+                let decoded = decode_request(line);
+                decode_ns = Some(elapsed_ns(started));
+                match decoded {
+                    Ok(request) => handle_request(request, shared, queue, &mut attached),
+                    Err(e) => Response::failure("?", codes::USAGE, format!("bad request: {e}")),
+                }
+            }
             None => Response::failure(
                 "?",
                 codes::TOO_LARGE,
                 format!("request line exceeds {} bytes", shared.max_line_bytes),
             ),
         };
-        record_request_metrics(shard, &response, started);
-        let Ok(mut line) = serde_json::to_string(&response) else {
+        let victim = attributed_victim(&response);
+        record_request_metrics(shard, victim, &response, started);
+        if let Some(ns) = decode_ns {
+            shard.record(victim, names::SERVE_DECODE_NS, ns);
+        }
+        let encode_started = Instant::now();
+        let Ok(mut reply) = serde_json::to_string(&response) else {
             break;
         };
-        line.push('\n');
-        if writer.write_all(line.as_bytes()).is_err() || writer.flush().is_err() {
+        reply.push('\n');
+        shard.record(victim, names::SERVE_ENCODE_NS, elapsed_ns(encode_started));
+        if writer.write_all(reply.as_bytes()).is_err() || writer.flush().is_err() {
             break;
         }
         if too_large {
@@ -343,18 +356,20 @@ fn handle_connection(
     }
 }
 
-/// Reads the next request line, holding at most `limit` bytes of it.
+/// Reads the next request line into `buf` (reused across the lines of
+/// a connection), holding at most `limit` bytes of it.
 ///
 /// Returns `Some(Some(line))` with the terminator stripped,
 /// `Some(None)` for a line longer than `limit` (the rest of it is read
 /// and discarded, so the connection can close without resetting the
 /// reply), and `None` at end of stream or on a read or UTF-8 error.
-fn read_request_line(reader: &mut impl BufRead, limit: usize) -> Option<Option<String>> {
-    let mut buf = Vec::new();
-    let read = reader
-        .take(limit as u64 + 1)
-        .read_until(b'\n', &mut buf)
-        .ok()?;
+fn read_request_line<'b>(
+    reader: &mut impl BufRead,
+    limit: usize,
+    buf: &'b mut Vec<u8>,
+) -> Option<Option<&'b str>> {
+    buf.clear();
+    let read = reader.take(limit as u64 + 1).read_until(b'\n', buf).ok()?;
     if read == 0 {
         return None;
     }
@@ -367,25 +382,35 @@ fn read_request_line(reader: &mut impl BufRead, limit: usize) -> Option<Option<S
         reader.skip_until(b'\n').ok()?;
         return Some(None);
     }
-    String::from_utf8(buf).ok().map(Some)
+    std::str::from_utf8(buf).ok().map(Some)
 }
 
-/// Records the live-metrics view of one handled request: a request
-/// counter, end-to-end latency, per-code rejection counters, and — for
-/// successful queries — the per-victim query count. Attribution is by
-/// the victim the request resolved to ([`SERVER_SCOPE`] when it never
-/// resolved one: stats/shutdown ops, usage errors, unknown sessions).
-fn record_request_metrics(shard: &xbar_obs::MetricsShard, response: &Response, started: Instant) {
-    let victim = response
+fn elapsed_ns(since: Instant) -> u64 {
+    since.elapsed().as_nanos() as u64
+}
+
+/// The scope a request's metrics are attributed to: the victim the
+/// request resolved to, or [`SERVER_SCOPE`] when it never resolved one
+/// (stats/shutdown ops, usage errors, unknown sessions).
+fn attributed_victim(response: &Response) -> &str {
+    response
         .status
         .as_ref()
-        .map_or(SERVER_SCOPE, |status| status.victim.as_str());
+        .map_or(SERVER_SCOPE, |status| status.victim.as_str())
+}
+
+/// Records the live-metrics view of one handled request under
+/// `victim`: a request counter, end-to-end latency, per-code rejection
+/// counters, and — for successful queries — the per-victim query
+/// count.
+fn record_request_metrics(
+    shard: &xbar_obs::MetricsShard,
+    victim: &str,
+    response: &Response,
+    started: Instant,
+) {
     shard.counter_add(victim, names::SERVE_REQUESTS, 1);
-    shard.record(
-        victim,
-        names::SERVE_REQUEST_NS,
-        started.elapsed().as_nanos() as u64,
-    );
+    shard.record(victim, names::SERVE_REQUEST_NS, elapsed_ns(started));
     if response.ok {
         if response.op == "query" {
             let queries = response.records.as_ref().map_or(0, Vec::len) as u64;
@@ -435,7 +460,7 @@ fn reject_counter(code: &str) -> Option<CounterName> {
 }
 
 fn handle_request(
-    request: &Request,
+    request: Request,
     shared: &Shared,
     queue: &JobQueue,
     attached: &mut Vec<String>,
@@ -503,12 +528,12 @@ fn handle_request(
     }
 }
 
-fn handle_query(request: &Request, shared: &Shared, queue: &JobQueue) -> Response {
+fn handle_query(request: Request, shared: &Shared, queue: &JobQueue) -> Response {
     let op = "query";
     let Some(id) = request.session.as_deref() else {
         return Response::failure(op, codes::USAGE, "query requires a session id");
     };
-    let Some(inputs) = request.inputs.as_ref().filter(|inputs| !inputs.is_empty()) else {
+    let Some(inputs) = request.inputs.filter(|inputs| !inputs.is_empty()) else {
         return Response::failure(op, codes::USAGE, "query requires non-empty inputs");
     };
     let count = inputs.len() as u64;
@@ -551,7 +576,7 @@ fn handle_query(request: &Request, shared: &Shared, queue: &JobQueue) -> Respons
         let job = Job {
             oracle,
             victim: current.victim.clone(),
-            inputs: inputs.clone(),
+            inputs,
             keys,
             reply: reply_tx,
         };

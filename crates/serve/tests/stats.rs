@@ -228,6 +228,13 @@ fn deterministic_fields_are_worker_count_invariant() {
         assert_well_formed_histogram(h);
         assert_eq!(field_u64(h, "count"), 7, "{name}");
     }
+    // One request decode and one response encode per victim-attributed
+    // request, like the request latency.
+    for name in ["serve.decode_ns", "serve.encode_ns"] {
+        let h = histogram(&baseline, "toy", name);
+        assert_well_formed_histogram(h);
+        assert_eq!(field_u64(h, "count"), 11, "{name}");
+    }
 
     // The same projection must fall out at 4 and 8 workers.
     let expected = deterministic_projection(&baseline);
@@ -242,6 +249,8 @@ fn deterministic_fields_are_worker_count_invariant() {
         assert_well_formed_histogram(histogram(&stats, "toy", "serve.request_ns"));
         assert_well_formed_histogram(histogram(&stats, "toy", "serve.queue_wait_ns"));
         assert_well_formed_histogram(histogram(&stats, "toy", "serve.eval_ns"));
+        assert_well_formed_histogram(histogram(&stats, "toy", "serve.decode_ns"));
+        assert_well_formed_histogram(histogram(&stats, "toy", "serve.encode_ns"));
     }
 }
 
