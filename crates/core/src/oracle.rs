@@ -268,7 +268,8 @@ struct PreparedSession {
 /// Lazily built, generation-checked cache of the oracle's
 /// [`PreparedSession`] — the piece that lets `query_batch`,
 /// `observe_batch_keyed`, and `eval_predict_batch` amortise the
-/// `O(M·N)` weight materialisation across batches. Shared via `Arc` so
+/// `O(M·N)` weight materialisation across batches. A drift
+/// redeployment re-seeds it with the new generation's session. Shared via `Arc` so
 /// concurrent keyed observers on an `Arc<Oracle>` (the serve workers)
 /// reuse one handle without holding the lock across evaluation.
 ///
@@ -484,6 +485,11 @@ impl Oracle {
     /// advanced `drift_time`: its stuck-at and variation decisions stay
     /// fixed while the drift factors decay — bit-identical to
     /// recompiling the spec at that time under the same key.
+    ///
+    /// The apply and the new generation's prepared handle both run on
+    /// the backend's worker threads ([`BackendSpec::worker_threads`]),
+    /// and the handle is installed with the array, so the epoch's first
+    /// query hits the cache.
     fn advance_drift_to(&mut self, index: u64) -> Result<()> {
         let Some(plan) = &self.plan else {
             return Ok(());
@@ -492,9 +498,14 @@ impl Oracle {
         if epoch <= self.drift_epoch {
             return Ok(());
         }
+        let _span = xbar_obs::span(xbar_obs::names::SPAN_ORACLE_REDEPLOY);
         let advanced = epoch - self.drift_epoch;
         self.drift_epoch = epoch;
-        self.xbar = plan.apply_at(&self.pristine, self.drift_time())?;
+        let threads = self.config.backend.worker_threads();
+        // Drop the old generation's handle before building the new one.
+        self.prepared = PreparedCache::default();
+        self.xbar = plan.apply_at_threads(&self.pristine, self.drift_time(), threads)?;
+        self.prepared_session()?;
         xbar_obs::count(xbar_obs::names::ORACLE_DRIFT_ADVANCE, advanced);
         Ok(())
     }
@@ -691,9 +702,9 @@ impl Oracle {
     ///
     /// The cache key is [`CrossbarArray::generation`]: re-programming,
     /// fault application, and drift-time advance all replace `self.xbar`
-    /// through `map_conductances`/`FaultPlan::apply`, which bump the
-    /// generation — so a stale session can never be returned, only
-    /// rebuilt. Works under `&self` so concurrent keyed observers on an
+    /// with a fresh generation — so a stale session can never be
+    /// returned, only rebuilt. Each lookup counts one
+    /// `oracle.prepared_hit` or `oracle.prepared_miss`. Works under `&self` so concurrent keyed observers on an
     /// `Arc<Oracle>` (the serve workers) share one handle.
     fn prepared_session(&self) -> Result<Arc<PreparedSession>> {
         let mut slot = self
@@ -703,9 +714,11 @@ impl Oracle {
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         if let Some(session) = slot.as_ref() {
             if session.prepared.generation() == self.xbar.generation() {
+                xbar_obs::count(xbar_obs::names::ORACLE_PREPARED_HIT, 1);
                 return Ok(Arc::clone(session));
             }
         }
+        xbar_obs::count(xbar_obs::names::ORACLE_PREPARED_MISS, 1);
         let backend = self.config.backend.build()?;
         let prepared = backend.prepare(&self.xbar)?;
         let session = Arc::new(PreparedSession { backend, prepared });
@@ -1540,6 +1553,73 @@ mod tests {
             observed.counter(xbar_obs::names::ORACLE_DRIFT_ADVANCE),
             epochs
         );
+        // One handle for the first query, then one per redeployment.
+        assert_eq!(
+            observed.counter(xbar_obs::names::ORACLE_PREPARED_MISS),
+            epochs + 1
+        );
+        assert_eq!(
+            observed
+                .histogram(xbar_obs::names::SPAN_ORACLE_REDEPLOY)
+                .map(xbar_obs::Histogram::count),
+            Some(epochs)
+        );
+    }
+
+    #[test]
+    fn drift_redeployment_installs_the_new_generations_handle() {
+        use xbar_faults::{FaultInjection, FaultKey, FaultSpec};
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let net = SingleLayerNet::from_weights(
+            Matrix::random_uniform(7, 61, -1.0, 1.0, &mut rng),
+            Activation::Identity,
+        );
+        let device = DeviceModel {
+            g_min: 0.02,
+            g_max: 1.0,
+            ..DeviceModel::ideal()
+        };
+        let spec = FaultSpec::none()
+            .with_stuck_off_rate(0.05)
+            .with_variation_sigma(0.1)
+            .with_drift(0.1, 0.2, 0.0);
+        let u: Vec<f64> = (0..61).map(|j| (j % 7) as f64 / 7.0).collect();
+        for backend in [
+            BackendSpec::new(BackendKind::Naive),
+            BackendSpec::new(BackendKind::Blocked),
+            BackendSpec::new(BackendKind::Blocked).with_threads(3),
+        ] {
+            let cfg = OracleConfig::ideal()
+                .with_device(device)
+                .with_backend(backend)
+                .with_faults(FaultInjection::new(spec, FaultKey::new(3, 1)))
+                .with_drift_schedule(DriftSchedule::every(2, 40.0));
+            let mut o = Oracle::new(net.clone(), &cfg, 9).unwrap();
+            for _ in 0..3 {
+                o.query(&u).unwrap();
+                o.query(&u).unwrap();
+                // The next query starts an epoch: the redeployment runs
+                // first and leaves its handle in the cache.
+                o.advance_drift_to(o.queries_issued()).unwrap();
+                let cached = o.prepared.slot.lock().unwrap().clone().unwrap();
+                let fresh = backend.build().unwrap().prepare(&o.xbar).unwrap();
+                assert_eq!(cached.prepared.generation(), o.xbar.generation());
+                assert_eq!(cached.prepared.array(), &o.xbar, "{backend}");
+                for (a, b) in [
+                    (
+                        cached.prepared.weights().as_slice(),
+                        fresh.weights().as_slice(),
+                    ),
+                    (
+                        cached.prepared.line_conductances(),
+                        fresh.line_conductances(),
+                    ),
+                ] {
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(a), bits(b), "{backend}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,8 @@ use crate::{CrossbarError, Result};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
-use xbar_linalg::Matrix;
+use std::sync::Arc;
+use xbar_linalg::{par, Matrix};
 
 /// Process-wide source of conductance-generation fingerprints. Starts
 /// at 1 so generation 0 can never name a live array (a useful sentinel
@@ -43,13 +44,17 @@ fn next_generation() -> u64 {
 /// ```
 #[derive(Debug, Clone)]
 pub struct CrossbarArray {
-    g_plus: Matrix,
-    g_minus: Matrix,
+    /// The conductance planes, immutable once built and shared by
+    /// clones: a clone (the oracle's session views, a
+    /// [`crate::backend::PreparedEval`] snapshot) aliases the `2·M·N`
+    /// conductances instead of copying them.
+    g_plus: Arc<Matrix>,
+    g_minus: Arc<Matrix>,
     mapping: WeightMapping,
     device: DeviceModel,
     /// Conductance-generation fingerprint: process-unique, reassigned
-    /// whenever the conductances could have changed (programming,
-    /// [`Self::map_conductances`], deserialisation). Cloning keeps the
+    /// whenever the conductances could have changed (programming, the
+    /// conductance maps, deserialisation). Cloning keeps the
     /// generation — a clone holds bit-identical conductances, so a
     /// [`crate::backend::PreparedEval`] built from one is valid for the
     /// other. Excluded from equality and serialisation.
@@ -92,10 +97,14 @@ impl Deserialize for CrossbarArray {
             ))
         })?;
         Ok(CrossbarArray {
-            g_plus: Deserialize::deserialize(serde::__get_field(obj, "g_plus"))
-                .map_err(|e| e.in_field("g_plus"))?,
-            g_minus: Deserialize::deserialize(serde::__get_field(obj, "g_minus"))
-                .map_err(|e| e.in_field("g_minus"))?,
+            g_plus: Arc::new(
+                Deserialize::deserialize(serde::__get_field(obj, "g_plus"))
+                    .map_err(|e| e.in_field("g_plus"))?,
+            ),
+            g_minus: Arc::new(
+                Deserialize::deserialize(serde::__get_field(obj, "g_minus"))
+                    .map_err(|e| e.in_field("g_minus"))?,
+            ),
             mapping: Deserialize::deserialize(serde::__get_field(obj, "mapping"))
                 .map_err(|e| e.in_field("mapping"))?,
             device: Deserialize::deserialize(serde::__get_field(obj, "device"))
@@ -132,8 +141,8 @@ impl CrossbarArray {
             *v = device.program(*v, rng);
         }
         Ok(CrossbarArray {
-            g_plus,
-            g_minus,
+            g_plus: Arc::new(g_plus),
+            g_minus: Arc::new(g_minus),
             mapping,
             device: *device,
             generation: next_generation(),
@@ -171,8 +180,8 @@ impl CrossbarArray {
             *v = device.program(*v, rng);
         }
         Ok(CrossbarArray {
-            g_plus,
-            g_minus,
+            g_plus: Arc::new(g_plus),
+            g_minus: Arc::new(g_minus),
             mapping,
             device: *device,
             generation: next_generation(),
@@ -182,9 +191,10 @@ impl CrossbarArray {
     /// The array's conductance-generation fingerprint.
     ///
     /// Process-unique and reassigned by every operation that can change
-    /// the conductances: programming, [`Self::map_conductances`] (and
-    /// therefore fault-plan application, transient perturbation, and
-    /// drift-time advance, which are built on it), and deserialisation.
+    /// the conductances: programming, [`Self::map_conductances`] and
+    /// [`Self::map_conductance_rows`] (and therefore fault-plan
+    /// application, transient perturbation, and drift-time advance,
+    /// which are built on them), and deserialisation.
     /// Clones keep their source's generation because they hold
     /// bit-identical conductances. [`crate::backend::PreparedEval`] uses
     /// this as its cache key: a prepared handle whose generation no
@@ -228,7 +238,7 @@ impl CrossbarArray {
     /// `(G⁺ - G⁻) / k` — equal to the programmed weights for ideal
     /// devices, and the as-fabricated weights otherwise.
     pub fn effective_weights(&self) -> Matrix {
-        let diff = &self.g_plus - &self.g_minus;
+        let diff = &*self.g_plus - &*self.g_minus;
         diff.scaled(1.0 / self.mapping.scale)
     }
 
@@ -246,20 +256,58 @@ impl CrossbarArray {
     /// device ordering that fault-injection plans key their per-device
     /// draws by, so it must never change.
     pub fn map_conductances<F: FnMut(usize, f64) -> f64>(&self, mut f: F) -> CrossbarArray {
-        let mut out = self.clone();
         let offset = self.num_outputs() * self.num_inputs();
-        for (idx, g) in out.g_plus.as_mut_slice().iter_mut().enumerate() {
-            *g = f(idx, *g);
+        let g_plus = (self.g_plus.as_slice().iter().enumerate())
+            .map(|(idx, &g)| f(idx, g))
+            .collect();
+        let g_minus = (self.g_minus.as_slice().iter().enumerate())
+            .map(|(idx, &g)| f(offset + idx, g))
+            .collect();
+        self.with_conductances(g_plus, g_minus)
+    }
+
+    /// Returns a copy of the array written one conductance row at a
+    /// time: `f(first, src, dst)` fills `dst` from `src`, one row of `N`
+    /// devices whose first device has canonical index `first` (the
+    /// `G⁺` rows, then the `G⁻` rows, numbered as in
+    /// [`Self::map_conductances`]).
+    ///
+    /// The `2·M` rows fan out over up to `threads` workers in contiguous
+    /// runs ([`par::for_each_run`]; `0` = the host's parallelism). A row
+    /// that depends only on `f`'s arguments is therefore the same at
+    /// any thread count.
+    pub fn map_conductance_rows<F>(&self, threads: usize, f: F) -> CrossbarArray
+    where
+        F: Fn(usize, &[f64], &mut [f64]) + Sync,
+    {
+        let n = self.num_inputs().max(1);
+        let mut g_plus = vec![0.0; self.g_plus.as_slice().len()];
+        let mut g_minus = vec![0.0; g_plus.len()];
+        let sources = (self.g_plus.as_slice().chunks(n)).chain(self.g_minus.as_slice().chunks(n));
+        let targets = g_plus.chunks_mut(n).chain(g_minus.chunks_mut(n));
+        let mut rows: Vec<(&[f64], &mut [f64])> = sources.zip(targets).collect();
+        par::for_each_run(&mut rows, threads, |row0, run| {
+            for (r, (src, dst)) in run.iter_mut().enumerate() {
+                f((row0 + r) * n, src, dst);
+            }
+        });
+        self.with_conductances(g_plus, g_minus)
+    }
+
+    /// An array of this shape, mapping and device model holding the
+    /// given row-major planes, under a fresh generation. Even an
+    /// identity map yields a fresh generation: the fingerprint tracks
+    /// *possible* change, and a false invalidation only costs one
+    /// re-prepare while a false hit would silently reuse stale weights.
+    fn with_conductances(&self, g_plus: Vec<f64>, g_minus: Vec<f64>) -> CrossbarArray {
+        let (m, n) = (self.num_outputs(), self.num_inputs());
+        CrossbarArray {
+            g_plus: Arc::new(Matrix::from_vec(m, n, g_plus)),
+            g_minus: Arc::new(Matrix::from_vec(m, n, g_minus)),
+            mapping: self.mapping,
+            device: self.device,
+            generation: next_generation(),
         }
-        for (idx, g) in out.g_minus.as_mut_slice().iter_mut().enumerate() {
-            *g = f(offset + idx, *g);
-        }
-        // Even an identity map yields a fresh generation: the fingerprint
-        // tracks *possible* change, and a false invalidation only costs
-        // one re-prepare while a false hit would silently reuse stale
-        // weights.
-        out.generation = next_generation();
-        out
     }
 
     /// Noiseless differential MVM in weight units: `i = W_eff · v`

@@ -241,6 +241,17 @@ impl BackendSpec {
         self
     }
 
+    /// The worker threads this spec's backend runs on: the resolved
+    /// [`BackendSpec::threads`] for [`BackendKind::Blocked`], one for
+    /// [`BackendKind::Naive`]. Work done for this backend outside it
+    /// (e.g. redeploying the array it evaluates) fans out this wide.
+    pub fn worker_threads(&self) -> usize {
+        match self.kind {
+            BackendKind::Naive => 1,
+            BackendKind::Blocked => par::resolve(self.threads),
+        }
+    }
+
     /// Validates the spec without building it.
     ///
     /// # Errors
@@ -318,7 +329,8 @@ impl std::str::FromStr for BackendSpec {
 /// one array: the effective weight matrix, the per-line conductance
 /// totals, and a snapshot of the array itself (so noisy per-device
 /// reads and decorated backends evaluate the exact state that was
-/// prepared).
+/// prepared). The snapshot is a clone of the array, which shares its
+/// conductance planes rather than copying them.
 ///
 /// Built by [`EvalBackend::prepare`] and consumed by the `*_prepared`
 /// methods. The handle is keyed by [`CrossbarArray::generation`]: every
@@ -336,16 +348,77 @@ pub struct PreparedEval {
     conductances: Vec<f64>,
 }
 
+/// Fewest weight cells worth one preparing worker: below this a thread
+/// spawn costs more than the `O(M·N)` pass it would take over.
+const PREPARE_CELLS_PER_WORKER: usize = 1 << 14;
+
 impl PreparedEval {
-    /// Materialises a handle for the array's current generation: one
-    /// `O(M·N)` pass building the effective weights, the per-line
-    /// conductance totals, and the snapshot.
+    /// Materialises a handle for the array's current generation in one
+    /// `O(M·N)` pass on the calling thread. [`BlockedBackend::prepare`]
+    /// runs the same pass on its worker threads.
     pub fn new(array: &CrossbarArray) -> Self {
+        PreparedEval::with_threads(array, 1)
+    }
+
+    /// Materialises a handle for the array's current generation in one
+    /// `O(M·N)` pass over the conductances, on up to `threads` workers
+    /// (`0` = the host's parallelism; at most one worker per 16,384
+    /// cells, so small arrays stay inline).
+    ///
+    /// Worker `k` writes run `k` of the weight rows and block `k` of the
+    /// line totals, reading every row once for both. Each weight is
+    /// `(G⁺ − G⁻) · (1/k)` and each line total a sum over rows in
+    /// ascending order from `0.0`, so the handle equals
+    /// [`CrossbarArray::effective_weights`] and
+    /// [`CrossbarArray::input_line_conductances`] bit for bit at any
+    /// thread count.
+    pub(crate) fn with_threads(array: &CrossbarArray, threads: usize) -> Self {
+        let (m, n) = (array.num_outputs(), array.num_inputs());
+        let (g_plus, g_minus) = (array.g_plus().as_slice(), array.g_minus().as_slice());
+        let inv_scale = 1.0 / array.mapping().scale;
+        let mut weights = vec![0.0; m * n];
+        let mut conductances = vec![0.0; n];
+        let workers = par::resolve(threads)
+            .min(m * n / PREPARE_CELLS_PER_WORKER)
+            .max(1);
+        // `chunks` needs a non-zero length; an empty array has no rows.
+        let row_len = n.max(1);
+        let rows_per = m.div_ceil(workers).max(1);
+        let cols_per = n.div_ceil(workers).max(1);
+        let mut row_runs = weights.chunks_mut(rows_per * row_len);
+        let mut col_blocks = conductances.chunks_mut(cols_per);
+        let mut tasks: Vec<(&mut [f64], &mut [f64])> = (0..workers)
+            .map(|_| {
+                let rows = row_runs.next().unwrap_or_default();
+                (rows, col_blocks.next().unwrap_or_default())
+            })
+            .collect();
+        par::for_each_run(&mut tasks, workers, |k0, run| {
+            for (k, (w_run, block)) in (k0..).zip(run.iter_mut()) {
+                // Past the last block (fewer columns than workers) a
+                // worker totals nothing.
+                let (row0, col0) = (k * rows_per, (k * cols_per).min(n));
+                let mut w_rows = w_run.chunks_mut(row_len);
+                let rows = g_plus.chunks(row_len).zip(g_minus.chunks(row_len));
+                for (i, (p, q)) in rows.enumerate() {
+                    if i >= row0 {
+                        if let Some(w_row) = w_rows.next() {
+                            for ((w, &gp), &gm) in w_row.iter_mut().zip(p).zip(q) {
+                                *w = (gp - gm) * inv_scale;
+                            }
+                        }
+                    }
+                    for ((total, &gp), &gm) in block.iter_mut().zip(&p[col0..]).zip(&q[col0..]) {
+                        *total += gp + gm;
+                    }
+                }
+            }
+        });
         PreparedEval {
             generation: array.generation(),
-            weights: array.effective_weights(),
-            conductances: array.input_line_conductances(),
             array: array.clone(),
+            weights: Matrix::from_vec(m, n, weights),
+            conductances,
         }
     }
 
@@ -728,6 +801,12 @@ impl EvalBackend for BlockedBackend {
         BackendKind::Blocked
     }
 
+    /// [`PreparedEval::new`]'s one-pass prepare on this backend's
+    /// worker threads (inline below 16,384 cells per worker).
+    fn prepare(&self, array: &CrossbarArray) -> Result<PreparedEval> {
+        Ok(PreparedEval::with_threads(array, self.threads))
+    }
+
     fn mvm_prepared(
         &self,
         prepared: &PreparedEval,
@@ -960,6 +1039,51 @@ mod tests {
                     power(&parallel, &model, &xbar, &refs).unwrap(),
                     p_naive,
                     "power b={b} threads={threads}"
+                );
+            }
+        }
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn prepared_handles_are_bit_identical_at_any_thread_count() {
+        // Non-ideal hardware (quantised, varied, stuck devices over a
+        // non-zero g_min), so weights and line totals carry rounding.
+        let device = DeviceModel {
+            g_min: 0.03,
+            levels: Some(64),
+            program_sigma: 0.1,
+            stuck_rate: 0.05,
+            ..DeviceModel::ideal()
+        };
+        let cells = PREPARE_CELLS_PER_WORKER;
+        // Ragged row runs and column blocks at 3 and 8 workers, a single
+        // row, a single column, and an array too small to fan out.
+        let shapes = [(257, 513), (1, 8 * cells + 7), (8 * cells + 7, 1), (3, 5)];
+        for (seed, (m, n)) in (51..).zip(shapes) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let w = Matrix::random_uniform(m, n, -1.0, 1.0, &mut rng);
+            let xbar = CrossbarArray::program(&w, &device, &mut rng).unwrap();
+            let weights = bits(xbar.effective_weights().as_slice());
+            let lines = bits(&xbar.input_line_conductances());
+            for threads in [1usize, 2, 3, 8] {
+                let prepared = BlockedBackend::default()
+                    .with_threads(threads)
+                    .prepare(&xbar)
+                    .unwrap();
+                assert_eq!(prepared.generation(), xbar.generation());
+                assert_eq!(
+                    bits(prepared.weights().as_slice()),
+                    weights,
+                    "{m}x{n} threads={threads}"
+                );
+                assert_eq!(
+                    bits(prepared.line_conductances()),
+                    lines,
+                    "{m}x{n} threads={threads}"
                 );
             }
         }

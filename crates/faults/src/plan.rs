@@ -107,6 +107,38 @@ pub enum StuckKind {
     Off,
 }
 
+/// The drift exponents `ν_d` a plan stores.
+#[derive(Debug, Clone, PartialEq)]
+enum DriftExponents {
+    /// `drift_nu` is zero: drift never moves a device.
+    Inert,
+    /// Undispersed (`drift_sigma == 0`): every device's exponent is
+    /// exactly `drift_nu`, stored once.
+    Shared(f64),
+    /// One exponent per device (`2·M·N`, canonical device order).
+    PerDevice(Vec<f64>),
+}
+
+/// A plan's drift factors at one drift time.
+#[derive(Debug, Clone, Copy)]
+enum DriftFactors<'a> {
+    /// Every device relaxes by the same factor (exactly 1.0 while drift
+    /// is inert).
+    Uniform(f64),
+    /// Device `d` relaxes by `base^(-ν_d)`, with `base = 1 + t`.
+    PerDevice { base: f64, nu: &'a [f64] },
+}
+
+impl DriftFactors<'_> {
+    /// Device `idx`'s factor.
+    fn at(self, idx: usize) -> f64 {
+        match self {
+            DriftFactors::Uniform(d) => d,
+            DriftFactors::PerDevice { base, nu } => base.powf(-nu[idx]),
+        }
+    }
+}
+
 /// A [`FaultSpec`] compiled for one array shape under one [`FaultKey`]:
 /// every per-device decision is drawn and frozen, so applying the plan
 /// is a deterministic, RNG-free transform.
@@ -114,7 +146,9 @@ pub enum StuckKind {
 /// The plan stores each device's drift *exponent* `ν_d`, not its drift
 /// factor, so one plan can be applied at any drift time
 /// ([`FaultPlan::apply_at`]): a drifting deployment compiles once and
-/// re-times the same draws at every drift epoch.
+/// re-times the same draws at every drift epoch. An undispersed plan
+/// (`drift_sigma == 0`) stores its one shared exponent once, so
+/// re-timing it costs one `powf`, not one per device.
 ///
 /// Plans compare equal iff all decisions are equal ([`PartialEq`]),
 /// which the thread-invariance tests use directly.
@@ -129,8 +163,8 @@ pub struct FaultPlan {
     stuck: Vec<StuckKind>,
     /// Per-device lognormal variation factors (1.0 = untouched).
     scale: Vec<f64>,
-    /// Per-device drift exponents `ν_d`; empty when `drift_nu` is zero.
-    drift_nu: Vec<f64>,
+    /// The drift exponents `ν_d`.
+    drift_nu: DriftExponents,
     /// Per-input-line attenuation factors (length `N`).
     line_scale: Vec<f64>,
     stuck_on: usize,
@@ -182,7 +216,7 @@ impl FaultSpec {
             inputs,
             stuck: Vec::new(),
             scale: Vec::new(),
-            drift_nu: Vec::new(),
+            drift_nu: DriftExponents::Inert,
             line_scale: Vec::new(),
             stuck_on: 0,
             stuck_off: 0,
@@ -195,10 +229,14 @@ impl FaultSpec {
         plan.stuck.reserve_exact(num_devices);
         plan.scale.reserve_exact(num_devices);
         let variation = self.variation_sigma > 0.0;
-        let drifting = self.drift_nu > 0.0;
-        let dispersed = drifting && self.drift_sigma > 0.0;
-        if drifting {
-            plan.drift_nu.reserve_exact(num_devices);
+        if self.drift_nu > 0.0 {
+            // Undispersed, `exp(0 · z)` would be exactly 1: every
+            // `ν_d = drift_nu`, so the exponent is stored once.
+            plan.drift_nu = if self.drift_sigma > 0.0 {
+                DriftExponents::PerDevice(Vec::with_capacity(num_devices))
+            } else {
+                DriftExponents::Shared(self.drift_nu)
+            };
         }
         let root = key.root_rng();
         for d in 0..num_devices {
@@ -221,13 +259,8 @@ impl FaultSpec {
             } else {
                 1.0
             });
-            if drifting {
-                // Undispersed, `exp(0 · z)` is exactly 1: `ν_d = drift_nu`.
-                plan.drift_nu.push(if dispersed {
-                    self.drift_nu * (self.drift_sigma * gaussian(&mut rng)).exp()
-                } else {
-                    self.drift_nu
-                });
+            if let DriftExponents::PerDevice(nu) = &mut plan.drift_nu {
+                nu.push(self.drift_nu * (self.drift_sigma * gaussian(&mut rng)).exp());
             }
         }
         plan.line_scale = (0..inputs)
@@ -300,19 +333,25 @@ impl FaultPlan {
             return &[];
         }
         self.drift_view.get_or_init(|| {
-            (0..self.num_devices())
-                .map(|idx| self.drift_factor(self.spec.drift_time, idx))
-                .collect()
+            let drift = self.drift_at(self.spec.drift_time);
+            (0..self.num_devices()).map(|idx| drift.at(idx)).collect()
         })
     }
 
-    /// Device `idx`'s drift factor at `drift_time`: `(1 + t)^(-ν_d)`, or
-    /// exactly 1.0 while drift is inert (zero time or zero `drift_nu`).
-    fn drift_factor(&self, drift_time: f64, idx: usize) -> f64 {
-        if drift_time > 0.0 && !self.drift_nu.is_empty() {
-            (1.0 + drift_time).powf(-self.drift_nu[idx])
-        } else {
-            1.0
+    /// The drift factors at `drift_time`: device `d`'s is
+    /// `(1 + t)^(-ν_d)`, computed once for a shared exponent, or exactly
+    /// 1.0 while drift is inert (zero time or zero `drift_nu`).
+    fn drift_at(&self, drift_time: f64) -> DriftFactors<'_> {
+        if drift_time <= 0.0 {
+            return DriftFactors::Uniform(1.0);
+        }
+        match &self.drift_nu {
+            DriftExponents::Inert => DriftFactors::Uniform(1.0),
+            DriftExponents::Shared(nu) => DriftFactors::Uniform((1.0 + drift_time).powf(-nu)),
+            DriftExponents::PerDevice(nu) => DriftFactors::PerDevice {
+                base: 1.0 + drift_time,
+                nu,
+            },
         }
     }
 
@@ -329,7 +368,18 @@ impl FaultPlan {
 
     /// Materialises a faulted copy of a programmed array as it reads at
     /// `drift_time`, bit-identical to compiling the spec with that
-    /// `drift_time` under the same key and applying the result.
+    /// `drift_time` under the same key and applying the result — on the
+    /// calling thread ([`FaultPlan::apply_at_threads`] with one thread).
+    ///
+    /// # Errors
+    ///
+    /// As [`FaultPlan::apply_at_threads`].
+    pub fn apply_at(&self, array: &CrossbarArray, drift_time: f64) -> Result<CrossbarArray> {
+        self.apply_at_threads(array, drift_time, 1)
+    }
+
+    /// [`FaultPlan::apply_at`] with the array's conductance rows fanned
+    /// out over up to `threads` workers (`0` = the host's parallelism).
     ///
     /// Per free device: the variation factor is applied and clamped to
     /// the device's conductance range (mirroring programming), then the
@@ -338,9 +388,12 @@ impl FaultPlan {
     /// per-line attenuation scales every device on its input line, stuck
     /// or not — wire resistance is downstream of the device.
     ///
-    /// A spec that is empty at `drift_time` returns an exact clone;
-    /// untouched effects never perturb bits (factors of exactly 1.0
-    /// skip the arithmetic).
+    /// Each device reads only its own frozen decisions and pristine
+    /// conductance, written straight into the output row by row
+    /// ([`CrossbarArray::map_conductance_rows`]), so the result does
+    /// not depend on `threads`. A spec that is empty at `drift_time`
+    /// returns an exact clone; untouched effects never perturb bits
+    /// (factors of exactly 1.0 skip the arithmetic).
     ///
     /// # Errors
     ///
@@ -348,7 +401,12 @@ impl FaultPlan {
     ///   one the plan was compiled for.
     /// * [`FaultsError::InvalidSpec`] naming `drift_time` if it is
     ///   negative or not finite.
-    pub fn apply_at(&self, array: &CrossbarArray, drift_time: f64) -> Result<CrossbarArray> {
+    pub fn apply_at_threads(
+        &self,
+        array: &CrossbarArray,
+        drift_time: f64,
+        threads: usize,
+    ) -> Result<CrossbarArray> {
         let got = (array.num_outputs(), array.num_inputs());
         if got != (self.outputs, self.inputs) {
             return Err(FaultsError::ShapeMismatch {
@@ -371,30 +429,34 @@ impl FaultPlan {
             return Ok(array.clone());
         }
         let device = *array.device();
-        let plane = self.outputs * self.inputs;
-        Ok(array.map_conductances(|idx, g| {
-            let j = (idx % plane) % self.inputs;
-            let mut out = match self.stuck[idx] {
-                StuckKind::On => device.g_max,
-                StuckKind::Off => device.g_min,
-                StuckKind::Free => {
-                    let mut out = g;
-                    let s = self.scale[idx];
-                    if s != 1.0 {
-                        out = (out * s).clamp(device.g_min, device.g_max);
+        let drift = self.drift_at(drift_time);
+        Ok(array.map_conductance_rows(threads, |first, src, dst| {
+            // One row: device `first + j` sits on input line `j`.
+            let stuck = &self.stuck[first..first + dst.len()];
+            let scale = &self.scale[first..first + dst.len()];
+            for (j, out) in dst.iter_mut().enumerate() {
+                let mut g = match stuck[j] {
+                    StuckKind::On => device.g_max,
+                    StuckKind::Off => device.g_min,
+                    StuckKind::Free => {
+                        let mut g = src[j];
+                        let s = scale[j];
+                        if s != 1.0 {
+                            g = (g * s).clamp(device.g_min, device.g_max);
+                        }
+                        let d = drift.at(first + j);
+                        if d != 1.0 {
+                            g = device.g_min + (g - device.g_min) * d;
+                        }
+                        g
                     }
-                    let d = self.drift_factor(drift_time, idx);
-                    if d != 1.0 {
-                        out = device.g_min + (out - device.g_min) * d;
-                    }
-                    out
+                };
+                let ls = self.line_scale[j];
+                if ls != 1.0 {
+                    g *= ls;
                 }
-            };
-            let ls = self.line_scale[j];
-            if ls != 1.0 {
-                out *= ls;
+                *out = g;
             }
-            out
         }))
     }
 }

@@ -100,6 +100,18 @@ pub const XBAR_TRANSIENT_FLIPS: CounterName = CounterName("xbar.transient_flips"
 /// deployment's compiled fault plan re-applied at a later `drift_time`).
 pub const ORACLE_DRIFT_ADVANCE: CounterName = CounterName("oracle.drift_advance");
 
+/// One oracle evaluation served by the cached prepared handle of the
+/// deployed array's current conductance generation.
+pub const ORACLE_PREPARED_HIT: CounterName = CounterName("oracle.prepared_hit");
+
+/// One prepared handle built for the deployed array: on first use, or
+/// by a drift redeployment, which installs the handle with the array.
+pub const ORACLE_PREPARED_MISS: CounterName = CounterName("oracle.prepared_miss");
+
+/// Span: one drift redeployment — the compiled fault plan re-applied to
+/// the pristine array and the new generation's handle prepared.
+pub const SPAN_ORACLE_REDEPLOY: HistogramName = HistogramName::timing("oracle.redeploy");
+
 /// One recalibration of a cached column-norm estimate (a fresh probe
 /// issued because a recalibration policy declared the estimate stale).
 pub const PROBE_RECALIBRATION: CounterName = CounterName("probe.recalibration");
@@ -137,7 +149,8 @@ pub const SPAN_EVALUATE: HistogramName = HistogramName::timing("blackbox.evaluat
 pub const SPAN_FAULT_COMPILE: HistogramName = HistogramName::timing("faults.compile");
 
 /// Span: materialising a faulted copy of a programmed array
-/// (`FaultPlan::apply` / `FaultPlan::apply_at`).
+/// (`FaultPlan::apply` / `FaultPlan::apply_at` /
+/// `FaultPlan::apply_at_threads`).
 pub const SPAN_FAULT_APPLY: HistogramName = HistogramName::timing("faults.apply");
 
 /// Span: one fault-robustness sweep trial (deploy faulted oracle, probe,
