@@ -704,8 +704,9 @@ impl Oracle {
     /// fault application, and drift-time advance all replace `self.xbar`
     /// with a fresh generation — so a stale session can never be
     /// returned, only rebuilt. Each lookup counts one
-    /// `oracle.prepared_hit` or `oracle.prepared_miss`. Works under `&self` so concurrent keyed observers on an
-    /// `Arc<Oracle>` (the serve workers) share one handle.
+    /// `oracle.prepared_hit` or `oracle.prepared_miss`. Works under
+    /// `&self` so concurrent keyed observers on an `Arc<Oracle>` (the
+    /// serve workers) share one handle.
     fn prepared_session(&self) -> Result<Arc<PreparedSession>> {
         let mut slot = self
             .prepared

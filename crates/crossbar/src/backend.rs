@@ -337,8 +337,9 @@ impl std::str::FromStr for BackendSpec {
 /// `*_prepared` call checks the driving array's current generation
 /// against the one the handle was prepared from and fails with
 /// [`CrossbarError::StalePrepared`] on mismatch — stale reuse after
-/// re-programming, [`CrossbarArray::map_conductances`] (fault-plan
-/// application, transient perturbation), or drift-time advance is an
+/// re-programming, [`CrossbarArray::map_conductances`] (transient
+/// perturbation), [`CrossbarArray::map_conductance_rows`] (fault-plan
+/// application, drift redeployment), or drift-time advance is an
 /// error, never silently wrong numbers.
 #[derive(Debug, Clone)]
 pub struct PreparedEval {
@@ -347,10 +348,6 @@ pub struct PreparedEval {
     weights: Matrix,
     conductances: Vec<f64>,
 }
-
-/// Fewest weight cells worth one preparing worker: below this a thread
-/// spawn costs more than the `O(M·N)` pass it would take over.
-const PREPARE_CELLS_PER_WORKER: usize = 1 << 14;
 
 impl PreparedEval {
     /// Materialises a handle for the array's current generation in one
@@ -362,8 +359,9 @@ impl PreparedEval {
 
     /// Materialises a handle for the array's current generation in one
     /// `O(M·N)` pass over the conductances, on up to `threads` workers
-    /// (`0` = the host's parallelism; at most one worker per 16,384
-    /// cells, so small arrays stay inline).
+    /// (`0` = the host's parallelism; at most one per row or column,
+    /// whichever there are more of, as a worker past both writes
+    /// nothing).
     ///
     /// Worker `k` writes run `k` of the weight rows and block `k` of the
     /// line totals, reading every row once for both. Each weight is
@@ -378,9 +376,7 @@ impl PreparedEval {
         let inv_scale = 1.0 / array.mapping().scale;
         let mut weights = vec![0.0; m * n];
         let mut conductances = vec![0.0; n];
-        let workers = par::resolve(threads)
-            .min(m * n / PREPARE_CELLS_PER_WORKER)
-            .max(1);
+        let workers = par::resolve(threads).min(m.max(n)).max(1);
         // `chunks` needs a non-zero length; an empty array has no rows.
         let row_len = n.max(1);
         let rows_per = m.div_ceil(workers).max(1);
@@ -802,7 +798,7 @@ impl EvalBackend for BlockedBackend {
     }
 
     /// [`PreparedEval::new`]'s one-pass prepare on this backend's
-    /// worker threads (inline below 16,384 cells per worker).
+    /// worker threads (inline at one thread).
     fn prepare(&self, array: &CrossbarArray) -> Result<PreparedEval> {
         Ok(PreparedEval::with_threads(array, self.threads))
     }
@@ -1059,10 +1055,10 @@ mod tests {
             stuck_rate: 0.05,
             ..DeviceModel::ideal()
         };
-        let cells = PREPARE_CELLS_PER_WORKER;
         // Ragged row runs and column blocks at 3 and 8 workers, a single
-        // row, a single column, and an array too small to fan out.
-        let shapes = [(257, 513), (1, 8 * cells + 7), (8 * cells + 7, 1), (3, 5)];
+        // row, a single column, and arrays with fewer rows, columns or
+        // cells than workers.
+        let shapes = [(257, 513), (1, 1031), (1031, 1), (3, 5), (2, 1)];
         for (seed, (m, n)) in (51..).zip(shapes) {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let w = Matrix::random_uniform(m, n, -1.0, 1.0, &mut rng);

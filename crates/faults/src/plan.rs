@@ -110,10 +110,8 @@ pub enum StuckKind {
 /// The drift exponents `ν_d` a plan stores.
 #[derive(Debug, Clone, PartialEq)]
 enum DriftExponents {
-    /// `drift_nu` is zero: drift never moves a device.
-    Inert,
-    /// Undispersed (`drift_sigma == 0`): every device's exponent is
-    /// exactly `drift_nu`, stored once.
+    /// Undispersed (`drift_sigma == 0`, or `drift_nu == 0`): every
+    /// device's exponent is exactly `drift_nu`, stored once.
     Shared(f64),
     /// One exponent per device (`2·M·N`, canonical device order).
     PerDevice(Vec<f64>),
@@ -123,7 +121,7 @@ enum DriftExponents {
 #[derive(Debug, Clone, Copy)]
 enum DriftFactors<'a> {
     /// Every device relaxes by the same factor (exactly 1.0 while drift
-    /// is inert).
+    /// is inert: `(1 + t)^(-0)` is exactly 1.0 too).
     Uniform(f64),
     /// Device `d` relaxes by `base^(-ν_d)`, with `base = 1 + t`.
     PerDevice { base: f64, nu: &'a [f64] },
@@ -216,7 +214,7 @@ impl FaultSpec {
             inputs,
             stuck: Vec::new(),
             scale: Vec::new(),
-            drift_nu: DriftExponents::Inert,
+            drift_nu: DriftExponents::Shared(self.drift_nu),
             line_scale: Vec::new(),
             stuck_on: 0,
             stuck_off: 0,
@@ -229,14 +227,10 @@ impl FaultSpec {
         plan.stuck.reserve_exact(num_devices);
         plan.scale.reserve_exact(num_devices);
         let variation = self.variation_sigma > 0.0;
-        if self.drift_nu > 0.0 {
-            // Undispersed, `exp(0 · z)` would be exactly 1: every
-            // `ν_d = drift_nu`, so the exponent is stored once.
-            plan.drift_nu = if self.drift_sigma > 0.0 {
-                DriftExponents::PerDevice(Vec::with_capacity(num_devices))
-            } else {
-                DriftExponents::Shared(self.drift_nu)
-            };
+        // Undispersed, `exp(0 · z)` would be exactly 1: every
+        // `ν_d = drift_nu`, so the exponent stays stored once.
+        if self.drift_nu > 0.0 && self.drift_sigma > 0.0 {
+            plan.drift_nu = DriftExponents::PerDevice(Vec::with_capacity(num_devices));
         }
         let root = key.root_rng();
         for d in 0..num_devices {
@@ -346,7 +340,6 @@ impl FaultPlan {
             return DriftFactors::Uniform(1.0);
         }
         match &self.drift_nu {
-            DriftExponents::Inert => DriftFactors::Uniform(1.0),
             DriftExponents::Shared(nu) => DriftFactors::Uniform((1.0 + drift_time).powf(-nu)),
             DriftExponents::PerDevice(nu) => DriftFactors::PerDevice {
                 base: 1.0 + drift_time,

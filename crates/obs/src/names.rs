@@ -100,8 +100,8 @@ pub const XBAR_TRANSIENT_FLIPS: CounterName = CounterName("xbar.transient_flips"
 /// deployment's compiled fault plan re-applied at a later `drift_time`).
 pub const ORACLE_DRIFT_ADVANCE: CounterName = CounterName("oracle.drift_advance");
 
-/// One oracle evaluation served by the cached prepared handle of the
-/// deployed array's current conductance generation.
+/// One prepared-cache lookup that found the current generation's
+/// handle (once per batch chunk an oracle evaluates).
 pub const ORACLE_PREPARED_HIT: CounterName = CounterName("oracle.prepared_hit");
 
 /// One prepared handle built for the deployed array: on first use, or
