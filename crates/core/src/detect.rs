@@ -167,28 +167,6 @@ impl PerClassDetector {
     }
 }
 
-/// Defender's evaluation of a detector: detection rate on adversarial
-/// traffic vs false-positive rate on held-out clean traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DetectionReport {
-    /// Fraction of adversarial queries flagged.
-    pub true_positive_rate: f64,
-    /// Fraction of clean queries flagged.
-    pub false_positive_rate: f64,
-}
-
-/// Evaluates a detector on held-out clean and adversarial power traces.
-pub fn evaluate_detector(
-    detector: &PowerAnomalyDetector,
-    clean_powers: &[f64],
-    adversarial_powers: &[f64],
-) -> DetectionReport {
-    DetectionReport {
-        true_positive_rate: detector.detection_rate(adversarial_powers),
-        false_positive_rate: detector.detection_rate(clean_powers),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,14 +265,15 @@ mod tests {
         let adv_powers = batch_powers(&mut oracle, &adv_rows);
         let test_rows: Vec<&[f64]> = (0..split.test.len()).map(|i| split.test.input(i)).collect();
         let held_out = batch_powers(&mut oracle, &test_rows);
-        let report = evaluate_detector(&det, &held_out, &adv_powers);
+        let true_positive_rate = det.detection_rate(&adv_powers);
+        let false_positive_rate = det.detection_rate(&held_out);
         assert!(
-            report.true_positive_rate > 0.9,
-            "detector should catch strength-5 attacks: {report:?}"
+            true_positive_rate > 0.9,
+            "detector should catch strength-5 attacks: {true_positive_rate}"
         );
         assert!(
-            report.false_positive_rate < 0.1,
-            "clean traffic should pass: {report:?}"
+            false_positive_rate < 0.1,
+            "clean traffic should pass: {false_positive_rate}"
         );
     }
 

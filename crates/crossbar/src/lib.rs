@@ -28,10 +28,8 @@
 //!   trait with naive and cache-blocked implementations.
 //! * [`power`] — the power side channel: measurement noise, averaging,
 //!   traces.
-//! * [`adc`] — input DAC / output ADC quantisation.
 //! * [`irdrop`] — finite-wire-resistance (IR-drop) solver, the paper's
 //!   deferred electrical non-ideality.
-//! * [`energy`] — physical power/energy accounting (watts, joules).
 //! * [`tile`] — tiling large matrices onto fixed-size arrays.
 //! * [`prelude`] — one-line import of the common types.
 //!
@@ -54,11 +52,9 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod adc;
 pub mod array;
 pub mod backend;
 pub mod device;
-pub mod energy;
 mod error;
 pub mod irdrop;
 pub mod mapping;

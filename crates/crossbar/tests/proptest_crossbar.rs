@@ -3,7 +3,6 @@
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use xbar_crossbar::adc::Quantizer;
 use xbar_crossbar::array::CrossbarArray;
 use xbar_crossbar::device::DeviceModel;
 use xbar_crossbar::mapping::WeightMapping;
@@ -111,20 +110,6 @@ proptest! {
         let ia = mono.total_current(&v).unwrap();
         let ib = tiled.total_current(&v).unwrap();
         prop_assert!((ia - ib).abs() < 1e-9);
-    }
-
-    /// Quantisation error is bounded by half a step, and quantisation is
-    /// idempotent.
-    #[test]
-    fn quantizer_bounded_and_idempotent(
-        bits in 1u32..12,
-        x in -2.0f64..2.0,
-    ) {
-        let q = Quantizer::new(bits, -1.0, 1.0).unwrap();
-        let once = q.quantize(x);
-        prop_assert!((q.quantize(once) - once).abs() < 1e-15);
-        let clamped = x.clamp(-1.0, 1.0);
-        prop_assert!((once - clamped).abs() <= q.step() / 2.0 + 1e-12);
     }
 
     /// Effective weights of a quantised array deviate from the targets by

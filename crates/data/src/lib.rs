@@ -22,7 +22,6 @@
 //! * [`Image`] and [`ImageShape`] — spatial views over flat feature rows.
 //! * [`idx`] — the IDX binary format (MNIST's container), so real data can
 //!   drop in where available.
-//! * [`normalize`] — input scaling utilities.
 //!
 //! # Example
 //!
@@ -42,7 +41,6 @@ mod dataset;
 mod error;
 pub mod idx;
 mod image;
-pub mod normalize;
 pub mod synth;
 
 pub use dataset::{Dataset, TrainTestSplit};

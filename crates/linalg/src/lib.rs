@@ -12,14 +12,15 @@
 //! * [`vec_ops`] — slice-level vector kernels (dot and its register-tiled
 //!   batch form `dot_tile`, axpy, norms, argmax).
 //! * [`qr`] — Householder QR and least-squares solves.
-//! * [`lu`] — LU with partial pivoting, determinants, inverses.
 //! * [`cholesky`] — Cholesky factorisation and ridge-regularised solves.
-//! * [`svd`] — one-sided Jacobi SVD, Moore–Penrose pseudoinverse, rank.
 //!
-//! The pseudoinverse is what the paper's Section IV uses to argue that once
-//! the number of independent queries reaches the input dimension, the weight
-//! matrix is exactly recoverable as `W = U† Ŷ`; see
-//! [`svd::pinv`] and `xbar-core`'s `recovery` module.
+//! The paper's Section IV writes exact weight recovery as `W = U† Ŷ`. Here
+//! that is a least-squares solve: with at least `N` independent queries
+//! `U` (`Q x N`), [`qr::lstsq_matrix`] recovers `W` exactly, and under
+//! measurement noise [`cholesky::ridge_solve`] trades bias for variance.
+//! `xbar-core`'s `recovery` module calls both; the workspace property test
+//! `least_squares_recovery_is_exact_for_spanning_queries`
+//! (`tests/proptest_attacks.rs`) checks the exact case.
 //!
 //! # Example
 //!
@@ -37,11 +38,9 @@
 
 pub mod cholesky;
 mod error;
-pub mod lu;
 mod matrix;
 pub mod par;
 pub mod qr;
-pub mod svd;
 pub mod vec_ops;
 
 pub use error::LinalgError;
@@ -49,10 +48,6 @@ pub use matrix::Matrix;
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, LinalgError>;
-
-/// Default absolute tolerance used by approximate comparisons and rank
-/// decisions throughout the crate.
-pub const DEFAULT_TOL: f64 = 1e-9;
 
 #[cfg(test)]
 mod tests {

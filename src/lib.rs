@@ -6,7 +6,7 @@
 //!
 //! This facade crate re-exports the workspace:
 //!
-//! * [`linalg`] — dense matrices, decompositions, least squares, pinv.
+//! * [`linalg`] — dense matrices, QR / Cholesky, least squares.
 //! * [`stats`] — correlation, t-tests, run aggregation.
 //! * [`data`] — datasets: procedural MNIST/CIFAR-10 stand-ins, IDX I/O.
 //! * [`nn`] — single-layer (and multi-layer) networks, SGD, input
