@@ -381,13 +381,7 @@ pub fn run_fault_sweep(opts: &CampaignOptions) -> Result<(), String> {
     let report = execute(&runner, &campaign, opts)?;
     let curves = fault_sweep_curves(opts.quick, &report.outputs)?;
     print_curves(&curves);
-    write_json(
-        opts.json_out
-            .as_deref()
-            .unwrap_or("results/faults-sweep.json"),
-        &curves,
-    );
-    Ok(())
+    write_json(&opts.json_path("faults-sweep"), &curves)
 }
 
 #[cfg(test)]

@@ -1,11 +1,9 @@
-//! Campaign-backed drivers for the `fig4`, `fig5` and `ablations`
-//! experiments: build the grid ([`crate::campaign`]), run it on the
-//! [`xbar_runtime`] executor, then aggregate, print and persist exactly
-//! what the serial binaries produce.
-//!
-//! Both the experiment binaries and the `xbar campaign` CLI subcommand
-//! call into these drivers, so there is a single code path for every
-//! figure regardless of how it is launched.
+//! The one experiment runner: a function per paper figure that builds
+//! the figure's grid ([`crate::campaign`]), runs it on the
+//! [`xbar_runtime`] executor, then aggregates, prints and persists the
+//! figure. [`FIGURES`] lists them all; `xbar campaign --figure NAME`
+//! runs one, so every figure gets thread invariance, journals, resume
+//! and traces.
 
 use std::path::PathBuf;
 
@@ -18,15 +16,59 @@ use xbar_runtime::{
 };
 
 use crate::campaign::{
-    fig4_campaign, fig5_campaign, fig5_params, fig5_rows, AblationOutput, AblationsRunner,
-    Fig4Runner, Fig4Spec, Fig4TrialOutput, Fig5Runner, FIG5_LAMBDAS,
+    fig3_campaign, fig4_campaign, fig5_campaign, fig5_params, fig5_rows, multilayer_campaign,
+    multipixel_campaign, recovery_campaign, table1_campaign, table1_params, AblationsRunner,
+    Fig4Spec, Fig4TrialOutput, FigureRunner, Table1RunOutput, FIG5_LAMBDAS,
 };
-use crate::{train_victim, write_json, DatasetKind, HeadKind};
-use xbar_core::report::{fmt, fmt_with_significance, format_table};
+use crate::{paper_configs, train_victim, write_json, DatasetKind, HeadKind};
+use xbar_core::report::{ascii_heatmap, fmt, fmt_with_significance, format_table};
 use xbar_crossbar::backend::BackendSpec;
 use xbar_faults::{FaultSpec, TransientSpec};
 use xbar_stats::aggregate::RunSummary;
 use xbar_stats::ttest::welch_t_test;
+
+/// The oracle flags a figure's trials honour.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OracleFlags {
+    /// No oracle: `--backend`, `--faults` and `--transients` are refused.
+    None,
+    /// Oracles but no fault-injection story: `--backend` only.
+    Backend,
+    /// `--backend`, `--faults` and `--transients`.
+    All,
+}
+
+/// A figure `xbar campaign --figure` regenerates.
+#[derive(Debug, Clone, Copy)]
+pub struct Figure {
+    /// The `--figure` name, also the stem of its default artifact path
+    /// `results/NAME.json`.
+    pub name: &'static str,
+    /// Runs the figure.
+    pub run: fn(&CampaignOptions) -> Result<(), String>,
+    /// The oracle flags its trials honour.
+    pub flags: OracleFlags,
+}
+
+const fn figure(
+    name: &'static str,
+    run: fn(&CampaignOptions) -> Result<(), String>,
+    flags: OracleFlags,
+) -> Figure {
+    Figure { name, run, flags }
+}
+
+/// Every figure, in the paper's order.
+pub const FIGURES: [Figure; 8] = [
+    figure("table1", run_table1, OracleFlags::None),
+    figure("fig3", run_fig3, OracleFlags::None),
+    figure("fig4", run_fig4, OracleFlags::All),
+    figure("fig5", run_fig5, OracleFlags::All),
+    figure("multipixel", run_multipixel, OracleFlags::Backend),
+    figure("recovery", run_recovery, OracleFlags::Backend),
+    figure("ablations", run_ablations, OracleFlags::All),
+    figure("multilayer", run_multilayer, OracleFlags::None),
+];
 
 /// Where campaign progress events go.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -115,6 +157,32 @@ impl CampaignOptions {
             tolerate_failures: false,
         }
     }
+
+    /// A figure runner on these options' backend, faults and transients.
+    fn runner<S>(&self) -> FigureRunner<S> {
+        FigureRunner::new(self.backend)
+            .with_faults(self.faults)
+            .with_transients(self.transients)
+    }
+
+    /// Runs a figure's grid on [`Self::runner`]; returns every trial's
+    /// output in grid order.
+    fn run_grid<S>(
+        &self,
+        campaign: &Campaign<S>,
+    ) -> Result<Vec<<FigureRunner<S> as TrialRunner>::Output>, String>
+    where
+        FigureRunner<S>: TrialRunner<Spec = S>,
+    {
+        completed(execute(&self.runner(), campaign, self)?)
+    }
+
+    /// The results JSON path: `--out`, or `results/{name}.json`.
+    pub(crate) fn json_path(&self, name: &str) -> String {
+        self.json_out
+            .clone()
+            .unwrap_or_else(|| format!("results/{name}.json"))
+    }
 }
 
 fn executor_config(opts: &CampaignOptions) -> ExecutorConfig {
@@ -184,6 +252,130 @@ pub(crate) fn execute<R: TrialRunner>(
     Ok(report)
 }
 
+/// Every trial's output, in grid order; errors if a trial has none
+/// (possible only when failures are tolerated).
+fn completed<O>(report: CampaignReport<O>) -> Result<Vec<O>, String> {
+    report
+        .outputs
+        .into_iter()
+        .enumerate()
+        .map(|(i, output)| output.ok_or_else(|| format!("trial {i} has no output")))
+        .collect()
+}
+
+// ---------------------------------------------------------------------
+// Table I
+// ---------------------------------------------------------------------
+
+/// One (dataset, head) row of Table I, summarised over the runs.
+#[derive(Debug, Serialize)]
+pub struct Table1Row {
+    /// Dataset label.
+    pub dataset: &'static str,
+    /// Head / activation label.
+    pub activation: &'static str,
+    /// Per-sample correlation averaged over the training split.
+    pub mean_corr_train: RunSummary,
+    /// Per-sample correlation averaged over the test split.
+    pub mean_corr_test: RunSummary,
+    /// Correlation of the training split's mean sensitivity map.
+    pub corr_of_mean_train: RunSummary,
+    /// Correlation of the test split's mean sensitivity map.
+    pub corr_of_mean_test: RunSummary,
+}
+
+/// Runs the Table I grid and prints/persists its rows: "mean
+/// correlation" (per-sample r, averaged; expected lower) beside
+/// "correlation of mean" (r of the dataset-mean sensitivity map;
+/// expected ≈ 0.9+).
+pub fn run_table1(opts: &CampaignOptions) -> Result<(), String> {
+    let (runs, num_samples) = table1_params(opts.quick);
+    println!("Table I: correlation between |loss sensitivity| and weight-column 1-norms");
+    println!("({runs} runs per configuration, {num_samples} samples per dataset)\n");
+
+    let campaign = table1_campaign(opts.quick);
+    let outputs = opts.run_grid(&campaign)?;
+    let mut rows = Vec::new();
+    let mut json_rows = Vec::new();
+    for ((dataset, head), stats) in paper_configs()
+        .into_iter()
+        .zip(outputs.chunks(runs as usize))
+    {
+        let col = |f: fn(&Table1RunOutput) -> f64| {
+            RunSummary::from_values(&stats.iter().map(f).collect::<Vec<f64>>())
+        };
+        let row = Table1Row {
+            dataset: dataset.label(),
+            activation: head.label(),
+            mean_corr_train: col(|s| s.mean_corr_train),
+            mean_corr_test: col(|s| s.mean_corr_test),
+            corr_of_mean_train: col(|s| s.corr_of_mean_train),
+            corr_of_mean_test: col(|s| s.corr_of_mean_test),
+        };
+        rows.push(vec![
+            row.dataset.to_string(),
+            row.activation.to_string(),
+            fmt(row.mean_corr_train.mean, 2),
+            fmt(row.mean_corr_test.mean, 2),
+            fmt(row.corr_of_mean_train.mean, 2),
+            fmt(row.corr_of_mean_test.mean, 2),
+        ]);
+        json_rows.push(row);
+    }
+
+    println!(
+        "{}",
+        format_table(
+            &[
+                "Dataset",
+                "Activation",
+                "MeanCorr(Train)",
+                "MeanCorr(Test)",
+                "CorrOfMean(Train)",
+                "CorrOfMean(Test)",
+            ],
+            &rows,
+        )
+    );
+    println!("Paper reference (MNIST/CIFAR-10):");
+    println!("  MNIST  Linear  0.70 0.70 | 0.99 0.98");
+    println!("  MNIST  Softmax 0.52 0.52 | 0.92 0.92");
+    println!("  CIFAR  Linear  0.26 0.26 | 0.87 0.87");
+    println!("  CIFAR  Softmax 0.33 0.33 | 0.91 0.91");
+    println!(
+        "Expected shape: CorrOfMean >> MeanCorr everywhere; digits MeanCorr > objects MeanCorr."
+    );
+    write_json(&opts.json_path("table1"), &json_rows)
+}
+
+// ---------------------------------------------------------------------
+// Fig. 3
+// ---------------------------------------------------------------------
+
+/// Runs the Fig. 3 grid: prints each panel's sensitivity and 1-norm
+/// maps as ASCII heatmaps (bright = large; channel 0 only for objects,
+/// matching the paper's `10 x 1024` note) and persists the grids.
+pub fn run_fig3(opts: &CampaignOptions) -> Result<(), String> {
+    let campaign = fig3_campaign(opts.quick);
+    let panels = opts.run_grid(&campaign)?;
+    for (spec, panel) in campaign.trials.iter().zip(&panels) {
+        let shape = spec.dataset.image_shape();
+        println!(
+            "=== {} / {} (test acc {:.3}, map correlation r = {:.3}) ===",
+            panel.dataset, panel.activation, panel.test_accuracy, panel.map_correlation
+        );
+        println!("--- mean |dL/du| (sensitivity), channel 0 ---");
+        println!("{}", ascii_heatmap(&panel.mean_sensitivity, shape, 0));
+        println!("--- column 1-norms of W, channel 0 ---");
+        println!("{}", ascii_heatmap(&panel.column_l1_norms, shape, 0));
+    }
+
+    println!("Expected shape (paper Fig. 3): each sensitivity map visually matches its");
+    println!("1-norm map; digits maps are smooth with dark borders, objects maps are");
+    println!("jagged with signal everywhere.");
+    write_json(&opts.json_path("fig3"), &panels)
+}
+
 // ---------------------------------------------------------------------
 // Fig. 4
 // ---------------------------------------------------------------------
@@ -207,10 +399,7 @@ pub struct Fig4Panel {
 
 /// Groups per-trial outputs back into panels (trials of a panel are
 /// contiguous by construction of [`fig4_campaign`]).
-pub fn fig4_panels(
-    campaign: &Campaign<Fig4Spec>,
-    outputs: &[Option<Fig4TrialOutput>],
-) -> Result<Vec<Fig4Panel>, String> {
+pub fn fig4_panels(campaign: &Campaign<Fig4Spec>, outputs: &[Fig4TrialOutput]) -> Vec<Fig4Panel> {
     let mut panels = Vec::new();
     let mut i = 0;
     while i < campaign.trials.len() {
@@ -222,10 +411,7 @@ pub fn fig4_panels(
             && campaign.trials[i].dataset == first.dataset
             && campaign.trials[i].head == first.head
         {
-            let output = outputs
-                .get(i)
-                .and_then(Option::as_ref)
-                .ok_or_else(|| format!("fig4 trial {i} has no output"))?;
+            let output = &outputs[i];
             clean_accuracy = output.clean_accuracy;
             probe_queries = output.probe_queries;
             methods.push((
@@ -243,7 +429,7 @@ pub fn fig4_panels(
             methods,
         });
     }
-    Ok(panels)
+    panels
 }
 
 fn print_fig4(panels: &[Fig4Panel]) {
@@ -271,20 +457,9 @@ fn print_fig4(panels: &[Fig4Panel]) {
 /// Runs the Fig. 4 grid and prints/persists the panels.
 pub fn run_fig4(opts: &CampaignOptions) -> Result<(), String> {
     let campaign = fig4_campaign(opts.quick);
-    let report = execute(
-        &Fig4Runner::new(opts.backend)
-            .with_faults(opts.faults)
-            .with_transients(opts.transients),
-        &campaign,
-        opts,
-    )?;
-    let panels = fig4_panels(&campaign, &report.outputs)?;
+    let panels = fig4_panels(&campaign, &opts.run_grid(&campaign)?);
     print_fig4(&panels);
-    write_json(
-        opts.json_out.as_deref().unwrap_or("results/fig4.json"),
-        &panels,
-    );
-    Ok(())
+    write_json(&opts.json_path("fig4"), &panels)
 }
 
 // ---------------------------------------------------------------------
@@ -326,13 +501,7 @@ pub struct Fig5Row {
 /// Runs the Fig. 5 grid and prints/persists the rows.
 pub fn run_fig5(opts: &CampaignOptions) -> Result<(), String> {
     let campaign = fig5_campaign(opts.quick);
-    let report = execute(
-        &Fig5Runner::new(opts.backend)
-            .with_faults(opts.faults)
-            .with_transients(opts.transients),
-        &campaign,
-        opts,
-    )?;
+    let outputs = opts.run_grid(&campaign)?;
     let (runs, _, q_list, _) = fig5_params(opts.quick);
 
     let mut json_rows = Vec::new();
@@ -345,13 +514,7 @@ pub fn run_fig5(opts: &CampaignOptions) -> Result<(), String> {
         );
 
         // per-run results for this row: [run][q_idx][lambda_idx].
-        let per_run: Vec<_> = (0..runs as usize)
-            .map(|run| {
-                report.outputs[row_idx * runs as usize + run]
-                    .as_ref()
-                    .expect("execute() errors when any trial failed")
-            })
-            .collect();
+        let per_run = &outputs[row_idx * runs as usize..][..runs as usize];
 
         let clean_mean: f64 = per_run
             .iter()
@@ -442,19 +605,100 @@ pub fn run_fig5(opts: &CampaignOptions) -> Result<(), String> {
     println!("once Q exceeds the input dimension. For objects, improvements are small and");
     println!("mostly not significant.");
 
-    write_json(
-        opts.json_out.as_deref().unwrap_or("results/fig5.json"),
-        &json_rows,
+    write_json(&opts.json_path("fig5"), &json_rows)
+}
+
+// ---------------------------------------------------------------------
+// Multi-pixel attacks (Sec. III)
+// ---------------------------------------------------------------------
+
+/// Runs the multi-pixel grid (paper Sec. III): attacking the top-N
+/// 1-norm pixels, each with a guessed ± direction, gets *less*
+/// efficient as N grows, since all N directions must be guessed right
+/// (odds `(1/2)^N`), while the white-box multi-pixel bound keeps getting
+/// stronger.
+pub fn run_multipixel(opts: &CampaignOptions) -> Result<(), String> {
+    let campaign = multipixel_campaign(opts.quick);
+    let results = opts.run_grid(&campaign)?;
+    for (spec, result) in campaign.trials.iter().zip(&results) {
+        println!(
+            "=== multi-pixel attacks: {} (clean acc {:.3}, strength {}) ===",
+            result.dataset, result.clean_accuracy, spec.strength
+        );
+        let mut headers: Vec<String> = vec!["method".into()];
+        headers.extend(result.num_pixels.iter().map(|n| format!("N={n}")));
+        let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
+        let row = |label: &str, values: &[f64]| {
+            let mut row = vec![label.to_string()];
+            row.extend(values.iter().map(|&a| fmt(a, 3)));
+            row
+        };
+        let reference: Vec<f64> = result
+            .num_pixels
+            .iter()
+            .map(|&n| 0.5_f64.powi(n as i32))
+            .collect();
+        let rows = [
+            row("norm-guided (guess ±)", &result.norm_guided_accuracy),
+            row("white-box worst", &result.white_box_accuracy),
+            row("P(all N guesses right)", &result.all_directions_correct),
+            row("(1/2)^N reference", &reference),
+        ];
+        println!("{}", format_table(&header_refs, &rows));
+    }
+
+    println!("Expected shape (paper Sec. III): the probability of guessing every");
+    println!("direction right collapses as (1/2)^N, so the norm-guided attack's");
+    println!("per-pixel efficiency falls further and further behind the white-box");
+    println!("bound as N grows. (Measured deviation: with a fixed per-pixel strength");
+    println!("the *absolute* norm-guided accuracy still drifts down with N — random");
+    println!("±ε on N pixels is a growing-variance perturbation — but its gap to the");
+    println!("white-box multi-pixel bound widens exactly as the paper argues.)");
+    write_json(&opts.json_path("multipixel"), &results)
+}
+
+// ---------------------------------------------------------------------
+// Exact weight recovery (Sec. IV)
+// ---------------------------------------------------------------------
+
+/// Runs the recovery grid (paper Sec. IV), which shows when the power
+/// side channel is redundant: `β e_j` queries against a linear oracle
+/// reveal `W[:, j]` exactly, and with `Q ≥ N` independent queries
+/// `W = (U† Ŷ)ᵀ` is exact; measurement noise or `Q < N` breaks
+/// exactness — the regime where the surrogate + power attack earns its
+/// keep.
+pub fn run_recovery(opts: &CampaignOptions) -> Result<(), String> {
+    let campaign = recovery_campaign(opts.quick);
+    let results: Vec<_> = opts.run_grid(&campaign)?.into_iter().flatten().collect();
+    let rows: Vec<Vec<String>> = results
+        .iter()
+        .map(|r| {
+            vec![
+                r.scenario.clone(),
+                r.queries.to_string(),
+                r.relative_error.map_or("fails".into(), |e| fmt(e, 9)),
+                r.note.clone(),
+            ]
+        })
+        .collect();
+    println!(
+        "=== Sec. IV exact weight recovery (digits victim, N={}) ===",
+        DatasetKind::Digits.image_shape().len()
     );
-    Ok(())
+    println!(
+        "{}",
+        format_table(&["scenario", "queries", "relative error", "note"], &rows)
+    );
+    println!("Expected shape: basis probes and Q>=N least squares are exact (error ~1e-12);");
+    println!("Q<N fails; observation noise degrades recovery and ridge recovers part of it.");
+    write_json(&opts.json_path("recovery"), &results)
 }
 
 // ---------------------------------------------------------------------
 // Ablations
 // ---------------------------------------------------------------------
 
-/// One JSON record of the ablations output (schema unchanged from the
-/// serial binary).
+/// One JSON record of the ablations output.
 #[derive(Debug, Serialize)]
 pub struct AblationRecord {
     /// Which study the record belongs to.
@@ -472,9 +716,7 @@ pub struct AblationRecord {
 pub fn run_ablations(opts: &CampaignOptions) -> Result<(), String> {
     use xbar_core::oracle::{Oracle, OracleConfig, OutputAccess};
 
-    let runner = AblationsRunner::new(opts.quick, opts.backend)
-        .with_faults(opts.faults)
-        .with_transients(opts.transients);
+    let runner = AblationsRunner::new(opts.quick, opts.runner());
     let victim = runner.victim().clone();
     let strength = runner.strength();
     let num_samples = if opts.quick { 800 } else { 3000 };
@@ -489,12 +731,8 @@ pub fn run_ablations(opts: &CampaignOptions) -> Result<(), String> {
     println!("digits / softmax victim, clean accuracy {clean:.3}, attack strength {strength}\n");
 
     let campaign = runner.campaign();
-    let report = execute(&runner, &campaign, opts)?;
-    let output_at = |i: usize| -> &AblationOutput {
-        report.outputs[i]
-            .as_ref()
-            .expect("execute() errors when any trial failed")
-    };
+    let outputs = completed(execute(&runner, &campaign, opts)?)?;
+    let output_at = |i: usize| &outputs[i];
 
     let mut records = Vec::new();
     let mut next = 0;
@@ -775,9 +1013,49 @@ pub fn run_ablations(opts: &CampaignOptions) -> Result<(), String> {
     println!("injected noise blunt the attack (accuracy recovers toward clean); tiling");
     println!("changes nothing about the leak.");
 
-    write_json(
-        opts.json_out.as_deref().unwrap_or("results/ablations.json"),
-        &records,
+    write_json(&opts.json_path("ablations"), &records)
+}
+
+// ---------------------------------------------------------------------
+// Multi-layer extension
+// ---------------------------------------------------------------------
+
+/// Runs the multi-layer grid (paper Sec. V future work): on a crossbar
+/// accelerator each dense layer occupies its own array, and the
+/// input-dependent part of the first array's supply current is
+/// `Σ_j u_j ‖W₁[:,j]‖₁` — the Eq. 5 leak, now about the first-layer
+/// weights only. Measures whether those norms still predict a trained
+/// MLP's end-to-end input sensitivity (the Table I methodology one
+/// layer up).
+pub fn run_multilayer(opts: &CampaignOptions) -> Result<(), String> {
+    let campaign = multilayer_campaign(opts.quick);
+    let results = opts.run_grid(&campaign)?;
+    let rows: Vec<Vec<String>> = results
+        .iter()
+        .map(|r| {
+            vec![
+                r.dataset.clone(),
+                fmt(r.test_accuracy, 3),
+                fmt(r.corr_of_mean_first_layer, 3),
+                fmt(r.single_layer_reference, 3),
+            ]
+        })
+        .collect();
+    println!("=== multi-layer extension: first-layer power leak vs end-to-end sensitivity ===");
+    println!(
+        "{}",
+        format_table(
+            &[
+                "dataset",
+                "mlp test acc",
+                "corr(mean |dL/du|, layer-1 norms)",
+                "single-layer reference",
+            ],
+            &rows
+        )
     );
-    Ok(())
+    println!("Expected shape: the first-layer leak remains a useful (if weaker) proxy for");
+    println!("input sensitivity in a 2-layer network — supporting the paper's conjecture");
+    println!("that the attack surface extends to deep models.");
+    write_json(&opts.json_path("multilayer"), &results)
 }

@@ -35,7 +35,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use crate::figures::{execute, CampaignOptions};
-use crate::{train_victim, DatasetKind, HeadKind, TrainedVictim};
+use crate::{train_victim, write_json, DatasetKind, HeadKind, TrainedVictim};
 
 /// Victim-training seed for the sweep (also the campaign seed every
 /// per-trial RNG stream derives from).
@@ -550,13 +550,7 @@ pub fn run_infer_sweep(opts: &CampaignOptions) -> Result<(), String> {
     let report = execute(&runner, &campaign, opts)?;
     let curves = infer_sweep_curves(opts.quick, &report.outputs)?;
     print_report(&curves);
-    crate::write_json(
-        opts.json_out
-            .as_deref()
-            .unwrap_or("results/infer-sweep.json"),
-        &curves,
-    );
-    Ok(())
+    write_json(&opts.json_path("infer-sweep"), &curves)
 }
 
 #[cfg(test)]

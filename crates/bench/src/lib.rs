@@ -1,29 +1,16 @@
 //! # xbar-bench
 //!
-//! The experiment and benchmark harness: shared setup code used by the
-//! binaries that regenerate every table and figure of the paper, plus the
-//! Criterion micro-benchmarks.
+//! The experiment harness: the one runner that regenerates every table
+//! and figure of the paper, plus the `xbar bench` suites and the
+//! robustness sweeps.
 //!
-//! Experiment binaries (run with `cargo run -p xbar-bench --release --bin <name>`):
-//!
-//! | binary | reproduces |
-//! |---|---|
-//! | `table1` | Table I — sensitivity / 1-norm correlations |
-//! | `fig3` | Fig. 3 — sensitivity and 1-norm heatmaps |
-//! | `fig4` | Fig. 4 — single-pixel attack curves |
-//! | `fig5` | Fig. 5 — surrogate black-box attacks |
-//! | `multipixel` | Sec. III multi-pixel discussion |
-//! | `recovery` | Sec. IV exact-recovery observations |
-//! | `ablations` | non-ideal-crossbar / defense extensions |
-//!
-//! Each binary prints the paper's rows/series as aligned tables and, when
-//! `--json <path>` is given, writes machine-readable results.
-//!
-//! The `fig4`, `fig5` and `ablations` experiments run on the
-//! [`xbar_runtime`] campaign executor (parallel, checkpointed,
-//! resumable): their grids live in [`campaign`] and their drivers in
-//! [`figures`]. The same drivers back the `xbar campaign` CLI
-//! subcommand.
+//! Every figure — `table1`, `fig3`, `fig4`, `fig5`, `multipixel`,
+//! `recovery`, `ablations`, `multilayer` — runs on the [`xbar_runtime`]
+//! campaign executor (parallel, checkpointed, resumable, traceable):
+//! its grid lives in [`campaign`] and its run function in [`figures`]
+//! ([`figures::FIGURES`] lists them). `xbar campaign --figure NAME`
+//! runs one, printing the paper's rows as aligned tables and writing
+//! `results/NAME.json`.
 //!
 //! [`mvmbench`] backs `xbar bench mvm`: the naive-vs-blocked batched
 //! MVM microbenchmark behind CI's `BENCH_mvm.json` artifact.

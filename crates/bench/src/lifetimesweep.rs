@@ -489,13 +489,7 @@ pub fn run_lifetime_sweep(
             report.failures.len()
         );
     }
-    write_json(
-        opts.json_out
-            .as_deref()
-            .unwrap_or("results/lifetime-sweep.json"),
-        &cells,
-    );
-    Ok(())
+    write_json(&opts.json_path("lifetime-sweep"), &cells)
 }
 
 #[cfg(test)]

@@ -423,7 +423,7 @@ pub fn run_mvm_bench(quick: bool, json_out: Option<&str>) -> Result<MvmBenchRepo
         report.faults.fault_apply_nanos as f64 / 1e6,
         report.faults.faulty_noop_bit_identical,
     );
-    write_json(json_out.unwrap_or("results/BENCH_mvm.json"), &report);
+    write_json(json_out.unwrap_or("results/BENCH_mvm.json"), &report)?;
     if let Some(bad) = report.rows.iter().find(|r| !r.bit_identical) {
         return Err(format!(
             "backend outputs diverged from naive at {}x{} threads={}",

@@ -207,7 +207,7 @@ pub fn run_serve_bench(quick: bool, json_out: Option<&str>) -> Result<ServeBench
         workers,
         rows,
     };
-    write_json(json_out.unwrap_or("results/BENCH_serve.json"), &report);
+    write_json(json_out.unwrap_or("results/BENCH_serve.json"), &report)?;
     Ok(report)
 }
 

@@ -4,9 +4,9 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use xbar_data::synth::digits::DigitsConfig;
-use xbar_data::synth::objects::ObjectsConfig;
-use xbar_data::Dataset;
+use xbar_data::synth::digits::{self, DigitsConfig};
+use xbar_data::synth::objects::{self, ObjectsConfig};
+use xbar_data::{Dataset, ImageShape};
 use xbar_nn::activation::Activation;
 use xbar_nn::loss::Loss;
 use xbar_nn::network::SingleLayerNet;
@@ -27,6 +27,16 @@ impl DatasetKind {
         match self {
             DatasetKind::Digits => "digits (MNIST-like)",
             DatasetKind::Objects => "objects (CIFAR-like)",
+        }
+    }
+
+    /// The image geometry of every sample.
+    pub(crate) fn image_shape(&self) -> ImageShape {
+        match self {
+            DatasetKind::Digits => ImageShape::new(digits::SIDE, digits::SIDE, 1),
+            DatasetKind::Objects => {
+                ImageShape::new(objects::SIDE, objects::SIDE, objects::CHANNELS)
+            }
         }
     }
 
@@ -165,47 +175,19 @@ pub fn paper_configs() -> [(DatasetKind, HeadKind); 4] {
     ]
 }
 
-/// Parses an optional `--json <path>` (and `--quick`) from the command
-/// line; returns `(json_path, quick)`. `--quick` shrinks experiment sizes
-/// for smoke-testing.
-pub fn parse_args() -> (Option<String>, bool) {
-    let args: Vec<String> = std::env::args().collect();
-    let mut json = None;
-    let mut quick = false;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--json" => {
-                if i + 1 < args.len() {
-                    json = Some(args[i + 1].clone());
-                    i += 1;
-                }
-            }
-            "--quick" => quick = true,
-            other => eprintln!("note: ignoring unknown argument {other}"),
-        }
-        i += 1;
-    }
-    (json, quick)
-}
-
-/// Writes a serialisable result to `path` as pretty JSON (creating parent
-/// directories), logging rather than failing on I/O errors so a missing
-/// `results/` directory never loses an experiment run.
-pub fn write_json<T: Serialize>(path: &str, value: &T) {
+/// Writes a serialisable result to `path` as pretty JSON, creating parent
+/// directories. A run that cannot save its artifact has failed, so every
+/// serialisation and I/O failure is returned, never just logged.
+pub fn write_json<T: Serialize>(path: &str, value: &T) -> Result<(), String> {
     if let Some(parent) = std::path::Path::new(path).parent() {
-        let _ = std::fs::create_dir_all(parent);
+        std::fs::create_dir_all(parent)
+            .map_err(|e| format!("cannot create directory {}: {e}", parent.display()))?;
     }
-    match serde_json::to_string_pretty(value) {
-        Ok(s) => {
-            if let Err(e) = std::fs::write(path, s) {
-                eprintln!("warning: could not write {path}: {e}");
-            } else {
-                println!("wrote {path}");
-            }
-        }
-        Err(e) => eprintln!("warning: could not serialise results: {e}"),
-    }
+    let text = serde_json::to_string_pretty(value)
+        .map_err(|e| format!("cannot serialise results for {path}: {e}"))?;
+    std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
+    println!("wrote {path}");
+    Ok(())
 }
 
 #[cfg(test)]
@@ -233,7 +215,9 @@ mod tests {
     fn dataset_generation_shapes() {
         let d = DatasetKind::Digits.generate(20, 2);
         assert_eq!(d.num_features(), 784);
+        assert_eq!(d.image_shape(), Some(DatasetKind::Digits.image_shape()));
         let o = DatasetKind::Objects.generate(20, 2);
         assert_eq!(o.num_features(), 3072);
+        assert_eq!(o.image_shape(), Some(DatasetKind::Objects.image_shape()));
     }
 }

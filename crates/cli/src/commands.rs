@@ -100,14 +100,17 @@ const COMMAND_USAGE: &[(&str, &str)] = &[
     ),
     (
         "campaign",
-        "  campaign  run a figure's experiment grid on the parallel campaign
-            runtime (checkpointed and resumable)
-            --figure fig4|fig5|ablations [--threads N] [--resume]
-            [--journal FILE] [--out FILE] [--retries N] [--quick]
-            [--backend naive|blocked|parallel[:N]] [--trace FILE]
-            [--faults SPEC.json]
-            [--transients FLIP[,JITTER]] [--progress stderr|json|none]
-            [--progress-every N]",
+        "  campaign  regenerate a paper figure: its experiment grid on the
+            parallel campaign runtime (checkpointed and resumable;
+            writes results/FIGURE.json)
+            --figure table1|fig3|fig4|fig5|multipixel|recovery|ablations|multilayer
+            [--threads N] [--resume] [--journal FILE] [--out FILE]
+            [--retries N] [--quick] [--trace FILE]
+            [--progress stderr|json|none] [--progress-every N]
+            [--backend naive|blocked|parallel[:N]]
+                (fig4, fig5, multipixel, recovery, ablations)
+            [--faults SPEC.json] [--transients FLIP[,JITTER]]
+                (fig4, fig5, ablations)",
     ),
     (
         "bench",
@@ -328,29 +331,35 @@ fn campaign_options(
 }
 
 fn cmd_campaign(args: &ParsedArgs) -> Result<(), CliError> {
-    use xbar_bench::figures::{run_ablations, run_fig4, run_fig5};
+    use xbar_bench::figures::{OracleFlags, FIGURES};
 
-    let figure = args.require("figure")?.to_string();
-    let mut opts = campaign_options(args, &format!("results/{figure}-journal.jsonl"))?;
+    let name = args.require("figure")?;
+    let figure = FIGURES.iter().find(|f| f.name == name).ok_or_else(|| {
+        let names: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
+        format!(
+            "unknown figure {name:?} (expected one of: {})",
+            names.join(", ")
+        )
+    })?;
+    // A flag the figure's trials would silently ignore is refused.
+    let faults = figure.flags == OracleFlags::All;
+    for (flag, applies) in [
+        ("backend", figure.flags != OracleFlags::None),
+        ("faults", faults),
+        ("transients", faults),
+    ] {
+        if !applies && args.get(flag).is_some() {
+            return Err(format!("--{flag} does not apply to figure {name}").into());
+        }
+    }
+    let mut opts = campaign_options(args, &format!("results/{name}-journal.jsonl"))?;
     // Optional device faults, injected into every trial's deployed
     // crossbar under the (campaign_seed, trial_index) key.
     opts.faults = args.get("faults").map(load_fault_spec).transpose()?;
     // Optional per-query transient faults, keyed additionally by the
     // global query index.
     opts.transients = args.get("transients").map(parse_transients).transpose()?;
-
-    let run = match figure.as_str() {
-        "fig4" => run_fig4,
-        "fig5" => run_fig5,
-        "ablations" => run_ablations,
-        other => {
-            return Err(Box::new(ArgsError::BadValue {
-                name: "figure",
-                value: other.to_string(),
-            }))
-        }
-    };
-    run(&opts).map_err(|e| -> CliError { e.into() })
+    (figure.run)(&opts).map_err(|e| -> CliError { e.into() })
 }
 
 fn cmd_bench(args: &ParsedArgs) -> Result<(), CliError> {
@@ -1172,8 +1181,25 @@ mod tests {
     fn campaign_argument_validation() {
         // Missing --figure.
         assert!(dispatch(&parse(&["campaign"])).is_err());
-        // Unknown figure.
-        assert!(dispatch(&parse(&["campaign", "--figure", "fig9"])).is_err());
+        // Unknown figure; the error lists all eight.
+        let err = dispatch(&parse(&["campaign", "--figure", "fig9"])).unwrap_err();
+        for figure in xbar_bench::figures::FIGURES {
+            assert!(err.to_string().contains(figure.name), "{err}");
+        }
+        // Flags a figure's trials would ignore are refused, naming the
+        // figure, before any work starts.
+        let refused = |figure: &str, flag: &str, value: &str| {
+            let err = dispatch(&parse(&["campaign", "--figure", figure, flag, value])).unwrap_err();
+            let err = err.to_string();
+            assert!(err.contains(flag) && err.contains(figure), "{err}");
+        };
+        for figure in ["table1", "fig3", "multipixel", "recovery", "multilayer"] {
+            refused(figure, "--faults", "unread.json");
+            refused(figure, "--transients", "0.01");
+        }
+        for figure in ["table1", "fig3", "multilayer"] {
+            refused(figure, "--backend", "blocked");
+        }
         // Bad thread count.
         assert!(dispatch(&parse(&[
             "campaign",
@@ -1199,6 +1225,18 @@ mod tests {
                 dispatch(&parse(&["campaign", "--figure", "fig4", "--backend", bad])).unwrap_err();
             assert!(err.to_string().contains("--backend"), "{bad:?} -> {err}");
         }
+    }
+
+    #[test]
+    fn unwritable_out_path_is_an_error() {
+        // A directory cannot be created under a regular file, so the
+        // artifact cannot be written and the command must fail.
+        let file = tmp("not-a-dir");
+        std::fs::write(&file, "").unwrap();
+        let out = format!("{file}/bench-mvm.json");
+        let err = dispatch(&parse(&["bench", "mvm", "--quick", "--out", &out])).unwrap_err();
+        assert!(err.to_string().contains("cannot create directory"), "{err}");
+        std::fs::remove_file(&file).ok();
     }
 
     #[test]

@@ -27,11 +27,6 @@ pub enum LinalgError {
     /// An operation that requires at least one element was given an empty
     /// matrix or slice.
     Empty,
-    /// An iterative routine failed to converge within its iteration budget.
-    NoConvergence {
-        /// Number of iterations performed before giving up.
-        iterations: usize,
-    },
     /// A least-squares problem was underdetermined where an overdetermined
     /// or square system was required.
     Underdetermined {
@@ -58,9 +53,6 @@ impl fmt::Display for LinalgError {
                 write!(f, "matrix is not symmetric positive definite")
             }
             LinalgError::Empty => write!(f, "operation requires a non-empty operand"),
-            LinalgError::NoConvergence { iterations } => {
-                write!(f, "iteration did not converge after {iterations} sweeps")
-            }
             LinalgError::Underdetermined { rows, cols } => write!(
                 f,
                 "system is underdetermined: {rows} equations for {cols} unknowns"
@@ -87,7 +79,6 @@ mod tests {
             LinalgError::Singular,
             LinalgError::NotPositiveDefinite,
             LinalgError::Empty,
-            LinalgError::NoConvergence { iterations: 30 },
             LinalgError::Underdetermined { rows: 3, cols: 7 },
         ];
         for e in errs {
