@@ -10,9 +10,10 @@
 //! reports the tiled kernel's throughput in GMAC/s, verifies the
 //! outputs are bit-identical across backends, and
 //! records the prepare-hit vs prepare-miss cost of the prepared-handle
-//! API. A fault-lifecycle section times [`FaultyBackend`] deployment
-//! (plan compile, plan apply, faulted prepare+eval) on the largest
-//! size. CI uploads the report as the `BENCH_mvm.json` artifact and
+//! API. A fault-lifecycle section times fault deployment on the
+//! largest size the way the oracle runs it at deployment and at every
+//! drift epoch: plan compile, then plan apply on the backend's threads,
+//! prepare of the faulted array and one batched MVM. CI uploads the report as the `BENCH_mvm.json` artifact and
 //! smoke-asserts `bit_identical` and `parallel_speedup` on every row.
 //!
 //! `host_threads` (the machine's available parallelism) and `cpu_model`
@@ -25,9 +26,9 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
 use xbar_crossbar::array::CrossbarArray;
-use xbar_crossbar::backend::{BackendKind, BackendSpec, EvalBackend};
+use xbar_crossbar::backend::{BackendKind, BackendSpec, BlockedBackend, EvalBackend};
 use xbar_crossbar::device::DeviceModel;
-use xbar_faults::{FaultKey, FaultSpec, FaultyBackend};
+use xbar_faults::{FaultKey, FaultPlan, FaultSpec};
 use xbar_linalg::Matrix;
 
 use crate::write_json;
@@ -76,8 +77,8 @@ pub struct MvmBenchRow {
     /// Whether blocked and parallel outputs were bit-identical to the
     /// naive backend on this row.
     pub bit_identical: bool,
-    /// Mean nanoseconds per `EvalBackend::prepare` (weight
-    /// materialisation plus array snapshot).
+    /// Mean nanoseconds per `EvalBackend::prepare` (materialising the
+    /// effective weights and the per-line conductance totals).
     pub prepare_nanos: u64,
     /// Batch size used for the prepare-hit vs prepare-miss probe
     /// (small, so the prepare cost is visible against the evaluation).
@@ -103,23 +104,27 @@ pub struct FaultLifecycleReport {
     pub inputs: usize,
     /// Batch size per timed call.
     pub batch: usize,
-    /// Mean nanoseconds per prepare-miss batch through a
-    /// [`FaultyBackend`] (plan apply + prepare + batched MVM) over the
-    /// blocked kernel with a representative (1% stuck-on, 1% stuck-off,
-    /// sigma=0.1 variation) plan.
+    /// Mean nanoseconds per faulted deployment of a representative
+    /// (1% stuck-on, 1% stuck-off, sigma=0.1 variation) plan, as the
+    /// oracle deploys and redeploys: [`FaultPlan::apply_at_threads`] on
+    /// the blocked backend's threads, [`BlockedBackend`]'s `prepare` of
+    /// the faulted array, and one batched MVM.
     pub faulty_nanos: u64,
     /// `faulty_nanos` over the bare blocked backend's prepare-miss
-    /// cost: the per-deployment fault-injection overhead.
+    /// cost (prepare + batched MVM of the unfaulted array): the
+    /// per-deployment fault-injection overhead.
     pub fault_overhead: f64,
-    /// Whether a [`FaultyBackend`] carrying an *empty* fault plan
-    /// returned outputs bit-identical to the bare blocked backend.
+    /// Whether an *empty* fault plan deployed through that same path
+    /// returned outputs bit-identical to the bare blocked backend on
+    /// the unfaulted array.
     pub faulty_noop_bit_identical: bool,
     /// Mean nanoseconds per `FaultSpec::compile` of the representative
     /// plan (the per-trial cost of drawing a fault realisation).
     pub fault_compile_nanos: u64,
-    /// Mean nanoseconds per `FaultPlan::apply` to the benchmark array
-    /// (the per-deployment cost of materialising the faulted
-    /// conductances).
+    /// Mean nanoseconds per [`FaultPlan::apply_at_threads`] of the
+    /// representative plan to the benchmark array on the blocked
+    /// backend's threads (the per-deployment cost of materialising the
+    /// faulted conductances).
     pub fault_apply_nanos: u64,
 }
 
@@ -169,8 +174,12 @@ fn bench_size(
     let samples = Matrix::random_uniform(batch, inputs, 0.0, 1.0, rng);
     let refs: Vec<&[f64]> = (0..batch).map(|b| samples.row(b)).collect();
 
-    let naive = BackendKind::Naive.build();
-    let blocked = BackendKind::Blocked.build();
+    let naive = BackendSpec::new(BackendKind::Naive)
+        .build()
+        .map_err(|e| e.to_string())?;
+    let blocked = BackendSpec::new(BackendKind::Blocked)
+        .build()
+        .map_err(|e| e.to_string())?;
     let prepared_naive = naive.prepare(&array).map_err(|e| e.to_string())?;
     let prepared_blocked = blocked.prepare(&array).map_err(|e| e.to_string())?;
 
@@ -272,7 +281,8 @@ fn bench_faults(
     let samples = Matrix::random_uniform(batch, inputs, 0.0, 1.0, rng);
     let refs: Vec<&[f64]> = (0..batch).map(|b| samples.row(b)).collect();
 
-    let blocked = BackendKind::Blocked.build();
+    let blocked = BlockedBackend::default();
+    let threads = blocked.threads();
     let key = FaultKey::new(MVM_BENCH_SEED, 0);
     let fault_spec = FaultSpec::none()
         .with_stuck_on_rate(0.01)
@@ -281,23 +291,26 @@ fn bench_faults(
     let plan = fault_spec
         .compile(outputs, inputs, key)
         .map_err(|e| e.to_string())?;
-    let faulty = FaultyBackend::from_kind(BackendKind::Blocked, plan.clone());
-    let noop = FaultyBackend::from_kind(
-        BackendKind::Blocked,
-        FaultSpec::none()
-            .compile(outputs, inputs, key)
-            .map_err(|e| e.to_string())?,
-    );
+    let noop = FaultSpec::none()
+        .compile(outputs, inputs, key)
+        .map_err(|e| e.to_string())?;
+    // What the oracle runs at deployment and at each drift epoch.
+    let deploy = |plan: &FaultPlan| -> Result<Vec<Vec<f64>>, String> {
+        let faulted = plan
+            .apply_at_threads(&array, plan.spec().drift_time, threads)
+            .map_err(|e| e.to_string())?;
+        let prepared = blocked.prepare(&faulted).map_err(|e| e.to_string())?;
+        blocked
+            .mvm_prepared(&prepared, &faulted, &refs)
+            .map_err(|e| e.to_string())
+    };
 
-    // The zero-fault bit-identity contract, on prepared handles.
+    // The zero-fault bit-identity contract, through the deployment path.
     let prepared_blocked = blocked.prepare(&array).map_err(|e| e.to_string())?;
-    let prepared_noop = noop.prepare(&array).map_err(|e| e.to_string())?;
     let faulty_noop_bit_identical = blocked
         .mvm_prepared(&prepared_blocked, &array, &refs)
         .map_err(|e| e.to_string())?
-        == noop
-            .mvm_prepared(&prepared_noop, &array, &refs)
-            .map_err(|e| e.to_string())?;
+        == deploy(&noop)?;
 
     // Both sides timed prepare-miss (fresh handle per call), so the
     // ratio isolates what fault deployment adds to a deployment.
@@ -307,18 +320,16 @@ fn bench_faults(
             .mvm_prepared(&fresh, &array, &refs)
             .expect("benchmark inputs are well-formed")
     });
-    let faulty_nanos = time_mean(iterations, || {
-        let fresh = faulty.prepare(&array).expect("array shape is fixed");
-        faulty
-            .mvm_prepared(&fresh, &array, &refs)
-            .expect("benchmark inputs are well-formed")
-    });
+    let faulty_nanos = time_mean(iterations, || deploy(&plan).expect("shapes match"));
     let fault_compile_nanos = time_mean(iterations, || {
         fault_spec
             .compile(outputs, inputs, key)
             .expect("spec validated above")
     });
-    let fault_apply_nanos = time_mean(iterations, || plan.apply(&array).expect("shapes match"));
+    let fault_apply_nanos = time_mean(iterations, || {
+        plan.apply_at_threads(&array, plan.spec().drift_time, threads)
+            .expect("shapes match")
+    });
 
     Ok(FaultLifecycleReport {
         outputs,
@@ -413,7 +424,7 @@ pub fn run_mvm_bench(quick: bool, json_out: Option<&str>) -> Result<MvmBenchRepo
         report.cpu_model
     );
     println!(
-        "faults {}x{}: faulty(blocked) {:.3} ms, overhead {:.2}x, compile {:.3} ms, \
+        "faults {}x{}: faulted deploy (blocked) {:.3} ms, overhead {:.2}x, compile {:.3} ms, \
          apply {:.3} ms, zero-fault bit-identical: {}",
         report.faults.outputs,
         report.faults.inputs,
@@ -431,7 +442,7 @@ pub fn run_mvm_bench(quick: bool, json_out: Option<&str>) -> Result<MvmBenchRepo
         ));
     }
     if !report.faults.faulty_noop_bit_identical {
-        return Err("zero-fault FaultyBackend diverged from blocked outputs".into());
+        return Err("zero-fault deployment diverged from blocked outputs".into());
     }
     Ok(report)
 }

@@ -118,7 +118,8 @@ const COMMAND_USAGE: &[(&str, &str)] = &[
             mvm [--quick] [--out FILE]   size x threads backend matrix:
                                          naive vs blocked vs parallel
                                          batched MVM, prepared-handle
-                                         hit/miss cost, FaultyBackend
+                                         hit/miss cost, faulted deploy
+                                         (plan apply + prepare + MVM)
                                          overhead (bit-identity checked;
                                          writes results/BENCH_mvm.json)
             serve [--quick] [--out FILE] campaign-service throughput and

@@ -7,7 +7,7 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex};
 use xbar_crossbar::array::CrossbarArray;
-use xbar_crossbar::backend::{BackendKind, BackendSpec, EvalBackend, PreparedEval};
+use xbar_crossbar::backend::{BackendKind, BackendSpec, EvalBackend, PreparedEval, RngStreams};
 use xbar_crossbar::device::DeviceModel;
 use xbar_crossbar::power::PowerModel;
 use xbar_crossbar::CrossbarError;
@@ -370,7 +370,12 @@ impl Oracle {
         let mut plan = None;
         if let Some(injection) = &config.faults {
             let compiled = injection.compile(xbar.num_outputs(), xbar.num_inputs())?;
-            xbar = compiled.apply(&xbar)?;
+            // The same apply a drift epoch runs, on the backend's threads.
+            xbar = compiled.apply_at_threads(
+                &xbar,
+                injection.spec.drift_time,
+                config.backend.worker_threads(),
+            )?;
             if config.drift.is_active() {
                 plan = Some(Arc::new(compiled));
             }
@@ -772,10 +777,15 @@ impl Oracle {
             }
             (powers, Some(outs))
         } else {
+            let power = &self.config.power;
             let raws = if noisy_power {
-                self.keyed_noisy_power(&session, transients, inputs, keys)?
+                self.keyed_eval(&session, transients, inputs, keys, |b, p, a, x, s| {
+                    b.noisy_power_prepared(power, p, a, x, s)
+                })?
             } else {
-                self.keyed_power(&session, transients, inputs, keys)?
+                self.keyed_eval(&session, transients, inputs, keys, |b, p, a, x, _| {
+                    b.power_prepared(power, p, a, x)
+                })?
             };
             let powers = raws
                 .iter()
@@ -785,9 +795,17 @@ impl Oracle {
             let outs = if !needs_forward {
                 None
             } else if noisy_read {
-                Some(self.keyed_noisy_mvm(&session, transients, inputs, keys)?)
+                Some(
+                    self.keyed_eval(&session, transients, inputs, keys, |b, p, a, x, s| {
+                        b.noisy_mvm_prepared(p, a, x, s)
+                    })?,
+                )
             } else {
-                Some(self.keyed_mvm(&session, transients, inputs, keys)?)
+                Some(
+                    self.keyed_eval(&session, transients, inputs, keys, |b, p, a, x, _| {
+                        b.mvm_prepared(p, a, x)
+                    })?,
+                )
             };
             (powers, outs)
         };
@@ -828,132 +846,50 @@ impl Oracle {
         Ok(observations)
     }
 
-    // The four keyed evaluation shapes. With transients active each
-    // sample reads its own perturbed array — a fresh conductance
-    // generation that can never hit the cached handle — so every sample
-    // becomes a single-sample prepare + evaluate under its key's index:
-    // exactly what `xbar_faults::TransientBackend` does for contiguous
-    // indices, but valid for the arbitrary per-sample keys of a
-    // mixed-session batch. Without transients the whole batch goes to the
-    // cached prepared session in one call; backends are bit-identical
-    // per sample by contract, so both shapes yield the same floats.
-
-    fn keyed_power(
+    /// One keyed batch call, `call(backend, handle, array, inputs,
+    /// streams)`, with sample `i`'s noise stream keyed by `keys[i]`.
+    ///
+    /// Without transients the whole batch goes to the cached session in
+    /// one call. With transients each sample reads its own perturbed
+    /// array — a fresh conductance generation that can never hit the
+    /// cached handle — so every sample is prepared and evaluated as a
+    /// batch of one under its key's index, which holds for the
+    /// arbitrary per-sample keys of a mixed-session batch. Backends are
+    /// bit-identical per sample by contract, so both shapes yield the
+    /// same floats.
+    fn keyed_eval<T>(
         &self,
         session: &PreparedSession,
-        transients: Option<xbar_faults::TransientInjection>,
+        transients: Option<TransientInjection>,
         inputs: &[&[f64]],
         keys: &[QueryKey],
-    ) -> Result<Vec<f64>> {
-        match transients {
-            None => Ok(session.backend.power_prepared(
-                &self.config.power,
+        call: impl Fn(
+            &dyn EvalBackend,
+            &PreparedEval,
+            &CrossbarArray,
+            &[&[f64]],
+            RngStreams<'_>,
+        ) -> xbar_crossbar::Result<Vec<T>>,
+    ) -> Result<Vec<T>> {
+        let backend = session.backend.as_ref();
+        let Some(injection) = transients else {
+            let mut streams = |i: usize| Self::stream_rng(keys[i].seed, keys[i].index);
+            return Ok(call(
+                backend,
                 &session.prepared,
                 &self.xbar,
                 inputs,
-            )?),
-            Some(injection) => {
-                let mut out = Vec::with_capacity(inputs.len());
-                for (i, input) in inputs.iter().enumerate() {
-                    let perturbed = injection.perturbed(&self.xbar, keys[i].index);
-                    let p = session.backend.prepare(&perturbed)?;
-                    out.extend(session.backend.power_prepared(
-                        &self.config.power,
-                        &p,
-                        &perturbed,
-                        &[input],
-                    )?);
-                }
-                Ok(out)
-            }
+                &mut streams,
+            )?);
+        };
+        let mut out = Vec::with_capacity(inputs.len());
+        for (input, key) in inputs.iter().zip(keys) {
+            let perturbed = injection.perturbed(&self.xbar, key.index);
+            let prepared = backend.prepare(&perturbed)?;
+            let mut stream = |_: usize| Self::stream_rng(key.seed, key.index);
+            out.extend(call(backend, &prepared, &perturbed, &[input], &mut stream)?);
         }
-    }
-
-    fn keyed_noisy_power(
-        &self,
-        session: &PreparedSession,
-        transients: Option<xbar_faults::TransientInjection>,
-        inputs: &[&[f64]],
-        keys: &[QueryKey],
-    ) -> Result<Vec<f64>> {
-        match transients {
-            None => Ok(session.backend.noisy_power_prepared(
-                &self.config.power,
-                &session.prepared,
-                &self.xbar,
-                inputs,
-                &mut |i| Self::stream_rng(keys[i].seed, keys[i].index),
-            )?),
-            Some(injection) => {
-                let mut out = Vec::with_capacity(inputs.len());
-                for (i, input) in inputs.iter().enumerate() {
-                    let perturbed = injection.perturbed(&self.xbar, keys[i].index);
-                    let p = session.backend.prepare(&perturbed)?;
-                    out.extend(session.backend.noisy_power_prepared(
-                        &self.config.power,
-                        &p,
-                        &perturbed,
-                        &[input],
-                        &mut |_| Self::stream_rng(keys[i].seed, keys[i].index),
-                    )?);
-                }
-                Ok(out)
-            }
-        }
-    }
-
-    fn keyed_mvm(
-        &self,
-        session: &PreparedSession,
-        transients: Option<xbar_faults::TransientInjection>,
-        inputs: &[&[f64]],
-        keys: &[QueryKey],
-    ) -> Result<Vec<Vec<f64>>> {
-        match transients {
-            None => Ok(session
-                .backend
-                .mvm_prepared(&session.prepared, &self.xbar, inputs)?),
-            Some(injection) => {
-                let mut out = Vec::with_capacity(inputs.len());
-                for (i, input) in inputs.iter().enumerate() {
-                    let perturbed = injection.perturbed(&self.xbar, keys[i].index);
-                    let p = session.backend.prepare(&perturbed)?;
-                    out.extend(session.backend.mvm_prepared(&p, &perturbed, &[input])?);
-                }
-                Ok(out)
-            }
-        }
-    }
-
-    fn keyed_noisy_mvm(
-        &self,
-        session: &PreparedSession,
-        transients: Option<xbar_faults::TransientInjection>,
-        inputs: &[&[f64]],
-        keys: &[QueryKey],
-    ) -> Result<Vec<Vec<f64>>> {
-        match transients {
-            None => Ok(session.backend.noisy_mvm_prepared(
-                &session.prepared,
-                &self.xbar,
-                inputs,
-                &mut |i| Self::stream_rng(keys[i].seed, keys[i].index),
-            )?),
-            Some(injection) => {
-                let mut out = Vec::with_capacity(inputs.len());
-                for (i, input) in inputs.iter().enumerate() {
-                    let perturbed = injection.perturbed(&self.xbar, keys[i].index);
-                    let p = session.backend.prepare(&perturbed)?;
-                    out.extend(session.backend.noisy_mvm_prepared(
-                        &p,
-                        &perturbed,
-                        &[input],
-                        &mut |_| Self::stream_rng(keys[i].seed, keys[i].index),
-                    )?);
-                }
-                Ok(out)
-            }
-        }
+        Ok(out)
     }
 
     // ------------------------------------------------------------------
@@ -1605,7 +1541,11 @@ mod tests {
                 let cached = o.prepared.slot.lock().unwrap().clone().unwrap();
                 let fresh = backend.build().unwrap().prepare(&o.xbar).unwrap();
                 assert_eq!(cached.prepared.generation(), o.xbar.generation());
-                assert_eq!(cached.prepared.array(), &o.xbar, "{backend}");
+                assert_eq!(
+                    cached.prepared.generation(),
+                    fresh.generation(),
+                    "{backend}"
+                );
                 for (a, b) in [
                     (
                         cached.prepared.weights().as_slice(),

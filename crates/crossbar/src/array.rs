@@ -45,8 +45,7 @@ fn next_generation() -> u64 {
 #[derive(Debug, Clone)]
 pub struct CrossbarArray {
     /// The conductance planes, immutable once built and shared by
-    /// clones: a clone (the oracle's session views, a
-    /// [`crate::backend::PreparedEval`] snapshot) aliases the `2·M·N`
+    /// clones: a clone (the oracle's session views) aliases the `2·M·N`
     /// conductances instead of copying them.
     g_plus: Arc<Matrix>,
     g_minus: Arc<Matrix>,

@@ -9,19 +9,21 @@
 //! around a *prepared handle* that pays the setup once:
 //!
 //! * [`EvalBackend::prepare`] materialises a [`PreparedEval`] — the
-//!   effective weights, the per-line conductance totals, and a snapshot
-//!   of the array — fingerprinted by the array's conductance
+//!   effective weights and the per-line conductance totals —
+//!   fingerprinted by the array's conductance
 //!   [`CrossbarArray::generation`].
-//! * The `*_prepared` methods evaluate batches against that handle. A
-//!   handle whose generation no longer matches the driving array (the
-//!   array was re-programmed, fault-applied, or drifted since) is
-//!   rejected with [`CrossbarError::StalePrepared`] — never silently
-//!   reused.
+//! * The `*_prepared` methods evaluate batches of the array they are
+//!   given against that handle. A handle whose generation no longer
+//!   matches the array (the array was re-programmed, fault-applied, or
+//!   drifted since) is rejected with [`CrossbarError::StalePrepared`] —
+//!   never silently reused. Arrays are immutable and a generation names
+//!   exactly one set of conductances, so once the generations match the
+//!   handle and the array describe the same hardware.
 //!
 //! Two backends implement the trait:
 //!
 //! * [`NaiveBackend`] — the reference implementation: a straight loop
-//!   over the existing per-vector calls against the prepared snapshot.
+//!   over the existing per-vector calls on the array.
 //! * [`BlockedBackend`] — evaluates from the prepared weights (or line
 //!   conductances) with a cache-blocked kernel over `outputs x batch`
 //!   tiles, each run through the register-tiled
@@ -77,16 +79,6 @@ pub enum BackendKind {
 }
 
 impl BackendKind {
-    /// Constructs the backend this kind names, with default
-    /// [`BatchConfig`] on one thread. Use [`BackendSpec::build`] to
-    /// carry explicit tile sizes or a thread count.
-    pub fn build(self) -> Box<dyn EvalBackend> {
-        match self {
-            BackendKind::Naive => Box::new(NaiveBackend),
-            BackendKind::Blocked => Box::new(BlockedBackend::default()),
-        }
-    }
-
     /// The CLI spelling of this kind.
     pub fn label(self) -> &'static str {
         match self {
@@ -326,11 +318,8 @@ impl std::str::FromStr for BackendSpec {
 }
 
 /// A materialised evaluation handle for one conductance generation of
-/// one array: the effective weight matrix, the per-line conductance
-/// totals, and a snapshot of the array itself (so noisy per-device
-/// reads and decorated backends evaluate the exact state that was
-/// prepared). The snapshot is a clone of the array, which shares its
-/// conductance planes rather than copying them.
+/// one array: the effective weight matrix and the per-line conductance
+/// totals.
 ///
 /// Built by [`EvalBackend::prepare`] and consumed by the `*_prepared`
 /// methods. The handle is keyed by [`CrossbarArray::generation`]: every
@@ -344,7 +333,6 @@ impl std::str::FromStr for BackendSpec {
 #[derive(Debug, Clone)]
 pub struct PreparedEval {
     generation: u64,
-    array: CrossbarArray,
     weights: Matrix,
     conductances: Vec<f64>,
 }
@@ -412,7 +400,6 @@ impl PreparedEval {
         });
         PreparedEval {
             generation: array.generation(),
-            array: array.clone(),
             weights: Matrix::from_vec(m, n, weights),
             conductances,
         }
@@ -423,37 +410,16 @@ impl PreparedEval {
         self.generation
     }
 
-    /// The snapshot of the array the handle was prepared from.
-    ///
-    /// `*_prepared` methods evaluate against this snapshot (the driving
-    /// array argument is only the staleness witness) — which is what
-    /// lets decorating backends prepare from a *derived* array (e.g. a
-    /// faulted copy) and still be driven with the source array.
-    pub fn array(&self) -> &CrossbarArray {
-        &self.array
-    }
-
     /// The materialised effective weights,
-    /// [`CrossbarArray::effective_weights`] of the snapshot.
+    /// [`CrossbarArray::effective_weights`] of the prepared array.
     pub fn weights(&self) -> &Matrix {
         &self.weights
     }
 
     /// The materialised per-line conductance totals,
-    /// [`CrossbarArray::input_line_conductances`] of the snapshot.
+    /// [`CrossbarArray::input_line_conductances`] of the prepared array.
     pub fn line_conductances(&self) -> &[f64] {
         &self.conductances
-    }
-
-    /// Re-keys the handle to a different source generation.
-    ///
-    /// For decorating backends only: a decorator that prepares from a
-    /// derived array (e.g. [`FaultyBackend`](crate::backend) wrappers in
-    /// `xbar-faults` preparing from the faulted copy) re-keys the handle
-    /// to the *source* array's generation, so staleness is tracked
-    /// against the array callers actually hold.
-    pub fn rekey(&mut self, generation: u64) {
-        self.generation = generation;
     }
 
     /// Fails unless `array`'s current conductance generation matches the
@@ -483,20 +449,13 @@ impl PreparedEval {
 /// methods: prepare once per deployed array generation, then evaluate
 /// any number of batches against the handle.
 pub trait EvalBackend: Send + Sync + std::fmt::Debug {
-    /// Which [`BackendKind`] this backend implements.
-    fn kind(&self) -> BackendKind;
-
     /// Materialises a [`PreparedEval`] for the array's current
     /// conductance generation. Emits no observability events.
     ///
-    /// Decorating backends (fault injection) override this to prepare
-    /// from their derived array and re-key the handle to the source
-    /// generation — see [`PreparedEval::rekey`].
-    ///
     /// # Errors
     ///
-    /// Decorator implementations propagate derivation errors (e.g. a
-    /// fault plan compiled for a different shape).
+    /// The provided implementations never fail; the `Result` leaves
+    /// room for backends whose preparation can.
     fn prepare(&self, array: &CrossbarArray) -> Result<PreparedEval> {
         Ok(PreparedEval::new(array))
     }
@@ -504,8 +463,9 @@ pub trait EvalBackend: Send + Sync + std::fmt::Debug {
     /// Noiseless differential MVM for a batch of inputs against a
     /// prepared handle — the batched [`CrossbarArray::checked_mvm`].
     ///
-    /// `array` is the staleness witness: evaluation reads only the
-    /// handle's materialised state.
+    /// `array` must be the array the handle was prepared from (same
+    /// generation); evaluation reads the handle's materialised state
+    /// where it has one and `array` otherwise.
     ///
     /// # Errors
     ///
@@ -647,16 +607,12 @@ fn mvm_tiles_into(
     }
 }
 
-/// The reference backend: a straight loop over the per-vector calls
-/// against the prepared snapshot.
+/// The reference backend: a straight loop over the per-vector calls on
+/// the array.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NaiveBackend;
 
 impl EvalBackend for NaiveBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Naive
-    }
-
     fn mvm_prepared(
         &self,
         prepared: &PreparedEval,
@@ -664,11 +620,11 @@ impl EvalBackend for NaiveBackend {
         inputs: &[&[f64]],
     ) -> Result<Vec<Vec<f64>>> {
         prepared.ensure_current(array)?;
-        validate_batch(prepared.array(), inputs)?;
+        validate_batch(array, inputs)?;
         record_batch(inputs);
         inputs
             .iter()
-            .map(|input| prepared.array().checked_mvm(input))
+            .map(|input| array.checked_mvm(input))
             .collect()
     }
 
@@ -680,11 +636,11 @@ impl EvalBackend for NaiveBackend {
         inputs: &[&[f64]],
     ) -> Result<Vec<f64>> {
         prepared.ensure_current(array)?;
-        validate_batch(prepared.array(), inputs)?;
+        validate_batch(array, inputs)?;
         record_batch(inputs);
         inputs
             .iter()
-            .map(|input| model.exact(prepared.array(), input))
+            .map(|input| model.exact(array, input))
             .collect()
     }
 
@@ -696,9 +652,9 @@ impl EvalBackend for NaiveBackend {
         streams: RngStreams<'_>,
     ) -> Result<Vec<Vec<f64>>> {
         prepared.ensure_current(array)?;
-        validate_batch(prepared.array(), inputs)?;
+        validate_batch(array, inputs)?;
         record_batch(inputs);
-        noisy_mvm_per_sample(prepared.array(), inputs, streams)
+        noisy_mvm_per_sample(array, inputs, streams)
     }
 
     fn noisy_power_prepared(
@@ -710,14 +666,14 @@ impl EvalBackend for NaiveBackend {
         streams: RngStreams<'_>,
     ) -> Result<Vec<f64>> {
         prepared.ensure_current(array)?;
-        validate_batch(prepared.array(), inputs)?;
+        validate_batch(array, inputs)?;
         record_batch(inputs);
         // The reference: the per-vector `measure`, which rebuilds the
         // line conductances for every sample.
         inputs
             .iter()
             .enumerate()
-            .map(|(i, input)| model.measure(prepared.array(), input, &mut streams(i)))
+            .map(|(i, input)| model.measure(array, input, &mut streams(i)))
             .collect()
     }
 }
@@ -793,10 +749,6 @@ impl BlockedBackend {
 }
 
 impl EvalBackend for BlockedBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Blocked
-    }
-
     /// [`PreparedEval::new`]'s one-pass prepare on this backend's
     /// worker threads (inline at one thread).
     fn prepare(&self, array: &CrossbarArray) -> Result<PreparedEval> {
@@ -810,7 +762,7 @@ impl EvalBackend for BlockedBackend {
         inputs: &[&[f64]],
     ) -> Result<Vec<Vec<f64>>> {
         prepared.ensure_current(array)?;
-        validate_batch(prepared.array(), inputs)?;
+        validate_batch(array, inputs)?;
         record_batch(inputs);
         // One analog MVM per sample, exactly like the per-vector path.
         xbar_obs::count(xbar_obs::names::XBAR_ANALOG_MVM, inputs.len() as u64);
@@ -858,7 +810,7 @@ impl EvalBackend for BlockedBackend {
         inputs: &[&[f64]],
     ) -> Result<Vec<f64>> {
         prepared.ensure_current(array)?;
-        validate_batch(prepared.array(), inputs)?;
+        validate_batch(array, inputs)?;
         record_batch(inputs);
         // One power read per sample, exactly like the per-vector path.
         xbar_obs::count(xbar_obs::names::XBAR_POWER_READ, inputs.len() as u64);
@@ -890,9 +842,9 @@ impl EvalBackend for BlockedBackend {
         streams: RngStreams<'_>,
     ) -> Result<Vec<Vec<f64>>> {
         prepared.ensure_current(array)?;
-        validate_batch(prepared.array(), inputs)?;
+        validate_batch(array, inputs)?;
         record_batch(inputs);
-        noisy_mvm_per_sample(prepared.array(), inputs, streams)
+        noisy_mvm_per_sample(array, inputs, streams)
     }
 
     fn noisy_power_prepared(
@@ -904,7 +856,7 @@ impl EvalBackend for BlockedBackend {
         streams: RngStreams<'_>,
     ) -> Result<Vec<f64>> {
         prepared.ensure_current(array)?;
-        validate_batch(prepared.array(), inputs)?;
+        validate_batch(array, inputs)?;
         record_batch(inputs);
         xbar_obs::count(xbar_obs::names::XBAR_POWER_READ, inputs.len() as u64);
         // The exact reading is `power_prepared`'s dot over the handle's
@@ -1123,7 +1075,7 @@ mod tests {
         let model = PowerModel::default();
         let mut stream = |_: usize| ChaCha8Rng::seed_from_u64(9);
         for kind in [BackendKind::Naive, BackendKind::Blocked] {
-            let backend = kind.build();
+            let backend = BackendSpec::new(kind).build().unwrap();
             let prepared = backend.prepare(&xbar).unwrap();
             // Even an identity conductance map invalidates the handle.
             let remapped = xbar.map_conductances(|_, g| g);
@@ -1144,24 +1096,6 @@ mod tests {
             // The handle still serves the generation it was built from.
             assert!(backend.mvm_prepared(&prepared, &xbar, &refs).is_ok());
         }
-    }
-
-    #[test]
-    fn rekeyed_handles_follow_the_new_source() {
-        let xbar = array(4, 5, 41);
-        let derived = xbar.map_conductances(|_, g| g * 0.5);
-        let backend = BlockedBackend::default();
-        let mut prepared = backend.prepare(&derived).unwrap();
-        prepared.rekey(xbar.generation());
-        let inputs = batch(5, 3, 42);
-        let refs = refs(&inputs);
-        // Driven with the source array, evaluated from the derived
-        // snapshot — the decorator contract.
-        let out = backend.mvm_prepared(&prepared, &xbar, &refs).unwrap();
-        for (input, row) in refs.iter().zip(&out) {
-            assert_eq!(row, &derived.checked_mvm(input).unwrap());
-        }
-        assert!(backend.mvm_prepared(&prepared, &derived, &refs).is_err());
     }
 
     #[test]
@@ -1245,11 +1179,8 @@ mod tests {
         let good = vec![0.5; 6];
         let bad = vec![0.5; 5];
         let refs: Vec<&[f64]> = vec![&good, &bad];
-        for backend in [
-            BackendKind::Naive.build(),
-            BackendKind::Blocked.build(),
-            "parallel".parse::<BackendSpec>().unwrap().build().unwrap(),
-        ] {
+        for spec in ["naive", "blocked", "parallel"] {
+            let backend = spec.parse::<BackendSpec>().unwrap().build().unwrap();
             assert!(matches!(
                 mvm(backend.as_ref(), &xbar, &refs),
                 Err(CrossbarError::InputLenMismatch {
@@ -1265,11 +1196,8 @@ mod tests {
     fn empty_batches_are_fine() {
         let xbar = array(3, 4, 10);
         let refs: Vec<&[f64]> = Vec::new();
-        for backend in [
-            BackendKind::Naive.build(),
-            BackendKind::Blocked.build(),
-            "parallel".parse::<BackendSpec>().unwrap().build().unwrap(),
-        ] {
+        for spec in ["naive", "blocked", "parallel"] {
+            let backend = spec.parse::<BackendSpec>().unwrap().build().unwrap();
             assert!(mvm(backend.as_ref(), &xbar, &refs).unwrap().is_empty());
         }
     }
@@ -1279,13 +1207,12 @@ mod tests {
         for kind in [BackendKind::Naive, BackendKind::Blocked] {
             assert_eq!(kind.label().parse::<BackendKind>().unwrap(), kind);
             assert_eq!(kind.to_string(), kind.label());
-            assert_eq!(kind.build().kind(), kind);
         }
         assert!("gpu".parse::<BackendKind>().is_err());
         // Thread counts belong to the spec, not the kind.
         assert!("parallel".parse::<BackendKind>().is_err());
         assert_eq!(BackendKind::default(), BackendKind::Naive);
-        // `BackendKind::Blocked.build()` is the tiled kernel on one thread.
+        // The default tiled backend runs on one thread.
         assert_eq!(BlockedBackend::default().threads(), 1);
     }
 
@@ -1357,7 +1284,9 @@ mod tests {
             .with_batch(BatchConfig::default().with_block_outputs(8))
             .with_threads(2);
         assert!(good.validate().is_ok());
-        assert_eq!(good.build().unwrap().kind(), BackendKind::Blocked);
+        let built = format!("{:?}", good.build().unwrap());
+        assert!(built.starts_with("BlockedBackend"), "{built}");
+        assert!(built.contains("threads: 2"), "{built}");
     }
 
     #[test]

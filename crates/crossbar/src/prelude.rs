@@ -7,7 +7,7 @@
 //! let w = xbar_linalg::Matrix::from_rows(&[&[0.5, -1.0]]);
 //! let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
 //! let xbar = CrossbarArray::program(&w, &DeviceModel::ideal(), &mut rng)?;
-//! let backend = BackendKind::Blocked.build();
+//! let backend = BackendSpec::new(BackendKind::Blocked).build()?;
 //! let prepared = backend.prepare(&xbar)?;
 //! let out = backend.mvm_prepared(&prepared, &xbar, &[&[1.0, 0.0]])?;
 //! assert!((out[0][0] - 0.5).abs() < 1e-9);

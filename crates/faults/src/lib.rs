@@ -22,10 +22,18 @@
 //!    order — the same discipline `xbar-runtime` uses for trial RNGs.
 //! 3. [`FaultPlan::apply`] — materialises a faulted copy of a
 //!    programmed array. [`FaultPlan::apply_at`] does the same at any
-//!    other drift time, so a drifting deployment compiles its plan once. A [`FaultyBackend`] wraps any
-//!    [`EvalBackend`](xbar_crossbar::backend::EvalBackend) and applies
-//!    the plan before delegating; a no-op plan delegates directly and
-//!    is bit-identical to the bare backend.
+//!    other drift time, so a drifting deployment compiles its plan
+//!    once, and [`FaultPlan::apply_at_threads`] fans the rows out over
+//!    worker threads without changing a bit. A no-op plan returns an
+//!    exact clone that keeps the array's generation.
+//!
+//! The faulted array *is* the deployed hardware: the oracle
+//! (`xbar_core::oracle::Oracle`) applies the plan once at deployment
+//! and again at each drift epoch, and any
+//! [`EvalBackend`](xbar_crossbar::backend::EvalBackend) then evaluates
+//! the faulted array like any other. Per-query transients
+//! ([`TransientSpec`]) perturb a copy of the deployed array per query;
+//! see the [`transient`] module.
 //!
 //! Observability: compilation counts
 //! [`xbar_obs::names::XBAR_FAULT_PLAN_COMPILE`] under the
@@ -59,15 +67,13 @@
 
 use std::fmt;
 
-pub mod backend;
 pub mod plan;
 pub mod spec;
 pub mod transient;
 
-pub use backend::FaultyBackend;
 pub use plan::{FaultInjection, FaultKey, FaultPlan, StuckKind};
 pub use spec::FaultSpec;
-pub use transient::{TransientBackend, TransientInjection, TransientSpec};
+pub use transient::{TransientInjection, TransientSpec};
 
 /// Guards against double-counting wire resistance: the iterative
 /// IR-drop solver (`ir_drop_mvm` with `r_wire > 0`) and the fault

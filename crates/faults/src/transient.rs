@@ -11,18 +11,18 @@
 //! bit-identical across threads, backends, and batch splits, exactly
 //! like the oracle's own noise streams.
 //!
-//! [`TransientBackend`] is an [`EvalBackend`] decorator: wrap any
-//! backend (including a [`crate::FaultyBackend`]'s inner backend) and
-//! every sample of every batch is evaluated against a transiently
-//! perturbed copy of the array. An empty [`TransientSpec`] delegates
-//! directly — bit-identical outputs *and* identical traces.
+//! Transients reach the hardware through the oracle
+//! (`xbar_core::oracle::Oracle`): with a non-empty [`TransientSpec`]
+//! each query is evaluated against its own
+//! [`TransientInjection::perturbed`] copy of the deployed array, keyed
+//! by the query's global index. An empty spec is never applied — the
+//! oracle evaluates the deployed array directly, so its outputs *and*
+//! traces are bit-identical to an oracle with no injection.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use xbar_crossbar::array::CrossbarArray;
-use xbar_crossbar::backend::{BackendKind, EvalBackend, PreparedEval, RngStreams};
-use xbar_crossbar::power::PowerModel;
 
 use crate::plan::{gaussian, splitmix64, FaultKey};
 use crate::{FaultsError, Result};
@@ -84,8 +84,8 @@ impl TransientSpec {
         self
     }
 
-    /// Whether this spec injects nothing (the decorator delegates
-    /// directly and is bit-identical to the wrapped backend).
+    /// Whether this spec injects nothing (the oracle then evaluates the
+    /// deployed array directly, bit-identical to no injection).
     pub fn is_empty(&self) -> bool {
         self.flip_rate == 0.0 && self.jitter_sigma == 0.0
     }
@@ -188,168 +188,6 @@ impl TransientInjection {
     }
 }
 
-/// An [`EvalBackend`] decorator that evaluates every sample against a
-/// transiently perturbed copy of the array.
-///
-/// `base_query` is the global index of the batch's first sample; sample
-/// `i` is perturbed under query index `base_query + i`. Callers that
-/// number their queries globally (the oracle) construct one decorator
-/// per batch with the batch's base offset — the same discipline as the
-/// oracle's [`RngStreams`] noise streams, and the reason results cannot
-/// depend on batch splits.
-///
-/// With a non-empty spec each sample is delegated to the inner backend
-/// as its own single-sample batch (its perturbed array is unique), so
-/// per-batch trace events become per-query events — deterministically,
-/// independent of how callers split batches. With an empty spec every
-/// call delegates directly: bit-identical outputs and traces.
-#[derive(Debug)]
-pub struct TransientBackend {
-    inner: Box<dyn EvalBackend>,
-    injection: TransientInjection,
-    base_query: u64,
-}
-
-impl TransientBackend {
-    /// Wraps `inner`, perturbing sample `i` of every batch under global
-    /// query index `base_query + i`.
-    pub fn new(
-        inner: Box<dyn EvalBackend>,
-        injection: TransientInjection,
-        base_query: u64,
-    ) -> Self {
-        TransientBackend {
-            inner,
-            injection,
-            base_query,
-        }
-    }
-
-    /// Convenience constructor from a [`BackendKind`].
-    pub fn from_kind(kind: BackendKind, injection: TransientInjection, base_query: u64) -> Self {
-        TransientBackend::new(kind.build(), injection, base_query)
-    }
-
-    /// The injection in effect.
-    pub fn injection(&self) -> TransientInjection {
-        self.injection
-    }
-
-    /// The perturbed array sample `i` reads, with observability.
-    fn perturbed(&self, array: &CrossbarArray, i: usize) -> CrossbarArray {
-        self.injection.perturbed(array, self.base_query + i as u64)
-    }
-}
-
-impl EvalBackend for TransientBackend {
-    fn kind(&self) -> BackendKind {
-        self.inner.kind()
-    }
-
-    fn prepare(&self, array: &CrossbarArray) -> xbar_crossbar::Result<PreparedEval> {
-        // The handle snapshots the *unperturbed* array; per-sample
-        // perturbed copies are materialised (and prepared) per query at
-        // evaluation time — they are unique to one query by design and
-        // can never be cached across batches.
-        self.inner.prepare(array)
-    }
-
-    fn mvm_prepared(
-        &self,
-        prepared: &PreparedEval,
-        array: &CrossbarArray,
-        inputs: &[&[f64]],
-    ) -> xbar_crossbar::Result<Vec<Vec<f64>>> {
-        if self.injection.spec.is_empty() {
-            return self.inner.mvm_prepared(prepared, array, inputs);
-        }
-        prepared.ensure_current(array)?;
-        let mut out = Vec::with_capacity(inputs.len());
-        for (i, input) in inputs.iter().enumerate() {
-            let perturbed = self.perturbed(prepared.array(), i);
-            let p = self.inner.prepare(&perturbed)?;
-            out.extend(self.inner.mvm_prepared(&p, &perturbed, &[input])?);
-        }
-        Ok(out)
-    }
-
-    fn power_prepared(
-        &self,
-        model: &PowerModel,
-        prepared: &PreparedEval,
-        array: &CrossbarArray,
-        inputs: &[&[f64]],
-    ) -> xbar_crossbar::Result<Vec<f64>> {
-        if self.injection.spec.is_empty() {
-            return self.inner.power_prepared(model, prepared, array, inputs);
-        }
-        prepared.ensure_current(array)?;
-        let mut out = Vec::with_capacity(inputs.len());
-        for (i, input) in inputs.iter().enumerate() {
-            let perturbed = self.perturbed(prepared.array(), i);
-            let p = self.inner.prepare(&perturbed)?;
-            out.extend(self.inner.power_prepared(model, &p, &perturbed, &[input])?);
-        }
-        Ok(out)
-    }
-
-    fn noisy_mvm_prepared(
-        &self,
-        prepared: &PreparedEval,
-        array: &CrossbarArray,
-        inputs: &[&[f64]],
-        streams: RngStreams<'_>,
-    ) -> xbar_crossbar::Result<Vec<Vec<f64>>> {
-        if self.injection.spec.is_empty() {
-            return self
-                .inner
-                .noisy_mvm_prepared(prepared, array, inputs, streams);
-        }
-        prepared.ensure_current(array)?;
-        let mut out = Vec::with_capacity(inputs.len());
-        for (i, input) in inputs.iter().enumerate() {
-            let perturbed = self.perturbed(prepared.array(), i);
-            let p = self.inner.prepare(&perturbed)?;
-            // Sample i keeps its own noise stream regardless of the
-            // per-sample delegation.
-            out.extend(
-                self.inner
-                    .noisy_mvm_prepared(&p, &perturbed, &[input], &mut |_| streams(i))?,
-            );
-        }
-        Ok(out)
-    }
-
-    fn noisy_power_prepared(
-        &self,
-        model: &PowerModel,
-        prepared: &PreparedEval,
-        array: &CrossbarArray,
-        inputs: &[&[f64]],
-        streams: RngStreams<'_>,
-    ) -> xbar_crossbar::Result<Vec<f64>> {
-        if self.injection.spec.is_empty() {
-            return self
-                .inner
-                .noisy_power_prepared(model, prepared, array, inputs, streams);
-        }
-        prepared.ensure_current(array)?;
-        let mut out = Vec::with_capacity(inputs.len());
-        for (i, input) in inputs.iter().enumerate() {
-            let perturbed = self.perturbed(prepared.array(), i);
-            let p = self.inner.prepare(&perturbed)?;
-            out.extend(self.inner.noisy_power_prepared(
-                model,
-                &p,
-                &perturbed,
-                &[input],
-                &mut |_| streams(i),
-            )?);
-        }
-        Ok(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -412,48 +250,6 @@ mod tests {
         let (same, flips) = TransientSpec::none().perturb(&array, FaultKey::new(0, 0), 0);
         assert_eq!(same, array);
         assert_eq!(flips, 0);
-    }
-
-    #[test]
-    fn batch_split_does_not_change_results() {
-        let array = programmed(5, 7, 21);
-        let spec = TransientSpec::none()
-            .with_flip_rate(0.15)
-            .with_jitter_sigma(0.1);
-        let injection = TransientInjection::new(spec, FaultKey::new(9, 2));
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let inputs = Matrix::random_uniform(6, 7, -1.0, 1.0, &mut rng);
-        let refs: Vec<&[f64]> = (0..6).map(|b| inputs.row(b)).collect();
-
-        fn mvm(
-            backend: &TransientBackend,
-            array: &CrossbarArray,
-            refs: &[&[f64]],
-        ) -> Vec<Vec<f64>> {
-            let prepared = backend.prepare(array).unwrap();
-            backend.mvm_prepared(&prepared, array, refs).unwrap()
-        }
-
-        // One batch of six at base 100 ...
-        let whole = mvm(
-            &TransientBackend::from_kind(BackendKind::Naive, injection, 100),
-            &array,
-            &refs,
-        );
-        // ... must equal two batches of three at bases 100 and 103,
-        // and the blocked backend must agree bit for bit.
-        let first = mvm(
-            &TransientBackend::from_kind(BackendKind::Blocked, injection, 100),
-            &array,
-            &refs[..3],
-        );
-        let second = mvm(
-            &TransientBackend::from_kind(BackendKind::Blocked, injection, 103),
-            &array,
-            &refs[3..],
-        );
-        let split: Vec<Vec<f64>> = first.into_iter().chain(second).collect();
-        assert_eq!(whole, split);
     }
 
     #[test]

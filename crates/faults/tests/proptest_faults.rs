@@ -1,14 +1,9 @@
 //! Property-based tests of the fault-injection contracts:
 //!
-//! * An empty `FaultSpec` compiles to a no-op plan, and a
-//!   `FaultyBackend` carrying it is *bit-identical* to the wrapped
-//!   backend — exact `==` on every float, every shape, every batch.
 //! * Identical `(spec, key)` pairs compile to identical plans; the
 //!   trial index and campaign seed both separate the draws.
 //! * Stuck-at rates are honoured within binomial tolerance on large
 //!   arrays.
-//! * An empty `TransientSpec` makes `TransientBackend` bit-identical to
-//!   the wrapped backend at any base query index.
 //! * At a fixed key, every device's drift factor is monotonically
 //!   non-increasing in `drift_time` (hardware only decays).
 //! * A plan compiled at one drift time and applied at another is
@@ -20,12 +15,9 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use xbar_crossbar::array::CrossbarArray;
-use xbar_crossbar::backend::{BackendKind, EvalBackend};
+use xbar_crossbar::backend::{BackendKind, BackendSpec};
 use xbar_crossbar::device::DeviceModel;
-use xbar_crossbar::power::PowerModel;
-use xbar_faults::{
-    FaultKey, FaultSpec, FaultyBackend, TransientBackend, TransientInjection, TransientSpec,
-};
+use xbar_faults::{FaultKey, FaultSpec};
 use xbar_linalg::Matrix;
 
 fn programmed(m: usize, n: usize, seed: u64, device: &DeviceModel) -> CrossbarArray {
@@ -54,102 +46,8 @@ fn sample_batch(batch: usize, n: usize, seed: u64) -> Matrix {
     Matrix::random_uniform(batch, n, -1.0, 1.0, &mut rng)
 }
 
-fn streams(seed: u64) -> impl FnMut(usize) -> ChaCha8Rng {
-    move |i| {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        rng.set_stream(i as u64 + 1);
-        rng
-    }
-}
-
-/// Prepare-once shorthands: the zero-fault equivalence properties
-/// compare a decorated backend against the bare one on single batches.
-fn mvm<B: EvalBackend + ?Sized>(
-    backend: &B,
-    array: &CrossbarArray,
-    inputs: &[&[f64]],
-) -> xbar_crossbar::Result<Vec<Vec<f64>>> {
-    let prepared = backend.prepare(array)?;
-    backend.mvm_prepared(&prepared, array, inputs)
-}
-
-fn power<B: EvalBackend + ?Sized>(
-    backend: &B,
-    model: &PowerModel,
-    array: &CrossbarArray,
-    inputs: &[&[f64]],
-) -> xbar_crossbar::Result<Vec<f64>> {
-    let prepared = backend.prepare(array)?;
-    backend.power_prepared(model, &prepared, array, inputs)
-}
-
-fn noisy_mvm<B: EvalBackend + ?Sized>(
-    backend: &B,
-    array: &CrossbarArray,
-    inputs: &[&[f64]],
-    mut streams: impl FnMut(usize) -> ChaCha8Rng,
-) -> xbar_crossbar::Result<Vec<Vec<f64>>> {
-    let prepared = backend.prepare(array)?;
-    backend.noisy_mvm_prepared(&prepared, array, inputs, &mut streams)
-}
-
-fn noisy_power<B: EvalBackend + ?Sized>(
-    backend: &B,
-    model: &PowerModel,
-    array: &CrossbarArray,
-    inputs: &[&[f64]],
-    mut streams: impl FnMut(usize) -> ChaCha8Rng,
-) -> xbar_crossbar::Result<Vec<f64>> {
-    let prepared = backend.prepare(array)?;
-    backend.noisy_power_prepared(model, &prepared, array, inputs, &mut streams)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The zero-fault contract: an empty spec wrapped around either
-    /// backend returns the wrapped backend's outputs bit for bit, on
-    /// all four batch entry points.
-    #[test]
-    fn empty_spec_is_bit_identical_to_wrapped_backend(
-        m in 1usize..10,
-        n in 1usize..12,
-        batch in 1usize..9,
-        seed in any::<u64>(),
-        trial in any::<u64>(),
-    ) {
-        let device = DeviceModel::ideal().with_read_sigma(0.03);
-        let array = programmed(m, n, seed, &device);
-        let inputs = sample_batch(batch, n, seed);
-        let refs: Vec<&[f64]> = (0..batch).map(|b| inputs.row(b)).collect();
-        let plan = FaultSpec::none()
-            .compile(m, n, FaultKey::new(seed, trial))
-            .unwrap();
-        prop_assert!(plan.is_noop());
-
-        for kind in [BackendKind::Naive, BackendKind::Blocked] {
-            let bare = kind.build();
-            let faulty = FaultyBackend::from_kind(kind, plan.clone());
-            prop_assert_eq!(
-                mvm(&faulty, &array, &refs).unwrap(),
-                mvm(bare.as_ref(), &array, &refs).unwrap()
-            );
-            let model = PowerModel::default().with_noise(0.02);
-            prop_assert_eq!(
-                power(&faulty, &model, &array, &refs).unwrap(),
-                power(bare.as_ref(), &model, &array, &refs).unwrap()
-            );
-            prop_assert_eq!(
-                noisy_mvm(&faulty, &array, &refs, streams(seed)).unwrap(),
-                noisy_mvm(bare.as_ref(), &array, &refs, streams(seed)).unwrap()
-            );
-            prop_assert_eq!(
-                noisy_power(&faulty, &model, &array, &refs, streams(seed ^ 0x5)).unwrap(),
-                noisy_power(bare.as_ref(), &model, &array, &refs, streams(seed ^ 0x5))
-                    .unwrap()
-            );
-        }
-    }
 
     /// Determinism and key separation: the same `(spec, key)` always
     /// compiles to the same plan (and the same faulted conductances);
@@ -179,49 +77,6 @@ proptest! {
             .unwrap();
         prop_assert!(a != other_trial, "trial index did not separate draws");
         prop_assert!(a != other_seed, "campaign seed did not separate draws");
-    }
-
-    /// The zero-transient contract: an empty `TransientSpec` wrapped
-    /// around either backend returns the wrapped backend's outputs bit
-    /// for bit, on all four batch entry points, at any base query index.
-    #[test]
-    fn empty_transient_spec_is_bit_identical_to_wrapped_backend(
-        m in 1usize..10,
-        n in 1usize..12,
-        batch in 1usize..9,
-        seed in any::<u64>(),
-        trial in any::<u64>(),
-        base_query in any::<u64>(),
-    ) {
-        let device = DeviceModel::ideal().with_read_sigma(0.03);
-        let array = programmed(m, n, seed, &device);
-        let inputs = sample_batch(batch, n, seed);
-        let refs: Vec<&[f64]> = (0..batch).map(|b| inputs.row(b)).collect();
-        let injection = TransientInjection::new(TransientSpec::none(), FaultKey::new(seed, trial));
-        prop_assert!(injection.spec.is_empty());
-
-        for kind in [BackendKind::Naive, BackendKind::Blocked] {
-            let bare = kind.build();
-            let transient = TransientBackend::from_kind(kind, injection, base_query);
-            prop_assert_eq!(
-                mvm(&transient, &array, &refs).unwrap(),
-                mvm(bare.as_ref(), &array, &refs).unwrap()
-            );
-            let model = PowerModel::default().with_noise(0.02);
-            prop_assert_eq!(
-                power(&transient, &model, &array, &refs).unwrap(),
-                power(bare.as_ref(), &model, &array, &refs).unwrap()
-            );
-            prop_assert_eq!(
-                noisy_mvm(&transient, &array, &refs, streams(seed)).unwrap(),
-                noisy_mvm(bare.as_ref(), &array, &refs, streams(seed)).unwrap()
-            );
-            prop_assert_eq!(
-                noisy_power(&transient, &model, &array, &refs, streams(seed ^ 0x5)).unwrap(),
-                noisy_power(bare.as_ref(), &model, &array, &refs, streams(seed ^ 0x5))
-                    .unwrap()
-            );
-        }
     }
 
     /// The monotone-decay contract: at a fixed key, each device's drift
@@ -314,9 +169,7 @@ proptest! {
     /// Staleness across fault application: a handle prepared from the
     /// pristine array must be rejected against the faulted copy (and
     /// vice versa) — generation mismatch is an error, never silently
-    /// wrong (unfaulted) numbers. A handle prepared *through* the
-    /// decorator stays keyed to the pristine array and keeps serving
-    /// faulted results.
+    /// wrong (unfaulted) numbers.
     #[test]
     fn fault_apply_invalidates_prepared_handles(
         m in 2usize..9,
@@ -332,7 +185,7 @@ proptest! {
         let plan = spec.compile(m, n, FaultKey::new(seed, trial)).unwrap();
         let faulted = plan.apply(&array).unwrap();
 
-        let bare = BackendKind::Blocked.build();
+        let bare = BackendSpec::new(BackendKind::Blocked).build().unwrap();
         let pristine_handle = bare.prepare(&array).unwrap();
         // Driving a pristine handle with the faulted array fails …
         prop_assert!(matches!(
@@ -342,15 +195,6 @@ proptest! {
         // … and so does the reverse.
         let faulted_handle = bare.prepare(&faulted).unwrap();
         prop_assert!(bare.mvm_prepared(&faulted_handle, &array, &refs).is_err());
-
-        // The decorator's handle is keyed to the pristine array and
-        // evaluates the faulted snapshot.
-        let faulty = FaultyBackend::from_kind(BackendKind::Blocked, plan);
-        let through = faulty.prepare(&array).unwrap();
-        prop_assert_eq!(
-            faulty.mvm_prepared(&through, &array, &refs).unwrap(),
-            bare.mvm_prepared(&faulted_handle, &faulted, &refs).unwrap()
-        );
     }
 
     /// Rate fidelity: on a large array the realised stuck fractions sit
