@@ -13,8 +13,15 @@
 //! API. A fault-lifecycle section times fault deployment on the
 //! largest size the way the oracle runs it at deployment and at every
 //! drift epoch: plan compile, then plan apply on the backend's threads,
-//! prepare of the faulted array and one batched MVM. CI uploads the report as the `BENCH_mvm.json` artifact and
-//! smoke-asserts `bit_identical` and `parallel_speedup` on every row.
+//! prepare of the faulted array and one batched MVM. CI uploads the
+//! report as the `BENCH_mvm.json` artifact and smoke-asserts
+//! `bit_identical` and `parallel_speedup` on every row.
+//!
+//! Every figure comes from one sampler: a warm-up call, then
+//! `iterations` individually timed calls. Each `*_nanos` key is their
+//! median, with the median absolute deviation and the minimum beside it
+//! as `*_mad_nanos` and `*_min_nanos`; throughputs and ratios are taken
+//! from the medians.
 //!
 //! `host_threads` (the machine's available parallelism) and `cpu_model`
 //! name the host so the thread-scaling columns are interpretable: thread
@@ -30,6 +37,7 @@ use xbar_crossbar::backend::{BackendKind, BackendSpec, BlockedBackend, EvalBacke
 use xbar_crossbar::device::DeviceModel;
 use xbar_faults::{FaultKey, FaultPlan, FaultSpec};
 use xbar_linalg::Matrix;
+use xbar_stats::descriptive;
 
 use crate::write_json;
 
@@ -50,18 +58,31 @@ pub struct MvmBenchRow {
     pub devices: usize,
     /// Batch size (input vectors per batched call).
     pub batch: usize,
-    /// Timed iterations per backend (after one warm-up).
+    /// Timed repeats behind every figure in the row, each after one
+    /// untimed warm-up call.
     pub iterations: usize,
     /// Tiled-backend thread count for this row (`parallel:N`).
     pub threads: usize,
-    /// Mean nanoseconds per warm batched MVM, naive backend.
+    /// Median nanoseconds per warm batched MVM, naive backend.
     pub naive_nanos: u64,
-    /// Mean nanoseconds per warm batched MVM, tiled backend on one
+    /// Median absolute deviation of the `naive_nanos` repeats.
+    pub naive_mad_nanos: u64,
+    /// Fastest of the `naive_nanos` repeats.
+    pub naive_min_nanos: u64,
+    /// Median nanoseconds per warm batched MVM, tiled backend on one
     /// thread (`blocked`).
     pub blocked_nanos: u64,
-    /// Mean nanoseconds per warm batched MVM, tiled backend at
+    /// Median absolute deviation of the `blocked_nanos` repeats.
+    pub blocked_mad_nanos: u64,
+    /// Fastest of the `blocked_nanos` repeats.
+    pub blocked_min_nanos: u64,
+    /// Median nanoseconds per warm batched MVM, tiled backend at
     /// `threads` threads.
     pub parallel_nanos: u64,
+    /// Median absolute deviation of the `parallel_nanos` repeats.
+    pub parallel_mad_nanos: u64,
+    /// Fastest of the `parallel_nanos` repeats.
+    pub parallel_min_nanos: u64,
     /// The one-thread tiled kernel's throughput in GMAC/s
     /// (`devices * batch` multiply-adds per `blocked_nanos`).
     pub blocked_gmacs: f64,
@@ -77,19 +98,31 @@ pub struct MvmBenchRow {
     /// Whether blocked and parallel outputs were bit-identical to the
     /// naive backend on this row.
     pub bit_identical: bool,
-    /// Mean nanoseconds per `EvalBackend::prepare` (materialising the
-    /// effective weights and the per-line conductance totals).
+    /// Median nanoseconds per `EvalBackend::prepare` (materialising
+    /// the effective weights and the per-line conductance totals).
     pub prepare_nanos: u64,
+    /// Median absolute deviation of the `prepare_nanos` repeats.
+    pub prepare_mad_nanos: u64,
+    /// Fastest of the `prepare_nanos` repeats.
+    pub prepare_min_nanos: u64,
     /// Batch size used for the prepare-hit vs prepare-miss probe
     /// (small, so the prepare cost is visible against the evaluation).
     pub prepared_probe_batch: usize,
-    /// Mean nanoseconds per prepare-miss probe batch: a fresh
+    /// Median nanoseconds per prepare-miss probe batch: a fresh
     /// `prepare` followed by one batched MVM (what a caller that
     /// re-prepares on every batch pays per call).
     pub cold_batch_nanos: u64,
-    /// Mean nanoseconds per prepare-hit probe batch: one batched MVM
+    /// Median absolute deviation of the `cold_batch_nanos` repeats.
+    pub cold_batch_mad_nanos: u64,
+    /// Fastest of the `cold_batch_nanos` repeats.
+    pub cold_batch_min_nanos: u64,
+    /// Median nanoseconds per prepare-hit probe batch: one batched MVM
     /// on a reused handle.
     pub warm_batch_nanos: u64,
+    /// Median absolute deviation of the `warm_batch_nanos` repeats.
+    pub warm_batch_mad_nanos: u64,
+    /// Fastest of the `warm_batch_nanos` repeats.
+    pub warm_batch_min_nanos: u64,
     /// `cold_batch_nanos / warm_batch_nanos` — the payoff of reusing a
     /// prepared handle across batches.
     pub prepared_speedup: f64,
@@ -104,28 +137,41 @@ pub struct FaultLifecycleReport {
     pub inputs: usize,
     /// Batch size per timed call.
     pub batch: usize,
-    /// Mean nanoseconds per faulted deployment of a representative
+    /// Median nanoseconds per faulted deployment of a representative
     /// (1% stuck-on, 1% stuck-off, sigma=0.1 variation) plan, as the
     /// oracle deploys and redeploys: [`FaultPlan::apply_at_threads`] on
     /// the blocked backend's threads, [`BlockedBackend`]'s `prepare` of
     /// the faulted array, and one batched MVM.
     pub faulty_nanos: u64,
-    /// `faulty_nanos` over the bare blocked backend's prepare-miss
-    /// cost (prepare + batched MVM of the unfaulted array): the
-    /// per-deployment fault-injection overhead.
+    /// Median absolute deviation of the `faulty_nanos` repeats.
+    pub faulty_mad_nanos: u64,
+    /// Fastest of the `faulty_nanos` repeats.
+    pub faulty_min_nanos: u64,
+    /// `faulty_nanos` over the bare blocked backend's median
+    /// prepare-miss cost (prepare + batched MVM of the unfaulted
+    /// array): the per-deployment fault-injection overhead.
     pub fault_overhead: f64,
     /// Whether an *empty* fault plan deployed through that same path
     /// returned outputs bit-identical to the bare blocked backend on
     /// the unfaulted array.
     pub faulty_noop_bit_identical: bool,
-    /// Mean nanoseconds per `FaultSpec::compile` of the representative
-    /// plan (the per-trial cost of drawing a fault realisation).
+    /// Median nanoseconds per `FaultSpec::compile` of the
+    /// representative plan (the per-trial cost of drawing a fault
+    /// realisation).
     pub fault_compile_nanos: u64,
-    /// Mean nanoseconds per [`FaultPlan::apply_at_threads`] of the
+    /// Median absolute deviation of the `fault_compile_nanos` repeats.
+    pub fault_compile_mad_nanos: u64,
+    /// Fastest of the `fault_compile_nanos` repeats.
+    pub fault_compile_min_nanos: u64,
+    /// Median nanoseconds per [`FaultPlan::apply_at_threads`] of the
     /// representative plan to the benchmark array on the blocked
     /// backend's threads (the per-deployment cost of materialising the
     /// faulted conductances).
     pub fault_apply_nanos: u64,
+    /// Median absolute deviation of the `fault_apply_nanos` repeats.
+    pub fault_apply_mad_nanos: u64,
+    /// Fastest of the `fault_apply_nanos` repeats.
+    pub fault_apply_min_nanos: u64,
 }
 
 /// The full benchmark report: one row per (size x threads) cell plus
@@ -149,14 +195,34 @@ pub struct MvmBenchReport {
     pub faults: FaultLifecycleReport,
 }
 
-/// Mean nanoseconds per call of `f` over `iterations` timed calls
-/// (callers warm up separately).
-fn time_mean<R>(iterations: usize, mut f: impl FnMut() -> R) -> u64 {
-    let start = Instant::now();
-    for _ in 0..iterations {
-        std::hint::black_box(f());
+/// Per-call nanoseconds of one benchmarked operation: the median,
+/// median absolute deviation and minimum over timed repeats.
+#[derive(Debug, Clone, Copy)]
+struct Timing {
+    median: u64,
+    mad: u64,
+    min: u64,
+}
+
+/// The benchmark's one sampler: one untimed warm-up call of `f`, then
+/// `repeats` individually timed calls, summarised by
+/// [`xbar_stats::descriptive`]'s order statistics.
+fn sample<R>(repeats: usize, mut f: impl FnMut() -> R) -> Timing {
+    std::hint::black_box(f());
+    let nanos: Vec<f64> = (0..repeats.max(1))
+        .map(|_| {
+            let start = Instant::now();
+            std::hint::black_box(f());
+            start.elapsed().as_nanos() as f64
+        })
+        .collect();
+    let median = descriptive::median(&nanos).expect("at least one repeat");
+    let deviations: Vec<f64> = nanos.iter().map(|t| (t - median).abs()).collect();
+    Timing {
+        median: median as u64,
+        mad: descriptive::median(&deviations).expect("at least one repeat") as u64,
+        min: descriptive::min(&nanos).expect("at least one repeat") as u64,
     }
-    (start.elapsed().as_nanos() / iterations.max(1) as u128) as u64
 }
 
 /// One benchmark size: programs the array once and emits a row per
@@ -193,12 +259,12 @@ fn bench_size(
             .mvm_prepared(&prepared_blocked, &array, &refs)
             .map_err(|e| e.to_string())?;
 
-    let naive_nanos = time_mean(iterations, || {
+    let naive_time = sample(iterations, || {
         naive
             .mvm_prepared(&prepared_naive, &array, &refs)
             .expect("benchmark inputs are well-formed")
     });
-    let blocked_nanos = time_mean(iterations, || {
+    let blocked_time = sample(iterations, || {
         blocked
             .mvm_prepared(&prepared_blocked, &array, &refs)
             .expect("benchmark inputs are well-formed")
@@ -222,21 +288,21 @@ fn bench_size(
             .map_err(|e| e.to_string())?;
         let bit_identical = blocked_identical && out_naive == out_parallel;
 
-        let parallel_nanos = time_mean(iterations, || {
+        let parallel_time = sample(iterations, || {
             parallel
                 .mvm_prepared(&prepared, &array, &refs)
                 .expect("benchmark inputs are well-formed")
         });
-        let prepare_nanos = time_mean(iterations, || {
+        let prepare_time = sample(iterations, || {
             parallel.prepare(&array).expect("array shape is fixed")
         });
-        let cold_batch_nanos = time_mean(iterations, || {
+        let cold_batch_time = sample(iterations, || {
             let fresh = parallel.prepare(&array).expect("array shape is fixed");
             parallel
                 .mvm_prepared(&fresh, &array, probe_refs)
                 .expect("benchmark inputs are well-formed")
         });
-        let warm_batch_nanos = time_mean(iterations, || {
+        let warm_batch_time = sample(iterations, || {
             parallel
                 .mvm_prepared(&prepared, &array, probe_refs)
                 .expect("benchmark inputs are well-formed")
@@ -249,19 +315,31 @@ fn bench_size(
             batch,
             iterations,
             threads,
-            naive_nanos,
-            blocked_nanos,
-            parallel_nanos,
-            blocked_gmacs: macs / blocked_nanos.max(1) as f64,
-            parallel_gmacs: macs / parallel_nanos.max(1) as f64,
-            parallel_speedup: naive_nanos as f64 / parallel_nanos.max(1) as f64,
-            parallel_over_blocked: blocked_nanos as f64 / parallel_nanos.max(1) as f64,
+            naive_nanos: naive_time.median,
+            naive_mad_nanos: naive_time.mad,
+            naive_min_nanos: naive_time.min,
+            blocked_nanos: blocked_time.median,
+            blocked_mad_nanos: blocked_time.mad,
+            blocked_min_nanos: blocked_time.min,
+            parallel_nanos: parallel_time.median,
+            parallel_mad_nanos: parallel_time.mad,
+            parallel_min_nanos: parallel_time.min,
+            blocked_gmacs: macs / blocked_time.median.max(1) as f64,
+            parallel_gmacs: macs / parallel_time.median.max(1) as f64,
+            parallel_speedup: naive_time.median as f64 / parallel_time.median.max(1) as f64,
+            parallel_over_blocked: blocked_time.median as f64 / parallel_time.median.max(1) as f64,
             bit_identical,
-            prepare_nanos,
+            prepare_nanos: prepare_time.median,
+            prepare_mad_nanos: prepare_time.mad,
+            prepare_min_nanos: prepare_time.min,
             prepared_probe_batch: probe,
-            cold_batch_nanos,
-            warm_batch_nanos,
-            prepared_speedup: cold_batch_nanos as f64 / warm_batch_nanos.max(1) as f64,
+            cold_batch_nanos: cold_batch_time.median,
+            cold_batch_mad_nanos: cold_batch_time.mad,
+            cold_batch_min_nanos: cold_batch_time.min,
+            warm_batch_nanos: warm_batch_time.median,
+            warm_batch_mad_nanos: warm_batch_time.mad,
+            warm_batch_min_nanos: warm_batch_time.min,
+            prepared_speedup: cold_batch_time.median as f64 / warm_batch_time.median.max(1) as f64,
         });
     }
     Ok(rows)
@@ -314,19 +392,19 @@ fn bench_faults(
 
     // Both sides timed prepare-miss (fresh handle per call), so the
     // ratio isolates what fault deployment adds to a deployment.
-    let blocked_cold_nanos = time_mean(iterations, || {
+    let blocked_cold_time = sample(iterations, || {
         let fresh = blocked.prepare(&array).expect("array shape is fixed");
         blocked
             .mvm_prepared(&fresh, &array, &refs)
             .expect("benchmark inputs are well-formed")
     });
-    let faulty_nanos = time_mean(iterations, || deploy(&plan).expect("shapes match"));
-    let fault_compile_nanos = time_mean(iterations, || {
+    let faulty_time = sample(iterations, || deploy(&plan).expect("shapes match"));
+    let fault_compile_time = sample(iterations, || {
         fault_spec
             .compile(outputs, inputs, key)
             .expect("spec validated above")
     });
-    let fault_apply_nanos = time_mean(iterations, || {
+    let fault_apply_time = sample(iterations, || {
         plan.apply_at_threads(&array, plan.spec().drift_time, threads)
             .expect("shapes match")
     });
@@ -335,11 +413,17 @@ fn bench_faults(
         outputs,
         inputs,
         batch,
-        faulty_nanos,
-        fault_overhead: faulty_nanos as f64 / blocked_cold_nanos.max(1) as f64,
+        faulty_nanos: faulty_time.median,
+        faulty_mad_nanos: faulty_time.mad,
+        faulty_min_nanos: faulty_time.min,
+        fault_overhead: faulty_time.median as f64 / blocked_cold_time.median.max(1) as f64,
         faulty_noop_bit_identical,
-        fault_compile_nanos,
-        fault_apply_nanos,
+        fault_compile_nanos: fault_compile_time.median,
+        fault_compile_mad_nanos: fault_compile_time.mad,
+        fault_compile_min_nanos: fault_compile_time.min,
+        fault_apply_nanos: fault_apply_time.median,
+        fault_apply_mad_nanos: fault_apply_time.mad,
+        fault_apply_min_nanos: fault_apply_time.min,
     })
 }
 
@@ -363,18 +447,18 @@ fn cpu_model() -> String {
 /// Fails if a crossbar cannot be programmed or if any backend disagrees
 /// with the naive outputs on any bit.
 pub fn run_mvm_bench(quick: bool, json_out: Option<&str>) -> Result<MvmBenchReport, String> {
-    // (outputs, inputs, batch, iterations); sizes ascending. The full
+    // (outputs, inputs, batch, timed repeats); sizes ascending. The full
     // matrix tops out at 1024x1024 = 1,048,576 devices. The paper-shaped
     // 10x784 row with batch 61 is ragged in both register-tile
     // dimensions, so its bit-identity check covers the remainder paths.
     let sizes: &[(usize, usize, usize, usize)] = if quick {
-        &[(10, 784, 61, 20), (128, 64, 32, 3), (256, 128, 64, 3)]
+        &[(10, 784, 61, 21), (128, 64, 32, 5), (256, 128, 64, 5)]
     } else {
         &[
-            (10, 784, 61, 20),
-            (256, 128, 64, 5),
-            (512, 512, 128, 3),
-            (1024, 1024, 256, 3),
+            (10, 784, 61, 21),
+            (256, 128, 64, 11),
+            (512, 512, 128, 11),
+            (1024, 1024, 256, 11),
         ]
     };
     let host_threads = xbar_linalg::par::host_threads();
@@ -424,14 +508,17 @@ pub fn run_mvm_bench(quick: bool, json_out: Option<&str>) -> Result<MvmBenchRepo
         report.cpu_model
     );
     println!(
-        "faults {}x{}: faulted deploy (blocked) {:.3} ms, overhead {:.2}x, compile {:.3} ms, \
-         apply {:.3} ms, zero-fault bit-identical: {}",
+        "faults {}x{}: faulted deploy (blocked) {:.3} ms (MAD {:.3}), overhead {:.2}x, \
+         compile {:.3} ms (MAD {:.3}), apply {:.3} ms (MAD {:.3}), zero-fault bit-identical: {}",
         report.faults.outputs,
         report.faults.inputs,
         report.faults.faulty_nanos as f64 / 1e6,
+        report.faults.faulty_mad_nanos as f64 / 1e6,
         report.faults.fault_overhead,
         report.faults.fault_compile_nanos as f64 / 1e6,
+        report.faults.fault_compile_mad_nanos as f64 / 1e6,
         report.faults.fault_apply_nanos as f64 / 1e6,
+        report.faults.fault_apply_mad_nanos as f64 / 1e6,
         report.faults.faulty_noop_bit_identical,
     );
     write_json(json_out.unwrap_or("results/BENCH_mvm.json"), &report)?;
@@ -473,6 +560,16 @@ mod tests {
             assert!(row.prepare_nanos > 0 && row.cold_batch_nanos > 0 && row.warm_batch_nanos > 0);
             assert!(row.prepared_speedup > 0.0);
             assert!(row.prepared_probe_batch >= 1 && row.prepared_probe_batch <= row.batch);
+            for (min, median) in [
+                (row.naive_min_nanos, row.naive_nanos),
+                (row.blocked_min_nanos, row.blocked_nanos),
+                (row.parallel_min_nanos, row.parallel_nanos),
+                (row.prepare_min_nanos, row.prepare_nanos),
+                (row.cold_batch_min_nanos, row.cold_batch_nanos),
+                (row.warm_batch_min_nanos, row.warm_batch_nanos),
+            ] {
+                assert!(min <= median, "min {min} above median {median}");
+            }
         }
         assert_eq!(
             report.rows.iter().map(|r| r.threads).collect::<Vec<_>>(),
@@ -491,6 +588,8 @@ mod tests {
         assert!(json.contains("\"blocked_gmacs\""));
         assert!(json.contains("\"prepared_speedup\""));
         assert!(json.contains("\"fault_overhead\""));
+        assert!(json.contains("\"naive_mad_nanos\""));
+        assert!(json.contains("\"fault_apply_min_nanos\""));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

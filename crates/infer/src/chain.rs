@@ -84,8 +84,14 @@ pub struct ChainResult {
     pub accepted: u64,
     /// Total transitions performed (burn-in included).
     pub steps: u64,
-    /// Density evaluations spent across all transitions.
+    /// Exact density evaluations spent: the initial state's plus every
+    /// evaluated proposal.
     pub density_evals: u64,
+    /// Elliptical slice proposals the model's
+    /// [`ellipse_screen`](BayesModel::ellipse_screen) rejected without
+    /// an evaluation. `density_evals + screened` is one more than the
+    /// number of proposals, whether or not the model screens.
+    pub screened: u64,
 }
 
 impl ChainResult {
@@ -142,6 +148,7 @@ pub fn run_chain<M: BayesModel + ?Sized>(
     let mut draws = Vec::with_capacity(config.samples);
     let mut accepted = 0u64;
     let mut density_evals = 1u64; // the initial state's cached density
+    let mut screened = 0u64;
     for step in 1..=total {
         let mut rng = step_rng(campaign_seed, chain_index as u64, step);
         let stats: StepStats = match kernel {
@@ -150,6 +157,7 @@ pub fn run_chain<M: BayesModel + ?Sized>(
         };
         accepted += stats.accepted as u64;
         density_evals += stats.evals;
+        screened += stats.screened;
         if step > config.burn_in as u64
             && (step - config.burn_in as u64).is_multiple_of(config.thin as u64)
         {
@@ -163,6 +171,7 @@ pub fn run_chain<M: BayesModel + ?Sized>(
         accepted,
         steps: total,
         density_evals,
+        screened,
     })
 }
 
@@ -219,6 +228,10 @@ pub fn run_chains<M: BayesModel + ?Sized>(
     xbar_obs::count(
         xbar_obs::names::INFER_LIKELIHOOD_EVAL,
         chains.iter().map(|c| c.density_evals).sum(),
+    );
+    xbar_obs::count(
+        xbar_obs::names::INFER_ESS_SCREENED,
+        chains.iter().map(|c| c.screened).sum(),
     );
     Ok(chains)
 }

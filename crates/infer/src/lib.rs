@@ -30,6 +30,11 @@
 //!   `Oracle::observe_batch_keyed`, so inference composes with faults,
 //!   transients, drift, and defenses exactly like every other attack;
 //!   [`NormPosterior`] is the Bayesian model `power(u) = ⟨u, ν⟩ + ε`.
+//! * [`screen`] — the exact-outcome screen elliptical slice asks
+//!   before evaluating a proposal: a per-transition quadratic of
+//!   [`NormPosterior`]'s log-likelihood along the ellipse with a
+//!   rigorous floating-point error bound, so most rejections cost O(1)
+//!   and the draws keep their bits.
 //! * [`posterior`] — summaries: per-column means, credible intervals,
 //!   and the `xbar-stats` convergence gates (split-R̂, ESS).
 //!
@@ -82,6 +87,7 @@ pub mod error;
 pub mod likelihood;
 pub mod mcmc;
 pub mod posterior;
+pub mod screen;
 
 pub use chain::{run_chain, run_chains, ChainConfig, ChainResult};
 pub use distribution::{Distribution, LogNormal, Normal, Prior, Uniform};
@@ -89,6 +95,7 @@ pub use error::InferError;
 pub use likelihood::{estimate_noise_sigma, random_design, NormPosterior, PowerObservations};
 pub use mcmc::{BayesModel, Kernel};
 pub use posterior::{evenly_spaced_draws, summarize, DimPosterior, PosteriorReport};
+pub use screen::{EllipseScreen, ScreenEstimate};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, InferError>;

@@ -20,6 +20,7 @@ use xbar_linalg::Matrix;
 use crate::distribution::{Distribution, Prior};
 use crate::error::InferError;
 use crate::mcmc::BayesModel;
+use crate::screen::{EllipseScreen, RowSums, ScreenBase, StepSums};
 use crate::Result;
 
 /// A batch of power observations: the inputs the attacker chose and
@@ -204,9 +205,59 @@ pub struct NormPosterior {
     panels: Vec<f64>,
     powers: Vec<f64>,
     noise_sigma: f64,
+    /// `1/σ²`, hoisted out of every evaluation.
+    inv_var: f64,
+    /// `q·(ln σ + ½ ln 2π)`, hoisted out of every evaluation.
+    norm_const: f64,
     priors: Vec<Prior>,
     subset: Vec<usize>,
     input_dim: usize,
+    /// What [`BayesModel::ellipse_screen`] needs beyond the panels;
+    /// `None` when some prior is not Gaussian or the bound's constants
+    /// are not finite.
+    ellipse: Option<EllipseParts>,
+}
+
+/// The per-model half of [`NormPosterior`]'s elliptical-slice screen.
+#[derive(Debug, Clone)]
+struct EllipseParts {
+    /// The prior means `m`.
+    means: Vec<f64>,
+    /// `ĉ0_b = fl(p_b − u_b·m)`, one per design row.
+    c0: Vec<f64>,
+    base: ScreenBase,
+}
+
+impl EllipseParts {
+    /// Folds `c0 = p − X m` and the bound's magnitude sums; `None`
+    /// unless every prior is Gaussian.
+    fn new(
+        design: &Matrix,
+        powers: &[f64],
+        priors: &[Prior],
+        inv_var: f64,
+        norm_const: f64,
+    ) -> Option<Self> {
+        let means: Vec<f64> = priors
+            .iter()
+            .map(|p| p.as_gaussian().map(|(mean, _)| mean))
+            .collect::<Option<_>>()?;
+        let mut rows = RowSums::default();
+        let mut c0 = Vec::with_capacity(powers.len());
+        for (b, &power) in powers.iter().enumerate() {
+            let (mut predicted, mut magnitude, mut norm) = (0.0, 0.0, 0.0);
+            for (&u, &m) in design.row(b).iter().zip(&means) {
+                predicted += u * m;
+                magnitude += u.abs() * m.abs();
+                norm += u.abs();
+            }
+            let r = power - predicted;
+            rows.add(r, power.abs() + magnitude, norm);
+            c0.push(r);
+        }
+        let base = ScreenBase::new(powers.len(), means.len(), rows, inv_var, norm_const)?;
+        Some(EllipseParts { means, c0, base })
+    }
 }
 
 impl NormPosterior {
@@ -287,14 +338,20 @@ impl NormPosterior {
                 panels.extend((b0..b0 + PANEL).map(|b| design[(b, kk)]));
             }
         }
+        let inv_var = 1.0 / (noise_sigma * noise_sigma);
+        let norm_const = obs.powers.len() as f64 * (noise_sigma.ln() + 0.918_938_533_204_672_7);
+        let ellipse = EllipseParts::new(&design, &obs.powers, &priors, inv_var, norm_const);
         Ok(NormPosterior {
             design,
             panels,
             powers: obs.powers.clone(),
             noise_sigma,
+            inv_var,
+            norm_const,
             priors,
             subset: subset.to_vec(),
             input_dim,
+            ellipse,
         })
     }
 
@@ -377,7 +434,6 @@ impl BayesModel for NormPosterior {
     /// never parts of one sum, so the result is bit-identical to the
     /// row-by-row loop.
     fn log_likelihood(&self, theta: &[f64]) -> f64 {
-        let inv_var = 1.0 / (self.noise_sigma * self.noise_sigma);
         let full_rows = self.powers.len() - self.powers.len() % PANEL;
         let mut acc = 0.0;
         for (panel, powers) in self
@@ -405,8 +461,63 @@ impl BayesModel for NormPosterior {
             let r = self.powers[b] - predicted;
             acc += r * r;
         }
-        -0.5 * acc * inv_var
-            - self.powers.len() as f64 * (self.noise_sigma.ln() + 0.918_938_533_204_672_7)
+        -0.5 * acc * self.inv_var - self.norm_const
+    }
+
+    /// The quadratic screen of [`crate::screen`]: one pass over the
+    /// same 16-row panels computes each row's `Â_b = u_b·fl(θ − m)` and
+    /// `V̂_b = u_b·ν` in registers (`+0.0`-seeded, ascending k, like
+    /// the predictions) and folds them with `ĉ0_b` into the five
+    /// coefficients, so a transition allocates nothing.
+    fn ellipse_screen(&self, theta: &[f64], nu: &[f64]) -> Option<EllipseScreen> {
+        let ellipse = self.ellipse.as_ref()?;
+        let means = &ellipse.means;
+        let (mut alpha, mut beta) = (0.0f64, 0.0f64);
+        for ((&t, &m), &v) in theta.iter().zip(means).zip(nu) {
+            alpha = alpha.max((t - m).abs());
+            beta = beta.max(v.abs());
+        }
+        let full_rows = self.powers.len() - self.powers.len() % PANEL;
+        let mut sums = StepSums::default();
+        for (panel, c0) in self
+            .panels
+            .chunks_exact(PANEL * self.subset.len())
+            .zip(ellipse.c0[..full_rows].chunks_exact(PANEL))
+        {
+            // Two sweeps of eight two-lane accumulators each, like
+            // the likelihood's one.
+            let mut a = [0.0; PANEL];
+            for (column, (&t, &m)) in panel.chunks_exact(PANEL).zip(theta.iter().zip(means)) {
+                let d = t - m;
+                for (a, &u) in a.iter_mut().zip(column) {
+                    *a += u * d;
+                }
+            }
+            let mut v = [0.0; PANEL];
+            for (column, &n) in panel.chunks_exact(PANEL).zip(nu) {
+                for (v, &u) in v.iter_mut().zip(column) {
+                    *v += u * n;
+                }
+            }
+            for ((&c0, &a), &v) in c0.iter().zip(&a).zip(&v) {
+                sums.add(c0, a, v);
+            }
+        }
+        for b in full_rows..self.design.rows() {
+            let (mut a, mut v) = (0.0, 0.0);
+            for ((&u, (&t, &m)), &n) in self
+                .design
+                .row(b)
+                .iter()
+                .zip(theta.iter().zip(means))
+                .zip(nu)
+            {
+                a += u * (t - m);
+                v += u * n;
+            }
+            sums.add(ellipse.c0[b], a, v);
+        }
+        ellipse.base.screen(sums, alpha, beta)
     }
 }
 

@@ -6,12 +6,21 @@
 //! `(model, state, stream)` — the chain runner keys the stream by
 //! `(campaign_seed, chain_index, step)` and bit-identical results
 //! follow at any thread count.
+//!
+//! Elliptical slice asks the model once per transition for an
+//! [`EllipseScreen`] ([`BayesModel::ellipse_screen`]) and rejects the
+//! proposals it places certainly below the slice without evaluating
+//! them; every other proposal, and always the accepted one, is
+//! evaluated exactly. Screening consumes no randomness and never
+//! changes an outcome, so draws are the same bits with or without it;
+//! only the evaluation count differs.
 
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 
 use crate::distribution::{gaussian, Distribution, Prior};
 use crate::error::InferError;
+use crate::screen::EllipseScreen;
 use crate::Result;
 
 /// A Bayesian model: independent per-dimension priors plus a joint
@@ -29,6 +38,21 @@ pub trait BayesModel: Sync {
 
     /// Joint log-likelihood of the observations at `theta`.
     fn log_likelihood(&self, theta: &[f64]) -> f64;
+
+    /// An exact-outcome screen for one elliptical slice transition
+    /// from `theta` with auxiliary draw `nu`: a quadratic model of
+    /// [`log_likelihood`](Self::log_likelihood) along the ellipse
+    /// `m + (θ−m)·cos φ + ν·sin φ` (`m` the Gaussian prior means), with
+    /// a bound that holds for every proposal the kernel rounds from
+    /// it. The kernel rejects a proposal the screen places certainly
+    /// below the slice without evaluating it, and evaluates every
+    /// other proposal exactly, so draws do not depend on whether a
+    /// model implements this.
+    ///
+    /// The default is `None`: no screen, every proposal evaluated.
+    fn ellipse_screen(&self, _theta: &[f64], _nu: &[f64]) -> Option<EllipseScreen> {
+        None
+    }
 
     /// Sum of the per-dimension prior log-densities at `theta`.
     fn log_prior(&self, theta: &[f64]) -> f64 {
@@ -94,7 +118,8 @@ impl Kernel {
 
 /// The running state one kernel transition consumes and produces: the
 /// current point plus its cached density (log-posterior for the random
-/// walk, log-likelihood for elliptical slice), and scratch buffers that
+/// walk, log-likelihood for elliptical slice), the prior moments
+/// elliptical slice reads every transition, and scratch buffers that
 /// live across the chain so a transition allocates nothing.
 pub(crate) struct ChainState {
     pub theta: Vec<f64>,
@@ -103,16 +128,27 @@ pub(crate) struct ChainState {
     proposal: Vec<f64>,
     /// Elliptical slice's auxiliary draw.
     nu: Vec<f64>,
-    /// Elliptical slice's prior means.
+    /// Elliptical slice's prior means (empty for the random walk).
     means: Vec<f64>,
+    /// Elliptical slice's prior standard deviations (empty for the
+    /// random walk).
+    sigmas: Vec<f64>,
 }
 
 impl ChainState {
-    /// Initialises the cache for `kernel` at `theta`.
+    /// Initialises the cache for `kernel` at `theta` (the kernel must
+    /// have passed [`Kernel::validate`] against `model`).
     pub fn new<M: BayesModel + ?Sized>(model: &M, kernel: &Kernel, theta: Vec<f64>) -> Self {
-        let cached = match kernel {
-            Kernel::RandomWalk { .. } => model.log_posterior(&theta),
-            Kernel::EllipticalSlice => model.log_likelihood(&theta),
+        let (cached, (means, sigmas)) = match kernel {
+            Kernel::RandomWalk { .. } => (model.log_posterior(&theta), Default::default()),
+            Kernel::EllipticalSlice => (
+                model.log_likelihood(&theta),
+                model
+                    .priors()
+                    .iter()
+                    .map(|p| p.as_gaussian().expect("validated Gaussian prior"))
+                    .unzip(),
+            ),
         };
         let dim = theta.len();
         ChainState {
@@ -120,7 +156,8 @@ impl ChainState {
             cached,
             proposal: Vec::with_capacity(dim),
             nu: Vec::with_capacity(dim),
-            means: Vec::with_capacity(dim),
+            means,
+            sigmas,
         }
     }
 }
@@ -130,8 +167,11 @@ impl ChainState {
 pub(crate) struct StepStats {
     /// Whether the proposal was accepted (elliptical slice always is).
     pub accepted: bool,
-    /// Likelihood/posterior density evaluations spent.
+    /// Exact likelihood/posterior density evaluations spent.
     pub evals: u64,
+    /// Elliptical slice proposals rejected by the model's screen
+    /// without an evaluation.
+    pub screened: u64,
 }
 
 /// One random-walk Metropolis–Hastings transition.
@@ -162,6 +202,7 @@ pub(crate) fn rwm_step<M: BayesModel + ?Sized>(
     StepStats {
         accepted: accept,
         evals: 1,
+        screened: 0,
     }
 }
 
@@ -173,44 +214,55 @@ const MAX_SHRINKS: usize = 1000;
 
 /// One elliptical slice sampling transition (priors must be Gaussian —
 /// checked by [`Kernel::validate`] before the chain starts).
+///
+/// Each shrink first asks the model's [`BayesModel::ellipse_screen`];
+/// a proposal it places certainly below the slice is rejected without
+/// being built or evaluated. Screened or not, the bracket shrinks and
+/// the next angle is drawn exactly as after an evaluated rejection, so
+/// the stream is consumed identically and the accepted point — always
+/// evaluated exactly — carries the same bits either way.
 pub(crate) fn ess_step<M: BayesModel + ?Sized>(
     model: &M,
     state: &mut ChainState,
     rng: &mut ChaCha8Rng,
 ) -> StepStats {
-    let priors = model.priors();
     // The auxiliary ellipse: nu ~ N(0, prior covariance).
     state.nu.clear();
-    state.means.clear();
-    for p in priors {
-        let (mean, sigma) = p.as_gaussian().expect("validated Gaussian prior");
-        state.nu.push(sigma * gaussian(rng));
-        state.means.push(mean);
-    }
+    state
+        .nu
+        .extend(state.sigmas.iter().map(|&sigma| sigma * gaussian(rng)));
+    let screen = model.ellipse_screen(&state.theta, &state.nu);
 
     let log_y = state.cached + rng.gen_range(0.0f64..1.0).ln();
     let mut theta_angle = rng.gen_range(0.0..2.0 * std::f64::consts::PI);
     let mut lo = theta_angle - 2.0 * std::f64::consts::PI;
     let mut hi = theta_angle;
-    let mut evals = 0u64;
+    let mut stats = StepStats {
+        accepted: true,
+        ..StepStats::default()
+    };
 
     for _ in 0..MAX_SHRINKS {
         let (sin, cos) = theta_angle.sin_cos();
-        state.proposal.clear();
-        state.proposal.extend(
-            state
-                .theta
-                .iter()
-                .zip(&state.nu)
-                .zip(&state.means)
-                .map(|((&x, &v), &m)| m + (x - m) * cos + v * sin),
-        );
-        let ll = model.log_likelihood(&state.proposal);
-        evals += 1;
-        if ll > log_y {
-            std::mem::swap(&mut state.theta, &mut state.proposal);
-            state.cached = ll;
-            break;
+        if screen.is_some_and(|s| s.rejects(cos, sin, log_y)) {
+            stats.screened += 1;
+        } else {
+            state.proposal.clear();
+            state.proposal.extend(
+                state
+                    .theta
+                    .iter()
+                    .zip(&state.nu)
+                    .zip(&state.means)
+                    .map(|((&x, &v), &m)| m + (x - m) * cos + v * sin),
+            );
+            let ll = model.log_likelihood(&state.proposal);
+            stats.evals += 1;
+            if ll > log_y {
+                std::mem::swap(&mut state.theta, &mut state.proposal);
+                state.cached = ll;
+                break;
+            }
         }
         // Shrink the bracket towards angle 0 (the current point).
         if theta_angle < 0.0 {
@@ -220,10 +272,7 @@ pub(crate) fn ess_step<M: BayesModel + ?Sized>(
         }
         theta_angle = rng.gen_range(lo..hi);
     }
-    StepStats {
-        accepted: true,
-        evals,
-    }
+    stats
 }
 
 #[cfg(test)]

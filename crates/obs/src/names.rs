@@ -169,9 +169,16 @@ pub const INFER_OBSERVATION: CounterName = CounterName("infer.observation");
 /// One MCMC transition applied (any kernel), summed across chains.
 pub const INFER_MCMC_STEP: CounterName = CounterName("infer.mcmc_step");
 
-/// One likelihood (or posterior) density evaluation spent by an MCMC
-/// transition, summed across chains.
+/// One exact likelihood (or posterior) density evaluation spent by an
+/// MCMC chain (its initial state and every evaluated proposal), summed
+/// across chains. Proposals an elliptical slice screen rejects are
+/// counted by [`INFER_ESS_SCREENED`] instead, so the two sum to the
+/// proposal count plus one per chain.
 pub const INFER_LIKELIHOOD_EVAL: CounterName = CounterName("infer.likelihood_eval");
+
+/// One elliptical slice proposal rejected by the model's exact-outcome
+/// screen without a likelihood evaluation, summed across chains.
+pub const INFER_ESS_SCREENED: CounterName = CounterName("infer.ess_screened");
 
 /// One MCMC chain run to completion.
 pub const INFER_CHAIN: CounterName = CounterName("infer.chain");
