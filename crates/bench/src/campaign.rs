@@ -1269,8 +1269,8 @@ impl TrialRunner for MultilayerRunner {
         )
         .map_err(|e| e.to_string())?;
         let cfg = SgdConfig {
-            learning_rate: 0.05,
-            momentum: 0.0,
+            learning_rate: 0.01,
+            momentum: 0.9,
             epochs: spec.epochs,
             ..SgdConfig::default()
         };

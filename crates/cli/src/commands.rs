@@ -3,6 +3,7 @@
 use crate::args::{ArgsError, ParsedArgs};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use serde::DeError;
 use std::collections::BTreeMap;
 use xbar_core::blackbox::{run_blackbox_attack, BlackBoxConfig};
 use xbar_core::oracle::{Oracle, OracleConfig, OutputAccess};
@@ -648,26 +649,33 @@ fn cmd_trace(args: &ParsedArgs) -> Result<(), CliError> {
     }
 }
 
-/// Best-effort unsigned coercion for a trace/stats JSON number.
-fn json_u64(v: &serde::Value) -> u64 {
-    use serde::Value;
-    match v {
-        Value::U64(x) => *x,
-        Value::I64(x) => (*x).max(0) as u64,
-        Value::F64(x) => *x as u64,
-        _ => 0,
-    }
+/// Reads field `key` of a trace or stats record, refusing a missing or
+/// mistyped value.
+fn read_field<T: serde::Deserialize>(record: &serde::Value, key: &str) -> Result<T, DeError> {
+    T::deserialize(record.get(key).unwrap_or(&serde::Value::Null)).map_err(|e| e.in_field(key))
 }
 
-/// Best-effort float coercion for a trace/stats JSON number.
-fn json_f64(v: &serde::Value) -> f64 {
-    use serde::Value;
-    match v {
-        Value::U64(x) => *x as f64,
-        Value::I64(x) => *x as f64,
-        Value::F64(x) => *x,
-        _ => 0.0,
-    }
+/// The entries of the object section `kind` of an encoded scope, each
+/// decoded as a `T` (none if the section is absent). A mistyped section
+/// or entry is an error naming it.
+fn entries<'v, T: serde::Deserialize>(
+    json: &'v serde::Value,
+    kind: &str,
+) -> Result<Vec<(&'v String, T)>, DeError> {
+    let Some(section) = json.get(kind) else {
+        return Ok(Vec::new());
+    };
+    let fields = section.as_object().ok_or_else(|| {
+        DeError::custom(format!("expected object, found {}", section.type_name())).in_field(kind)
+    })?;
+    fields
+        .iter()
+        .map(|(name, value)| {
+            T::deserialize(value)
+                .map(|decoded| (name, decoded))
+                .map_err(|e| e.in_field(name).in_field(kind))
+        })
+        .collect()
 }
 
 /// One scope's metrics read back from a campaign trace or a service
@@ -683,46 +691,25 @@ struct ScopeTables {
 impl ScopeTables {
     /// Folds in one encoded scope — a snapshot section (`counters`,
     /// `gauges`, `histograms`) or a trace record (`counters`, `values`,
-    /// `spans`): counters add, gauges overwrite, histograms merge.
-    fn absorb(&mut self, json: &serde::Value) {
-        use serde::Value;
-        if let Some(Value::Object(fields)) = json.get("counters") {
-            for (name, v) in fields {
-                *self.counters.entry(name.clone()).or_default() += json_u64(v);
-            }
+    /// `spans`): counters add, gauges overwrite, histograms merge
+    /// (decoded by `Histogram`'s strict `Deserialize`).
+    fn absorb(&mut self, json: &serde::Value) -> Result<(), DeError> {
+        for (name, total) in entries::<u64>(json, "counters")? {
+            let counter = self.counters.entry(name.clone()).or_default();
+            *counter = counter.saturating_add(total);
         }
-        if let Some(Value::Object(fields)) = json.get("gauges") {
-            for (name, v) in fields {
-                self.gauges.insert(name.clone(), json_f64(v));
-            }
+        for (name, level) in entries::<f64>(json, "gauges")? {
+            self.gauges.insert(name.clone(), level);
         }
         for kind in ["histograms", "values", "spans"] {
-            if let Some(Value::Object(fields)) = json.get(kind) {
-                for (name, h) in fields {
-                    let field = |key: &str| h.get(key).map(json_u64).unwrap_or(0);
-                    let buckets: Vec<(f64, u64)> = h
-                        .get("buckets")
-                        .and_then(Value::as_array)
-                        .unwrap_or(&[])
-                        .iter()
-                        .filter_map(|pair| match pair.as_array()? {
-                            [le, count] => Some((json_f64(le), json_u64(count))),
-                            _ => None,
-                        })
-                        .collect();
-                    let read = xbar_obs::Histogram::from_parts(
-                        u128::from(field("sum")),
-                        field("min"),
-                        field("max"),
-                        &buckets,
-                    );
-                    self.histograms
-                        .entry(name.clone())
-                        .or_default()
-                        .merge(&read);
-                }
+            for (name, read) in entries::<xbar_obs::Histogram>(json, kind)? {
+                self.histograms
+                    .entry(name.clone())
+                    .or_default()
+                    .merge(&read);
             }
         }
+        Ok(())
     }
 }
 
@@ -780,20 +767,20 @@ fn render_metrics(scopes: &[(String, ScopeTables)]) -> String {
     out
 }
 
-/// Reads a service stats snapshot ([`xbar_obs::MetricsSnapshot::to_json`])
-/// into one table set per victim.
-fn snapshot_scopes(stats: &serde::Value) -> Result<Vec<(String, ScopeTables)>, CliError> {
+/// Reads a service stats snapshot (the `Serialize` encoding of
+/// [`xbar_obs::MetricsSnapshot`]) into one table set per victim.
+fn snapshot_scopes(stats: &serde::Value) -> Result<Vec<(String, ScopeTables)>, DeError> {
     let Some(serde::Value::Object(victims)) = stats.get("victims") else {
-        return Err("stats snapshot has no victims section".into());
+        return Err(DeError::custom("stats snapshot has no victims section"));
     };
-    Ok(victims
+    victims
         .iter()
         .map(|(victim, section)| {
             let mut tables = ScopeTables::default();
-            tables.absorb(section);
-            (victim.clone(), tables)
+            tables.absorb(section).map_err(|e| e.in_field(victim))?;
+            Ok((victim.clone(), tables))
         })
-        .collect())
+        .collect()
 }
 
 /// Summarizes an `xbar-obs` JSONL trace and/or the `xbar-serve-metrics`
@@ -801,7 +788,8 @@ fn snapshot_scopes(stats: &serde::Value) -> Result<Vec<(String, ScopeTables)>, C
 /// section becomes one scope whose totals are recomputed from its trial
 /// records (so a trace whose run was killed before the `end` line still
 /// summarizes); snapshots are cumulative, so only the last one is
-/// rendered. A trace of another format version is refused.
+/// rendered. A trace of another format version, or a line whose
+/// metrics do not decode, is refused with its line number.
 fn summarize_trace(path: &str) -> Result<String, CliError> {
     use serde::Value;
     use xbar_obs::trace::{TRACE_FORMAT_VERSION, TRACE_KIND};
@@ -813,7 +801,7 @@ fn summarize_trace(path: &str) -> Result<String, CliError> {
     let (mut trials_ok, mut trials_failed) = (0usize, 0usize);
     // Snapshots are cumulative: keep only the last one.
     let mut serve_snapshots = 0usize;
-    let mut serve_stats: Option<Value> = None;
+    let mut serve_scopes: Option<Vec<(String, ScopeTables)>> = None;
 
     for (line_no, line) in text.lines().enumerate() {
         let line = line.trim();
@@ -821,11 +809,11 @@ fn summarize_trace(path: &str) -> Result<String, CliError> {
             continue;
         }
         let at = format!("trace {path} line {}", line_no + 1);
+        let at_err = |e: DeError| format!("{at}: {e}");
         let record = serde_json::parse_value(line).map_err(|e| format!("{at}: {e}"))?;
-        let field = |key: &str| record.get(key).map(json_u64).unwrap_or(0);
         match record.get("kind").and_then(Value::as_str) {
             Some(TRACE_KIND) => {
-                let version = field("format_version");
+                let version: u64 = read_field(&record, "format_version").map_err(at_err)?;
                 if version != u64::from(TRACE_FORMAT_VERSION) {
                     return Err(format!(
                         "{at}: trace format version {version} is not supported \
@@ -834,16 +822,13 @@ fn summarize_trace(path: &str) -> Result<String, CliError> {
                     )
                     .into());
                 }
-                let name = record
-                    .get("campaign")
-                    .and_then(Value::as_str)
-                    .unwrap_or("?");
+                let name: String = read_field(&record, "campaign").map_err(at_err)?;
+                let seed: u64 = read_field(&record, "campaign_seed").map_err(at_err)?;
+                let trials: u64 = read_field(&record, "total_trials").map_err(at_err)?;
                 out.push_str(&format!(
-                    "campaign: {name} (seed {}, {} trials)\n",
-                    field("campaign_seed"),
-                    field("total_trials"),
+                    "campaign: {name} (seed {seed}, {trials} trials)\n"
                 ));
-                campaigns.push((name.to_string(), ScopeTables::default()));
+                campaigns.push((name, ScopeTables::default()));
             }
             Some("trial") => {
                 let Some((_, tables)) = campaigns.last_mut() else {
@@ -853,12 +838,16 @@ fn summarize_trace(path: &str) -> Result<String, CliError> {
                     Some("ok") => trials_ok += 1,
                     _ => trials_failed += 1,
                 }
-                tables.absorb(&record);
+                tables.absorb(&record).map_err(at_err)?;
             }
             Some(kind) if kind == xbar_serve::METRICS_RECORD_KIND => {
                 serve_snapshots += 1;
                 if let Some(stats) = record.get("stats") {
-                    serve_stats = Some(stats.clone());
+                    serve_scopes = Some(
+                        snapshot_scopes(stats)
+                            .map_err(|e| e.in_field("stats"))
+                            .map_err(at_err)?,
+                    );
                 }
             }
             // `end` totals are recomputed from the trial records above.
@@ -875,11 +864,11 @@ fn summarize_trace(path: &str) -> Result<String, CliError> {
         ));
     }
     let mut scopes = campaigns;
-    if let Some(stats) = &serve_stats {
+    if let Some(serve_scopes) = serve_scopes {
         out.push_str(&format!(
             "serve-metrics snapshots: {serve_snapshots} (rendering the last — counters are cumulative)\n"
         ));
-        scopes.extend(snapshot_scopes(stats)?);
+        scopes.extend(serve_scopes);
     }
     out.push('\n');
     out.push_str(&render_metrics(&scopes));
@@ -1406,7 +1395,7 @@ mod tests {
         }
         registry.gauge_set("_server", names::SERVE_INFLIGHT, 3.0);
         let snapshot = registry.snapshot();
-        let stats = xbar_serve::metrics::json_to_value(&snapshot.to_json());
+        let stats = serde::Serialize::serialize(&snapshot);
         let rendered = render_metrics(&snapshot_scopes(&stats).unwrap());
         for needle in [
             "--- counters ---",
@@ -1630,9 +1619,9 @@ mod tests {
                 "{\"kind\":\"xbar-serve-metrics\",\"seq\":1,\"stats\":{\"victims\":{\
                  \"toy\":{\"counters\":{\"serve.requests\":9,\"serve.queries\":40},\
                  \"gauges\":{\"serve.draining\":0.0},\
-                 \"histograms\":{\"serve.request_ns\":{\"count\":9,\"sum\":900,\
-                 \"min\":10,\"max\":200,\"p50\":95.0,\"p90\":180.0,\"p99\":199.0,\
-                 \"p999\":200.0,\"buckets\":[[256.0,9]]}}}}}}\n",
+                 \"histograms\":{\"serve.request_ns\":{\"count\":9,\"sum\":1755,\
+                 \"min\":190,\"max\":200,\"p50\":197.5,\"p90\":200.0,\"p99\":200.0,\
+                 \"p999\":200.0,\"buckets\":[[215.26948230495083,9]]}}}}}}\n",
             ),
         )
         .unwrap();
@@ -1659,6 +1648,57 @@ mod tests {
         assert!(summary.contains("campaign: mixed"), "{summary}");
         assert!(summary.contains("serve.sessions"), "{summary}");
         assert!(summary.contains("serve.request_ns"), "{summary}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn trace_summarize_refuses_malformed_histograms() {
+        use std::time::Duration;
+        use xbar_obs::{names, MetricsShard, TraceWriter};
+
+        let path = tmp("corrupt-trace.jsonl");
+        let shard = MetricsShard::new();
+        shard.record("t", names::SPAN_PROBE, 2_000);
+        let metrics = shard.take_scope("t");
+        let mut writer = TraceWriter::create(std::path::Path::new(&path)).unwrap();
+        writer.campaign_header("corrupt", 1, 1).unwrap();
+        writer
+            .trial(0, true, 1, Duration::from_millis(1), &metrics)
+            .unwrap();
+        drop(writer);
+        let clean = std::fs::read_to_string(&path).unwrap();
+        assert!(summarize_trace(&path).is_ok());
+
+        // One corrupted trial line: a missing field, a mistyped field,
+        // or a count that disagrees with the buckets.
+        for (from, to) in [
+            ("\"count\":1,", ""),
+            ("\"max\":2000", "\"max\":\"2000\""),
+            ("\"count\":1,", "\"count\":2,"),
+        ] {
+            assert!(clean.contains(from), "{from} not in {clean}");
+            std::fs::write(&path, clean.replacen(from, to, 1)).unwrap();
+            let err = summarize_trace(&path).unwrap_err().to_string();
+            assert!(
+                err.starts_with(&format!("trace {path} line 2: spans: probe: ")),
+                "{err}"
+            );
+        }
+
+        // The same holds for a serve metrics snapshot line.
+        std::fs::write(
+            &path,
+            "{\"kind\":\"xbar-serve-metrics\",\"seq\":0,\"stats\":{\"victims\":{\"toy\":\
+             {\"histograms\":{\"serve.request_ns\":{\"count\":3}}}}}}\n",
+        )
+        .unwrap();
+        let err = summarize_trace(&path).unwrap_err().to_string();
+        assert!(
+            err.starts_with(&format!(
+                "trace {path} line 1: stats: toy: histograms: serve.request_ns: "
+            )),
+            "{err}"
+        );
         std::fs::remove_file(&path).ok();
     }
 

@@ -30,6 +30,22 @@ pub enum AttackError {
         /// Name of the offending parameter.
         name: &'static str,
     },
+    /// A query sample's length differs from the victim's input count.
+    InputLength {
+        /// Index of the sample in its batch.
+        sample: usize,
+        /// The victim's input count.
+        expected: usize,
+        /// The sample's length.
+        got: usize,
+    },
+    /// A query sample holds a NaN or infinite element.
+    NonFiniteInput {
+        /// Index of the sample in its batch.
+        sample: usize,
+        /// Index of the element in the sample.
+        element: usize,
+    },
     /// An I/O failure while persisting or loading attack artifacts.
     Io(std::io::Error),
     /// A (de)serialisation failure while persisting or loading artifacts.
@@ -52,6 +68,17 @@ impl fmt::Display for AttackError {
             }
             AttackError::InvalidParameter { name } => {
                 write!(f, "attack parameter {name} is outside its valid domain")
+            }
+            AttackError::InputLength {
+                sample,
+                expected,
+                got,
+            } => write!(
+                f,
+                "query sample {sample} has {got} elements, the victim takes {expected}"
+            ),
+            AttackError::NonFiniteInput { sample, element } => {
+                write!(f, "query sample {sample} element {element} is not finite")
             }
             AttackError::Io(e) => write!(f, "i/o error: {e}"),
             AttackError::Serde(e) => write!(f, "serialisation error: {e}"),

@@ -10,7 +10,6 @@ use xbar_crossbar::array::CrossbarArray;
 use xbar_crossbar::backend::{BackendKind, BackendSpec, EvalBackend, PreparedEval, RngStreams};
 use xbar_crossbar::device::DeviceModel;
 use xbar_crossbar::power::PowerModel;
-use xbar_crossbar::CrossbarError;
 use xbar_faults::{FaultInjection, FaultPlan, TransientInjection};
 use xbar_linalg::{vec_ops, Matrix};
 use xbar_nn::network::SingleLayerNet;
@@ -538,10 +537,37 @@ impl Oracle {
     /// # Errors
     ///
     /// * [`AttackError::QueryBudgetExhausted`] once the budget is spent.
-    /// * Crossbar errors on malformed inputs.
+    /// * [`Oracle::check_inputs`]'s errors on a malformed input.
     pub fn query(&mut self, u: &[f64]) -> Result<QueryRecord> {
         let mut records = self.query_batch(&[u])?;
         Ok(records.pop().expect("batch of one yields one record"))
+    }
+
+    /// Checks a batch of query inputs before anything is consumed: each
+    /// sample must have [`Oracle::num_inputs`] elements, all finite.
+    ///
+    /// # Errors
+    ///
+    /// * [`AttackError::InputLength`] for the first sample of the wrong
+    ///   length.
+    /// * [`AttackError::NonFiniteInput`] for the first NaN or infinite
+    ///   element, naming its sample and position.
+    pub fn check_inputs<U: AsRef<[f64]>>(&self, inputs: &[U]) -> Result<()> {
+        let expected = self.num_inputs();
+        for (sample, u) in inputs.iter().enumerate() {
+            let u = u.as_ref();
+            if u.len() != expected {
+                return Err(AttackError::InputLength {
+                    sample,
+                    expected,
+                    got: u.len(),
+                });
+            }
+            if let Some(element) = u.iter().position(|x| !x.is_finite()) {
+                return Err(AttackError::NonFiniteInput { sample, element });
+            }
+        }
+        Ok(())
     }
 
     /// A batch of attacker queries, evaluated by the configured
@@ -560,22 +586,13 @@ impl Oracle {
     ///
     /// * [`AttackError::QueryBudgetExhausted`] if the batch does not fit
     ///   in the remaining budget.
-    /// * Crossbar errors on malformed inputs (checked up front; no
-    ///   queries are consumed).
+    /// * [`Oracle::check_inputs`]'s errors on malformed inputs (checked
+    ///   up front; no queries are consumed).
     pub fn query_batch(&mut self, inputs: &[&[f64]]) -> Result<Vec<QueryRecord>> {
         if inputs.is_empty() {
             return Ok(Vec::new());
         }
-        let n = self.num_inputs();
-        for u in inputs {
-            if u.len() != n {
-                return Err(CrossbarError::InputLenMismatch {
-                    expected: n,
-                    got: u.len(),
-                }
-                .into());
-            }
-        }
+        self.check_inputs(inputs)?;
         let base = self.consume_queries(inputs.len())?;
         if !self.drifting() {
             return self.query_chunk(inputs, base);
@@ -674,7 +691,7 @@ impl Oracle {
     ///   [`DriftSchedule`] — a drifting deployment's hardware is a
     ///   function of *its own* query clock, which cross-session keying
     ///   cannot reproduce.
-    /// * Crossbar errors on malformed inputs.
+    /// * [`Oracle::check_inputs`]'s errors on malformed inputs.
     pub fn observe_batch_keyed(
         &self,
         inputs: &[&[f64]],
@@ -688,16 +705,7 @@ impl Oracle {
                 name: "drift (keyed observation requires a non-drifting oracle)",
             });
         }
-        let n = self.num_inputs();
-        for u in inputs {
-            if u.len() != n {
-                return Err(CrossbarError::InputLenMismatch {
-                    expected: n,
-                    got: u.len(),
-                }
-                .into());
-            }
-        }
+        self.check_inputs(inputs)?;
         xbar_obs::count(xbar_obs::names::ORACLE_QUERY, inputs.len() as u64);
         self.observe_keyed_unchecked(inputs, keys)
     }
@@ -1582,6 +1590,18 @@ mod tests {
         let good = [1.0, 0.0, 0.0];
         let bad = [1.0, 0.0];
         assert!(o.query_batch(&[&good, &bad]).is_err());
+        assert_eq!(o.query_count(), 0);
+        // A non-finite element (`1e999` decodes to +inf) is refused by
+        // sample and position, before any budget is spent.
+        let inf = [0.0, f64::INFINITY, 0.0];
+        assert!(matches!(
+            o.query_batch(&[&good, &inf]),
+            Err(AttackError::NonFiniteInput {
+                sample: 1,
+                element: 1
+            })
+        ));
+        assert!(o.query_batch(&[&[f64::NAN, 0.0, 0.0]]).is_err());
         assert_eq!(o.query_count(), 0);
         assert!(o.query_batch(&[]).unwrap().is_empty());
         assert_eq!(o.query_count(), 0);

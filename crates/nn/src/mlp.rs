@@ -254,7 +254,8 @@ impl Mlp {
     }
 }
 
-/// Trains an MLP with minibatch SGD.
+/// Trains an MLP with minibatch SGD and classical momentum, the same
+/// update [`crate::train::train_on_matrices`] applies to a single layer.
 ///
 /// # Errors
 ///
@@ -267,14 +268,21 @@ pub fn train_mlp<R: Rng + ?Sized>(
     cfg: &SgdConfig,
     rng: &mut R,
 ) -> Result<f64> {
+    cfg.validate()?;
     if inputs.rows() == 0 {
         return Err(NnError::EmptyDataset);
     }
-    if cfg.batch_size == 0 {
-        return Err(NnError::InvalidHyperparameter { name: "batch_size" });
-    }
     let n = inputs.rows();
     let mut lr = cfg.learning_rate;
+    // One momentum buffer per layer, for weights and biases.
+    let mut velocity: Vec<(Matrix, Vec<f64>)> = mlp
+        .layers
+        .iter()
+        .map(|l| {
+            let (rows, cols) = l.weights.shape();
+            (Matrix::zeros(rows, cols), vec![0.0; l.bias.len()])
+        })
+        .collect();
     let mut order: Vec<usize> = (0..n).collect();
     for _ in 0..cfg.epochs {
         if cfg.shuffle {
@@ -293,10 +301,14 @@ pub fn train_mlp<R: Rng + ?Sized>(
                 if cfg.weight_decay > 0.0 {
                     grad.axpy(cfg.weight_decay, &mlp.layers[l].weights);
                 }
-                mlp.layers[l].weights.axpy(-lr, &grad);
-                for (j, b_j) in mlp.layers[l].bias.iter_mut().enumerate() {
+                let (v_w, v_b) = &mut velocity[l];
+                v_w.scale_inplace(cfg.momentum);
+                v_w.axpy(-lr, &grad);
+                mlp.layers[l].weights.axpy(1.0, v_w);
+                for (j, (v, b_j)) in v_b.iter_mut().zip(&mut mlp.layers[l].bias).enumerate() {
                     let g: f64 = deltas[l].col(j).iter().sum::<f64>() / b;
-                    *b_j -= lr * g;
+                    *v = cfg.momentum * *v - lr * g;
+                    *b_j += *v;
                 }
             }
         }

@@ -43,7 +43,7 @@ impl Default for SgdConfig {
 }
 
 impl SgdConfig {
-    fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if !(self.learning_rate.is_finite() && self.learning_rate > 0.0) {
             return Err(NnError::InvalidHyperparameter {
                 name: "learning_rate",

@@ -1,9 +1,11 @@
 //! # xbar-obs
 //!
-//! A zero-dependency observability layer with one recording model:
-//! counters, gauges and log-bucketed histograms, recorded per scope
-//! into a sharded registry. Campaign trials, the campaign service and
-//! every instrumented library call record into it.
+//! The observability layer with one recording model: counters, gauges
+//! and log-bucketed histograms, recorded per scope into a sharded
+//! registry. Campaign trials, the campaign service and every
+//! instrumented library call record into it. Its only dependencies are
+//! the in-repo `serde` and `serde_json` shims, which carry every
+//! encoding it writes.
 //!
 //! ## Architecture
 //!
@@ -25,7 +27,11 @@
 //! * The campaign executor (`xbar-runtime`) gives each trial attempt a
 //!   fresh shard — a retried attempt's events are dropped with its
 //!   shard — and [`TraceWriter`] appends each finished trial's
-//!   [`ScopeMetrics`] to a JSON Lines trace. The service gives each
+//!   [`ScopeMetrics`] to a JSON Lines trace.
+//! * [`Histogram`], [`ScopeMetrics`] and [`MetricsSnapshot`] encode
+//!   through `serde::Serialize` (traces, `stats` replies, metrics
+//!   files); [`Histogram`]'s strict `Deserialize` is the one decoder of
+//!   that format, used by `xbar trace summarize` and `xbar serve stats`. The service gives each
 //!   evaluation worker its own shard, installed as the ambient scope of
 //!   the job's victim, so library counters show up in `stats`.
 //!
@@ -42,7 +48,6 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod json;
 pub mod metrics;
 pub mod names;
 pub mod scope;

@@ -18,7 +18,7 @@
 //!   layout, so [`Histogram::merge`] is element-wise addition —
 //!   associative, commutative, and bit-identical to having recorded
 //!   every value into a single histogram (values are integers, so even
-//!   the running `sum` is exact);
+//!   the running `sum` is exact until it saturates at `u64::MAX`);
 //! * gauges are last-write-wins and, by convention, only ever set on
 //!   shard 0 (via [`MetricsRegistry::gauge_set`]), so the merge never
 //!   has to arbitrate between shards.
@@ -33,7 +33,8 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::json::JsonValue;
+use serde::{DeError, Deserialize, Serialize, Value};
+
 use crate::names::{CounterName, GaugeName, HistogramName};
 
 /// The scope used for server-wide metrics that belong to no
@@ -91,7 +92,7 @@ fn bucket_index(value: f64) -> usize {
 pub struct Histogram {
     counts: Vec<u64>,
     count: u64,
-    sum: u128,
+    sum: u64,
     min: u64,
     max: u64,
 }
@@ -114,27 +115,11 @@ impl Histogram {
         }
     }
 
-    /// Rebuilds a histogram from the fields of its JSON encoding
-    /// ([`Histogram::to_json`]): the exact `sum`, `min` and `max`, and
-    /// the `(le, count)` pairs of its non-empty buckets. Read-back
-    /// histograms therefore merge exactly like the recorded ones.
-    pub fn from_parts(sum: u128, min: u64, max: u64, buckets: &[(f64, u64)]) -> Histogram {
-        let mut histogram = Histogram::new();
-        for &(le, count) in buckets {
-            histogram.counts[bucket_index(le)] += count;
-            histogram.count += count;
-        }
-        if histogram.count > 0 {
-            (histogram.sum, histogram.min, histogram.max) = (sum, min, max);
-        }
-        histogram
-    }
-
     /// Records one observation.
     pub fn record(&mut self, value: u64) {
         self.counts[bucket_index(value as f64)] += 1;
         self.count += 1;
-        self.sum = self.sum.saturating_add(u128::from(value));
+        self.sum = self.sum.saturating_add(value);
         self.min = self.min.min(value);
         self.max = self.max.max(value);
     }
@@ -144,8 +129,8 @@ impl Histogram {
         self.count
     }
 
-    /// Exact sum of all recorded values (saturating).
-    pub fn sum(&self) -> u128 {
+    /// Exact sum of all recorded values (saturating at `u64::MAX`).
+    pub fn sum(&self) -> u64 {
         self.sum
     }
 
@@ -224,28 +209,94 @@ impl Histogram {
             .map(|(i, &count)| (bounds[i], count))
             .collect()
     }
+}
 
-    /// The JSON snapshot encoding. `count`, `sum`, `min`, `max` and the
-    /// bucket counts are deterministic for a deterministic workload;
-    /// `p50`/`p90`/`p99`/`p999` are bucket estimates. An empty
-    /// histogram encodes with all-zero scalars and no buckets.
-    pub fn to_json(&self) -> JsonValue {
-        let mut obj = JsonValue::object();
-        obj.push("count", self.count)
-            .push("sum", self.sum.min(u128::from(u64::MAX)) as u64)
-            .push("min", self.min())
-            .push("max", self.max())
-            .push("p50", self.quantile(0.50))
-            .push("p90", self.quantile(0.90))
-            .push("p99", self.quantile(0.99))
-            .push("p999", self.quantile(0.999));
-        let buckets = self
-            .nonzero_buckets()
-            .into_iter()
-            .map(|(le, count)| JsonValue::Array(vec![JsonValue::F64(le), JsonValue::U64(count)]))
-            .collect();
-        obj.push("buckets", JsonValue::Array(buckets));
-        obj
+/// The encoded form of a [`Histogram`], field for field.
+#[derive(Serialize, Deserialize)]
+struct HistogramJson {
+    count: u64,
+    sum: u64,
+    min: u64,
+    max: u64,
+    p50: f64,
+    p90: f64,
+    p99: f64,
+    p999: f64,
+    buckets: Vec<(f64, u64)>,
+}
+
+/// The snapshot and trace encoding. `count`, `sum`, `min`, `max` and
+/// the `[le, count]` pairs of the non-empty `buckets` are deterministic
+/// for a deterministic workload; `p50`/`p90`/`p99`/`p999` are bucket
+/// estimates. An empty histogram encodes with all-zero scalars and no
+/// buckets.
+impl Serialize for Histogram {
+    fn serialize(&self) -> Value {
+        HistogramJson {
+            count: self.count,
+            sum: self.sum,
+            min: self.min(),
+            max: self.max(),
+            p50: self.quantile(0.50),
+            p90: self.quantile(0.90),
+            p99: self.quantile(0.99),
+            p999: self.quantile(0.999),
+            buckets: self.nonzero_buckets(),
+        }
+        .serialize()
+    }
+}
+
+/// The one decoder of the [`Serialize`] encoding, so read-back
+/// histograms merge exactly like recorded ones. Every field must be
+/// present and of its type (the quantiles are recomputed from the
+/// buckets). Bucket bounds must be shared bounds in ascending order,
+/// `count` must equal the bucket total, and `min ≤ max` (all scalars 0
+/// when empty).
+impl Deserialize for Histogram {
+    fn deserialize(value: &Value) -> Result<Self, DeError> {
+        let json = HistogramJson::deserialize(value)?;
+        let bounds = bucket_bounds();
+        let mut histogram = Histogram::new();
+        let mut next = 0;
+        for &(le, count) in &json.buckets {
+            let i = bounds.partition_point(|bound| *bound < le);
+            if i < next || bounds.get(i) != Some(&le) {
+                return Err(
+                    DeError::custom(format!("{le} is not an ascending bucket bound"))
+                        .in_field("buckets"),
+                );
+            }
+            histogram.counts[i] = count;
+            histogram.count = histogram
+                .count
+                .checked_add(count)
+                .ok_or_else(|| DeError::custom("bucket total overflows").in_field("buckets"))?;
+            next = i + 1;
+        }
+        if json.count != histogram.count {
+            return Err(DeError::custom(format!(
+                "{} differs from the bucket total {}",
+                json.count, histogram.count
+            ))
+            .in_field("count"));
+        }
+        let scalars = (json.sum, json.min, json.max);
+        if json.count == 0 {
+            if scalars != (0, 0, 0) {
+                return Err(DeError::custom(format!(
+                    "an empty histogram has sum, min, max {scalars:?}"
+                )));
+            }
+        } else if json.min > json.max {
+            return Err(DeError::custom(format!(
+                "min {} above max {}",
+                json.min, json.max
+            )));
+        } else {
+            (histogram.sum, histogram.min, histogram.max) = scalars;
+        }
+        Ok(histogram)
     }
 }
 
@@ -299,47 +350,57 @@ impl ScopeMetrics {
         }
     }
 
-    fn histograms_json(&self, timing: Option<bool>) -> JsonValue {
-        let mut obj = JsonValue::object();
-        for (name, histogram) in &self.histograms {
-            if timing.is_none_or(|timing| name.timing == timing) {
-                obj.push(name.name, histogram.to_json());
-            }
-        }
-        obj
+    fn counters_value(&self) -> Value {
+        Value::Object(
+            self.counters
+                .iter()
+                .map(|(name, total)| (name.0.to_owned(), Value::U64(*total)))
+                .collect(),
+        )
     }
 
-    fn counters_json(&self) -> JsonValue {
-        let mut obj = JsonValue::object();
-        for (name, total) in &self.counters {
-            obj.push(name.0, *total);
-        }
-        obj
+    fn histograms_value(&self, keep: impl Fn(&HistogramName) -> bool) -> Value {
+        Value::Object(
+            self.histograms
+                .iter()
+                .filter(|(name, _)| keep(name))
+                .map(|(name, histogram)| (name.name.to_owned(), histogram.serialize()))
+                .collect(),
+        )
     }
 
-    /// The service-snapshot encoding: `{"counters": {..}, "gauges":
-    /// {..}, "histograms": {name: Histogram::to_json}}`.
-    pub fn to_json(&self) -> JsonValue {
-        let mut gauges = JsonValue::object();
-        for (name, level) in &self.gauges {
-            gauges.push(name.0, *level);
-        }
-        let mut obj = JsonValue::object();
-        obj.push("counters", self.counters_json())
-            .push("gauges", gauges)
-            .push("histograms", self.histograms_json(None));
-        obj
+    /// The campaign-trace encoding: the fields `counters`, `values`
+    /// (value histograms) and `spans` (timing histograms), in that
+    /// order, that close a trace record.
+    pub fn trace_fields(&self) -> Vec<(String, Value)> {
+        vec![
+            ("counters".to_owned(), self.counters_value()),
+            (
+                "values".to_owned(),
+                self.histograms_value(|name| !name.timing),
+            ),
+            (
+                "spans".to_owned(),
+                self.histograms_value(|name| name.timing),
+            ),
+        ]
     }
+}
 
-    /// The campaign-trace encoding: `{"counters": {..}, "values":
-    /// {..}, "spans": {..}}`, value histograms under `values` and
-    /// timing histograms (spans) under `spans`.
-    pub fn to_trace_json(&self) -> JsonValue {
-        let mut obj = JsonValue::object();
-        obj.push("counters", self.counters_json())
-            .push("values", self.histograms_json(Some(false)))
-            .push("spans", self.histograms_json(Some(true)));
-        obj
+/// The service-snapshot encoding: `{"counters": {..}, "gauges": {..},
+/// "histograms": {name: Histogram}}`.
+impl Serialize for ScopeMetrics {
+    fn serialize(&self) -> Value {
+        let gauges = self
+            .gauges
+            .iter()
+            .map(|(name, level)| (name.0.to_owned(), Value::F64(*level)))
+            .collect();
+        Value::Object(vec![
+            ("counters".to_owned(), self.counters_value()),
+            ("gauges".to_owned(), Value::Object(gauges)),
+            ("histograms".to_owned(), self.histograms_value(|_| true)),
+        ])
     }
 }
 
@@ -460,22 +521,22 @@ pub struct MetricsSnapshot {
     scopes: BTreeMap<String, ScopeMetrics>,
 }
 
+/// `{"victims": {scope: ScopeMetrics}}`, scopes in name order.
+impl Serialize for MetricsSnapshot {
+    fn serialize(&self) -> Value {
+        let victims = self
+            .scopes
+            .iter()
+            .map(|(scope, metrics)| (scope.clone(), metrics.serialize()))
+            .collect();
+        Value::Object(vec![("victims".to_owned(), Value::Object(victims))])
+    }
+}
+
 impl MetricsSnapshot {
     /// The metrics of `scope`, if it recorded anything.
     pub fn scope(&self, scope: &str) -> Option<&ScopeMetrics> {
         self.scopes.get(scope)
-    }
-
-    /// The snapshot as JSON: `{"victims": {scope: {"counters": {...},
-    /// "gauges": {...}, "histograms": {name: {...}}}}}`.
-    pub fn to_json(&self) -> JsonValue {
-        let mut victims = JsonValue::object();
-        for (scope, metrics) in &self.scopes {
-            victims.push(scope, metrics.to_json());
-        }
-        let mut obj = JsonValue::object();
-        obj.push("victims", victims);
-        obj
     }
 
     /// The snapshot in Prometheus text exposition format. Metric names
@@ -543,7 +604,7 @@ impl MetricsSnapshot {
                             ));
                         }
                         let count = histogram.count();
-                        let sum = histogram.sum().min(u128::from(u64::MAX));
+                        let sum = histogram.sum();
                         out.push_str(&format!(
                             "{base}_bucket{{victim=\"{victim}\",le=\"+Inf\"}} {count}\n\
                              {base}_sum{{victim=\"{victim}\"}} {sum}\n\
@@ -617,7 +678,7 @@ mod tests {
         assert_eq!(h.max(), 0);
         assert_eq!(h.mean(), 0.0);
         assert_eq!(h.quantile(0.5), 0.0);
-        let rendered = h.to_json().render();
+        let rendered = serde_json::to_string(&h).unwrap();
         assert!(rendered.contains("\"count\":0"), "{rendered}");
         assert!(rendered.contains("\"buckets\":[]"), "{rendered}");
         assert!(!rendered.contains("null"), "{rendered}");
@@ -646,14 +707,29 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_inverts_the_json_fields() {
+    fn histogram_decoder_is_strict() {
         let mut h = Histogram::new();
         for v in [0u64, 3, 3, 90, 70_000] {
             h.record(v);
         }
-        let rebuilt = Histogram::from_parts(h.sum(), h.min(), h.max(), &h.nonzero_buckets());
-        assert_eq!(rebuilt, h);
-        assert_eq!(Histogram::from_parts(0, 0, 0, &[]), Histogram::new());
+        let text = serde_json::to_string(&h).unwrap();
+        let decode = |text: &str| serde_json::from_str::<Histogram>(text);
+        assert_eq!(decode(&text).unwrap(), h);
+        for (from, to) in [
+            ("\"count\":5", "\"count\":6"),
+            ("\"count\":5,", ""),
+            ("\"sum\":70096", "\"sum\":\"70096\""),
+            ("\"min\":0", "\"min\":null"),
+            ("[1.0,1]", "[1.5,1]"),
+            ("\"p50\":", "\"p5\":"),
+        ] {
+            assert!(text.contains(from), "{from} not in {text}");
+            let corrupted = text.replacen(from, to, 1);
+            assert!(decode(&corrupted).is_err(), "accepted {corrupted}");
+        }
+        let empty = serde_json::to_string(&Histogram::new()).unwrap();
+        assert_eq!(decode(&empty).unwrap(), Histogram::new());
+        assert!(decode(&empty.replacen("\"max\":0", "\"max\":4", 1)).is_err());
     }
 
     #[test]
@@ -701,7 +777,7 @@ mod tests {
         registry.shard(1).counter_add("b", names::SERVE_REQUESTS, 3);
         registry.shard(0).record("a", names::SERVE_REQUEST_NS, 50);
         registry.gauge_set(SERVER_SCOPE, names::SERVE_INFLIGHT, 0.0);
-        let rendered = registry.snapshot().to_json().render();
+        let rendered = serde_json::to_string(&registry.snapshot()).unwrap();
         assert!(rendered.starts_with("{\"victims\":{\"_server\":{\"counters\":{},\"gauges\":{\"serve.inflight\":0.0},\"histograms\":{}},\"a\":{\"counters\":{\"serve.requests\":2}"), "{rendered}");
         assert!(
             rendered.contains("\"b\":{\"counters\":{\"serve.requests\":3}"),
@@ -719,7 +795,8 @@ mod tests {
         shard.counter_add("t", names::ORACLE_QUERY, 7);
         shard.record("t", names::XBAR_BATCH_OCCUPANCY, 16);
         shard.record("t", names::SPAN_PROBE, 1_000);
-        let rendered = shard.take_scope("t").to_trace_json().render();
+        let fields = shard.take_scope("t").trace_fields();
+        let rendered = serde_json::to_string(&Value::Object(fields)).unwrap();
         assert!(rendered.starts_with("{\"counters\":{\"oracle.query\":7},\"values\":{\"xbar.batch_occupancy\":{\"count\":1,\"sum\":16,"), "{rendered}");
         assert!(
             rendered.contains("\"spans\":{\"probe\":{\"count\":1,\"sum\":1000,"),

@@ -7,8 +7,8 @@
 //! 2. one `{"kind":"trial",…}` line per executed trial, in completion
 //!    order, carrying the final attempt's `counters`, `values` (value
 //!    histograms) and `spans` (timing histograms) — see
-//!    [`ScopeMetrics::to_trace_json`]; every histogram entry is a
-//!    [`crate::Histogram::to_json`] object,
+//!    [`ScopeMetrics::trace_fields`]; every histogram entry is a
+//!    [`crate::Histogram`] in its `Serialize` encoding,
 //! 3. a `{"kind":"end",…}` line with campaign totals: the merged
 //!    metrics plus completed / failed / skipped counts.
 //!
@@ -16,15 +16,18 @@
 //! (thread-count-invariant); the other span fields and the
 //! `wall_nanos` / `elapsed_nanos` fields are wall-clock data. Each
 //! line is flushed as it is written, like the campaign journal.
-//! Version 1 traces (min/max/sum value summaries, span `total_nanos`)
-//! are not read back.
+//! Floats are written in Rust's shortest round-trip `{:?}` spelling
+//! (`1e-7`, not `0.0000001`); either spelling reads back as the same
+//! value, so such traces are still version 2. Version 1 traces
+//! (min/max/sum value summaries, span `total_nanos`) are not read back.
 
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::time::Duration;
 
-use crate::json::JsonValue;
+use serde::{Serialize, Value};
+
 use crate::ScopeMetrics;
 
 /// The `kind` tag of a trace header line.
@@ -37,11 +40,8 @@ fn duration_nanos(d: Duration) -> u64 {
     d.as_nanos().min(u128::from(u64::MAX)) as u64
 }
 
-fn extend_with_metrics(record: &mut JsonValue, metrics: &ScopeMetrics) {
-    if let (JsonValue::Object(fields), JsonValue::Object(extra)) = (record, metrics.to_trace_json())
-    {
-        fields.extend(extra);
-    }
+fn field(key: &str, value: impl Serialize) -> (String, Value) {
+    (key.to_owned(), value.serialize())
 }
 
 /// Writes trace lines to a file, flushing each line.
@@ -57,8 +57,9 @@ impl TraceWriter {
         })
     }
 
-    fn write_line(&mut self, value: &JsonValue) -> io::Result<()> {
-        self.out.write_all(value.render().as_bytes())?;
+    fn write_line(&mut self, fields: Vec<(String, Value)>) -> io::Result<()> {
+        let line = serde_json::to_string(&Value::Object(fields)).map_err(io::Error::other)?;
+        self.out.write_all(line.as_bytes())?;
         self.out.write_all(b"\n")?;
         self.out.flush()
     }
@@ -70,14 +71,13 @@ impl TraceWriter {
         campaign_seed: u64,
         total_trials: usize,
     ) -> io::Result<()> {
-        let mut record = JsonValue::object();
-        record
-            .push("kind", TRACE_KIND)
-            .push("format_version", TRACE_FORMAT_VERSION)
-            .push("campaign", campaign)
-            .push("campaign_seed", campaign_seed)
-            .push("total_trials", total_trials);
-        self.write_line(&record)
+        self.write_line(vec![
+            field("kind", TRACE_KIND),
+            field("format_version", TRACE_FORMAT_VERSION),
+            field("campaign", campaign),
+            field("campaign_seed", campaign_seed),
+            field("total_trials", total_trials),
+        ])
     }
 
     /// Writes one finished trial's record.
@@ -89,15 +89,15 @@ impl TraceWriter {
         wall: Duration,
         metrics: &ScopeMetrics,
     ) -> io::Result<()> {
-        let mut record = JsonValue::object();
-        record
-            .push("kind", "trial")
-            .push("trial", trial)
-            .push("status", if ok { "ok" } else { "failed" })
-            .push("attempts", attempts)
-            .push("wall_nanos", duration_nanos(wall));
-        extend_with_metrics(&mut record, metrics);
-        self.write_line(&record)
+        let mut record = vec![
+            field("kind", "trial"),
+            field("trial", trial),
+            field("status", if ok { "ok" } else { "failed" }),
+            field("attempts", attempts),
+            field("wall_nanos", duration_nanos(wall)),
+        ];
+        record.extend(metrics.trace_fields());
+        self.write_line(record)
     }
 
     /// Closes a campaign section with its aggregate totals.
@@ -109,15 +109,15 @@ impl TraceWriter {
         elapsed: Duration,
         totals: &ScopeMetrics,
     ) -> io::Result<()> {
-        let mut record = JsonValue::object();
-        record
-            .push("kind", "end")
-            .push("completed", completed)
-            .push("failed", failed)
-            .push("skipped", skipped)
-            .push("elapsed_nanos", duration_nanos(elapsed));
-        extend_with_metrics(&mut record, totals);
-        self.write_line(&record)
+        let mut record = vec![
+            field("kind", "end"),
+            field("completed", completed),
+            field("failed", failed),
+            field("skipped", skipped),
+            field("elapsed_nanos", duration_nanos(elapsed)),
+        ];
+        record.extend(totals.trace_fields());
+        self.write_line(record)
     }
 }
 

@@ -93,18 +93,36 @@ proptest! {
     fn scalars_are_exact(values in prop::collection::vec(0u64..1_000_000_000, 1..300)) {
         let h = record_all(&values);
         prop_assert_eq!(h.count(), values.len() as u64);
-        prop_assert_eq!(h.sum(), values.iter().map(|&v| u128::from(v)).sum::<u128>());
+        prop_assert_eq!(h.sum(), values.iter().sum::<u64>());
         prop_assert_eq!(h.min(), *values.iter().min().unwrap());
         prop_assert_eq!(h.max(), *values.iter().max().unwrap());
         let bucket_total: u64 = h.nonzero_buckets().iter().map(|&(_, n)| n).sum();
         prop_assert_eq!(bucket_total, h.count());
+    }
+
+    /// Any recorded histogram, encoded with `serde_json` and decoded by
+    /// its `Deserialize`, equals the original — including a `sum` that
+    /// saturated at `u64::MAX` (about one value in eight sits near the
+    /// top of the range, so most workloads of two or more saturate).
+    #[test]
+    fn json_round_trip_is_lossless(
+        values in prop::collection::vec(
+            (0u32..8, 0u64..1_000_000_000)
+                .prop_map(|(pick, v)| if pick == 0 { u64::MAX - v } else { v }),
+            0..200,
+        ),
+    ) {
+        let h = record_all(&values);
+        let text = serde_json::to_string(&h).unwrap();
+        let back: Histogram = serde_json::from_str(&text).unwrap();
+        prop_assert_eq!(&back, &h);
     }
 }
 
 #[test]
 fn zero_observation_histogram_serializes_cleanly() {
     let h = Histogram::new();
-    let rendered = h.to_json().render();
+    let rendered = serde_json::to_string(&h).unwrap();
     assert!(rendered.contains("\"count\":0"), "{rendered}");
     assert!(rendered.contains("\"min\":0"), "{rendered}");
     assert!(rendered.contains("\"max\":0"), "{rendered}");

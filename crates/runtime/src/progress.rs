@@ -7,7 +7,7 @@
 use std::io::Write;
 use std::time::Duration;
 
-use xbar_obs::json::JsonValue;
+use serde::{Serialize, Value};
 use xbar_obs::ScopeMetrics;
 
 /// Counters describing a campaign run so far.
@@ -218,12 +218,18 @@ impl<W: Write> JsonlReporter<W> {
         }
     }
 
-    fn emit(&mut self, record: &JsonValue) {
+    fn emit(&mut self, fields: Vec<(String, Value)>) {
         // Progress is advisory: swallow write errors rather than
         // aborting the campaign over a closed stderr.
-        let _ = writeln!(self.out, "{}", record.render());
-        let _ = self.out.flush();
+        if let Ok(line) = serde_json::to_string(&Value::Object(fields)) {
+            let _ = writeln!(self.out, "{line}");
+            let _ = self.out.flush();
+        }
     }
+}
+
+fn field(key: &str, value: impl Serialize) -> (String, Value) {
+    (key.to_owned(), value.serialize())
 }
 
 fn nanos_u64(d: Duration) -> u64 {
@@ -239,40 +245,39 @@ impl<W: Write> ProgressSink for JsonlReporter<W> {
         {
             return;
         }
-        let mut record = JsonValue::object();
-        record
-            .push("event", "trial")
-            .push("campaign", self.label.as_str())
-            .push("trial", outcome.trial_index)
-            .push("attempts", outcome.attempts)
-            .push("wall_nanos", nanos_u64(outcome.wall))
-            .push("finished", finished)
-            .push("total", metrics.total)
-            .push("failed", metrics.failed)
-            .push("skipped", metrics.skipped)
-            .push("oracle_queries", metrics.oracle_queries)
-            .push("probe_measurements", metrics.probe_measurements)
-            .push("mvm_batches", metrics.mvm_batches);
+        let mut record = vec![
+            field("event", "trial"),
+            field("campaign", &self.label),
+            field("trial", outcome.trial_index),
+            field("attempts", outcome.attempts),
+            field("wall_nanos", nanos_u64(outcome.wall)),
+            field("finished", finished),
+            field("total", metrics.total),
+            field("failed", metrics.failed),
+            field("skipped", metrics.skipped),
+            field("oracle_queries", metrics.oracle_queries),
+            field("probe_measurements", metrics.probe_measurements),
+            field("mvm_batches", metrics.mvm_batches),
+        ];
         if let Some(error) = outcome.error {
-            record.push("error", error);
+            record.push(field("error", error));
         }
-        self.emit(&record);
+        self.emit(record);
     }
 
     fn on_end(&mut self, metrics: &CampaignMetrics) {
-        let mut record = JsonValue::object();
-        record
-            .push("event", "end")
-            .push("campaign", self.label.as_str())
-            .push("completed", metrics.completed)
-            .push("degraded", metrics.degraded)
-            .push("failed", metrics.failed)
-            .push("skipped", metrics.skipped)
-            .push("oracle_queries", metrics.oracle_queries)
-            .push("probe_measurements", metrics.probe_measurements)
-            .push("mvm_batches", metrics.mvm_batches)
-            .push("elapsed_nanos", nanos_u64(metrics.elapsed));
-        self.emit(&record);
+        self.emit(vec![
+            field("event", "end"),
+            field("campaign", &self.label),
+            field("completed", metrics.completed),
+            field("degraded", metrics.degraded),
+            field("failed", metrics.failed),
+            field("skipped", metrics.skipped),
+            field("oracle_queries", metrics.oracle_queries),
+            field("probe_measurements", metrics.probe_measurements),
+            field("mvm_batches", metrics.mvm_batches),
+            field("elapsed_nanos", nanos_u64(metrics.elapsed)),
+        ]);
     }
 }
 

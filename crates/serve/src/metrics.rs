@@ -1,6 +1,4 @@
-//! The service's live-telemetry glue: shard layout, gauge refresh, and
-//! the bridge from `xbar-obs`'s snapshot JSON into the wire protocol's
-//! `serde` values.
+//! The service's live-telemetry glue: shard layout and gauge refresh.
 //!
 //! The registry itself lives in [`xbar_obs::metrics`]; this module
 //! decides *who records where* so the hot path never takes a shared
@@ -22,7 +20,6 @@
 
 use std::sync::Arc;
 
-use xbar_obs::json::JsonValue;
 use xbar_obs::metrics::SERVER_SCOPE;
 use xbar_obs::{names, MetricsRegistry, MetricsShard};
 
@@ -87,28 +84,6 @@ impl ServeMetrics {
     }
 }
 
-/// Converts the obs crate's zero-dependency JSON tree into the wire
-/// protocol's [`serde::Value`] so a snapshot can ride inside a
-/// [`crate::protocol::Response`]. The two enums are structurally
-/// identical; this is a mechanical walk.
-pub fn json_to_value(json: &JsonValue) -> serde::Value {
-    match json {
-        JsonValue::Null => serde::Value::Null,
-        JsonValue::Bool(b) => serde::Value::Bool(*b),
-        JsonValue::U64(n) => serde::Value::U64(*n),
-        JsonValue::I64(n) => serde::Value::I64(*n),
-        JsonValue::F64(x) => serde::Value::F64(*x),
-        JsonValue::Str(s) => serde::Value::Str(s.clone()),
-        JsonValue::Array(items) => serde::Value::Array(items.iter().map(json_to_value).collect()),
-        JsonValue::Object(fields) => serde::Value::Object(
-            fields
-                .iter()
-                .map(|(k, v)| (k.clone(), json_to_value(v)))
-                .collect(),
-        ),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,30 +118,6 @@ mod tests {
             &metrics.handler_shard(1),
             &metrics.handler_shard(1 + HANDLER_SHARDS)
         ));
-    }
-
-    #[test]
-    fn json_to_value_walks_every_variant() {
-        let mut obj = JsonValue::object();
-        obj.push("b", true)
-            .push("n", 3u64)
-            .push("i", -4i64)
-            .push("x", 0.5)
-            .push("s", "hi")
-            .push(
-                "a",
-                JsonValue::Array(vec![JsonValue::Null, JsonValue::U64(1)]),
-            );
-        let value = json_to_value(&obj);
-        assert_eq!(value.get("b"), Some(&serde::Value::Bool(true)));
-        assert_eq!(value.get("n"), Some(&serde::Value::U64(3)));
-        assert_eq!(value.get("i"), Some(&serde::Value::I64(-4)));
-        assert_eq!(value.get("x"), Some(&serde::Value::F64(0.5)));
-        assert_eq!(value.get("s").and_then(serde::Value::as_str), Some("hi"));
-        assert_eq!(
-            value.get("a").and_then(serde::Value::as_array),
-            Some(&[serde::Value::Null, serde::Value::U64(1)][..])
-        );
     }
 
     #[test]

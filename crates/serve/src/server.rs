@@ -9,13 +9,13 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use serde::Serialize;
 use xbar_core::oracle::QueryKey;
-use xbar_obs::json::JsonValue;
 use xbar_obs::metrics::SERVER_SCOPE;
 use xbar_obs::{names, CounterName};
 use xbar_runtime::jsonl::JsonlAppender;
 
-use crate::metrics::{json_to_value, ServeMetrics, METRICS_RECORD_KIND};
+use crate::metrics::{ServeMetrics, METRICS_RECORD_KIND};
 use crate::pool::{Job, JobQueue, WorkerPool};
 use crate::protocol::{codes, Request, Response};
 use crate::registry::VictimRegistry;
@@ -236,13 +236,17 @@ impl Server {
 fn snapshot_loop(mut appender: JsonlAppender, shared: &Shared, queue: &JobQueue, every: Duration) {
     let mut seq = 0u64;
     let write_snapshot = |seq: u64, appender: &mut JsonlAppender| {
-        let snapshot = shared.scrape(queue);
-        let mut record = JsonValue::object();
-        record
-            .push("kind", METRICS_RECORD_KIND)
-            .push("seq", seq)
-            .push("stats", snapshot.to_json());
-        let _ = appender.write_line(&record.render());
+        let record = serde::Value::Object(vec![
+            (
+                "kind".to_owned(),
+                serde::Value::Str(METRICS_RECORD_KIND.to_owned()),
+            ),
+            ("seq".to_owned(), serde::Value::U64(seq)),
+            ("stats".to_owned(), shared.scrape(queue).serialize()),
+        ]);
+        if let Ok(line) = serde_json::to_string(&record) {
+            let _ = appender.write_line(&line);
+        }
     };
     loop {
         let deadline = Instant::now() + every;
@@ -476,9 +480,7 @@ fn handle_request(
             let snapshot = shared.scrape(queue);
             match request.format.as_deref() {
                 Some("prom") => Response::success(op).with_text(snapshot.to_prometheus()),
-                None | Some("json") => {
-                    Response::success(op).with_stats(json_to_value(&snapshot.to_json()))
-                }
+                None | Some("json") => Response::success(op).with_stats(snapshot.serialize()),
                 Some(other) => Response::failure(
                     op,
                     codes::USAGE,
@@ -555,13 +557,8 @@ fn handle_query(request: Request, shared: &Shared, queue: &JobQueue) -> Response
                 format!("victim {:?} is not hosted here", current.victim),
             );
         };
-        let dim = oracle.num_inputs();
-        if let Some(bad) = inputs.iter().find(|u| u.len() != dim) {
-            return Response::failure(
-                op,
-                codes::USAGE,
-                format!("input has {} elements, victim takes {dim}", bad.len()),
-            );
+        if let Err(e) = oracle.check_inputs(&inputs) {
+            return Response::failure(op, codes::USAGE, e.to_string());
         }
         status = match sessions.reserve(id, count) {
             Ok(status) => status,

@@ -9,12 +9,18 @@
 //!   edge cases, and on mutated lines.
 //!
 //! No case may panic. Over a socket, a line that fails to decode is a
-//! `usage` error and the connection stays open.
+//! `usage` error and the connection stays open, and so is a query whose
+//! numbers decode to a non-finite input (`1e999` is `+inf`): it is
+//! refused before the session's budget is touched.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
 use proptest::prelude::*;
+use xbar_core::oracle::{Oracle, OracleConfig};
+use xbar_linalg::Matrix;
+use xbar_nn::activation::Activation;
+use xbar_nn::network::SingleLayerNet;
 use xbar_serve::{
     decode_request, encode_request, Request, Response, ServeConfig, Server, VictimRegistry,
 };
@@ -391,6 +397,44 @@ fn undecodable_lines_are_usage_errors_on_an_open_connection() {
     // recorded after its snapshot.
     let decodes = count("histograms", "serve.decode_ns").expect("decode histogram");
     assert_eq!(decodes.get("count"), Some(&serde::Value::U64(1)));
+    drop(writer);
+    server.shutdown();
+}
+
+#[test]
+fn non_finite_query_inputs_are_usage_errors_that_spend_no_budget() {
+    let net = SingleLayerNet::from_weights(
+        Matrix::from_rows(&[&[1.0, -0.5], &[0.25, 0.5]]),
+        Activation::Identity,
+    );
+    let mut registry = VictimRegistry::new();
+    registry
+        .insert("toy", Oracle::new(net, &OracleConfig::ideal(), 7).unwrap())
+        .unwrap();
+    let server = Server::start("127.0.0.1:0", registry, ServeConfig::default()).unwrap();
+    let mut writer = TcpStream::connect(server.local_addr()).unwrap();
+    let mut reader = BufReader::new(writer.try_clone().unwrap());
+    let mut exchange = |line: &str| {
+        writer.write_all(line.as_bytes()).unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        serde_json::from_str::<Response>(&reply).unwrap()
+    };
+
+    let hello = exchange(
+        "{\"op\":\"hello\",\"session\":\"s\",\"victim\":\"toy\",\"seed\":1,\"budget\":4}\n",
+    );
+    assert!(hello.ok, "{hello:?}");
+    let bad = exchange("{\"op\":\"query\",\"session\":\"s\",\"inputs\":[[0.5,0.5],[0.0,1e999]]}\n");
+    assert!(!bad.ok);
+    assert_eq!(bad.code.as_deref(), Some("usage"));
+    let message = bad.error.unwrap_or_default();
+    assert!(message.contains("sample 1 element 1"), "{message}");
+    // The connection stays open and the session's budget is untouched.
+    let good = exchange("{\"op\":\"query\",\"session\":\"s\",\"inputs\":[[0.5,0.5]]}\n");
+    assert!(good.ok, "{good:?}");
+    let closed = exchange("{\"op\":\"close\",\"session\":\"s\"}\n");
+    assert_eq!(closed.status.expect("close status").used, 1);
     drop(writer);
     server.shutdown();
 }
