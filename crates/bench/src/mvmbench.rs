@@ -427,18 +427,6 @@ fn bench_faults(
     })
 }
 
-/// The first `model name` in `/proc/cpuinfo`, or `"unknown"`.
-fn cpu_model() -> String {
-    std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|info| {
-            info.lines()
-                .find_map(|l| l.strip_prefix("model name"))
-                .map(|rest| rest.trim_start_matches([' ', '\t', ':']).trim().to_string())
-        })
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
 /// Runs the benchmark matrix, prints one summary line per row, and
 /// persists the report (default `results/BENCH_mvm.json`).
 ///
@@ -462,7 +450,7 @@ pub fn run_mvm_bench(quick: bool, json_out: Option<&str>) -> Result<MvmBenchRepo
         ]
     };
     let host_threads = xbar_linalg::par::host_threads();
-    let cpu_model = cpu_model();
+    let cpu_model = crate::cpu_model();
 
     let mut rng = ChaCha8Rng::seed_from_u64(MVM_BENCH_SEED);
     let mut rows = Vec::new();

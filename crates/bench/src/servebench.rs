@@ -55,8 +55,13 @@ pub struct ServeBenchReport {
     pub inputs: usize,
     /// Single-input queries issued per session.
     pub queries_per_session: usize,
-    /// Worker threads in the server's evaluation pool.
-    pub workers: usize,
+    /// The host's available parallelism when the benchmark ran: the
+    /// server evaluates on connection threads, so session counts above
+    /// this share cores.
+    pub host_threads: usize,
+    /// The CPU model from `/proc/cpuinfo` (`"unknown"` where that file
+    /// is unavailable).
+    pub cpu_model: String,
     /// One row per session count.
     pub rows: Vec<ServeBenchRow>,
 }
@@ -74,18 +79,14 @@ fn run_config(
     victim: &Oracle,
     sessions: usize,
     queries_per_session: usize,
-    workers: usize,
     dim: usize,
 ) -> Result<ServeBenchRow, String> {
     let mut registry = VictimRegistry::new();
     registry
         .insert("bench", victim.clone())
         .map_err(|e| e.to_string())?;
-    let config = ServeConfig {
-        workers,
-        ..ServeConfig::default()
-    };
-    let server = Server::start("127.0.0.1:0", registry, config).map_err(|e| e.to_string())?;
+    let server = Server::start("127.0.0.1:0", registry, ServeConfig::default())
+        .map_err(|e| e.to_string())?;
     let addr = server.local_addr();
 
     // Sessions connect and attach first, then start together, so the
@@ -168,7 +169,6 @@ pub fn run_serve_bench(quick: bool, json_out: Option<&str>) -> Result<ServeBench
     } else {
         (2048, 128, 48)
     };
-    let workers = 4;
     let session_counts = [1usize, 8, 64];
 
     // A power-only victim — the paper's attacker model (power side
@@ -185,7 +185,7 @@ pub fn run_serve_bench(quick: bool, json_out: Option<&str>) -> Result<ServeBench
 
     let mut rows = Vec::new();
     for &sessions in &session_counts {
-        let row = run_config(&victim, sessions, queries_per_session, workers, inputs)?;
+        let row = run_config(&victim, sessions, queries_per_session, inputs)?;
         println!(
             "serve {:>2} sessions: {:>6} queries in {:>8.1} ms, \
              {:>9.0} q/s, p50/p95/p99 {:.2}/{:.2}/{:.2} ms",
@@ -204,7 +204,8 @@ pub fn run_serve_bench(quick: bool, json_out: Option<&str>) -> Result<ServeBench
         outputs,
         inputs,
         queries_per_session,
-        workers,
+        host_threads: xbar_linalg::par::host_threads(),
+        cpu_model: crate::cpu_model(),
         rows,
     };
     write_json(json_out.unwrap_or("results/BENCH_serve.json"), &report)?;
@@ -246,6 +247,9 @@ mod tests {
         assert!(json.contains("\"latency_p50_nanos\""));
         assert!(json.contains("\"latency_p95_nanos\""));
         assert!(json.contains("\"latency_p99_nanos\""));
+        assert!(report.host_threads >= 1);
+        assert!(json.contains("\"host_threads\""));
+        assert!(json.contains("\"cpu_model\""));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -175,6 +175,20 @@ pub fn paper_configs() -> [(DatasetKind, HeadKind); 4] {
     ]
 }
 
+/// The first `model name` in `/proc/cpuinfo`, or `"unknown"`: the
+/// host a benchmark report was measured on, next to
+/// [`xbar_linalg::par::host_threads`].
+pub fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find_map(|l| l.strip_prefix("model name"))
+                .map(|rest| rest.trim_start_matches([' ', '\t', ':']).trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
 /// Writes a serialisable result to `path` as pretty JSON, creating parent
 /// directories. A run that cannot save its artifact has failed, so every
 /// serialisation and I/O failure is returned, never just logged.

@@ -132,7 +132,7 @@ const COMMAND_USAGE: &[(&str, &str)] = &[
         "serve",
         "  serve     multi-tenant attack-campaign service (NDJSON over TCP)
             host --model FILE [--name NAME] [--addr HOST:PORT]
-                 [--workers N] [--max-sessions N] [--max-inflight N]
+                 [--max-sessions N] [--max-inflight N]
                  [--journal FILE] [--seed S]
                  [--backend naive|blocked|parallel[:N]]
                  [--access none|label|raw] [--power-noise X]
@@ -444,7 +444,6 @@ fn cmd_serve_host(args: &ParsedArgs) -> Result<(), CliError> {
     let mut registry = VictimRegistry::new();
     registry.insert(&name, oracle)?;
     let config = ServeConfig {
-        workers: args.get_or("workers", 4usize)?.max(1),
         max_sessions: args.get_or("max-sessions", 256usize)?,
         max_inflight: args.get_or("max-inflight", 4096usize)?,
         journal: args
@@ -544,7 +543,7 @@ fn cmd_serve_drive(args: &ParsedArgs) -> Result<(), CliError> {
     );
 
     // Determinism spot-check: the same seed served twice must yield
-    // bit-identical records, whichever workers evaluated its queries.
+    // bit-identical records, whichever connection evaluated its queries.
     let mut client = Client::connect(addr.as_str())?;
     let probes: Vec<Vec<f64>> = (0..2).map(|q| input(0, q)).collect();
     let check_a = format!("drive-{base_seed}-check-a");
@@ -1393,7 +1392,7 @@ mod tests {
         for ns in [10, 95, 95, 200] {
             registry.shard(1).record("toy", names::SERVE_REQUEST_NS, ns);
         }
-        registry.gauge_set("_server", names::SERVE_INFLIGHT, 3.0);
+        registry.gauge_set("_server", names::SERVE_ATTACHED_SESSIONS, 3.0);
         let snapshot = registry.snapshot();
         let stats = serde::Serialize::serialize(&snapshot);
         let rendered = render_metrics(&snapshot_scopes(&stats).unwrap());
@@ -1401,7 +1400,7 @@ mod tests {
             "--- counters ---",
             "serve.queries",
             "40",
-            "serve.inflight",
+            "serve.attached_sessions",
             "3.0",
             "serve.request_ns",
             "p50",

@@ -269,8 +269,8 @@ struct PreparedSession {
 /// `observe_batch_keyed`, and `eval_predict_batch` amortise the
 /// `O(M·N)` weight materialisation across batches. A drift
 /// redeployment re-seeds it with the new generation's session. Shared via `Arc` so
-/// concurrent keyed observers on an `Arc<Oracle>` (the serve workers)
-/// reuse one handle without holding the lock across evaluation.
+/// concurrent keyed observers on an `Arc<Oracle>` (the serve
+/// connection handlers) reuse one handle without holding the lock across evaluation.
 ///
 /// Clones start empty: a cloned oracle re-prepares on first use, which
 /// costs one materialisation and can never alias another oracle's
@@ -719,7 +719,7 @@ impl Oracle {
     /// returned, only rebuilt. Each lookup counts one
     /// `oracle.prepared_hit` or `oracle.prepared_miss`. Works under
     /// `&self` so concurrent keyed observers on an `Arc<Oracle>` (the
-    /// serve workers) share one handle.
+    /// serve connection handlers) share one handle.
     fn prepared_session(&self) -> Result<Arc<PreparedSession>> {
         let mut slot = self
             .prepared

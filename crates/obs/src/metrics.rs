@@ -740,14 +740,14 @@ mod tests {
             shard.counter_add("mnist", names::SERVE_QUERIES, 1);
             shard.record("mnist", names::SERVE_REQUEST_NS, 100 + i);
         }
-        registry.gauge_set(SERVER_SCOPE, names::SERVE_INFLIGHT, 4.0);
+        registry.gauge_set(SERVER_SCOPE, names::SERVE_ATTACHED_SESSIONS, 4.0);
         let snapshot = registry.snapshot();
         let mnist = snapshot.scope("mnist").unwrap();
         assert_eq!(mnist.counter(names::SERVE_QUERIES), 30);
         let h = mnist.histogram(names::SERVE_REQUEST_NS).unwrap();
         assert_eq!((h.count(), h.min(), h.max()), (30, 100, 129));
         let server = snapshot.scope(SERVER_SCOPE).unwrap();
-        assert_eq!(server.gauge(names::SERVE_INFLIGHT), Some(4.0));
+        assert_eq!(server.gauge(names::SERVE_ATTACHED_SESSIONS), Some(4.0));
         // The same workload recorded on one shard snapshots identically
         // (modulo nothing: all state is a commutative monoid).
         let solo = MetricsRegistry::new(1);
@@ -756,7 +756,7 @@ mod tests {
             shard.counter_add("mnist", names::SERVE_QUERIES, 1);
             shard.record("mnist", names::SERVE_REQUEST_NS, 100 + i);
         }
-        solo.gauge_set(SERVER_SCOPE, names::SERVE_INFLIGHT, 4.0);
+        solo.gauge_set(SERVER_SCOPE, names::SERVE_ATTACHED_SESSIONS, 4.0);
         assert_eq!(solo.snapshot(), snapshot);
     }
 
@@ -776,9 +776,9 @@ mod tests {
         registry.shard(0).counter_add("a", names::SERVE_REQUESTS, 2);
         registry.shard(1).counter_add("b", names::SERVE_REQUESTS, 3);
         registry.shard(0).record("a", names::SERVE_REQUEST_NS, 50);
-        registry.gauge_set(SERVER_SCOPE, names::SERVE_INFLIGHT, 0.0);
+        registry.gauge_set(SERVER_SCOPE, names::SERVE_ATTACHED_SESSIONS, 0.0);
         let rendered = serde_json::to_string(&registry.snapshot()).unwrap();
-        assert!(rendered.starts_with("{\"victims\":{\"_server\":{\"counters\":{},\"gauges\":{\"serve.inflight\":0.0},\"histograms\":{}},\"a\":{\"counters\":{\"serve.requests\":2}"), "{rendered}");
+        assert!(rendered.starts_with("{\"victims\":{\"_server\":{\"counters\":{},\"gauges\":{\"serve.attached_sessions\":0.0},\"histograms\":{}},\"a\":{\"counters\":{\"serve.requests\":2}"), "{rendered}");
         assert!(
             rendered.contains("\"b\":{\"counters\":{\"serve.requests\":3}"),
             "{rendered}"
@@ -812,7 +812,7 @@ mod tests {
         for v in [10u64, 20, 20, 4000] {
             shard.record("mnist", names::SERVE_REQUEST_NS, v);
         }
-        registry.gauge_set(SERVER_SCOPE, names::SERVE_INFLIGHT, 2.0);
+        registry.gauge_set(SERVER_SCOPE, names::SERVE_ATTACHED_SESSIONS, 2.0);
         let text = registry.snapshot().to_prometheus();
         assert!(
             text.contains("# TYPE xbar_serve_queries_total counter"),
@@ -834,9 +834,12 @@ mod tests {
             text.contains("xbar_serve_request_ns_bucket{victim=\"mnist\",le=\"+Inf\"} 4"),
             "{text}"
         );
-        assert!(text.contains("# TYPE xbar_serve_inflight gauge"), "{text}");
         assert!(
-            text.contains("xbar_serve_inflight{victim=\"_server\"} 2"),
+            text.contains("# TYPE xbar_serve_attached_sessions gauge"),
+            "{text}"
+        );
+        assert!(
+            text.contains("xbar_serve_attached_sessions{victim=\"_server\"} 2"),
             "{text}"
         );
         // Bucket series are cumulative and end at the total count.

@@ -197,11 +197,6 @@ pub const SPAN_INFER_TRIAL: HistogramName = HistogramName::timing("infer.sweep_t
 /// One fresh attack session admitted by the campaign service.
 pub const SERVE_SESSIONS: CounterName = CounterName("serve.sessions");
 
-/// Value histogram: evaluation-queue depth (queued samples) at each
-/// job's enqueue, recorded by the worker that answers it. Its count is
-/// the number of jobs enqueued; the depths depend on scheduling.
-pub const SERVE_QUEUE_DEPTH: HistogramName = HistogramName::value("serve.queue_depth");
-
 /// Client requests handled (any op, any outcome). Rejected requests
 /// also count under `serve.reject.<code>`, one counter per rejection
 /// code (named next to the codes, in `xbar-serve`).
@@ -214,12 +209,8 @@ pub const SERVE_QUERIES: CounterName = CounterName("serve.queries");
 /// to response write.
 pub const SERVE_REQUEST_NS: HistogramName = HistogramName::timing("serve.request_ns");
 
-/// Timing histogram: time a query job waited in the evaluation queue
-/// before a worker picked it up.
-pub const SERVE_QUEUE_WAIT_NS: HistogramName = HistogramName::timing("serve.queue_wait_ns");
-
-/// Timing histogram: time a worker spent evaluating one query job
-/// (one keyed batch on the victim oracle).
+/// Timing histogram: time a connection handler spent evaluating one
+/// query request (one keyed batch on the victim oracle).
 pub const SERVE_EVAL_NS: HistogramName = HistogramName::timing("serve.eval_ns");
 
 /// Timing histogram: time to decode one request line into a typed
@@ -232,10 +223,6 @@ pub const SERVE_ENCODE_NS: HistogramName = HistogramName::timing("serve.encode_n
 
 /// Timing histogram: latency of each durable session-journal write.
 pub const SERVE_JOURNAL_WRITE_NS: HistogramName = HistogramName::timing("serve.journal_write_ns");
-
-/// Gauge: query jobs currently in flight (enqueued, not yet
-/// answered), sampled at scrape time.
-pub const SERVE_INFLIGHT: GaugeName = GaugeName("serve.inflight");
 
 /// Gauge: attached sessions in the session table, sampled at
 /// scrape time.

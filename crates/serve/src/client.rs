@@ -6,11 +6,10 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::time::Duration;
 
 use xbar_core::oracle::QueryRecord;
 
-use crate::protocol::{codes, Request, Response, SessionStatus};
+use crate::protocol::{Request, Response, SessionStatus};
 use crate::wire::{write_request, RequestRef};
 use crate::{Result, ServeError};
 
@@ -20,9 +19,6 @@ pub struct Client {
     reader: BufReader<TcpStream>,
     /// The encoded request line, reused across requests.
     line: Vec<u8>,
-    /// How long to keep retrying [`codes::BUSY`] backpressure responses
-    /// before giving up.
-    busy_patience: Duration,
 }
 
 impl Client {
@@ -36,15 +32,7 @@ impl Client {
             writer: stream,
             reader,
             line: Vec::new(),
-            busy_patience: Duration::from_secs(30),
         })
-    }
-
-    /// Builder-style setter for the backpressure retry patience.
-    #[must_use]
-    pub fn with_busy_patience(mut self, patience: Duration) -> Self {
-        self.busy_patience = patience;
-        self
     }
 
     /// Sends one raw request and reads its response line.
@@ -103,29 +91,13 @@ impl Client {
             .ok_or_else(|| ServeError::Protocol("hello response missing status".into()))
     }
 
-    /// Issues a batch of queries, transparently retrying backpressure
-    /// ([`codes::BUSY`]) until `busy_patience` runs out. Returns the
-    /// records in input order, indices continuing the session's stream.
+    /// Issues a batch of queries. Returns the records in input order,
+    /// indices continuing the session's stream.
     pub fn query(&mut self, session: &str, inputs: &[Vec<f64>]) -> Result<Vec<QueryRecord>> {
         self.encode(&RequestRef::query(session, inputs));
-        let deadline = std::time::Instant::now() + self.busy_patience;
-        loop {
-            let response = self.send()?;
-            if response.ok {
-                return response
-                    .records
-                    .ok_or_else(|| ServeError::Protocol("query response missing records".into()));
-            }
-            let code = response.code.as_deref().unwrap_or("unknown");
-            if code == codes::BUSY && std::time::Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(1));
-                continue;
-            }
-            return Err(ServeError::Rejected {
-                code: code.to_string(),
-                message: response.error.unwrap_or_default(),
-            });
-        }
+        Self::expect_ok(self.send()?)?
+            .records
+            .ok_or_else(|| ServeError::Protocol("query response missing records".into()))
     }
 
     /// Detaches the session, leaving it resumable.

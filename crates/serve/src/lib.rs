@@ -12,8 +12,8 @@
 //! keying through [`xbar_core::oracle::Oracle::observe_batch_keyed`],
 //! so a session's [`xbar_core::oracle::QueryRecord`] stream is
 //! bit-identical whether it is served alone, interleaved with other
-//! sessions on any number of evaluation workers, or resumed after a
-//! server restart. The float payloads survive the wire because both
+//! sessions, driven from several connections at once, or resumed after
+//! a server restart. The float payloads survive the wire because both
 //! codecs round-trip `f64` exactly: [`wire`] for requests (shortest
 //! round-trip digits out, `str::parse` in) and the vendored
 //! `serde_json` for responses (`float_roundtrip`).
@@ -31,14 +31,13 @@
 //!   indices with optional crash-tolerant JSONL persistence
 //!   (`xbar-runtime`'s appender), so a reconnecting client resumes
 //!   exactly where it died.
-//! * [`pool`] — the evaluation worker pool: each query request becomes
-//!   one job, answered by the next free worker with one keyed batch.
 //! * [`server`] — [`Server`]: the TCP accept loop, admission control,
-//!   backpressure, and graceful drain.
+//!   and graceful drain. Each connection's thread evaluates its own
+//!   query requests, one keyed batch per request.
 //! * [`metrics`] — the live telemetry plane's shard layout
-//!   ([`metrics::ServeMetrics`]): per-worker and per-handler metric
-//!   shards merged on scrape, exposed through the read-only `stats` op
-//!   and the periodic `--metrics` snapshot file.
+//!   ([`metrics::ServeMetrics`]): per-handler metric shards merged on
+//!   scrape, exposed through the read-only `stats` op and the periodic
+//!   `--metrics` snapshot file.
 //! * [`client`] — [`Client`]: a small blocking client used by the
 //!   bench driver, the CI smoke test, and the integration tests.
 
@@ -47,7 +46,6 @@
 
 pub mod client;
 pub mod metrics;
-pub mod pool;
 pub mod protocol;
 pub mod registry;
 pub mod server;

@@ -7,16 +7,16 @@
 //! * shard 0 — gauges (single-writer by convention) and the session
 //!   manager's journal-write timings (already serialised by the session
 //!   lock);
-//! * shards `1 ..= workers` — one per evaluation worker (queue wait,
-//!   queue depth, evaluation time, and the library counters recorded
-//!   while the shard is the worker's ambient `xbar-obs` scope);
 //! * the remaining [`HANDLER_SHARDS`] — connection handlers, assigned
-//!   round-robin (request latency, request/query/rejection counters).
+//!   round-robin (request latency, decode/encode and evaluation time,
+//!   request/query/rejection counters, and the library counters
+//!   recorded while the shard is the handler's ambient `xbar-obs`
+//!   scope).
 //!
 //! Because counters and histogram merges are commutative
 //! ([`xbar_obs::Histogram::merge`]), a scrape's deterministic fields
 //! are identical however the work was spread over shards — the
-//! cross-worker e2e test pins exactly this.
+//! repeated-run e2e test pins exactly this.
 
 use std::sync::Arc;
 
@@ -30,22 +30,25 @@ pub const METRICS_RECORD_KIND: &str = "xbar-serve-metrics";
 /// Number of shards reserved for connection handlers.
 pub const HANDLER_SHARDS: usize = 4;
 
-/// The server's shard plan: one registry sized for `workers` evaluation
-/// threads plus the fixed handler pool, with accessors that encode the
-/// layout above.
+/// The server's shard plan: one registry holding the server shard and
+/// the fixed handler shards, with accessors that encode the layout
+/// above.
 #[derive(Debug, Clone)]
 pub struct ServeMetrics {
     registry: Arc<MetricsRegistry>,
-    workers: usize,
+}
+
+impl Default for ServeMetrics {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl ServeMetrics {
-    /// A registry laid out for `workers` evaluation workers.
-    pub fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
+    /// A registry laid out as above.
+    pub fn new() -> Self {
         ServeMetrics {
-            registry: Arc::new(MetricsRegistry::new(1 + workers + HANDLER_SHARDS)),
-            workers,
+            registry: Arc::new(MetricsRegistry::new(1 + HANDLER_SHARDS)),
         }
     }
 
@@ -59,24 +62,17 @@ impl ServeMetrics {
         self.registry.shard(0)
     }
 
-    /// The shard owned by evaluation worker `index`.
-    pub fn worker_shard(&self, index: usize) -> Arc<MetricsShard> {
-        self.registry.shard(1 + (index % self.workers))
-    }
-
     /// The shard for connection-handler ordinal `index` (round-robin
-    /// over the handler pool).
+    /// over the handler shards).
     pub fn handler_shard(&self, index: usize) -> Arc<MetricsShard> {
-        self.registry
-            .shard(1 + self.workers + (index % HANDLER_SHARDS))
+        self.registry.shard(1 + (index % HANDLER_SHARDS))
     }
 
     /// Refreshes the point-in-time gauges ahead of a scrape or a
     /// periodic snapshot.
-    pub fn refresh_gauges(&self, attached_sessions: usize, inflight: usize, draining: bool) {
+    pub fn refresh_gauges(&self, attached_sessions: usize, draining: bool) {
         for (name, level) in [
             (names::SERVE_ATTACHED_SESSIONS, attached_sessions as f64),
-            (names::SERVE_INFLIGHT, inflight as f64),
             (names::SERVE_DRAINING, if draining { 1.0 } else { 0.0 }),
         ] {
             self.registry.gauge_set(SERVER_SCOPE, name, level);
@@ -90,30 +86,16 @@ mod tests {
 
     #[test]
     fn shard_plan_separates_writers() {
-        let metrics = ServeMetrics::new(3);
-        assert_eq!(metrics.registry().num_shards(), 1 + 3 + HANDLER_SHARDS);
-        // Workers and handlers never share a shard with shard 0.
-        for w in 0..6 {
-            assert!(!Arc::ptr_eq(
-                &metrics.worker_shard(w),
-                &metrics.server_shard()
-            ));
-        }
+        let metrics = ServeMetrics::new();
+        assert_eq!(metrics.registry().num_shards(), 1 + HANDLER_SHARDS);
+        // Handlers never share a shard with shard 0.
         for h in 0..10 {
             assert!(!Arc::ptr_eq(
                 &metrics.handler_shard(h),
                 &metrics.server_shard()
             ));
-            assert!(!Arc::ptr_eq(
-                &metrics.handler_shard(h),
-                &metrics.worker_shard(0)
-            ));
         }
         // Ordinals wrap instead of panicking.
-        assert!(Arc::ptr_eq(
-            &metrics.worker_shard(0),
-            &metrics.worker_shard(3)
-        ));
         assert!(Arc::ptr_eq(
             &metrics.handler_shard(1),
             &metrics.handler_shard(1 + HANDLER_SHARDS)
@@ -122,13 +104,12 @@ mod tests {
 
     #[test]
     fn gauge_refresh_overwrites() {
-        let metrics = ServeMetrics::new(2);
-        metrics.refresh_gauges(5, 17, false);
-        metrics.refresh_gauges(2, 0, true);
+        let metrics = ServeMetrics::new();
+        metrics.refresh_gauges(5, false);
+        metrics.refresh_gauges(2, true);
         let snapshot = metrics.registry().snapshot();
         let server = snapshot.scope(SERVER_SCOPE).expect("server scope");
         assert_eq!(server.gauge(names::SERVE_ATTACHED_SESSIONS), Some(2.0));
-        assert_eq!(server.gauge(names::SERVE_INFLIGHT), Some(0.0));
         assert_eq!(server.gauge(names::SERVE_DRAINING), Some(1.0));
     }
 }

@@ -21,8 +21,7 @@
 //! Reconnecting with the same `session` id resumes the budget remainder
 //! and query index (`hello` may then omit `victim`/`seed`/`budget`; if
 //! given they must match). Error responses set `ok:false` plus a
-//! machine-readable `code` from [`codes`] — `codes::BUSY` means
-//! backpressure: nothing was consumed and the client should retry.
+//! machine-readable `code` from [`codes`].
 //!
 //! ## Codecs
 //!
@@ -54,9 +53,6 @@ pub mod codes {
     pub const UNKNOWN_SESSION: &str = "unknown_session";
     /// Admission control: the attached-session table is full.
     pub const SESSION_TABLE_FULL: &str = "session_table_full";
-    /// Backpressure: too many queries in flight; retry, nothing was
-    /// consumed.
-    pub const BUSY: &str = "busy";
     /// The batch would overrun the session's query budget; nothing was
     /// consumed.
     pub const BUDGET_EXHAUSTED: &str = "budget_exhausted";
@@ -65,7 +61,8 @@ pub mod codes {
     pub const CONFLICT: &str = "conflict";
     /// The server is draining and accepts no new work.
     pub const SHUTTING_DOWN: &str = "shutting_down";
-    /// The server failed internally (evaluation error).
+    /// The server failed internally (an evaluation error or panic);
+    /// the batch's reservation was released.
     pub const INTERNAL: &str = "internal";
     /// The request line exceeds the server's length bound (see
     /// [`crate::ServeConfig::max_inflight`]); the server closes the

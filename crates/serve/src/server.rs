@@ -1,23 +1,30 @@
 //! The TCP server: accept loop, per-connection handlers, admission
 //! control, and graceful drain.
+//!
+//! Each connection's handler thread answers its own requests: a query
+//! is reserved under the session lock, then evaluated in place with one
+//! [`xbar_core::oracle::Oracle::observe_batch_keyed`] call while the
+//! handler's metrics shard is the ambient `xbar-obs` scope of the
+//! session's victim. Evaluation concurrency is therefore the number of
+//! busy connections.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use serde::Serialize;
-use xbar_core::oracle::QueryKey;
+use xbar_core::oracle::{Observation, QueryKey, QueryRecord};
 use xbar_obs::metrics::SERVER_SCOPE;
-use xbar_obs::{names, CounterName};
+use xbar_obs::{names, CounterName, MetricsShard};
 use xbar_runtime::jsonl::JsonlAppender;
 
 use crate::metrics::{ServeMetrics, METRICS_RECORD_KIND};
-use crate::pool::{Job, JobQueue, WorkerPool};
-use crate::protocol::{codes, Request, Response};
+use crate::protocol::{codes, Request, Response, SessionStatus};
 use crate::registry::VictimRegistry;
 use crate::session::SessionManager;
 use crate::wire::decode_request;
@@ -26,14 +33,12 @@ use crate::Result;
 /// Server tuning knobs.
 #[derive(Clone)]
 pub struct ServeConfig {
-    /// Evaluation worker threads.
-    pub workers: usize,
     /// Admission control: maximum concurrently attached sessions.
     pub max_sessions: usize,
-    /// Backpressure: maximum queued-but-unevaluated query samples.
-    /// Also bounds request lines: one longer than a query of this many
-    /// samples for the widest hosted victim is refused with
-    /// [`codes::TOO_LARGE`] and its connection closed.
+    /// Largest query, in samples, a request line may carry: a line
+    /// longer than a query of this many samples for the widest hosted
+    /// victim is refused with [`codes::TOO_LARGE`] and its connection
+    /// closed.
     pub max_inflight: usize,
     /// Session journal path (`None` = in-memory sessions only).
     pub journal: Option<PathBuf>,
@@ -48,7 +53,6 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            workers: 4,
             max_sessions: 256,
             max_inflight: 4096,
             journal: None,
@@ -68,13 +72,21 @@ const LINE_BYTES_FIXED: usize = 4096;
 
 struct Shared {
     registry: VictimRegistry,
-    /// Longest request line a handler will read: a query carrying the
-    /// whole in-flight budget of the widest hosted victim, plus
-    /// [`LINE_BYTES_FIXED`]. Anything longer could never be admitted.
+    /// Longest request line a handler will read: a query of
+    /// [`ServeConfig::max_inflight`] samples for the widest hosted
+    /// victim, plus [`LINE_BYTES_FIXED`].
     max_line_bytes: usize,
     sessions: Mutex<SessionManager>,
     shutdown: AtomicBool,
     metrics: ServeMetrics,
+}
+
+/// Locks `mutex`, recovering the data from a poisoned lock: the
+/// server's tables stay consistent across a panicking holder (every
+/// update is a single insert, remove or push), so one panic must not
+/// wedge every later request.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Shared {
@@ -82,17 +94,10 @@ impl Shared {
     /// snapshot of the live metrics. Safe at any lifecycle point:
     /// during drain the session lock and shard locks still exist, so a
     /// scrape racing a shutdown sees a consistent (if final) picture.
-    fn scrape(&self, queue: &JobQueue) -> xbar_obs::MetricsSnapshot {
-        let attached = self
-            .sessions
-            .lock()
-            .expect("sessions lock")
-            .attached_count();
-        self.metrics.refresh_gauges(
-            attached,
-            queue.inflight(),
-            self.shutdown.load(Ordering::SeqCst),
-        );
+    fn scrape(&self) -> xbar_obs::MetricsSnapshot {
+        let attached = lock(&self.sessions).attached_count();
+        self.metrics
+            .refresh_gauges(attached, self.shutdown.load(Ordering::SeqCst));
         self.metrics.registry().snapshot()
     }
 }
@@ -102,12 +107,11 @@ impl Shared {
 /// Lifecycle: [`Server::start`] binds and spawns everything;
 /// [`Server::shutdown`] (or a client `shutdown` op followed by
 /// [`Server::run_until_shutdown`]) drains gracefully — the accept loop
-/// stops, in-flight query jobs finish and are journaled, then
-/// every thread is joined.
+/// stops, in-flight requests are answered, then every thread is
+/// joined.
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    pool: Option<WorkerPool>,
     accept_handle: Option<JoinHandle<()>>,
     metrics_handle: Option<JoinHandle<()>>,
     handlers: Arc<Mutex<Vec<JoinHandle<()>>>>,
@@ -116,13 +120,13 @@ pub struct Server {
 
 impl Server {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
-    /// starts the accept loop and worker pool.
+    /// starts the accept loop.
     pub fn start(addr: &str, registry: VictimRegistry, config: ServeConfig) -> Result<Server> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
 
-        let metrics = ServeMetrics::new(config.workers);
+        let metrics = ServeMetrics::new();
         let mut sessions = match &config.journal {
             Some(path) => SessionManager::with_journal(config.max_sessions, path)?,
             None => SessionManager::new(config.max_sessions),
@@ -140,7 +144,6 @@ impl Server {
             shutdown: AtomicBool::new(false),
             metrics: metrics.clone(),
         });
-        let pool = WorkerPool::start(config.workers, config.max_inflight, Some(&metrics));
         let handlers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
 
@@ -148,8 +151,7 @@ impl Server {
             let shared = Arc::clone(&shared);
             let handlers = Arc::clone(&handlers);
             let conns = Arc::clone(&conns);
-            let queue = pool.queue();
-            std::thread::spawn(move || accept_loop(&listener, &shared, &queue, &handlers, &conns))
+            std::thread::spawn(move || accept_loop(&listener, &shared, &handlers, &conns))
         };
 
         let metrics_handle = match &config.metrics {
@@ -157,10 +159,9 @@ impl Server {
                 let appender = JsonlAppender::create(path)
                     .map_err(|e| crate::ServeError::Protocol(e.to_string()))?;
                 let shared = Arc::clone(&shared);
-                let queue = pool.queue();
                 let every = config.metrics_every;
                 Some(std::thread::spawn(move || {
-                    snapshot_loop(appender, &shared, &queue, every)
+                    snapshot_loop(appender, &shared, every)
                 }))
             }
             None => None,
@@ -169,7 +170,6 @@ impl Server {
         Ok(Server {
             addr: local_addr,
             shared,
-            pool: Some(pool),
             accept_handle: Some(accept_handle),
             metrics_handle,
             handlers,
@@ -202,29 +202,20 @@ impl Server {
         if let Some(handle) = self.accept_handle.take() {
             let _ = handle.join();
         }
-        // 2. Unblock handler reads; handlers finish their current
-        //    request (workers are still alive to answer it), detach
-        //    their sessions, drop their queue clones, and exit.
-        for stream in self.conns.lock().expect("conns lock").drain(..) {
+        // 2. Unblock handler reads; handlers finish evaluating and
+        //    answering their current request, detach their sessions,
+        //    and exit.
+        for stream in lock(&self.conns).drain(..) {
             let _ = stream.shutdown(Shutdown::Both);
         }
-        let handles: Vec<_> = self
-            .handlers
-            .lock()
-            .expect("handlers lock")
-            .drain(..)
-            .collect();
+        let handles: Vec<_> = lock(&self.handlers).drain(..).collect();
         for handle in handles {
             let _ = handle.join();
         }
-        // 3. The snapshot thread sees the shutdown flag, writes its
-        //    final snapshot, and drops its queue clone.
+        // 3. The snapshot thread sees the shutdown flag and writes its
+        //    final snapshot.
         if let Some(handle) = self.metrics_handle.take() {
             let _ = handle.join();
-        }
-        // 4. Every sender is gone: the workers drain the queue and exit.
-        if let Some(pool) = self.pool.take() {
-            pool.shutdown();
         }
     }
 }
@@ -233,7 +224,7 @@ impl Server {
 /// file every `every`, polling the shutdown flag between ticks, and a
 /// final record once drain begins. Records carry a monotone `seq` so
 /// consumers can assert snapshot counts only ever grow.
-fn snapshot_loop(mut appender: JsonlAppender, shared: &Shared, queue: &JobQueue, every: Duration) {
+fn snapshot_loop(mut appender: JsonlAppender, shared: &Shared, every: Duration) {
     let mut seq = 0u64;
     let write_snapshot = |seq: u64, appender: &mut JsonlAppender| {
         let record = serde::Value::Object(vec![
@@ -242,7 +233,7 @@ fn snapshot_loop(mut appender: JsonlAppender, shared: &Shared, queue: &JobQueue,
                 serde::Value::Str(METRICS_RECORD_KIND.to_owned()),
             ),
             ("seq".to_owned(), serde::Value::U64(seq)),
-            ("stats".to_owned(), shared.scrape(queue).serialize()),
+            ("stats".to_owned(), shared.scrape().serialize()),
         ]);
         if let Ok(line) = serde_json::to_string(&record) {
             let _ = appender.write_line(&line);
@@ -265,12 +256,11 @@ fn snapshot_loop(mut appender: JsonlAppender, shared: &Shared, queue: &JobQueue,
 fn accept_loop(
     listener: &TcpListener,
     shared: &Arc<Shared>,
-    queue: &JobQueue,
     handlers: &Mutex<Vec<JoinHandle<()>>>,
     conns: &Arc<Mutex<Vec<TcpStream>>>,
 ) {
     // Connection ordinal, used only to spread handlers over the
-    // metrics shard pool.
+    // handler metrics shards.
     let ordinal = AtomicUsize::new(0);
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
@@ -279,16 +269,14 @@ fn accept_loop(
         match listener.accept() {
             Ok((stream, _peer)) => {
                 if let Ok(clone) = stream.try_clone() {
-                    conns.lock().expect("conns lock").push(clone);
+                    lock(conns).push(clone);
                 }
                 let shared = Arc::clone(shared);
-                let queue = queue.clone();
                 let shard = shared
                     .metrics
                     .handler_shard(ordinal.fetch_add(1, Ordering::Relaxed));
-                let handle =
-                    std::thread::spawn(move || handle_connection(stream, &shared, &queue, &shard));
-                handlers.lock().expect("handlers lock").push(handle);
+                let handle = std::thread::spawn(move || handle_connection(stream, &shared, &shard));
+                lock(handlers).push(handle);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(5));
@@ -298,12 +286,7 @@ fn accept_loop(
     }
 }
 
-fn handle_connection(
-    stream: TcpStream,
-    shared: &Shared,
-    queue: &JobQueue,
-    shard: &xbar_obs::MetricsShard,
-) {
+fn handle_connection(stream: TcpStream, shared: &Shared, shard: &Arc<MetricsShard>) {
     let mut writer = match stream.try_clone() {
         Ok(clone) => clone,
         Err(_) => return,
@@ -323,7 +306,7 @@ fn handle_connection(
                 let decoded = decode_request(line);
                 decode_ns = Some(elapsed_ns(started));
                 match decoded {
-                    Ok(request) => handle_request(request, shared, queue, &mut attached),
+                    Ok(request) => handle_request(request, shared, shard, &mut attached),
                     Err(e) => Response::failure("?", codes::USAGE, format!("bad request: {e}")),
                 }
             }
@@ -354,7 +337,7 @@ fn handle_connection(
             break;
         }
     }
-    let mut sessions = shared.sessions.lock().expect("sessions lock");
+    let mut sessions = lock(&shared.sessions);
     for id in attached {
         sessions.detach(&id);
     }
@@ -408,7 +391,7 @@ fn attributed_victim(response: &Response) -> &str {
 /// counters, and — for successful queries — the per-victim query
 /// count.
 fn record_request_metrics(
-    shard: &xbar_obs::MetricsShard,
+    shard: &MetricsShard,
     victim: &str,
     response: &Response,
     started: Instant,
@@ -426,7 +409,7 @@ fn record_request_metrics(
 }
 
 /// The counter `serve.reject.<code>` for each rejection code.
-const REJECT_COUNTERS: [(&str, CounterName); 10] = [
+const REJECT_COUNTERS: [(&str, CounterName); 9] = [
     (codes::USAGE, CounterName("serve.reject.usage")),
     (
         codes::UNKNOWN_VICTIM,
@@ -440,7 +423,6 @@ const REJECT_COUNTERS: [(&str, CounterName); 10] = [
         codes::SESSION_TABLE_FULL,
         CounterName("serve.reject.session_table_full"),
     ),
-    (codes::BUSY, CounterName("serve.reject.busy")),
     (
         codes::BUDGET_EXHAUSTED,
         CounterName("serve.reject.budget_exhausted"),
@@ -466,7 +448,7 @@ fn reject_counter(code: &str) -> Option<CounterName> {
 fn handle_request(
     request: Request,
     shared: &Shared,
-    queue: &JobQueue,
+    shard: &Arc<MetricsShard>,
     attached: &mut Vec<String>,
 ) -> Response {
     let op = request.op.as_str();
@@ -477,7 +459,7 @@ fn handle_request(
         // check (operators scrape *during* drain to watch it finish)
         // and regardless of session-table occupancy.
         "stats" => {
-            let snapshot = shared.scrape(queue);
+            let snapshot = shared.scrape();
             match request.format.as_deref() {
                 Some("prom") => Response::success(op).with_text(snapshot.to_prometheus()),
                 None | Some("json") => Response::success(op).with_stats(snapshot.serialize()),
@@ -494,7 +476,7 @@ fn handle_request(
             let Some(id) = request.session.as_deref() else {
                 return Response::failure(op, codes::USAGE, "hello requires a session id");
             };
-            let opened = shared.sessions.lock().expect("sessions lock").open(
+            let opened = lock(&shared.sessions).open(
                 id,
                 request.victim.as_deref(),
                 request.seed,
@@ -511,13 +493,13 @@ fn handle_request(
                 Err(reject) => Response::failure(op, reject.code, reject.message),
             }
         }
-        "query" => handle_query(request, shared, queue),
+        "query" => handle_query(request, shared, shard),
         "close" => {
             let Some(id) = request.session.as_deref() else {
                 return Response::failure(op, codes::USAGE, "close requires a session id");
             };
             attached.retain(|a| a != id);
-            match shared.sessions.lock().expect("sessions lock").detach(id) {
+            match lock(&shared.sessions).detach(id) {
                 Some(status) => Response::success(op).with_status(status),
                 None => Response::failure(op, codes::UNKNOWN_SESSION, format!("no session {id:?}")),
             }
@@ -530,7 +512,7 @@ fn handle_request(
     }
 }
 
-fn handle_query(request: Request, shared: &Shared, queue: &JobQueue) -> Response {
+fn handle_query(request: Request, shared: &Shared, shard: &Arc<MetricsShard>) -> Response {
     let op = "query";
     let Some(id) = request.session.as_deref() else {
         return Response::failure(op, codes::USAGE, "query requires a session id");
@@ -540,13 +522,13 @@ fn handle_query(request: Request, shared: &Shared, queue: &JobQueue) -> Response
     };
     let count = inputs.len() as u64;
 
-    // Reservation and enqueue happen under the session lock so a
-    // session's query indices are assigned exactly once, in order, even
-    // if two connections drive the same session.
-    let reply_rx: mpsc::Receiver<std::result::Result<_, String>>;
-    let status;
-    {
-        let mut sessions = shared.sessions.lock().expect("sessions lock");
+    // Reservation happens under the session lock so a session's query
+    // indices are assigned exactly once, in order, even if two
+    // connections drive the same session. Evaluation runs after the
+    // lock is released: every sample carries its own key, so when it
+    // runs does not change what it returns.
+    let (oracle, status) = {
+        let mut sessions = lock(&shared.sessions);
         let Some(current) = sessions.status(id) else {
             return Response::failure(op, codes::UNKNOWN_SESSION, format!("no session {id:?}"));
         };
@@ -560,54 +542,135 @@ fn handle_query(request: Request, shared: &Shared, queue: &JobQueue) -> Response
         if let Err(e) = oracle.check_inputs(&inputs) {
             return Response::failure(op, codes::USAGE, e.to_string());
         }
-        status = match sessions.reserve(id, count) {
-            Ok(status) => status,
+        match sessions.reserve(id, count) {
+            Ok(status) => (oracle, status),
             Err(reject) => return Response::failure(op, reject.code, reject.message),
-        };
-        let base = status.used - count;
-        let keys: Vec<QueryKey> = (0..count)
-            .map(|i| QueryKey::new(status.seed, base + i))
-            .collect();
-        let (reply_tx, rx) = mpsc::channel();
-        reply_rx = rx;
-        let job = Job {
-            oracle,
-            victim: current.victim.clone(),
-            inputs,
-            keys,
-            reply: reply_tx,
-        };
-        if queue.enqueue(job).is_err() {
-            // Nothing was (or will be) evaluated: roll the reservation
-            // back so backpressure consumes no budget.
-            sessions.unreserve(id, count);
-            return Response::failure(op, codes::BUSY, "evaluation queue is full, retry");
         }
-    }
+    };
 
-    match reply_rx.recv() {
-        Ok(Ok(observations)) => {
+    let base = status.used - count;
+    let keys: Vec<QueryKey> = (0..count)
+        .map(|i| QueryKey::new(status.seed, base + i))
+        .collect();
+    let inputs: Vec<&[f64]> = inputs.iter().map(Vec::as_slice).collect();
+    let victim = status.victim.clone();
+    let started = Instant::now();
+    let response = answer_reserved(shared, status, count, || {
+        xbar_obs::with_scope(shard, &victim, || {
+            oracle.observe_batch_keyed(&inputs, &keys)
+        })
+    });
+    shard.record(&victim, names::SERVE_EVAL_NS, elapsed_ns(started));
+    response
+}
+
+/// Answers the `count` queries just reserved for a session (`status`
+/// is the reservation's result) with the observations `evaluate`
+/// returns, numbered from the reservation's base index.
+///
+/// A failed or panicking evaluation is answered [`codes::INTERNAL`]
+/// and its reservation released through [`SessionManager::unreserve`]:
+/// the client saw none of those indices. The panic stays on this
+/// request, and the connection keeps serving.
+fn answer_reserved(
+    shared: &Shared,
+    status: SessionStatus,
+    count: u64,
+    evaluate: impl FnOnce() -> xbar_core::Result<Vec<Observation>>,
+) -> Response {
+    let op = "query";
+    let evaluated = match catch_unwind(AssertUnwindSafe(evaluate)) {
+        Ok(result) => result.map_err(|e| e.to_string()),
+        Err(payload) => {
+            let detail = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("non-string payload");
+            Err(format!("evaluation panicked: {detail}"))
+        }
+    };
+    match evaluated {
+        Ok(observations) => {
             let base = status.used - count;
             let records = observations
                 .into_iter()
-                .enumerate()
-                .map(|(i, observation)| xbar_core::oracle::QueryRecord {
-                    index: base + i as u64,
-                    observation,
-                })
+                .zip(base..)
+                .map(|(observation, index)| QueryRecord { index, observation })
                 .collect();
             Response::success(op)
                 .with_status(status)
                 .with_records(records)
         }
-        Ok(Err(message)) => Response::failure(op, codes::INTERNAL, message),
-        Err(_) => Response::failure(op, codes::SHUTTING_DOWN, "evaluation aborted by shutdown"),
+        Err(message) => {
+            lock(&shared.sessions).unreserve(&status, count);
+            Response::failure(op, codes::INTERNAL, message)
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xbar_core::oracle::{Oracle, OracleConfig};
+    use xbar_linalg::Matrix;
+    use xbar_nn::activation::Activation;
+    use xbar_nn::network::SingleLayerNet;
+
+    /// Server state hosting one toy victim with session `"s"` open.
+    fn shared_with_session() -> Shared {
+        let net = SingleLayerNet::from_weights(
+            Matrix::from_rows(&[&[1.0, -0.5], &[0.25, 0.5]]),
+            Activation::Identity,
+        );
+        let mut registry = VictimRegistry::new();
+        registry
+            .insert("toy", Oracle::new(net, &OracleConfig::ideal(), 3).unwrap())
+            .unwrap();
+        let mut sessions = SessionManager::new(4);
+        sessions
+            .open("s", Some("toy"), Some(9), None, &registry)
+            .unwrap();
+        Shared {
+            registry,
+            max_line_bytes: LINE_BYTES_FIXED,
+            sessions: Mutex::new(sessions),
+            shutdown: AtomicBool::new(false),
+            metrics: ServeMetrics::new(),
+        }
+    }
+
+    #[test]
+    fn a_panicking_evaluation_is_answered_internal_and_releases_its_reservation() {
+        let shared = shared_with_session();
+        let shard = shared.metrics.handler_shard(0);
+        let reserved = lock(&shared.sessions).reserve("s", 3).unwrap();
+        assert_eq!(reserved.used, 3);
+
+        let started = Instant::now();
+        let response = answer_reserved(&shared, reserved, 3, || panic!("injected fault"));
+        record_request_metrics(&shard, attributed_victim(&response), &response, started);
+        assert!(!response.ok);
+        assert_eq!(response.code.as_deref(), Some(codes::INTERNAL));
+        let message = response.error.as_deref().unwrap_or_default();
+        assert!(message.contains("injected fault"), "{message}");
+        assert_eq!(lock(&shared.sessions).status("s").unwrap().used, 0);
+        let internal = reject_counter(codes::INTERNAL).unwrap();
+        let snapshot = shared.scrape();
+        assert_eq!(snapshot.scope(SERVER_SCOPE).unwrap().counter(internal), 1);
+
+        // The session keeps serving, from the released indices.
+        let reserved = lock(&shared.sessions).reserve("s", 2).unwrap();
+        let oracle = shared.registry.get("toy").unwrap();
+        let keys = [QueryKey::new(9, 0), QueryKey::new(9, 1)];
+        let inputs: [&[f64]; 2] = [&[0.5, 0.25], &[-1.0, 2.0]];
+        let response = answer_reserved(&shared, reserved, 2, || {
+            oracle.observe_batch_keyed(&inputs, &keys)
+        });
+        assert!(response.ok, "{:?}", response.error);
+        let indices: Vec<u64> = response.records.unwrap().iter().map(|r| r.index).collect();
+        assert_eq!(indices, [0, 1]);
+    }
 
     #[test]
     fn every_rejection_code_has_its_own_counter() {

@@ -4,8 +4,8 @@
 //! Each session owns a noise seed and a monotonically increasing global
 //! query index; queries are *reserved* here (all-or-nothing against the
 //! budget, exactly like [`xbar_core::oracle::Oracle::query_batch`])
-//! before they are enqueued for evaluation, so the index a query gets is
-//! independent of which worker evaluates it, and when.
+//! before they are evaluated, so the index a query gets is independent
+//! of which connection evaluates it, and when.
 //!
 //! Persistence reuses the runtime's crash-tolerant JSONL machinery
 //! ([`JsonlAppender`] / [`read_jsonl`]): one [`SessionRecord`] is
@@ -269,21 +269,28 @@ impl SessionManager {
         self.attached.get(id).map(|state| state.status(id))
     }
 
-    /// Rolls back a reservation whose job was never enqueued (the
-    /// backpressure path): `count` queries return to the budget and the
-    /// index counter rewinds. Only sound because the caller guarantees
-    /// no evaluation — and no client-visible index — ever existed for
-    /// them.
-    pub fn unreserve(&mut self, id: &str, count: u64) {
-        if let Some(state) = self.attached.get(id) {
-            let mut updated = state.clone();
-            updated.used = updated.used.saturating_sub(count);
-            // A failed rollback journal write leaves `used` too high on
-            // resume — indices are skipped, never duplicated, so the
-            // bit-identity contract survives; ignore the error.
-            let _ = self.persist(id, &updated);
-            self.attached.insert(id.to_string(), updated);
-        }
+    /// Releases the `count` queries of a reservation whose evaluation
+    /// failed or panicked before any of its records reached the client
+    /// (`reserved` is the status [`SessionManager::reserve`] returned).
+    ///
+    /// The budget and index counter rewind only while that reservation
+    /// is still the session's latest: once another connection has
+    /// reserved after it, rewinding would re-issue indices that
+    /// connection may already have answered, so the failed indices are
+    /// skipped instead. Skipped indices never break bit-identity;
+    /// duplicated ones would.
+    pub fn unreserve(&mut self, reserved: &SessionStatus, count: u64) {
+        let id = reserved.session.as_str();
+        let Some(state) = self.attached.get(id).filter(|s| s.used == reserved.used) else {
+            return;
+        };
+        let mut updated = state.clone();
+        updated.used = updated.used.saturating_sub(count);
+        // A failed rollback journal write leaves `used` too high on
+        // resume — indices are skipped, never duplicated, so the
+        // bit-identity contract survives; ignore the error.
+        let _ = self.persist(id, &updated);
+        self.attached.insert(id.to_string(), updated);
     }
 
     /// Detaches session `id` (close or connection loss), freeing its
@@ -360,6 +367,21 @@ mod tests {
         // Nothing consumed by the failed reservation.
         let status = mgr.reserve("s1", 2).unwrap();
         assert_eq!(status.used, 5);
+    }
+
+    #[test]
+    fn unreserve_rewinds_only_the_latest_reservation() {
+        let reg = registry();
+        let mut mgr = SessionManager::new(4);
+        mgr.open("s", Some("toy"), Some(1), Some(10), &reg).unwrap();
+        let first = mgr.reserve("s", 3).unwrap();
+        let second = mgr.reserve("s", 2).unwrap();
+        // A later reservation may already be answered: the earlier
+        // one's indices are skipped, not re-issued.
+        mgr.unreserve(&first, 3);
+        assert_eq!(mgr.status("s").unwrap().used, 5);
+        mgr.unreserve(&second, 2);
+        assert_eq!(mgr.status("s").unwrap().used, 3);
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! The serve-side extension of the batch/thread/backend invariance
 //! contract: a session's `QueryRecord` stream is bit-identical whether
-//! it is computed directly on the oracle, served alone, or served
-//! interleaved with seven other sessions whose queries share the
-//! evaluation workers — at any worker-thread count.
+//! it is computed directly on the oracle, served alone, served
+//! interleaved with seven other sessions on the same victim, or driven
+//! from two connections at once.
+
+use std::sync::Barrier;
 
 use xbar_core::oracle::{Oracle, OracleConfig, OutputAccess, QueryRecord};
 use xbar_crossbar::backend::BackendKind;
@@ -73,15 +75,15 @@ fn direct_records(deployed: &Oracle, s: usize) -> Vec<QueryRecord> {
     view.query_batch(&refs).unwrap()
 }
 
-fn server(workers: usize) -> Server {
+fn server() -> Server {
     let mut registry = VictimRegistry::new();
     registry.insert("victim", victim()).unwrap();
-    let config = ServeConfig {
-        workers,
-        ..ServeConfig::default()
-    };
-    Server::start("127.0.0.1:0", registry, config).unwrap()
+    Server::start("127.0.0.1:0", registry, ServeConfig::default()).unwrap()
 }
+
+/// Uneven batch splits (1, then 3s, then the rest) so concurrent
+/// requests interleave at misaligned query offsets.
+const SPLITS: [usize; 4] = [1, 3, 3, QUERIES_PER_SESSION - 7];
 
 /// Drives session `s` over its own connection in uneven batch splits,
 /// returning the served records.
@@ -94,11 +96,8 @@ fn drive_session(addr: std::net::SocketAddr, s: usize) -> Vec<QueryRecord> {
     assert_eq!(status.used, 0);
     let inputs = session_inputs(s);
     let mut records = Vec::new();
-    // Uneven batch splits (1, then 3s, then the rest) so concurrent
-    // sessions' jobs interleave at misaligned query offsets.
-    let splits = [1usize, 3, 3, QUERIES_PER_SESSION - 7];
     let mut offset = 0;
-    for &take in &splits {
+    for take in SPLITS {
         records.extend(client.query(&id, &inputs[offset..offset + take]).unwrap());
         offset += take;
     }
@@ -110,7 +109,7 @@ fn drive_session(addr: std::net::SocketAddr, s: usize) -> Vec<QueryRecord> {
 #[test]
 fn solo_session_matches_direct_evaluation_bit_for_bit() {
     let deployed = victim();
-    let server = server(2);
+    let server = server();
     let addr = server.local_addr();
     for s in [0, 3] {
         let served = drive_session(addr, s);
@@ -120,14 +119,14 @@ fn solo_session_matches_direct_evaluation_bit_for_bit() {
 }
 
 #[test]
-fn interleaved_sessions_match_solo_at_any_worker_count() {
+fn interleaved_sessions_match_solo_on_every_run() {
     let deployed = victim();
     let baselines: Vec<Vec<QueryRecord>> = (0..SESSIONS)
         .map(|s| direct_records(&deployed, s))
         .collect();
 
-    for workers in [1usize, 4, 8] {
-        let server = server(workers);
+    for run in 1..=3 {
+        let server = server();
         let addr = server.local_addr();
         let served: Vec<Vec<QueryRecord>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..SESSIONS)
@@ -136,10 +135,7 @@ fn interleaved_sessions_match_solo_at_any_worker_count() {
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         for (s, (got, want)) in served.iter().zip(&baselines).enumerate() {
-            assert_eq!(
-                got, want,
-                "session {s} diverged under load at {workers} workers"
-            );
+            assert_eq!(got, want, "session {s} diverged under load on run {run}");
         }
         server.shutdown();
     }
@@ -150,7 +146,7 @@ fn shared_hardware_is_actually_shared() {
     // Two sessions with the same seed see the same noise; two sessions
     // with different seeds see different noise on the same hardware —
     // the keying, not the victim, is what separates tenants.
-    let server = server(2);
+    let server = server();
     let addr = server.local_addr();
     let inputs = session_inputs(0);
 
@@ -168,5 +164,80 @@ fn shared_hardware_is_actually_shared() {
 
     assert_eq!(ra, rb, "same seed, same queries, same records");
     assert_ne!(ra, rc, "different seeds must draw different noise");
+    server.shutdown();
+}
+
+#[test]
+fn one_session_from_two_connections_numbers_every_query_once() {
+    // Both connections evaluate on their own threads; only the
+    // reservation under the session lock orders them. Whatever the
+    // race, each index is served once, and the record at each index is
+    // the one the session's private view computes for the input that
+    // index was given.
+    const CONNECTIONS: usize = 2;
+    const TOTAL: usize = CONNECTIONS * QUERIES_PER_SESSION;
+    let deployed = victim();
+    let server = server();
+    let addr = server.local_addr();
+    let seed = session_seed(0);
+    let mut opener = Client::connect(addr).unwrap();
+    opener
+        .hello("shared", Some("victim"), Some(seed), None)
+        .unwrap();
+
+    let (start, done) = (Barrier::new(CONNECTIONS), Barrier::new(CONNECTIONS));
+    let streams: Vec<Vec<(Vec<f64>, QueryRecord)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..CONNECTIONS)
+            .map(|c| {
+                let (start, done) = (&start, &done);
+                scope.spawn(move || {
+                    let mut client = Client::connect(addr).unwrap();
+                    client.hello("shared", None, None, None).unwrap();
+                    start.wait();
+                    // Distinct input streams, so a record paired with
+                    // the wrong input cannot match its reference.
+                    let inputs = session_inputs(c + 1);
+                    let mut served = Vec::new();
+                    let mut offset = 0;
+                    for take in SPLITS {
+                        let batch = &inputs[offset..offset + take];
+                        let records = client.query("shared", batch).unwrap();
+                        served.extend(batch.iter().cloned().zip(records));
+                        offset += take;
+                    }
+                    // A closing connection detaches the session: hold
+                    // on until the other stream is done too.
+                    done.wait();
+                    served
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+
+    let mut by_index: Vec<Option<(Vec<f64>, QueryRecord)>> = vec![None; TOTAL];
+    for (input, record) in streams.into_iter().flatten() {
+        let index = record.index as usize;
+        assert!(
+            index < TOTAL,
+            "index {index} beyond the {TOTAL} queries sent"
+        );
+        assert!(by_index[index].is_none(), "index {index} served twice");
+        by_index[index] = Some((input, record));
+    }
+    let served: Vec<(Vec<f64>, QueryRecord)> = by_index
+        .into_iter()
+        .enumerate()
+        .map(|(index, slot)| slot.unwrap_or_else(|| panic!("index {index} never served")))
+        .collect();
+    let inputs: Vec<&[f64]> = served.iter().map(|(input, _)| input.as_slice()).collect();
+    let want = deployed
+        .session_view(seed, None)
+        .query_batch(&inputs)
+        .unwrap();
+    for ((_, got), want) in served.iter().zip(&want) {
+        assert_eq!(got, want, "record at index {}", want.index);
+    }
+    drop(opener);
     server.shutdown();
 }

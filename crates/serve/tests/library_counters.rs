@@ -1,6 +1,7 @@
 //! The service's `stats` carry the library's own counters: each
-//! evaluation worker installs its metrics shard as the ambient
-//! `xbar-obs` scope of the job's victim, so the oracle and crossbar
+//! connection handler installs its metrics shard as the ambient
+//! `xbar-obs` scope of the session's victim while it evaluates a
+//! query, so the oracle and crossbar
 //! instrumentation (`oracle.query`, `xbar.mvm_batch`,
 //! `xbar.power_read`) lands in the victim's section next to the
 //! service's own metrics.
@@ -44,18 +45,11 @@ fn counter(stats: &serde::Value, name: &str) -> u64 {
 
 #[test]
 fn stats_carry_library_counters_for_one_scripted_session() {
-    // One session of k = 10 queries in three requests (three pool jobs).
+    // One session of k = 10 queries in three requests (three keyed
+    // evaluations).
     let jobs = [4usize, 3, 3];
     let k: usize = jobs.iter().sum();
-    let server = Server::start(
-        "127.0.0.1:0",
-        registry(),
-        ServeConfig {
-            workers: 2,
-            ..ServeConfig::default()
-        },
-    )
-    .unwrap();
+    let server = Server::start("127.0.0.1:0", registry(), ServeConfig::default()).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
     client.hello("s", Some("toy"), Some(5), None).unwrap();
     for (j, &n) in jobs.iter().enumerate() {
@@ -73,11 +67,11 @@ fn stats_carry_library_counters_for_one_scripted_session() {
     assert_eq!(counter(&stats, "serve.sessions"), 1);
     assert!(counter(&stats, "xbar.mvm_batch") > 0, "{stats:?}");
     assert!(counter(&stats, "xbar.power_read") > 0, "{stats:?}");
-    let depth = section(&stats, "histograms")
-        .get("serve.queue_depth")
-        .expect("queue-depth histogram");
+    let eval = section(&stats, "histograms")
+        .get("serve.eval_ns")
+        .expect("evaluation-time histogram");
     assert_eq!(
-        depth.get("count"),
+        eval.get("count"),
         Some(&serde::Value::U64(jobs.len() as u64))
     );
 }

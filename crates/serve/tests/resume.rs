@@ -45,7 +45,6 @@ fn start_server(journal: &Path) -> Server {
     let mut registry = VictimRegistry::new();
     registry.insert("victim", victim()).unwrap();
     let config = ServeConfig {
-        workers: 2,
         journal: Some(journal.to_path_buf()),
         ..ServeConfig::default()
     };
