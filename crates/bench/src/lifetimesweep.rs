@@ -322,13 +322,10 @@ impl TrialRunner for LifetimeSweepRunner {
 
         // Recalibration phase: re-probe iff the policy says the fresh
         // scan has gone stale.
-        let stale = !self.policy.is_never()
-            && ((self.policy.every_queries > 0
-                && defended.inner().queries_issued() - probed_at_queries
-                    >= self.policy.every_queries)
-                || (self.policy.staleness_threshold > 0.0
-                    && defended.inner().drift_time() - probed_at_drift
-                        >= self.policy.staleness_threshold));
+        let stale = self.policy.is_stale(
+            defended.inner().queries_issued() - probed_at_queries,
+            defended.inner().drift_time() - probed_at_drift,
+        );
         let (attacked_accuracy_recalibrated, recalibrations) = if stale {
             xbar_obs::count(xbar_obs::names::PROBE_RECALIBRATION, 1);
             let norms_new = defended

@@ -227,8 +227,7 @@ fn print_command_help(command: &str) -> bool {
 fn load_fault_spec(path: &str) -> Result<xbar_faults::FaultSpec, CliError> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read fault spec {path}: {e}"))?;
-    let value = serde_json::parse_value(&text).map_err(|e| format!("fault spec {path}: {e}"))?;
-    xbar_faults::FaultSpec::from_json_value(&value)
+    xbar_faults::FaultSpec::from_json_str(&text)
         .map_err(|e| -> CliError { format!("fault spec {path}: {e}").into() })
 }
 
@@ -1497,7 +1496,10 @@ mod tests {
 
     #[test]
     fn recalibration_policy_parsing() {
-        assert!(parse_recalibrate("never").unwrap().is_never());
+        assert_eq!(
+            parse_recalibrate("never").unwrap(),
+            xbar_core::probe::RecalibrationPolicy::never()
+        );
         let every = parse_recalibrate("every:500").unwrap();
         assert_eq!(every.every_queries, 500);
         let stale = parse_recalibrate("stale:2.5").unwrap();

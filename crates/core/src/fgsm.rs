@@ -1,4 +1,4 @@
-//! Gradient-based evasion attacks: FGSM, FGV, and iterative PGD.
+//! Gradient-based evasion attacks: FGSM and iterative PGD.
 //!
 //! FGSM (paper Eq. 2): `r* = ε · sgn(∇_u L)`. These run against any
 //! differentiable [`SingleLayerNet`] — in the black-box pipeline that is
@@ -59,39 +59,6 @@ pub fn fgsm_batch(
     let mut adv = inputs
         .zip_map(&grads, |u, g| u + eps * sign(g))
         .expect("gradient shape matches inputs");
-    constraint.apply(&mut adv);
-    Ok(adv)
-}
-
-/// Fast gradient value method: perturbs along the *normalised gradient
-/// direction* instead of its sign, `U + ε·∇/‖∇‖₂` per sample.
-///
-/// # Errors
-///
-/// Same conditions as [`fgsm_batch`].
-pub fn fgv_batch(
-    net: &SingleLayerNet,
-    inputs: &Matrix,
-    targets: &Matrix,
-    loss: Loss,
-    eps: f64,
-    constraint: BoxConstraint,
-) -> Result<Matrix> {
-    validate_eps(eps)?;
-    xbar_obs::count(xbar_obs::names::ATTACK_FGSM_BATCH, 1);
-    let grads = batch_input_gradients(net, inputs, targets, loss)?;
-    let mut adv = inputs.clone();
-    for i in 0..adv.rows() {
-        let g = grads.row(i);
-        let norm = xbar_linalg::vec_ops::norm2(g);
-        if norm == 0.0 {
-            continue;
-        }
-        let row = adv.row_mut(i);
-        for (r, &gj) in row.iter_mut().zip(g) {
-            *r += eps * gj / norm;
-        }
-    }
     constraint.apply(&mut adv);
     Ok(adv)
 }
@@ -252,24 +219,6 @@ mod tests {
         )
         .unwrap();
         assert!(adv.as_slice().iter().all(|&v| (0.0..=1.0).contains(&v)));
-    }
-
-    #[test]
-    fn fgv_moves_along_gradient_direction() {
-        let (net, inputs, targets) = setup();
-        let eps = 0.3;
-        let adv = fgv_batch(&net, &inputs, &targets, Loss::Mse, eps, BoxConstraint::None).unwrap();
-        // Each row's perturbation has 2-norm eps (when gradient nonzero).
-        for i in 0..inputs.rows() {
-            let d: Vec<f64> = adv
-                .row(i)
-                .iter()
-                .zip(inputs.row(i))
-                .map(|(a, u)| a - u)
-                .collect();
-            let n = xbar_linalg::vec_ops::norm2(&d);
-            assert!((n - eps).abs() < 1e-9, "row {i}: {n}");
-        }
     }
 
     #[test]

@@ -439,12 +439,6 @@ impl Oracle {
         self.query_count = 0;
     }
 
-    /// The white-box network (ground truth) — for evaluation and the
-    /// paper's "Worst" baseline only, never used by black-box attacks.
-    pub fn white_box_net(&self) -> &SingleLayerNet {
-        &self.net
-    }
-
     /// The true column 1-norms of the *deployed* (as-programmed) weights —
     /// ground truth for probe-fidelity experiments.
     pub fn true_column_norms(&self) -> Vec<f64> {

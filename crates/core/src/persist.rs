@@ -1,13 +1,10 @@
-//! Persistence for attack artifacts: trained networks, query logs, and
-//! probe results, as JSON files.
+//! Persistence for trained networks (victims and surrogates) as JSON
+//! files.
 //!
-//! Real attack campaigns are incremental — probing one session, training
-//! surrogates the next — so the attacker's state must round-trip through
-//! disk. Every serialisable artifact in the workspace derives serde;
-//! these helpers add the file plumbing with a version/kind header so a
-//! file can't be silently loaded as the wrong artifact.
+//! The attacker's state must round-trip through disk between CLI
+//! sessions; these helpers add the file plumbing with a version/kind
+//! header so a file can't be silently loaded as the wrong artifact.
 
-use crate::surrogate::QueryDataset;
 use crate::{AttackError, Result};
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
@@ -38,7 +35,7 @@ fn io_err(e: std::io::Error) -> AttackError {
 ///
 /// Returns [`AttackError::Io`] on write failures or
 /// [`AttackError::Serde`] on serialisation failures.
-pub fn save_artifact<T: Serialize, W: Write>(writer: W, kind: &str, payload: &T) -> Result<()> {
+fn save_artifact<T: Serialize, W: Write>(writer: W, kind: &str, payload: &T) -> Result<()> {
     let env = Envelope {
         format_version: FORMAT_VERSION,
         kind: kind.to_string(),
@@ -55,7 +52,7 @@ pub fn save_artifact<T: Serialize, W: Write>(writer: W, kind: &str, payload: &T)
 /// * [`AttackError::Serde`] on malformed JSON.
 /// * [`AttackError::InvalidParameter`] if the file holds a different kind
 ///   or format version.
-pub fn load_artifact<T: DeserializeOwned, R: Read>(reader: R, kind: &str) -> Result<T> {
+fn load_artifact<T: DeserializeOwned, R: Read>(reader: R, kind: &str) -> Result<T> {
     let env: Envelope<T> = serde_json::from_reader(reader).map_err(AttackError::Serde)?;
     if env.format_version != FORMAT_VERSION {
         return Err(AttackError::InvalidParameter {
@@ -72,8 +69,8 @@ pub fn load_artifact<T: DeserializeOwned, R: Read>(reader: R, kind: &str) -> Res
 ///
 /// # Errors
 ///
-/// See [`save_artifact`]; file-creation failures map to
-/// [`AttackError::Io`].
+/// [`AttackError::Io`] if the file cannot be created;
+/// [`AttackError::Serde`] on serialisation or write failures.
 pub fn save_network<P: AsRef<Path>>(path: P, net: &SingleLayerNet) -> Result<()> {
     let f = std::fs::File::create(path).map_err(io_err)?;
     save_artifact(std::io::BufWriter::new(f), "single-layer-net", net)
@@ -83,30 +80,13 @@ pub fn save_network<P: AsRef<Path>>(path: P, net: &SingleLayerNet) -> Result<()>
 ///
 /// # Errors
 ///
-/// See [`load_artifact`].
+/// * [`AttackError::Io`] if the file cannot be opened.
+/// * [`AttackError::Serde`] on malformed JSON.
+/// * [`AttackError::InvalidParameter`] if the file holds a different
+///   kind of artifact or format version.
 pub fn load_network<P: AsRef<Path>>(path: P) -> Result<SingleLayerNet> {
     let f = std::fs::File::open(path).map_err(io_err)?;
     load_artifact(std::io::BufReader::new(f), "single-layer-net")
-}
-
-/// Saves an attacker's query log.
-///
-/// # Errors
-///
-/// See [`save_artifact`].
-pub fn save_query_log<P: AsRef<Path>>(path: P, log: &QueryDataset) -> Result<()> {
-    let f = std::fs::File::create(path).map_err(io_err)?;
-    save_artifact(std::io::BufWriter::new(f), "query-log", log)
-}
-
-/// Loads a query log saved by [`save_query_log`].
-///
-/// # Errors
-///
-/// See [`load_artifact`].
-pub fn load_query_log<P: AsRef<Path>>(path: P) -> Result<QueryDataset> {
-    let f = std::fs::File::open(path).map_err(io_err)?;
-    load_artifact(std::io::BufReader::new(f), "query-log")
 }
 
 #[cfg(test)]
@@ -114,7 +94,6 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
-    use xbar_linalg::Matrix;
     use xbar_nn::activation::Activation;
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -135,29 +114,16 @@ mod tests {
     }
 
     #[test]
-    fn query_log_roundtrip() {
-        let log = QueryDataset {
-            inputs: Matrix::from_rows(&[&[0.1, 0.2], &[0.3, 0.4]]),
-            targets: Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]),
-            powers: vec![0.5, 0.7],
-        };
-        let path = tmp("log");
-        save_query_log(&path, &log).unwrap();
-        let loaded = load_query_log(&path).unwrap();
-        assert_eq!(log, loaded);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn kind_mismatch_rejected() {
-        let log = QueryDataset {
-            inputs: Matrix::ones(1, 2),
-            targets: Matrix::ones(1, 1),
-            powers: vec![1.0],
-        };
+        let net = SingleLayerNet::new_random(
+            2,
+            1,
+            Activation::Identity,
+            &mut ChaCha8Rng::seed_from_u64(2),
+        );
         let mut buf = Vec::new();
-        save_artifact(&mut buf, "query-log", &log).unwrap();
-        let res: Result<QueryDataset> = load_artifact(buf.as_slice(), "single-layer-net");
+        save_artifact(&mut buf, "query-log", &net).unwrap();
+        let res: Result<SingleLayerNet> = load_artifact(buf.as_slice(), "single-layer-net");
         assert!(matches!(
             res,
             Err(AttackError::InvalidParameter { name: "kind" })
@@ -166,7 +132,7 @@ mod tests {
 
     #[test]
     fn malformed_json_rejected() {
-        let res: Result<QueryDataset> = load_artifact(&b"not json"[..], "query-log");
+        let res: Result<SingleLayerNet> = load_artifact(&b"not json"[..], "single-layer-net");
         assert!(matches!(res, Err(AttackError::Serde(_))));
     }
 

@@ -48,21 +48,6 @@ impl PixelAttackMethod {
         }
     }
 
-    /// Whether the method needs probed column norms.
-    pub fn needs_norms(&self) -> bool {
-        matches!(
-            self,
-            PixelAttackMethod::NormPlus
-                | PixelAttackMethod::NormMinus
-                | PixelAttackMethod::NormRandom
-        )
-    }
-
-    /// Whether the method needs white-box gradients.
-    pub fn needs_white_box(&self) -> bool {
-        matches!(self, PixelAttackMethod::WorstCase)
-    }
-
     /// All five methods in the paper's legend order.
     pub fn all() -> [PixelAttackMethod; 5] {
         [
@@ -440,8 +425,5 @@ mod tests {
         assert_eq!(PixelAttackMethod::RandomPixel.paper_label(), "RP");
         assert_eq!(PixelAttackMethod::NormRandom.paper_label(), "RD");
         assert_eq!(PixelAttackMethod::WorstCase.paper_label(), "Worst");
-        assert!(PixelAttackMethod::NormPlus.needs_norms());
-        assert!(!PixelAttackMethod::RandomPixel.needs_norms());
-        assert!(PixelAttackMethod::WorstCase.needs_white_box());
     }
 }

@@ -76,98 +76,12 @@ impl RecalibrationPolicy {
         }
     }
 
-    /// Whether this policy never re-probes.
-    pub fn is_never(&self) -> bool {
-        self.every_queries == 0 && self.staleness_threshold <= 0.0
-    }
-}
-
-/// A column-norm estimate that re-measures itself under a
-/// [`RecalibrationPolicy`] as the oracle's hardware decays.
-///
-/// The first [`RecalibratingProbe::norms`] call always probes; later
-/// calls return the cached estimate until the policy declares it stale,
-/// at which point a fresh [`probe_column_norms`] scan runs (charged
-/// against the oracle's query budget) and
-/// [`xbar_obs::names::PROBE_RECALIBRATION`] is counted.
-#[derive(Debug, Clone)]
-pub struct RecalibratingProbe {
-    policy: RecalibrationPolicy,
-    beta: f64,
-    repeats: usize,
-    norms: Option<Vec<f64>>,
-    probed_at_query: u64,
-    probed_at_drift: f64,
-    recalibrations: u64,
-}
-
-impl RecalibratingProbe {
-    /// A probe with the given policy; `beta` and `repeats` are passed
-    /// through to [`probe_column_norms`].
-    pub fn new(policy: RecalibrationPolicy, beta: f64, repeats: usize) -> Self {
-        RecalibratingProbe {
-            policy,
-            beta,
-            repeats,
-            norms: None,
-            probed_at_query: 0,
-            probed_at_drift: 0.0,
-            recalibrations: 0,
-        }
-    }
-
-    /// Whether the cached estimate is stale under the policy.
-    fn stale(&self, oracle: &Oracle) -> bool {
-        if self.norms.is_none() {
-            return true;
-        }
-        if self.policy.every_queries > 0
-            && oracle.queries_issued() - self.probed_at_query >= self.policy.every_queries
-        {
-            return true;
-        }
-        self.policy.staleness_threshold > 0.0
-            && oracle.drift_time() - self.probed_at_drift >= self.policy.staleness_threshold
-    }
-
-    /// The current column-norm estimate, re-probing first if the policy
-    /// declares the cache stale.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`probe_column_norms`] errors (including query-budget
-    /// exhaustion of a recalibration scan; the stale cache is kept in
-    /// that case).
-    pub fn norms(&mut self, oracle: &mut Oracle) -> Result<&[f64]> {
-        if self.stale(oracle) {
-            let fresh = probe_column_norms(oracle, self.beta, self.repeats)?;
-            if self.norms.is_some() {
-                self.recalibrations += 1;
-                xbar_obs::count(xbar_obs::names::PROBE_RECALIBRATION, 1);
-            }
-            self.norms = Some(fresh);
-            self.probed_at_query = oracle.queries_issued();
-            self.probed_at_drift = oracle.drift_time();
-        }
-        Ok(self.norms.as_deref().expect("probed above"))
-    }
-
-    /// How many times the estimate has been re-measured (the initial
-    /// probe is not a recalibration).
-    pub fn recalibrations(&self) -> u64 {
-        self.recalibrations
-    }
-
-    /// The cached estimate, if any — the graceful-degradation fallback
-    /// when a recalibration scan no longer fits the query budget.
-    pub fn cached(&self) -> Option<&[f64]> {
-        self.norms.as_deref()
-    }
-
-    /// Drops the cache, forcing the next [`RecalibratingProbe::norms`]
-    /// call to probe.
-    pub fn invalidate(&mut self) {
-        self.norms = None;
+    /// Whether an estimate probed `queries_since` oracle queries and
+    /// `drift_since` drift time ago is stale: a trigger that is set
+    /// fires once its count is reached.
+    pub fn is_stale(&self, queries_since: u64, drift_since: f64) -> bool {
+        (self.every_queries > 0 && queries_since >= self.every_queries)
+            || (self.staleness_threshold > 0.0 && drift_since >= self.staleness_threshold)
     }
 }
 
@@ -718,82 +632,33 @@ mod tests {
     }
 
     #[test]
-    fn recalibration_policy_triggers() {
-        assert!(RecalibrationPolicy::never().is_never());
-        assert!(RecalibrationPolicy::default().is_never());
-        assert!(!RecalibrationPolicy::every(100).is_never());
-        assert!(!RecalibrationPolicy::on_staleness(10.0).is_never());
-    }
+    fn recalibration_policy_is_stale() {
+        let never = RecalibrationPolicy::never();
+        assert_eq!(RecalibrationPolicy::default(), never);
+        assert!(!never.is_stale(0, 0.0));
+        assert!(!never.is_stale(u64::MAX, f64::INFINITY));
 
-    #[test]
-    fn never_policy_probes_once_and_caches() {
-        let w = Matrix::from_rows(&[&[1.0, -0.5, 0.25]]);
-        let mut o = oracle_with_weights(w);
-        let mut probe = RecalibratingProbe::new(RecalibrationPolicy::never(), 1.0, 1);
-        let first = probe.norms(&mut o).unwrap().to_vec();
-        assert_eq!(o.query_count(), 3);
-        // Issue unrelated traffic; the cache must hold.
-        o.query(&[0.5, 0.5, 0.5]).unwrap();
-        let second = probe.norms(&mut o).unwrap().to_vec();
-        assert_eq!(first, second);
-        assert_eq!(o.query_count(), 4, "no re-probe happened");
-        assert_eq!(probe.recalibrations(), 0);
-        assert_eq!(probe.cached(), Some(first.as_slice()));
-    }
+        // The query trigger alone, with `>=` at the boundary.
+        let every = RecalibrationPolicy::every(4);
+        assert!(!every.is_stale(3, 1e9));
+        assert!(every.is_stale(4, 0.0));
+        assert!(every.is_stale(5, 0.0));
 
-    #[test]
-    fn every_n_policy_reprobes_and_charges_the_budget() {
-        let w = Matrix::from_rows(&[&[1.0, -0.5, 0.25]]);
-        let mut o = oracle_with_weights(w);
-        let mut probe = RecalibratingProbe::new(RecalibrationPolicy::every(4), 1.0, 1);
-        probe.norms(&mut o).unwrap();
-        assert_eq!(o.query_count(), 3);
-        // Fresh: the query counter starts after the probe's own scan.
-        probe.norms(&mut o).unwrap();
-        assert_eq!(o.query_count(), 3);
-        for _ in 0..4 {
-            o.query(&[0.1, 0.2, 0.3]).unwrap();
-        }
-        probe.norms(&mut o).unwrap();
-        assert_eq!(o.query_count(), 3 + 4 + 3, "a full re-scan ran");
-        assert_eq!(probe.recalibrations(), 1);
-    }
+        // The staleness trigger alone, with `>=` at the boundary.
+        let drift = RecalibrationPolicy::on_staleness(50.0);
+        assert!(!drift.is_stale(u64::MAX, 49.999));
+        assert!(drift.is_stale(0, 50.0));
+        assert!(drift.is_stale(0, 51.0));
 
-    #[test]
-    fn staleness_policy_tracks_drift_and_sees_decay() {
-        use crate::oracle::DriftSchedule;
-        use xbar_crossbar::device::DeviceModel;
-        use xbar_faults::{FaultInjection, FaultKey, FaultSpec};
-        let w = Matrix::from_rows(&[&[1.0, -0.5, 0.25], &[0.5, 0.75, -0.3]]);
-        let net = SingleLayerNet::from_weights(w, Activation::Identity);
-        let device = DeviceModel {
-            g_min: 0.02,
-            g_max: 1.0,
-            ..DeviceModel::ideal()
+        // Both triggers: either one firing is enough.
+        let both = RecalibrationPolicy {
+            every_queries: 4,
+            staleness_threshold: 50.0,
         };
-        let cfg = OracleConfig::ideal()
-            .with_access(OutputAccess::None)
-            .with_device(device)
-            .with_faults(FaultInjection::new(
-                FaultSpec::none().with_drift(0.1, 0.0, 1.0),
-                FaultKey::new(7, 0),
-            ))
-            .with_drift_schedule(DriftSchedule::every(5, 100.0));
-        let mut o = Oracle::new(net, &cfg, 11).unwrap();
-        let mut probe = RecalibratingProbe::new(RecalibrationPolicy::on_staleness(50.0), 1.0, 1);
-        let fresh = probe.norms(&mut o).unwrap().to_vec();
-        // Age the hardware past the threshold.
-        for _ in 0..6 {
-            o.query(&[0.3, 0.3, 0.3]).unwrap();
-        }
-        assert!(o.drift_time() > 51.0);
-        let recal = probe.norms(&mut o).unwrap().to_vec();
-        assert_eq!(probe.recalibrations(), 1);
-        // The recalibrated estimate sees the decayed norms.
-        assert!(
-            recal.iter().sum::<f64>() < fresh.iter().sum::<f64>(),
-            "drift must shrink the probed norms: {fresh:?} -> {recal:?}"
-        );
+        assert!(!both.is_stale(3, 49.999));
+        assert!(both.is_stale(4, 0.0));
+        assert!(both.is_stale(0, 50.0));
+        assert!(both.is_stale(4, 50.0));
     }
 
     #[test]

@@ -10,52 +10,8 @@
 //! For noisy observations the ridge variant trades bias for variance.
 
 use crate::oracle::{Oracle, OutputAccess};
-use crate::probe::RecalibrationPolicy;
 use crate::{AttackError, Result};
 use xbar_linalg::{cholesky, qr, Matrix};
-
-/// Basis-probe weight recovery that re-measures itself under a
-/// [`RecalibrationPolicy`] as the hardware decays: the column scan of
-/// [`recover_columns_by_basis_probes`] is only as fresh as its last
-/// run, so on a drifting oracle callers should route recovery through
-/// this helper instead of caching the matrix forever.
-///
-/// `last`, `last_drift_time`, and `last_queries_issued` describe the
-/// previous recovery (pass `None`/`0.0`/`0` for the first call).
-/// Returns `Some(fresh matrix)` when the previous recovery is stale
-/// under the policy (a re-measurement counts
-/// [`xbar_obs::names::PROBE_RECALIBRATION`] and is charged against the
-/// oracle's query budget), or `None` when `last` is still fresh.
-///
-/// # Errors
-///
-/// Same conditions as [`recover_columns_by_basis_probes`].
-pub fn recover_columns_recalibrated(
-    oracle: &mut Oracle,
-    beta: f64,
-    policy: &RecalibrationPolicy,
-    last: Option<&Matrix>,
-    last_drift_time: f64,
-    last_queries_issued: u64,
-) -> Result<Option<Matrix>> {
-    let stale = match last {
-        None => true,
-        Some(_) => {
-            (policy.every_queries > 0
-                && oracle.queries_issued() - last_queries_issued >= policy.every_queries)
-                || (policy.staleness_threshold > 0.0
-                    && oracle.drift_time() - last_drift_time >= policy.staleness_threshold)
-        }
-    };
-    if !stale {
-        return Ok(None);
-    }
-    let w = recover_columns_by_basis_probes(oracle, beta)?;
-    if last.is_some() {
-        xbar_obs::count(xbar_obs::names::PROBE_RECALIBRATION, 1);
-    }
-    Ok(Some(w))
-}
 
 /// Recovers the full weight matrix of a *linear* oracle by `N` basis
 /// queries `β e_j`: each response is `β · W[:, j]`.
@@ -227,128 +183,6 @@ mod tests {
         let fit = u.matmul(&rec.transpose());
         assert!(fit.approx_eq(&y, 1e-3));
         assert!(recover_weights_ridge(&u, &y, -1.0).is_err());
-    }
-
-    #[test]
-    fn recalibrated_recovery_reprobes_when_stale() {
-        let w = Matrix::random_uniform(3, 4, -1.0, 1.0, &mut rng());
-        let mut o = linear_oracle(&w, OutputAccess::Raw);
-        let policy = RecalibrationPolicy::every(5);
-        // First call always measures.
-        let first = recover_columns_recalibrated(&mut o, 1.0, &policy, None, 0.0, 0)
-            .unwrap()
-            .expect("first recovery measures");
-        assert!(first.approx_eq(&w, 1e-9));
-        let issued = o.queries_issued();
-        // Immediately after: fresh, no re-scan.
-        let again =
-            recover_columns_recalibrated(&mut o, 1.0, &policy, Some(&first), 0.0, issued).unwrap();
-        assert!(again.is_none());
-        assert_eq!(o.queries_issued(), issued);
-        // Push past the query trigger.
-        for _ in 0..5 {
-            o.query(&[0.1, 0.2, 0.3, 0.4]).unwrap();
-        }
-        let fresh =
-            recover_columns_recalibrated(&mut o, 1.0, &policy, Some(&first), 0.0, issued).unwrap();
-        assert!(fresh.is_some());
-    }
-
-    #[test]
-    fn recalibrated_recovery_tracks_drifting_hardware() {
-        use crate::oracle::DriftSchedule;
-        use xbar_faults::{FaultInjection, FaultKey, FaultSpec};
-
-        // A drifting deployment: every 50 queries the drift clock
-        // advances by 1.0 and the conductances decay toward g_min.
-        let w = Matrix::random_uniform(2, 3, 0.2, 1.0, &mut rng());
-        let net = SingleLayerNet::from_weights(w.clone(), Activation::Identity);
-        let cfg = OracleConfig::ideal()
-            .with_access(OutputAccess::Raw)
-            .with_faults(FaultInjection::new(
-                FaultSpec::none().with_drift(0.3, 0.0, 1.0),
-                FaultKey::new(11, 0),
-            ))
-            .with_drift_schedule(DriftSchedule::every(50, 1.0));
-        let mut o = Oracle::new(net, &cfg, 29).unwrap();
-        let policy = RecalibrationPolicy::on_staleness(5.0);
-
-        // First recovery always measures; it sees the t=1.0 hardware.
-        let t0 = o.drift_time();
-        let first = recover_columns_recalibrated(&mut o, 1.0, &policy, None, t0, 0)
-            .unwrap()
-            .expect("first recovery measures");
-        let issued = o.queries_issued();
-
-        // Fresh: drift has not advanced past the staleness threshold.
-        let again =
-            recover_columns_recalibrated(&mut o, 1.0, &policy, Some(&first), t0, issued).unwrap();
-        assert!(again.is_none(), "estimate is still fresh");
-
-        // Age the deployment well past the threshold.
-        let probe = [0.4, 0.7, 0.2];
-        for _ in 0..300 {
-            o.query(&probe).unwrap();
-        }
-        assert!(o.drift_time() - t0 >= 5.0);
-        let recalibrated =
-            recover_columns_recalibrated(&mut o, 1.0, &policy, Some(&first), t0, issued)
-                .unwrap()
-                .expect("staleness threshold crossed");
-
-        // The hardware decayed between the scans, so the estimates
-        // genuinely differ ...
-        assert!(relative_error(&recalibrated, &first).unwrap() > 0.01);
-        // ... and the recalibrated estimate predicts the *current*
-        // oracle better than the stale one. Compare one-query
-        // predictions against the live output.
-        let observed = o.query(&probe).unwrap().observation.output.unwrap();
-        let predict = |est: &Matrix| -> f64 {
-            (0..est.rows())
-                .map(|i| {
-                    let yhat: f64 = est.row(i).iter().zip(&probe).map(|(wij, u)| wij * u).sum();
-                    (yhat - observed[i]).abs()
-                })
-                .sum()
-        };
-        assert!(
-            predict(&recalibrated) < predict(&first),
-            "recalibrated estimate must track the decayed hardware: fresh err {} vs stale err {}",
-            predict(&recalibrated),
-            predict(&first)
-        );
-    }
-
-    #[test]
-    fn never_policy_keeps_stale_estimate_under_drift() {
-        use crate::oracle::DriftSchedule;
-        use xbar_faults::{FaultInjection, FaultKey, FaultSpec};
-
-        let w = Matrix::random_uniform(2, 3, 0.2, 1.0, &mut rng());
-        let net = SingleLayerNet::from_weights(w.clone(), Activation::Identity);
-        let cfg = OracleConfig::ideal()
-            .with_access(OutputAccess::Raw)
-            .with_faults(FaultInjection::new(
-                FaultSpec::none().with_drift(0.3, 0.0, 1.0),
-                FaultKey::new(11, 0),
-            ))
-            .with_drift_schedule(DriftSchedule::every(10, 1.0));
-        let mut o = Oracle::new(net, &cfg, 31).unwrap();
-        let policy = RecalibrationPolicy::never();
-        let t0 = o.drift_time();
-        let first = recover_columns_recalibrated(&mut o, 1.0, &policy, None, t0, 0)
-            .unwrap()
-            .expect("first recovery measures");
-        let issued = o.queries_issued();
-        for _ in 0..100 {
-            o.query(&[0.4, 0.7, 0.2]).unwrap();
-        }
-        // Heavily drifted, but the policy never declares staleness: the
-        // caller keeps serving the stale estimate — exactly the failure
-        // mode `on_staleness` exists to prevent.
-        let again =
-            recover_columns_recalibrated(&mut o, 1.0, &policy, Some(&first), t0, issued).unwrap();
-        assert!(again.is_none());
     }
 
     #[test]

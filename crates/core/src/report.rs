@@ -93,11 +93,6 @@ pub fn fmt(v: f64, decimals: usize) -> String {
     format!("{v:.decimals$}")
 }
 
-/// Formats `mean ± std`.
-pub fn fmt_pm(mean: f64, std: f64, decimals: usize) -> String {
-    format!("{mean:.decimals$} ± {std:.decimals$}")
-}
-
 /// Appends a significance asterisk when `p < alpha` (the paper's Fig. 5
 /// annotation convention).
 pub fn fmt_with_significance(value: f64, p: f64, alpha: f64, decimals: usize) -> String {
@@ -167,7 +162,6 @@ mod tests {
     #[test]
     fn formatters() {
         assert_eq!(fmt(0.12345, 2), "0.12");
-        assert_eq!(fmt_pm(0.5, 0.01, 2), "0.50 ± 0.01");
         assert_eq!(fmt_with_significance(0.2, 0.01, 0.05, 2), "0.20*");
         assert_eq!(fmt_with_significance(0.2, 0.2, 0.05, 2), "0.20");
     }

@@ -22,7 +22,6 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use xbar_linalg::Matrix;
 use xbar_nn::activation::Activation;
-use xbar_nn::loss::Loss;
 use xbar_nn::network::SingleLayerNet;
 use xbar_nn::train::SgdConfig;
 
@@ -188,44 +187,6 @@ pub fn surrogate_power_estimates(net: &SingleLayerNet, inputs: &Matrix) -> Vec<f
         .rows_iter()
         .map(|u| u.iter().zip(&norms).map(|(&uj, &nj)| uj * nj).sum())
         .collect()
-}
-
-/// Breakdown of the combined loss on a query log.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CombinedLoss {
-    /// The output MSE term.
-    pub output: f64,
-    /// The power MSE term (unweighted).
-    pub power: f64,
-    /// `output + λ·power`.
-    pub total: f64,
-}
-
-/// Evaluates Eq. 9 on a query log.
-///
-/// # Errors
-///
-/// Propagates forward-pass dimension errors.
-pub fn combined_loss(
-    net: &SingleLayerNet,
-    queries: &QueryDataset,
-    lambda: f64,
-) -> Result<CombinedLoss> {
-    let outputs = net.forward_batch(&queries.inputs)?;
-    let out_loss = Loss::Mse.value(&outputs, &queries.targets);
-    let p_hat = surrogate_power_estimates(net, &queries.inputs);
-    let b = queries.len().max(1) as f64;
-    let power_loss = p_hat
-        .iter()
-        .zip(&queries.powers)
-        .map(|(&a, &b_)| (a - b_) * (a - b_))
-        .sum::<f64>()
-        / b;
-    Ok(CombinedLoss {
-        output: out_loss,
-        power: power_loss,
-        total: out_loss + lambda * power_loss,
-    })
 }
 
 /// Trains a linear surrogate on a query log with the combined loss.
@@ -482,30 +443,17 @@ mod tests {
         let mut r1 = ChaCha8Rng::seed_from_u64(5);
         let net0 = train_surrogate(&q, &cfg0, &mut r0).unwrap();
         let net1 = train_surrogate(&q, &cfg1, &mut r1).unwrap();
-        let l0 = combined_loss(&net0, &q, 0.0).unwrap();
-        let l1 = combined_loss(&net1, &q, 0.0).unwrap();
-        assert!(
-            l1.power < l0.power,
-            "λ>0 should fit power better: {} vs {}",
-            l1.power,
-            l0.power
-        );
-    }
-
-    #[test]
-    fn combined_loss_composition() {
-        let w = Matrix::from_rows(&[&[1.0, 0.0]]);
-        let net = SingleLayerNet::from_weights(w, Activation::Identity);
-        let q = QueryDataset {
-            inputs: Matrix::from_rows(&[&[1.0, 0.0]]),
-            targets: Matrix::from_rows(&[&[0.0]]),
-            powers: vec![2.0],
+        let power_mse = |net: &SingleLayerNet| -> f64 {
+            let p_hat = surrogate_power_estimates(net, &q.inputs);
+            p_hat
+                .iter()
+                .zip(&q.powers)
+                .map(|(a, b)| (a - b) * (a - b))
+                .sum::<f64>()
+                / 40.0
         };
-        let l = combined_loss(&net, &q, 0.5).unwrap();
-        // output: (1-0)²/1 = 1; power: (1-2)² = 1; total = 1 + 0.5.
-        assert!((l.output - 1.0).abs() < 1e-12);
-        assert!((l.power - 1.0).abs() < 1e-12);
-        assert!((l.total - 1.5).abs() < 1e-12);
+        let (l0, l1) = (power_mse(&net0), power_mse(&net1));
+        assert!(l1 < l0, "λ>0 should fit power better: {l1} vs {l0}");
     }
 
     #[test]

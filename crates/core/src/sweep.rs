@@ -1,51 +1,11 @@
-//! Reusable attack-evaluation sweeps — the measurement loops behind the
-//! paper's Fig. 4 curves, packaged as a library API so downstream users
-//! (and the experiment harness) don't hand-roll them.
+//! The attack-then-measure step behind the paper's Fig. 4 curves, shared
+//! by the experiment harness's campaign ports.
 
 use crate::oracle::Oracle;
 use crate::pixel_attack::{single_pixel_attack_batch, PixelAttackMethod, PixelAttackResources};
-use crate::{AttackError, Result};
+use crate::Result;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
-use xbar_data::Dataset;
 use xbar_linalg::Matrix;
-use xbar_nn::loss::Loss;
-use xbar_nn::network::SingleLayerNet;
-
-/// One attack method's accuracy curve over a strength sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SweepCurve {
-    /// The paper-legend label of the method ("RP", "+", "-", "RD",
-    /// "Worst").
-    pub method: String,
-    /// Oracle accuracy at each strength, aligned with the sweep's
-    /// `strengths`.
-    pub accuracies: Vec<f64>,
-    /// Oracle queries the attacker needs to mount this method: the power
-    /// probe cost of the column norms for the norm-guided methods, zero
-    /// for RP (needs no side channel) and for the white-box Worst bound
-    /// (bypasses the query interface entirely).
-    pub queries: u64,
-}
-
-/// A full Fig. 4-style panel: accuracy-vs-strength curves for a set of
-/// single-pixel attack methods against one deployed oracle.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StrengthSweep {
-    /// Clean (unattacked) oracle accuracy.
-    pub clean_accuracy: f64,
-    /// The attack strengths evaluated.
-    pub strengths: Vec<f64>,
-    /// One curve per method, in the order requested.
-    pub curves: Vec<SweepCurve>,
-}
-
-impl StrengthSweep {
-    /// The curve for a given method label, if present.
-    pub fn curve(&self, label: &str) -> Option<&SweepCurve> {
-        self.curves.iter().find(|c| c.method == label)
-    }
-}
 
 /// How many repetitions a method needs: stochastic methods (RP, RD) are
 /// averaged over `stochastic_reps` draws, deterministic ones run once.
@@ -62,8 +22,8 @@ pub fn method_reps(method: PixelAttackMethod, stochastic_reps: usize) -> usize {
 
 /// One attack-then-measure step: perturbs `inputs` with `method` at
 /// strength `eps` and returns the oracle's accuracy on the adversarial
-/// batch. The primitive both [`strength_sweep`] and the campaign runtime
-/// ports build their repetition loops from.
+/// batch. The primitive the campaign runtime ports build their
+/// repetition loops from.
 ///
 /// # Errors
 ///
@@ -83,273 +43,9 @@ pub fn attack_and_eval<R: Rng + ?Sized>(
     oracle.eval_accuracy(&adv, labels)
 }
 
-/// Mean oracle accuracy of `reps` attacked batches, threading `rng`
-/// through the repetitions (so stochastic methods draw fresh pixels each
-/// time).
-///
-/// # Errors
-///
-/// * [`AttackError::InvalidParameter`] if `reps == 0`.
-/// * Propagates attack and evaluation errors.
-#[allow(clippy::too_many_arguments)]
-pub fn averaged_attack_accuracy<R: Rng + ?Sized>(
-    oracle: &Oracle,
-    inputs: &Matrix,
-    targets: &Matrix,
-    labels: &[usize],
-    method: PixelAttackMethod,
-    resources: PixelAttackResources<'_>,
-    eps: f64,
-    reps: usize,
-    rng: &mut R,
-) -> Result<f64> {
-    if reps == 0 {
-        return Err(AttackError::InvalidParameter { name: "reps" });
-    }
-    let mut acc = 0.0;
-    for _ in 0..reps {
-        acc += attack_and_eval(oracle, inputs, targets, labels, method, resources, eps, rng)?;
-    }
-    Ok(acc / reps as f64)
-}
-
-/// Runs a Fig. 4-style sweep: every `method` at every strength, evaluated
-/// on the oracle's deployed weights. Stochastic methods (RP, RD) are
-/// averaged over `stochastic_reps` draws.
-///
-/// `norms` are the attacker's probed column norms and `probe_queries` is
-/// the number of oracle queries spent obtaining them (attributed to the
-/// norm-guided methods' [`SweepCurve::queries`]); `white_box`/`loss`
-/// supply the Worst baseline (pass the victim net for the white-box
-/// bound).
-///
-/// # Errors
-///
-/// * [`AttackError::InvalidParameter`] for an empty strength list or zero
-///   `stochastic_reps`.
-/// * Propagates attack and evaluation errors.
-#[allow(clippy::too_many_arguments)]
-pub fn strength_sweep<R: Rng + ?Sized>(
-    oracle: &Oracle,
-    test: &Dataset,
-    methods: &[PixelAttackMethod],
-    norms: &[f64],
-    probe_queries: u64,
-    white_box: &SingleLayerNet,
-    loss: Loss,
-    strengths: &[f64],
-    stochastic_reps: usize,
-    rng: &mut R,
-) -> Result<StrengthSweep> {
-    if strengths.is_empty() {
-        return Err(AttackError::InvalidParameter { name: "strengths" });
-    }
-    if stochastic_reps == 0 {
-        return Err(AttackError::InvalidParameter {
-            name: "stochastic_reps",
-        });
-    }
-    let clean_accuracy = oracle.eval_accuracy(test.inputs(), test.labels())?;
-    let targets = test.one_hot_targets();
-    let resources = PixelAttackResources::full(norms, white_box, loss);
-    let mut curves = Vec::with_capacity(methods.len());
-    for &method in methods {
-        let reps = method_reps(method, stochastic_reps);
-        let mut accuracies = Vec::with_capacity(strengths.len());
-        for &eps in strengths {
-            accuracies.push(averaged_attack_accuracy(
-                oracle,
-                test.inputs(),
-                &targets,
-                test.labels(),
-                method,
-                resources,
-                eps,
-                reps,
-                rng,
-            )?);
-        }
-        curves.push(SweepCurve {
-            method: method.paper_label().to_string(),
-            accuracies,
-            queries: if method.needs_norms() {
-                probe_queries
-            } else {
-                0
-            },
-        });
-    }
-    Ok(StrengthSweep {
-        clean_accuracy,
-        strengths: strengths.to_vec(),
-        curves,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::{OracleConfig, OutputAccess};
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
-    use xbar_data::synth::blobs::BlobsConfig;
-    use xbar_nn::activation::Activation;
-    use xbar_nn::train::{train, SgdConfig};
-
-    fn setup() -> (Oracle, Dataset, SingleLayerNet, Vec<f64>) {
-        let ds = BlobsConfig::new(3, 12).num_samples(240).seed(4).generate();
-        let split = ds.split_frac(0.8).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let mut net = SingleLayerNet::new_random(12, 3, Activation::Identity, &mut rng);
-        train(
-            &mut net,
-            &split.train,
-            Loss::Mse,
-            &SgdConfig::default(),
-            &mut rng,
-        )
-        .unwrap();
-        let norms = net.column_l1_norms();
-        let oracle = Oracle::new(
-            net.clone(),
-            &OracleConfig::ideal().with_access(OutputAccess::None),
-            5,
-        )
-        .unwrap();
-        (oracle, split.test, net, norms)
-    }
-
-    #[test]
-    fn sweep_has_expected_shape_and_monotone_worst() {
-        let (oracle, test, net, norms) = setup();
-        let mut rng = ChaCha8Rng::seed_from_u64(6);
-        let strengths = [0.0, 1.0, 3.0, 6.0];
-        let sweep = strength_sweep(
-            &oracle,
-            &test,
-            &PixelAttackMethod::all(),
-            &norms,
-            12,
-            &net,
-            Loss::Mse,
-            &strengths,
-            3,
-            &mut rng,
-        )
-        .unwrap();
-        assert_eq!(sweep.curves.len(), 5);
-        assert_eq!(sweep.strengths, strengths);
-        // Probe cost is attributed to the norm-guided methods only.
-        for c in &sweep.curves {
-            let expected = if c.method == "RP" || c.method == "Worst" {
-                0
-            } else {
-                12
-            };
-            assert_eq!(c.queries, expected, "method {}", c.method);
-        }
-        for c in &sweep.curves {
-            assert_eq!(c.accuracies.len(), 4);
-            // Strength 0 leaves accuracy at the clean level.
-            assert!((c.accuracies[0] - sweep.clean_accuracy).abs() < 1e-9);
-        }
-        // The white-box curve is (weakly) monotone decreasing.
-        let worst = sweep.curve("Worst").unwrap();
-        for w in worst.accuracies.windows(2) {
-            assert!(
-                w[0] >= w[1] - 1e-9,
-                "worst curve must not recover: {worst:?}"
-            );
-        }
-        // And it lower-bounds every other method at the top strength.
-        let worst_final = *worst.accuracies.last().unwrap();
-        for c in &sweep.curves {
-            assert!(*c.accuracies.last().unwrap() >= worst_final - 1e-9);
-        }
-        assert!(sweep.curve("no-such-method").is_none());
-    }
-
-    #[test]
-    fn sweep_validates_parameters() {
-        let (oracle, test, net, norms) = setup();
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
-        assert!(strength_sweep(
-            &oracle,
-            &test,
-            &PixelAttackMethod::all(),
-            &norms,
-            0,
-            &net,
-            Loss::Mse,
-            &[],
-            3,
-            &mut rng
-        )
-        .is_err());
-        assert!(strength_sweep(
-            &oracle,
-            &test,
-            &PixelAttackMethod::all(),
-            &norms,
-            0,
-            &net,
-            Loss::Mse,
-            &[1.0],
-            0,
-            &mut rng
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn averaged_accuracy_matches_manual_loop() {
-        let (oracle, test, net, norms) = setup();
-        let targets = test.one_hot_targets();
-        let resources = PixelAttackResources::full(&norms, &net, Loss::Mse);
-
-        let mut rng = ChaCha8Rng::seed_from_u64(8);
-        let hoisted = averaged_attack_accuracy(
-            &oracle,
-            test.inputs(),
-            &targets,
-            test.labels(),
-            PixelAttackMethod::NormRandom,
-            resources,
-            2.0,
-            3,
-            &mut rng,
-        )
-        .unwrap();
-
-        let mut rng = ChaCha8Rng::seed_from_u64(8);
-        let mut acc = 0.0;
-        for _ in 0..3 {
-            let adv = single_pixel_attack_batch(
-                PixelAttackMethod::NormRandom,
-                test.inputs(),
-                &targets,
-                resources,
-                2.0,
-                &mut rng,
-            )
-            .unwrap();
-            acc += oracle.eval_accuracy(&adv, test.labels()).unwrap();
-        }
-        assert!((hoisted - acc / 3.0).abs() < 1e-15);
-
-        assert!(averaged_attack_accuracy(
-            &oracle,
-            test.inputs(),
-            &targets,
-            test.labels(),
-            PixelAttackMethod::NormPlus,
-            resources,
-            2.0,
-            0,
-            &mut rng,
-        )
-        .is_err());
-    }
 
     #[test]
     fn method_reps_distinguishes_stochastic_methods() {
@@ -358,28 +54,5 @@ mod tests {
         assert_eq!(method_reps(PixelAttackMethod::NormPlus, 5), 1);
         assert_eq!(method_reps(PixelAttackMethod::NormMinus, 5), 1);
         assert_eq!(method_reps(PixelAttackMethod::WorstCase, 5), 1);
-    }
-
-    #[test]
-    fn strength_sweep_json_roundtrip() {
-        let sweep = StrengthSweep {
-            clean_accuracy: 0.925,
-            strengths: vec![0.0, 1.0, 2.5],
-            curves: vec![
-                SweepCurve {
-                    method: "RP".into(),
-                    accuracies: vec![0.925, 0.9, 0.85],
-                    queries: 0,
-                },
-                SweepCurve {
-                    method: "+".into(),
-                    accuracies: vec![0.925, 0.8, 0.6],
-                    queries: 144,
-                },
-            ],
-        };
-        let json = serde_json::to_string(&sweep).unwrap();
-        let back: StrengthSweep = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, sweep);
     }
 }

@@ -218,13 +218,6 @@ impl BackendSpec {
         }
     }
 
-    /// Builder-style setter for the tile sizes.
-    #[must_use]
-    pub fn with_batch(mut self, batch: BatchConfig) -> Self {
-        self.batch = batch;
-        self
-    }
-
     /// Builder-style setter for the tiled kernel's worker count
     /// (`0` = auto).
     #[must_use]
@@ -1276,13 +1269,12 @@ mod tests {
 
     #[test]
     fn spec_build_validates_batch_config() {
-        let bad = BackendSpec::new(BackendKind::Blocked)
-            .with_batch(BatchConfig::default().with_block_outputs(0));
+        let mut bad = BackendSpec::new(BackendKind::Blocked);
+        bad.batch = BatchConfig::default().with_block_outputs(0);
         assert!(bad.validate().is_err());
         assert!(bad.build().is_err());
-        let good = BackendSpec::new(BackendKind::Blocked)
-            .with_batch(BatchConfig::default().with_block_outputs(8))
-            .with_threads(2);
+        let mut good = BackendSpec::new(BackendKind::Blocked).with_threads(2);
+        good.batch = BatchConfig::default().with_block_outputs(8);
         assert!(good.validate().is_ok());
         let built = format!("{:?}", good.build().unwrap());
         assert!(built.starts_with("BlockedBackend"), "{built}");

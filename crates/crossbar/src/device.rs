@@ -11,6 +11,7 @@
 use crate::{CrossbarError, Result};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use xbar_linalg::standard_normal;
 
 /// A programmable NVM device model.
 ///
@@ -114,14 +115,6 @@ impl DeviceModel {
         self
     }
 
-    /// Whether the device is exactly the ideal analytical model.
-    pub fn is_ideal(&self) -> bool {
-        self.levels.is_none()
-            && self.program_sigma == 0.0
-            && self.stuck_rate == 0.0
-            && self.read_sigma == 0.0
-    }
-
     /// Programs a device towards `target` conductance, returning the
     /// conductance actually achieved under this model.
     pub fn program<R: Rng + ?Sized>(&self, target: f64, rng: &mut R) -> f64 {
@@ -140,7 +133,7 @@ impl DeviceModel {
             g = self.g_min + ((g - self.g_min) / step).round() * step;
         }
         if self.program_sigma > 0.0 {
-            let n = gaussian(rng);
+            let n = standard_normal(rng);
             g *= (self.program_sigma * n).exp();
             g = g.clamp(self.g_min, self.g_max);
         }
@@ -152,7 +145,7 @@ impl DeviceModel {
         if self.read_sigma == 0.0 {
             g
         } else {
-            (g + self.read_sigma * self.g_max * gaussian(rng)).max(0.0)
+            (g + self.read_sigma * self.g_max * standard_normal(rng)).max(0.0)
         }
     }
 }
@@ -161,13 +154,6 @@ impl Default for DeviceModel {
     fn default() -> Self {
         DeviceModel::ideal()
     }
-}
-
-/// Standard normal sample via Box-Muller.
-pub(crate) fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 #[cfg(test)]
@@ -187,7 +173,6 @@ mod tests {
         assert_eq!(d.program(0.5, &mut r), 0.5);
         assert_eq!(d.program(0.0, &mut r), 0.0);
         assert_eq!(d.program(1.0, &mut r), 1.0);
-        assert!(d.is_ideal());
     }
 
     #[test]
@@ -205,7 +190,6 @@ mod tests {
         assert_eq!(d.program(0.3, &mut r), 0.25);
         assert_eq!(d.program(0.4, &mut r), 0.5);
         assert_eq!(d.program(0.99, &mut r), 1.0);
-        assert!(!d.is_ideal());
     }
 
     #[test]

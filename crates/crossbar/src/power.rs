@@ -8,11 +8,11 @@
 //! averaged over repeated measurements.
 
 use crate::array::CrossbarArray;
-use crate::device::gaussian;
 use crate::tile::TiledCrossbar;
 use crate::{CrossbarError, Result};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use xbar_linalg::standard_normal;
 
 /// A power measurement channel.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -62,13 +62,6 @@ impl PowerModel {
             });
         }
         Ok(())
-    }
-
-    /// Builder-style setter for the supply voltage.
-    #[must_use]
-    pub fn with_v_dd(mut self, v_dd: f64) -> Self {
-        self.v_dd = v_dd;
-        self
     }
 
     /// Builder-style setter for the measurement noise.
@@ -122,21 +115,6 @@ impl PowerModel {
         Ok(self.v_dd * tiled.total_current(v)?)
     }
 
-    /// One noisy measurement on a tiled crossbar.
-    ///
-    /// # Errors
-    ///
-    /// Propagates input-length mismatches.
-    pub fn measure_tiled<R: Rng + ?Sized>(
-        &self,
-        tiled: &TiledCrossbar,
-        v: &[f64],
-        rng: &mut R,
-    ) -> Result<f64> {
-        let exact = self.exact_tiled(tiled, v)?;
-        Ok(self.corrupt(exact, rng))
-    }
-
     /// Applies measurement noise (averaged over `num_averages` draws) to an
     /// exact power value.
     pub fn corrupt<R: Rng + ?Sized>(&self, exact: f64, rng: &mut R) -> f64 {
@@ -146,7 +124,7 @@ impl PowerModel {
         let n = self.num_averages.max(1);
         let mut acc = 0.0;
         for _ in 0..n {
-            acc += exact + self.noise_sigma * gaussian(rng);
+            acc += exact + self.noise_sigma * standard_normal(rng);
         }
         acc / n as f64
     }

@@ -1,6 +1,6 @@
 use std::fmt;
 
-/// Errors produced by dataset construction and I/O.
+/// Errors produced by dataset construction.
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum DataError {
@@ -24,13 +24,6 @@ pub enum DataError {
         features: usize,
         /// `height * width * channels` of the declared shape.
         shape_len: usize,
-    },
-    /// An I/O failure while reading or writing a dataset file.
-    Io(std::io::Error),
-    /// A malformed IDX file.
-    InvalidIdx {
-        /// What was wrong with it.
-        reason: String,
     },
     /// A split fraction or index was out of range.
     InvalidSplit {
@@ -57,8 +50,6 @@ impl fmt::Display for DataError {
                 f,
                 "feature dimension {features} does not match image shape length {shape_len}"
             ),
-            DataError::Io(e) => write!(f, "i/o error: {e}"),
-            DataError::InvalidIdx { reason } => write!(f, "invalid idx file: {reason}"),
             DataError::InvalidSplit { at, len } => {
                 write!(f, "split boundary {at} out of range for {len} samples")
             }
@@ -66,20 +57,7 @@ impl fmt::Display for DataError {
     }
 }
 
-impl std::error::Error for DataError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            DataError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for DataError {
-    fn from(e: std::io::Error) -> Self {
-        DataError::Io(e)
-    }
-}
+impl std::error::Error for DataError {}
 
 #[cfg(test)]
 mod tests {
@@ -92,16 +70,5 @@ mod tests {
             labels: 4,
         };
         assert!(e.to_string().contains('3'));
-        let e = DataError::InvalidIdx {
-            reason: "bad magic".into(),
-        };
-        assert!(e.to_string().contains("bad magic"));
-    }
-
-    #[test]
-    fn io_error_has_source() {
-        use std::error::Error;
-        let e = DataError::from(std::io::Error::other("x"));
-        assert!(e.source().is_some());
     }
 }

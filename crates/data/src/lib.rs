@@ -20,8 +20,6 @@
 //! * [`Dataset`] — samples-by-features matrix plus integer labels, with
 //!   one-hot targets, splits, shuffles and batching.
 //! * [`Image`] and [`ImageShape`] — spatial views over flat feature rows.
-//! * [`idx`] — the IDX binary format (MNIST's container), so real data can
-//!   drop in where available.
 //!
 //! # Example
 //!
@@ -39,7 +37,6 @@
 
 mod dataset;
 mod error;
-pub mod idx;
 mod image;
 pub mod synth;
 

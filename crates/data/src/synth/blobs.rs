@@ -1,10 +1,9 @@
 //! Gaussian-blob toy dataset for fast unit and integration tests.
 
 use crate::Dataset;
-use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use xbar_linalg::Matrix;
+use xbar_linalg::{standard_normal, Matrix};
 
 /// Builder for an isotropic Gaussian-blob classification dataset with
 /// features squashed into `[0, 1]` (so it can stand in for image-like
@@ -79,9 +78,7 @@ impl BlobsConfig {
             labels.push(class);
             let row = inputs.row_mut(i);
             for (j, v) in row.iter_mut().enumerate() {
-                let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-                let u2: f64 = rng.gen_range(0.0..1.0);
-                let n = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+                let n = standard_normal(&mut rng);
                 *v = (centers[(class, j)] + self.spread * n).clamp(0.0, 1.0);
             }
         }

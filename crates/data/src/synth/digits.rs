@@ -21,6 +21,7 @@ use crate::{Dataset, Image, ImageShape};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use xbar_linalg::standard_normal;
 
 /// Canvas side length (matches MNIST).
 pub const SIDE: usize = 28;
@@ -259,11 +260,7 @@ impl DigitsConfig {
         render_strokes(&mut img, &glyph(digit), &transform, sigma);
         if self.noise_std > 0.0 {
             for v in img.as_mut_slice() {
-                // Box-Muller pair, using one value.
-                let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-                let u2: f64 = rng.gen_range(0.0..1.0);
-                let n = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-                *v += self.noise_std * n;
+                *v += self.noise_std * standard_normal(rng);
             }
         }
         img.clamp(0.0, 1.0);

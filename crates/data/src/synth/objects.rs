@@ -20,7 +20,7 @@ use crate::{Dataset, ImageShape};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use xbar_linalg::Matrix;
+use xbar_linalg::{standard_normal, Matrix};
 
 /// Canvas side length (matches CIFAR-10).
 pub const SIDE: usize = 32;
@@ -226,10 +226,7 @@ impl ObjectsConfig {
                     let tex: f64 = texture.iter().map(|w| w.eval(x, y)).sum();
                     for ch in 0..CHANNELS {
                         let proto = prototypes[class].eval_jittered(ch, x, y, &phase_offsets);
-                        let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-                        let u2: f64 = rng.gen_range(0.0..1.0);
-                        let noise =
-                            (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+                        let noise = standard_normal(&mut rng);
                         // Mix, squash into [0,1].
                         let v = self.class_signal * proto * 0.35
                             + (1.0 - self.class_signal) * tex * chan_gain[ch] * 0.25

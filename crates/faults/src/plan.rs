@@ -7,6 +7,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use xbar_crossbar::array::CrossbarArray;
+use xbar_linalg::standard_normal;
 
 use crate::spec::FaultSpec;
 use crate::{FaultsError, Result};
@@ -23,14 +24,6 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
-}
-
-/// Same Box–Muller transform the crossbar device model uses for its
-/// programming noise, reproduced here so fault draws stay self-contained.
-pub(crate) fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 /// The deterministic keying for one trial's fault draws.
@@ -237,7 +230,7 @@ impl FaultSpec {
             let mut rng = root.clone();
             rng.set_stream(d as u64);
             let u: f64 = rng.gen_range(0.0..1.0);
-            let z_var = gaussian(&mut rng);
+            let z_var = standard_normal(&mut rng);
             let kind = if u < self.stuck_on_rate {
                 plan.stuck_on += 1;
                 StuckKind::On
@@ -254,7 +247,7 @@ impl FaultSpec {
                 1.0
             });
             if let DriftExponents::PerDevice(nu) = &mut plan.drift_nu {
-                nu.push(self.drift_nu * (self.drift_sigma * gaussian(&mut rng)).exp());
+                nu.push(self.drift_nu * (self.drift_sigma * standard_normal(&mut rng)).exp());
             }
         }
         plan.line_scale = (0..inputs)

@@ -31,7 +31,7 @@ use crate::{FaultsError, Result};
 ///   `j`. Line 0 sits at the driver and is never attenuated.
 ///
 /// When serialised as a JSON document for `--faults`, all seven fields
-/// must be present (see [`FaultSpec::from_json_value`] for the lenient
+/// must be present (see [`FaultSpec::from_json_str`] for the lenient
 /// loader that fills omitted fields with zero).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FaultSpec {
@@ -177,21 +177,10 @@ impl FaultSpec {
         Ok(())
     }
 
-    /// Loads a spec from a parsed JSON document, treating omitted
-    /// fields as zero and rejecting unknown keys (the strict derive
-    /// requires every field; config files get this lenient loader so
-    /// `{"stuck_off_rate": 0.05}` is a valid spec).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FaultsError::BadSpecFile`] for non-objects, unknown
-    /// keys, or non-numeric values, and propagates
-    /// [`FaultSpec::validate`].
-    pub fn from_json_value(value: &Value) -> Result<FaultSpec> {
-        FaultSpec::load_fields(value, &|_key| String::new())
-    }
-
-    /// Parses a JSON string via [`FaultSpec::from_json_value`].
+    /// Loads a spec from JSON text, treating omitted fields as zero and
+    /// rejecting unknown keys (the strict derive requires every field;
+    /// config files get this lenient loader so `{"stuck_off_rate": 0.05}`
+    /// is a valid spec).
     ///
     /// Errors carry source locations: malformed JSON reports the line
     /// and column of the parse failure, and unknown or non-numeric
@@ -200,21 +189,17 @@ impl FaultSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`FaultsError::BadSpecFile`] on malformed JSON and
-    /// everything [`FaultSpec::from_json_value`] rejects.
+    /// Returns [`FaultsError::BadSpecFile`] for malformed JSON,
+    /// non-objects, unknown keys, or non-numeric values, and propagates
+    /// [`FaultSpec::validate`].
     pub fn from_json_str(text: &str) -> Result<FaultSpec> {
         let value = serde_json::parse_value(text).map_err(|e| FaultsError::BadSpecFile {
             reason: describe_parse_error(text, &e.to_string()),
         })?;
-        FaultSpec::load_fields(&value, &|key| match key_line(text, key) {
+        let locate = |key: &str| match key_line(text, key) {
             Some(line) => format!(" (line {line})"),
             None => String::new(),
-        })
-    }
-
-    /// Shared lenient-loader body. `locate` renders a source-location
-    /// suffix for a key (empty when no source text is available).
-    fn load_fields(value: &Value, locate: &dyn Fn(&str) -> String) -> Result<FaultSpec> {
+        };
         let fields = value.as_object().ok_or_else(|| FaultsError::BadSpecFile {
             reason: format!("expected an object, got {}", value.type_name()),
         })?;

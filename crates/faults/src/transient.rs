@@ -23,8 +23,9 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use xbar_crossbar::array::CrossbarArray;
+use xbar_linalg::standard_normal;
 
-use crate::plan::{gaussian, splitmix64, FaultKey};
+use crate::plan::{splitmix64, FaultKey};
 use crate::{FaultsError, Result};
 
 /// Domain-separation constant for transient draws. Distinct from the
@@ -139,7 +140,7 @@ impl TransientSpec {
             rng.set_stream(idx as u64);
             // Fixed draw order per device; both always consumed.
             let u: f64 = rng.gen_range(0.0..1.0);
-            let z = gaussian(&mut rng);
+            let z = standard_normal(&mut rng);
             if u < self.flip_rate {
                 flips += 1;
                 return if u < self.flip_rate / 2.0 {

@@ -100,15 +100,6 @@ impl ChainResult {
     pub fn dim_series(&self, dim: usize) -> Vec<f64> {
         self.draws.iter().map(|d| d[dim]).collect()
     }
-
-    /// Fraction of transitions accepted.
-    pub fn acceptance_rate(&self) -> f64 {
-        if self.steps == 0 {
-            0.0
-        } else {
-            self.accepted as f64 / self.steps as f64
-        }
-    }
 }
 
 /// Runs one chain to completion.
@@ -282,7 +273,7 @@ mod tests {
         assert_eq!(result.draws.len(), 30);
         assert_eq!(result.steps, 20 + 30 * 4);
         assert_eq!(result.dim_series(0).len(), 30);
-        assert!(result.acceptance_rate() > 0.0);
+        assert!(result.accepted > 0);
     }
 
     #[test]

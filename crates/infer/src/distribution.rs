@@ -7,19 +7,12 @@
 
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
+use xbar_linalg::standard_normal;
 
 use crate::error::InferError;
 use crate::Result;
 
 const LN_SQRT_2PI: f64 = 0.918_938_533_204_672_7;
-
-/// Standard normal sample via Box–Muller (the same construction the
-/// crossbar device model uses for read noise).
-pub(crate) fn gaussian(rng: &mut ChaCha8Rng) -> f64 {
-    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-}
 
 /// A univariate distribution: log-density plus deterministic sampling
 /// from a caller-supplied ChaCha8 stream.
@@ -71,7 +64,7 @@ impl Distribution for Normal {
     }
 
     fn sample(&self, rng: &mut ChaCha8Rng) -> f64 {
-        self.mean + self.sigma * gaussian(rng)
+        self.mean + self.sigma * standard_normal(rng)
     }
 
     fn mean(&self) -> f64 {
@@ -80,49 +73,6 @@ impl Distribution for Normal {
 
     fn variance(&self) -> f64 {
         self.sigma * self.sigma
-    }
-}
-
-/// Log-normal distribution: `ln X ~ N(mu, sigma²)`, support `x > 0`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LogNormal {
-    mu: f64,
-    sigma: f64,
-}
-
-impl LogNormal {
-    /// Validates `sigma > 0` (finite) and a finite log-location `mu`.
-    pub fn new(mu: f64, sigma: f64) -> Result<Self> {
-        if !mu.is_finite() {
-            return Err(InferError::InvalidParameter { name: "mu" });
-        }
-        if !(sigma.is_finite() && sigma > 0.0) {
-            return Err(InferError::InvalidParameter { name: "sigma" });
-        }
-        Ok(LogNormal { mu, sigma })
-    }
-}
-
-impl Distribution for LogNormal {
-    fn log_density(&self, x: f64) -> f64 {
-        if x <= 0.0 {
-            return f64::NEG_INFINITY;
-        }
-        let z = (x.ln() - self.mu) / self.sigma;
-        -0.5 * z * z - x.ln() - self.sigma.ln() - LN_SQRT_2PI
-    }
-
-    fn sample(&self, rng: &mut ChaCha8Rng) -> f64 {
-        (self.mu + self.sigma * gaussian(rng)).exp()
-    }
-
-    fn mean(&self) -> f64 {
-        (self.mu + 0.5 * self.sigma * self.sigma).exp()
-    }
-
-    fn variance(&self) -> f64 {
-        let s2 = self.sigma * self.sigma;
-        (s2.exp() - 1.0) * (2.0 * self.mu + s2).exp()
     }
 }
 
@@ -174,8 +124,6 @@ impl Distribution for Uniform {
 pub enum Prior {
     /// Gaussian prior (the only kind elliptical slice sampling accepts).
     Normal(Normal),
-    /// Log-normal prior (positive support, e.g. norms known-positive).
-    LogNormal(LogNormal),
     /// Uniform prior on an interval.
     Uniform(Uniform),
 }
@@ -184,11 +132,6 @@ impl Prior {
     /// Gaussian prior shortcut.
     pub fn normal(mean: f64, sigma: f64) -> Result<Self> {
         Ok(Prior::Normal(Normal::new(mean, sigma)?))
-    }
-
-    /// Log-normal prior shortcut.
-    pub fn log_normal(mu: f64, sigma: f64) -> Result<Self> {
-        Ok(Prior::LogNormal(LogNormal::new(mu, sigma)?))
     }
 
     /// Uniform prior shortcut.
@@ -209,7 +152,6 @@ impl Distribution for Prior {
     fn log_density(&self, x: f64) -> f64 {
         match self {
             Prior::Normal(d) => d.log_density(x),
-            Prior::LogNormal(d) => d.log_density(x),
             Prior::Uniform(d) => d.log_density(x),
         }
     }
@@ -217,7 +159,6 @@ impl Distribution for Prior {
     fn sample(&self, rng: &mut ChaCha8Rng) -> f64 {
         match self {
             Prior::Normal(d) => d.sample(rng),
-            Prior::LogNormal(d) => d.sample(rng),
             Prior::Uniform(d) => d.sample(rng),
         }
     }
@@ -225,7 +166,6 @@ impl Distribution for Prior {
     fn mean(&self) -> f64 {
         match self {
             Prior::Normal(d) => d.mean(),
-            Prior::LogNormal(d) => d.mean(),
             Prior::Uniform(d) => d.mean(),
         }
     }
@@ -233,7 +173,6 @@ impl Distribution for Prior {
     fn variance(&self) -> f64 {
         match self {
             Prior::Normal(d) => d.variance(),
-            Prior::LogNormal(d) => d.variance(),
             Prior::Uniform(d) => d.variance(),
         }
     }
@@ -269,16 +208,6 @@ mod tests {
     }
 
     #[test]
-    fn lognormal_support_and_density() {
-        let d = LogNormal::new(0.0, 1.0).unwrap();
-        assert_eq!(d.log_density(0.0), f64::NEG_INFINITY);
-        assert_eq!(d.log_density(-1.0), f64::NEG_INFINITY);
-        // At x = 1 (ln x = mu): density 1/(x sigma sqrt(2pi)).
-        let expect = -(0.5 * (2.0 * std::f64::consts::PI).ln());
-        assert!((d.log_density(1.0) - expect).abs() < 1e-12);
-    }
-
-    #[test]
     fn uniform_density_is_flat_inside_support() {
         let d = Uniform::new(-1.0, 3.0).unwrap();
         assert!((d.log_density(0.0) - (-(4.0f64).ln())).abs() < 1e-12);
@@ -290,9 +219,8 @@ mod tests {
     #[test]
     fn sample_moments_match_declared_moments() {
         let n = 40_000;
-        let cases: [Prior; 3] = [
+        let cases: [Prior; 2] = [
             Prior::normal(2.0, 0.5).unwrap(),
-            Prior::log_normal(0.0, 0.25).unwrap(),
             Prior::uniform(-1.0, 2.0).unwrap(),
         ];
         for prior in cases {
@@ -334,7 +262,6 @@ mod tests {
         assert!(Normal::new(f64::NAN, 1.0).is_err());
         assert!(Normal::new(0.0, 0.0).is_err());
         assert!(Normal::new(0.0, -1.0).is_err());
-        assert!(LogNormal::new(0.0, f64::INFINITY).is_err());
         assert!(Uniform::new(1.0, 1.0).is_err());
         assert!(Uniform::new(2.0, -2.0).is_err());
     }
@@ -343,6 +270,5 @@ mod tests {
     fn gaussian_detection() {
         assert!(Prior::normal(0.0, 1.0).unwrap().as_gaussian().is_some());
         assert!(Prior::uniform(0.0, 1.0).unwrap().as_gaussian().is_none());
-        assert!(Prior::log_normal(0.0, 1.0).unwrap().as_gaussian().is_none());
     }
 }

@@ -14,7 +14,7 @@
 //!
 //! * [`distribution`] — a [`Distribution`] trait (log-density +
 //!   deterministic sampling from a caller-supplied ChaCha8 stream) with
-//!   [`Normal`], [`LogNormal`], and [`Uniform`] instances, wrapped by
+//!   [`Normal`] and [`Uniform`] instances, wrapped by
 //!   the [`Prior`] enum the samplers consume.
 //! * [`mcmc`] — the [`BayesModel`] trait and the two transition
 //!   [`Kernel`]s: random-walk Metropolis–Hastings and elliptical slice
@@ -26,9 +26,9 @@
 //!   `xbar_linalg::par`, the same fan-out as the crossbar's tiled
 //!   backend).
 //! * [`likelihood`] — the power-observation likelihood:
-//!   [`PowerObservations`] wraps `Oracle::query_batch` /
-//!   `Oracle::observe_batch_keyed`, so inference composes with faults,
-//!   transients, drift, and defenses exactly like every other attack;
+//!   [`PowerObservations`] wraps `Oracle::query_batch`, so inference
+//!   composes with faults, transients, drift, and defenses exactly
+//!   like every other attack;
 //!   [`NormPosterior`] is the Bayesian model `power(u) = ⟨u, ν⟩ + ε`.
 //! * [`screen`] — the exact-outcome screen elliptical slice asks
 //!   before evaluating a proposal: a per-transition quadratic of
@@ -90,7 +90,7 @@ pub mod posterior;
 pub mod screen;
 
 pub use chain::{run_chain, run_chains, ChainConfig, ChainResult};
-pub use distribution::{Distribution, LogNormal, Normal, Prior, Uniform};
+pub use distribution::{Distribution, Normal, Prior, Uniform};
 pub use error::InferError;
 pub use likelihood::{estimate_noise_sigma, random_design, NormPosterior, PowerObservations};
 pub use mcmc::{BayesModel, Kernel};

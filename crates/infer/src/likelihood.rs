@@ -5,19 +5,17 @@
 //! Every calibrated power reading is linear in the victim's column
 //! 1-norms: `power(u) = ⟨u, ν⟩` plus measurement noise (paper Eq. 5).
 //! [`PowerObservations`] collects a design matrix worth of readings
-//! through the oracle's front door — [`Oracle::query_batch`] for
-//! budgeted sessions, [`Oracle::observe_batch_keyed`] for keyed
-//! non-mutating observation — so inference composes with faults,
-//! transients, drift, and defenses exactly like every other attack in
-//! the workspace. [`NormPosterior`] is then the textbook
+//! through the oracle's budgeted front door, [`Oracle::query_batch`],
+//! so inference composes with faults, transients, drift, and defenses
+//! exactly like every other attack in the workspace. [`NormPosterior`] is then the textbook
 //! linear-Gaussian model over a chosen subset of columns.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use xbar_core::oracle::{Oracle, QueryKey};
+use xbar_core::oracle::Oracle;
 use xbar_linalg::Matrix;
 
-use crate::distribution::{Distribution, Prior};
+use crate::distribution::Prior;
 use crate::error::InferError;
 use crate::mcmc::BayesModel;
 use crate::screen::{EllipseScreen, RowSums, ScreenBase, StepSums};
@@ -50,39 +48,6 @@ impl PowerObservations {
         Ok(PowerObservations {
             inputs: design.clone(),
             powers: records.iter().map(|r| r.observation.power).collect(),
-        })
-    }
-
-    /// Collects one power reading per design row through
-    /// [`Oracle::observe_batch_keyed`]: non-mutating, with noise keyed
-    /// by `(stream_seed, base_index + row)` — the multi-tenant entry
-    /// point, for observing a deployed oracle without spending its
-    /// budget or owning `&mut` access.
-    ///
-    /// # Errors
-    ///
-    /// [`InferError::Oracle`] if the oracle is drifting or the inputs
-    /// are malformed.
-    pub fn collect_keyed(
-        oracle: &Oracle,
-        design: &Matrix,
-        stream_seed: u64,
-        base_index: u64,
-    ) -> Result<Self> {
-        let refs: Vec<&[f64]> = design.rows_iter().collect();
-        let keys: Vec<QueryKey> = (0..refs.len())
-            .map(|i| QueryKey::new(stream_seed, base_index + i as u64))
-            .collect();
-        let observations = oracle
-            .observe_batch_keyed(&refs, &keys)
-            .map_err(|e| InferError::Oracle(e.to_string()))?;
-        xbar_obs::count(
-            xbar_obs::names::INFER_OBSERVATION,
-            observations.len() as u64,
-        );
-        Ok(PowerObservations {
-            inputs: design.clone(),
-            powers: observations.iter().map(|o| o.power).collect(),
         })
     }
 
@@ -370,28 +335,6 @@ impl NormPosterior {
         self.noise_sigma
     }
 
-    /// Per-dimension random-walk proposal scales matched to the
-    /// posterior geometry: `2.4/√k` times the per-dimension posterior
-    /// standard deviation implied by the design (the classic
-    /// Roberts–Rosenthal scaling). Purely a function of the design,
-    /// noise scale, and priors — no adaptation, so determinism holds.
-    pub fn suggested_rw_steps(&self) -> Vec<f64> {
-        let k = self.subset.len() as f64;
-        let scale = 2.4 / k.sqrt();
-        (0..self.subset.len())
-            .map(|j| {
-                let mut data_precision = 0.0;
-                for b in 0..self.design.rows() {
-                    let u = self.design[(b, j)];
-                    data_precision += u * u;
-                }
-                data_precision /= self.noise_sigma * self.noise_sigma;
-                let prior_precision = 1.0 / self.priors[j].variance();
-                scale / (data_precision + prior_precision).sqrt()
-            })
-            .collect()
-    }
-
     /// Scatters a subset-ordered vector (e.g. posterior means) into a
     /// full `input_dim`-length vector with zeros elsewhere — the shape
     /// the norm-guided pixel attacks consume.
@@ -573,23 +516,6 @@ mod tests {
     }
 
     #[test]
-    fn keyed_collection_matches_the_budgeted_stream() {
-        // Two deployments of the same seed are the same hardware with
-        // the same noise streams; keyed observation with the
-        // deployment's own (seed, index) keys must reproduce
-        // query_batch bit for bit.
-        let design = random_design(5, 3, None, 9).unwrap();
-        let mut budgeted = oracle(0.1, 33);
-        let via_query = PowerObservations::collect(&mut budgeted, &design).unwrap();
-        let keyed_oracle = oracle(0.1, 33);
-        let via_keys = PowerObservations::collect_keyed(&keyed_oracle, &design, 33, 0).unwrap();
-        assert_eq!(via_query.powers, via_keys.powers);
-        // A different stream seed gives different noise.
-        let other = PowerObservations::collect_keyed(&keyed_oracle, &design, 34, 0).unwrap();
-        assert_ne!(via_query.powers, other.powers);
-    }
-
-    #[test]
     fn noise_estimate_tracks_the_configured_noise() {
         let mut quiet = oracle(0.0, 5);
         let probe = vec![0.5, 0.5, 0.5];
@@ -662,29 +588,5 @@ mod tests {
         let full = model.scatter(&[9.0, 8.0]).unwrap();
         assert_eq!(full, vec![8.0, 0.0, 9.0]);
         assert!(model.scatter(&[1.0]).is_err());
-    }
-
-    #[test]
-    fn suggested_steps_shrink_with_more_data() {
-        let mut o = oracle(0.1, 8);
-        let priors = vec![Prior::normal(1.0, 1.0).unwrap(); 3];
-        let small = {
-            let d = random_design(4, 3, None, 19).unwrap();
-            let obs = PowerObservations::collect(&mut o, &d).unwrap();
-            NormPosterior::new(&obs, &[0, 1, 2], priors.clone(), 0.1).unwrap()
-        };
-        let large = {
-            let d = random_design(64, 3, None, 19).unwrap();
-            let obs = PowerObservations::collect(&mut o, &d).unwrap();
-            NormPosterior::new(&obs, &[0, 1, 2], priors, 0.1).unwrap()
-        };
-        for (s, l) in small
-            .suggested_rw_steps()
-            .iter()
-            .zip(large.suggested_rw_steps())
-        {
-            assert!(l < *s, "more observations must tighten the proposal");
-            assert!(*s > 0.0 && s.is_finite());
-        }
     }
 }

@@ -17,8 +17,9 @@
 
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
+use xbar_linalg::standard_normal;
 
-use crate::distribution::{gaussian, Distribution, Prior};
+use crate::distribution::{Distribution, Prior};
 use crate::error::InferError;
 use crate::screen::EllipseScreen;
 use crate::Result;
@@ -187,7 +188,7 @@ pub(crate) fn rwm_step<M: BayesModel + ?Sized>(
             .theta
             .iter()
             .zip(steps)
-            .map(|(&x, &s)| x + s * gaussian(rng)),
+            .map(|(&x, &s)| x + s * standard_normal(rng)),
     );
     let log_post = model.log_posterior(&state.proposal);
     // Accept with probability min(1, exp(delta)); the comparison is in
@@ -228,9 +229,12 @@ pub(crate) fn ess_step<M: BayesModel + ?Sized>(
 ) -> StepStats {
     // The auxiliary ellipse: nu ~ N(0, prior covariance).
     state.nu.clear();
-    state
-        .nu
-        .extend(state.sigmas.iter().map(|&sigma| sigma * gaussian(rng)));
+    state.nu.extend(
+        state
+            .sigmas
+            .iter()
+            .map(|&sigma| sigma * standard_normal(rng)),
+    );
     let screen = model.ellipse_screen(&state.theta, &state.nu);
 
     let log_y = state.cached + rng.gen_range(0.0f64..1.0).ln();

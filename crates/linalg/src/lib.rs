@@ -6,7 +6,8 @@
 //! layer, and the attack library need, implemented from scratch:
 //!
 //! * [`Matrix`] — a dense, row-major, `f64` matrix with elementwise ops,
-//!   (row-parallel) matrix multiplication, norms, stacking and slicing.
+//!   (row-parallel) matrix multiplication, norms and slicing; and
+//!   [`standard_normal`], the workspace's one scalar Gaussian draw.
 //! * [`par`] — the workspace's one data-parallel fan-out: thread-count
 //!   resolution and contiguous runs over scoped threads.
 //! * [`vec_ops`] — slice-level vector kernels (dot and its register-tiled
@@ -44,7 +45,7 @@ pub mod qr;
 pub mod vec_ops;
 
 pub use error::LinalgError;
-pub use matrix::Matrix;
+pub use matrix::{standard_normal, Matrix};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, LinalgError>;

@@ -23,6 +23,18 @@ where
     crate::par::for_each_run(&mut rows, threads, kernel);
 }
 
+/// One standard-normal draw by the Box–Muller transform, keeping only
+/// the cosine of the pair (avoids a `rand_distr` dependency). Device and
+/// measurement noise, fault variation, priors, MCMC proposals and the
+/// synthetic data generators all call this one copy; the committed
+/// artifacts depend on its exact expression, bit for bit.
+#[inline]
+pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
+    let u2: f64 = rng.gen_range(0.0..1.0);
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+}
+
 /// A dense, row-major matrix of `f64` values.
 ///
 /// This is the workhorse type of the whole workspace: datasets are stored as
@@ -138,25 +150,6 @@ impl Matrix {
             cols: v.len(),
             data: v.to_vec(),
         }
-    }
-
-    /// Creates a single-column matrix from a slice.
-    pub fn col_vector(v: &[f64]) -> Self {
-        Matrix {
-            rows: v.len(),
-            cols: 1,
-            data: v.to_vec(),
-        }
-    }
-
-    /// Creates a square matrix with `diag` on the main diagonal.
-    pub fn from_diag(diag: &[f64]) -> Self {
-        let n = diag.len();
-        let mut m = Matrix::zeros(n, n);
-        for (i, &d) in diag.iter().enumerate() {
-            m[(i, i)] = d;
-        }
-        m
     }
 
     /// Creates a matrix whose entries are drawn i.i.d. uniformly from
@@ -362,15 +355,6 @@ impl Matrix {
         })
     }
 
-    /// Elementwise (Hadamard) product.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if shapes differ.
-    pub fn hadamard(&self, other: &Matrix) -> Result<Matrix> {
-        self.zip_map(other, |a, b| a * b)
-    }
-
     /// Multiplies every element by `s` in place.
     pub fn scale_inplace(&mut self, s: f64) {
         for x in &mut self.data {
@@ -418,27 +402,9 @@ impl Matrix {
     ///
     /// # Panics
     ///
-    /// Panics if `self.cols() != other.rows()`. Use [`Matrix::checked_matmul`]
-    /// for a fallible variant.
+    /// Panics if `self.cols() != other.rows()`.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
-        self.checked_matmul(other)
-            .expect("matmul: inner dimensions must agree")
-    }
-
-    /// Fallible matrix-matrix product `self * other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if the inner dimensions
-    /// disagree.
-    pub fn checked_matmul(&self, other: &Matrix) -> Result<Matrix> {
-        if self.cols != other.rows {
-            return Err(LinalgError::DimensionMismatch {
-                op: "matmul",
-                lhs: self.shape(),
-                rhs: other.shape(),
-            });
-        }
+        assert_eq!(self.cols, other.rows, "matmul: inner dimensions must agree");
         let (m, k, n) = (self.rows, self.cols, other.cols);
         let mut out = vec![0.0; m * n];
         for_each_row_run(&mut out, n, |offset, run| {
@@ -455,11 +421,11 @@ impl Matrix {
                 }
             }
         });
-        Ok(Matrix {
+        Matrix {
             rows: m,
             cols: n,
             data: out,
-        })
+        }
     }
 
     /// Product with a transposed right-hand side: `self * otherᵀ`, where
@@ -592,27 +558,6 @@ impl Matrix {
         out
     }
 
-    /// The 2-norms of each column.
-    pub fn col_l2_norms(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.cols];
-        for row in self.rows_iter() {
-            for (o, &x) in out.iter_mut().zip(row) {
-                *o += x * x;
-            }
-        }
-        for o in &mut out {
-            *o = o.sqrt();
-        }
-        out
-    }
-
-    /// The 1-norms of each row.
-    pub fn row_l1_norms(&self) -> Vec<f64> {
-        self.rows_iter()
-            .map(|r| r.iter().map(|x| x.abs()).sum())
-            .collect()
-    }
-
     /// Frobenius norm.
     pub fn fro_norm(&self) -> f64 {
         self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
@@ -686,28 +631,6 @@ impl Matrix {
             cols: self.cols,
             data,
         }
-    }
-
-    /// Stacks `self` on top of `other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if the column counts differ.
-    pub fn vstack(&self, other: &Matrix) -> Result<Matrix> {
-        if self.cols != other.cols {
-            return Err(LinalgError::DimensionMismatch {
-                op: "vstack",
-                lhs: self.shape(),
-                rhs: other.shape(),
-            });
-        }
-        let mut data = self.data.clone();
-        data.extend_from_slice(&other.data);
-        Ok(Matrix {
-            rows: self.rows + other.rows,
-            cols: self.cols,
-            data,
-        })
     }
 
     /// Places `other` to the right of `self`.
@@ -974,13 +897,9 @@ mod tests {
     }
 
     #[test]
-    fn checked_matmul_rejects_mismatch() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(4, 2);
-        assert!(matches!(
-            a.checked_matmul(&b),
-            Err(LinalgError::DimensionMismatch { op: "matmul", .. })
-        ));
+    #[should_panic(expected = "matmul: inner dimensions must agree")]
+    fn matmul_panics_on_mismatch() {
+        Matrix::zeros(2, 3).matmul(&Matrix::zeros(4, 2));
     }
 
     #[test]
@@ -989,7 +908,7 @@ mod tests {
         let a = Matrix::random_uniform(6, 4, -1.0, 1.0, &mut r);
         let v: Vec<f64> = (0..4).map(|i| i as f64 + 0.5).collect();
         let got = a.matvec(&v);
-        let want = a.matmul(&Matrix::col_vector(&v));
+        let want = a.matmul(&Matrix::from_vec(4, 1, v.clone()));
         for (i, &g) in got.iter().enumerate() {
             assert!((g - want[(i, 0)]).abs() < 1e-12);
         }
@@ -1067,20 +986,6 @@ mod tests {
     }
 
     #[test]
-    fn col_l2_norms_known() {
-        let m = Matrix::from_rows(&[&[3.0, 0.0], &[4.0, 2.0]]);
-        let n = m.col_l2_norms();
-        assert!((n[0] - 5.0).abs() < 1e-12);
-        assert!((n[1] - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn row_l1_norms_known() {
-        let m = Matrix::from_rows(&[&[1.0, -2.0], &[-3.0, 0.5]]);
-        assert_eq!(m.row_l1_norms(), vec![3.0, 3.5]);
-    }
-
-    #[test]
     fn fro_norm_and_max_abs() {
         let m = Matrix::from_rows(&[&[3.0, 0.0], &[0.0, -4.0]]);
         assert!((m.fro_norm() - 5.0).abs() < 1e-12);
@@ -1096,11 +1001,12 @@ mod tests {
     }
 
     #[test]
-    fn hadamard_and_zip_map() {
+    fn zip_map_checks_shapes() {
         let a = Matrix::from_rows(&[&[1.0, 2.0]]);
         let b = Matrix::from_rows(&[&[3.0, -1.0]]);
-        assert_eq!(a.hadamard(&b).unwrap(), Matrix::from_rows(&[&[3.0, -2.0]]));
-        assert!(a.hadamard(&Matrix::zeros(2, 2)).is_err());
+        let prod = a.zip_map(&b, |x, y| x * y).unwrap();
+        assert_eq!(prod, Matrix::from_rows(&[&[3.0, -2.0]]));
+        assert!(a.zip_map(&Matrix::zeros(2, 2), |x, y| x * y).is_err());
     }
 
     #[test]
@@ -1117,14 +1023,9 @@ mod tests {
         let a = Matrix::from_rows(&[&[1.0, 2.0]]);
         let b = Matrix::from_rows(&[&[3.0, 4.0]]);
         assert_eq!(
-            a.vstack(&b).unwrap(),
-            Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]])
-        );
-        assert_eq!(
             a.hstack(&b).unwrap(),
             Matrix::from_rows(&[&[1.0, 2.0, 3.0, 4.0]])
         );
-        assert!(a.vstack(&Matrix::zeros(1, 3)).is_err());
         assert!(a.hstack(&Matrix::zeros(2, 1)).is_err());
     }
 
@@ -1141,6 +1042,21 @@ mod tests {
         assert_eq!(c, Matrix::from_rows(&[&[1.5, 1.0]]));
         c -= &b;
         assert!(c.approx_eq(&a, 1e-12));
+    }
+
+    #[test]
+    fn standard_normal_matches_the_inline_box_muller_bit_for_bit() {
+        // Known answer: the expression every caller used to inline.
+        let mut inline = ChaCha8Rng::seed_from_u64(0x5EED);
+        let mut shared = ChaCha8Rng::seed_from_u64(0x5EED);
+        for _ in 0..4096 {
+            let u1: f64 = inline.gen_range(f64::EPSILON..1.0);
+            let u2: f64 = inline.gen_range(0.0..1.0);
+            let want = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+            assert_eq!(standard_normal(&mut shared).to_bits(), want.to_bits());
+        }
+        // Both streams consumed the same number of words.
+        assert_eq!(inline.gen::<u64>(), shared.gen::<u64>());
     }
 
     #[test]
@@ -1164,13 +1080,6 @@ mod tests {
         assert!(s.contains("Matrix 1x1"));
         let e = format!("{:?}", Matrix::default());
         assert!(!e.is_empty());
-    }
-
-    #[test]
-    fn from_diag_builds_diagonal() {
-        let d = Matrix::from_diag(&[1.0, 2.0, 3.0]);
-        assert_eq!(d[(1, 1)], 2.0);
-        assert_eq!(d[(0, 1)], 0.0);
     }
 
     #[test]

@@ -233,15 +233,6 @@ impl QrDecomposition {
     }
 }
 
-/// Convenience wrapper: least-squares solve `min_x ‖A x - b‖₂` via QR.
-///
-/// # Errors
-///
-/// See [`QrDecomposition::new`] and [`QrDecomposition::solve`].
-pub fn lstsq(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
-    QrDecomposition::new(a)?.solve(b)
-}
-
 /// Convenience wrapper: least-squares solve with a matrix right-hand side.
 ///
 /// This is the computation behind the paper's Section IV remark that with
@@ -302,7 +293,10 @@ mod tests {
     fn solve_square_exact() {
         let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]]);
         // x = [1, 2] -> b = [4, 7]
-        let x = lstsq(&a, &[4.0, 7.0]).unwrap();
+        let x = QrDecomposition::new(&a)
+            .unwrap()
+            .solve(&[4.0, 7.0])
+            .unwrap();
         assert!((x[0] - 1.0).abs() < 1e-10);
         assert!((x[1] - 2.0).abs() < 1e-10);
     }
@@ -313,7 +307,7 @@ mod tests {
         let a = Matrix::random_uniform(50, 8, -1.0, 1.0, &mut r);
         let x_true: Vec<f64> = (0..8).map(|i| (i as f64) - 3.5).collect();
         let b = a.matvec(&x_true);
-        let x = lstsq(&a, &b).unwrap();
+        let x = QrDecomposition::new(&a).unwrap().solve(&b).unwrap();
         for (got, want) in x.iter().zip(&x_true) {
             assert!((got - want).abs() < 1e-8, "got {got}, want {want}");
         }
@@ -334,7 +328,7 @@ mod tests {
         let mut r = rng();
         let a = Matrix::random_uniform(25, 4, -1.0, 1.0, &mut r);
         let b: Vec<f64> = (0..25).map(|i| (i as f64).cos()).collect();
-        let x = lstsq(&a, &b).unwrap();
+        let x = QrDecomposition::new(&a).unwrap().solve(&b).unwrap();
         let ax = a.matvec(&x);
         let resid: Vec<f64> = b.iter().zip(&ax).map(|(&bi, &ai)| bi - ai).collect();
         // Aᵀ r ≈ 0 is the normal-equation optimality condition.

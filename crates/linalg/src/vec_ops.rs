@@ -137,18 +137,6 @@ pub fn norm2(x: &[f64]) -> f64 {
     x.iter().map(|v| v * v).sum::<f64>().sqrt()
 }
 
-/// 1-norm (sum of absolute values).
-#[inline]
-pub fn norm1(x: &[f64]) -> f64 {
-    x.iter().map(|v| v.abs()).sum()
-}
-
-/// Infinity norm (largest absolute value), `0.0` for the empty slice.
-#[inline]
-pub fn norm_inf(x: &[f64]) -> f64 {
-    x.iter().fold(0.0_f64, |m, &v| m.max(v.abs()))
-}
-
 /// Index of the largest element. Ties resolve to the first occurrence.
 ///
 /// # Panics
@@ -160,23 +148,6 @@ pub fn argmax(x: &[f64]) -> usize {
     let mut best = 0;
     for (i, &v) in x.iter().enumerate().skip(1) {
         if v > x[best] {
-            best = i;
-        }
-    }
-    best
-}
-
-/// Index of the smallest element. Ties resolve to the first occurrence.
-///
-/// # Panics
-///
-/// Panics if the slice is empty.
-#[inline]
-pub fn argmin(x: &[f64]) -> usize {
-    assert!(!x.is_empty(), "argmin of empty slice");
-    let mut best = 0;
-    for (i, &v) in x.iter().enumerate().skip(1) {
-        if v < x[best] {
             best = i;
         }
     }
@@ -375,20 +346,15 @@ mod tests {
     }
 
     #[test]
-    fn norms_known() {
+    fn norm2_known() {
         assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-12);
-        assert_eq!(norm1(&[1.0, -2.0, 3.0]), 6.0);
-        assert_eq!(norm_inf(&[1.0, -5.0, 3.0]), 5.0);
-        assert_eq!(norm_inf(&[]), 0.0);
     }
 
     #[test]
-    fn argmax_argmin_known() {
+    fn argmax_known() {
         assert_eq!(argmax(&[1.0, 3.0, 2.0]), 1);
-        assert_eq!(argmin(&[1.0, 3.0, -2.0]), 2);
         // Ties resolve to the first occurrence.
         assert_eq!(argmax(&[2.0, 2.0]), 0);
-        assert_eq!(argmin(&[2.0, 2.0]), 0);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! * [`train`] — minibatch SGD with momentum, weight decay and LR decay.
 //! * [`sensitivity`] — `∂L/∂u` input gradients (Eq. 7) and dataset-mean
 //!   sensitivity maps, the quantity Table I correlates with the 1-norms.
-//! * [`metrics`] — accuracy and confusion matrices.
+//! * [`metrics`] — classification accuracy.
 //!
 //! # Example
 //!

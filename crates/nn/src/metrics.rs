@@ -16,49 +16,6 @@ pub fn accuracy(predictions: &[usize], labels: &[usize]) -> f64 {
     correct as f64 / labels.len() as f64
 }
 
-/// Confusion matrix: `counts[true][predicted]`.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length or any value is `>= num_classes`.
-pub fn confusion_matrix(
-    predictions: &[usize],
-    labels: &[usize],
-    num_classes: usize,
-) -> Vec<Vec<usize>> {
-    assert_eq!(
-        predictions.len(),
-        labels.len(),
-        "confusion: length mismatch"
-    );
-    let mut m = vec![vec![0usize; num_classes]; num_classes];
-    for (&p, &l) in predictions.iter().zip(labels) {
-        assert!(
-            p < num_classes && l < num_classes,
-            "class index out of range"
-        );
-        m[l][p] += 1;
-    }
-    m
-}
-
-/// Per-class recall: `recall[c]` is the fraction of class-`c` samples
-/// predicted as `c` (NaN-free: classes with no samples report 0).
-pub fn per_class_recall(predictions: &[usize], labels: &[usize], num_classes: usize) -> Vec<f64> {
-    let cm = confusion_matrix(predictions, labels, num_classes);
-    cm.iter()
-        .enumerate()
-        .map(|(c, row)| {
-            let total: usize = row.iter().sum();
-            if total == 0 {
-                0.0
-            } else {
-                row[c] as f64 / total as f64
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -74,24 +31,5 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn accuracy_validates_lengths() {
         let _ = accuracy(&[0], &[0, 1]);
-    }
-
-    #[test]
-    fn confusion_matrix_known() {
-        let cm = confusion_matrix(&[0, 1, 1, 2], &[0, 1, 2, 2], 3);
-        assert_eq!(cm[0], vec![1, 0, 0]);
-        assert_eq!(cm[1], vec![0, 1, 0]);
-        assert_eq!(cm[2], vec![0, 1, 1]);
-        let total: usize = cm.iter().flatten().sum();
-        assert_eq!(total, 4);
-    }
-
-    #[test]
-    fn per_class_recall_known() {
-        let r = per_class_recall(&[0, 1, 1, 2], &[0, 1, 2, 2], 3);
-        assert_eq!(r, vec![1.0, 1.0, 0.5]);
-        // A class absent from the labels reports zero, not NaN.
-        let r = per_class_recall(&[0, 0], &[0, 0], 2);
-        assert_eq!(r[1], 0.0);
     }
 }

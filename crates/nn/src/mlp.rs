@@ -143,13 +143,6 @@ impl Mlp {
         self.layers.last().map_or(0, DenseLayer::num_outputs)
     }
 
-    /// The output activation.
-    pub fn output_activation(&self) -> Activation {
-        self.layers
-            .last()
-            .map_or(Activation::Identity, DenseLayer::activation)
-    }
-
     /// Forward pass returning per-layer `(preactivations, outputs)` caches;
     /// the last cache entry's outputs are the network outputs.
     fn forward_cached(&self, inputs: &Matrix) -> Result<Vec<(Matrix, Matrix)>> {
@@ -338,7 +331,6 @@ mod tests {
         assert_eq!(mlp.layers().len(), 2);
         assert_eq!(mlp.num_inputs(), 4);
         assert_eq!(mlp.num_outputs(), 3);
-        assert_eq!(mlp.output_activation(), Activation::Softmax);
     }
 
     #[test]

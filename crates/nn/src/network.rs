@@ -61,15 +61,6 @@ impl SingleLayerNet {
         }
     }
 
-    /// Creates an all-zero network (useful as a surrogate initial state).
-    pub fn new_zeros(inputs: usize, outputs: usize, activation: Activation) -> Self {
-        SingleLayerNet {
-            weights: Matrix::zeros(outputs, inputs),
-            bias: None,
-            activation,
-        }
-    }
-
     /// Enables a bias vector (initialised to zero).
     pub fn with_bias(mut self) -> Self {
         self.bias = Some(vec![0.0; self.weights.rows()]);
@@ -178,15 +169,6 @@ impl SingleLayerNet {
         Ok(s)
     }
 
-    /// Predicted label (argmax of the outputs) for one input.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::InputDimMismatch`] if `u` has the wrong length.
-    pub fn predict_one(&self, u: &[f64]) -> Result<usize> {
-        Ok(vec_ops::argmax(&self.forward_one(u)?))
-    }
-
     /// Predicted labels for a batch.
     ///
     /// # Errors
@@ -262,7 +244,6 @@ mod tests {
     #[test]
     fn predict_is_argmax() {
         let net = toy_net();
-        assert_eq!(net.predict_one(&[1.0, 1.0, 2.0]).unwrap(), 1);
         let labels = net
             .predict_batch(&Matrix::from_rows(&[&[1.0, 1.0, 2.0], &[1.0, -1.0, 0.0]]))
             .unwrap();
@@ -294,13 +275,5 @@ mod tests {
         let bound = 1.0 / 10.0;
         assert!(net.weights().as_slice().iter().all(|&w| w.abs() <= bound));
         assert!(net.weights().max_abs() > 0.0);
-    }
-
-    #[test]
-    fn zeros_init() {
-        let net = SingleLayerNet::new_zeros(4, 2, Activation::Identity);
-        assert_eq!(net.num_inputs(), 4);
-        assert_eq!(net.num_outputs(), 2);
-        assert_eq!(net.weights().max_abs(), 0.0);
     }
 }

@@ -31,7 +31,7 @@
 //! the latter.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use serde::{DeError, Deserialize, Serialize, Value};
 
@@ -421,8 +421,16 @@ impl MetricsShard {
         MetricsShard::default()
     }
 
+    /// The shard's scopes. A panic while the lock is held poisons it,
+    /// but no update leaves a half-written entry (each is a map insert
+    /// or whole-value adds), so recover the map rather than lose the
+    /// shard's telemetry.
+    fn lock(&self) -> MutexGuard<'_, BTreeMap<String, ScopeMetrics>> {
+        self.scopes.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn with<R>(&self, scope: &str, f: impl FnOnce(&mut ScopeMetrics) -> R) -> R {
-        let mut scopes = self.scopes.lock().expect("metrics shard lock");
+        let mut scopes = self.lock();
         if !scopes.contains_key(scope) {
             scopes.insert(scope.to_owned(), ScopeMetrics::default());
         }
@@ -451,8 +459,7 @@ impl MetricsShard {
     /// Removes and returns everything recorded under `scope` (empty if
     /// nothing was).
     pub fn take_scope(&self, scope: &str) -> ScopeMetrics {
-        let mut scopes = self.scopes.lock().expect("metrics shard lock");
-        scopes.remove(scope).unwrap_or_default()
+        self.lock().remove(scope).unwrap_or_default()
     }
 }
 
@@ -502,7 +509,7 @@ impl MetricsRegistry {
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut scopes: BTreeMap<String, ScopeMetrics> = BTreeMap::new();
         for shard in &self.shards {
-            for (scope, metrics) in shard.scopes.lock().expect("metrics shard lock").iter() {
+            for (scope, metrics) in shard.lock().iter() {
                 match scopes.get_mut(scope) {
                     Some(merged) => merged.merge(metrics),
                     None => {
@@ -758,6 +765,25 @@ mod tests {
         }
         solo.gauge_set(SERVER_SCOPE, names::SERVE_ATTACHED_SESSIONS, 4.0);
         assert_eq!(solo.snapshot(), snapshot);
+    }
+
+    #[test]
+    fn a_panic_inside_a_shard_update_leaves_the_shard_usable() {
+        let registry = MetricsRegistry::new(1);
+        let shard = registry.shard(0);
+        shard.counter_add("mnist", names::SERVE_QUERIES, 2);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            shard.with("mnist", |_| panic!("recording failed"));
+        }));
+        assert!(panicked.is_err());
+        assert!(shard.scopes.is_poisoned());
+        shard.counter_add("mnist", names::SERVE_QUERIES, 3);
+        shard.record("mnist", names::SERVE_REQUEST_NS, 7);
+        let snapshot = registry.snapshot();
+        let mnist = snapshot.scope("mnist").unwrap();
+        assert_eq!(mnist.counter(names::SERVE_QUERIES), 5);
+        assert_eq!(mnist.histogram(names::SERVE_REQUEST_NS).unwrap().count(), 1);
+        assert_eq!(shard.take_scope("mnist").counter(names::SERVE_QUERIES), 5);
     }
 
     #[test]

@@ -79,7 +79,8 @@ pub mod codes {
 ///   `victim` + `seed` (required for a new session), `budget`
 ///   (optional, `None` = unlimited).
 /// * `"query"` — issue a batch: `session` + non-empty `inputs`.
-/// * `"close"` — detach a session (its state persists for resume).
+/// * `"close"` — release this connection's hold on a session; the
+///   last hold's release detaches it (its state persists for resume).
 /// * `"stats"` — scrape the live metrics. Read-only: consumes no
 ///   budget, needs no session, and is admitted even when the session
 ///   table is full or the server is draining. `format` selects the

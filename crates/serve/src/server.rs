@@ -293,8 +293,9 @@ fn handle_connection(stream: TcpStream, shared: &Shared, shard: &Arc<MetricsShar
     };
     let mut reader = BufReader::new(stream);
     let mut buf = Vec::new();
-    // Sessions this connection attached, detached when it goes away so
-    // their admission slots free up (state persists for resume).
+    // Sessions this connection holds, released when it goes away so
+    // admission slots free up once no connection holds a session (state
+    // persists for resume).
     let mut attached: Vec<String> = Vec::new();
     while let Some(line) = read_request_line(&mut reader, shared.max_line_bytes, &mut buf) {
         let started = Instant::now();
@@ -476,20 +477,21 @@ fn handle_request(
             let Some(id) = request.session.as_deref() else {
                 return Response::failure(op, codes::USAGE, "hello requires a session id");
             };
-            let opened = lock(&shared.sessions).open(
-                id,
-                request.victim.as_deref(),
-                request.seed,
-                request.budget,
-                &shared.registry,
-            );
-            match opened {
-                Ok(status) => {
-                    if !attached.iter().any(|a| a == id) {
-                        attached.push(id.to_string());
-                    }
-                    Response::success(op).with_status(status)
+            let (victim, seed, budget) = (request.victim.as_deref(), request.seed, request.budget);
+            let mut sessions = lock(&shared.sessions);
+            // A connection holds a session once, however often it says
+            // `hello` to it.
+            let opened = if attached.iter().any(|a| a == id) {
+                sessions.confirm(id, victim, seed, budget)
+            } else {
+                let opened = sessions.open(id, victim, seed, budget, &shared.registry);
+                if opened.is_ok() {
+                    attached.push(id.to_string());
                 }
+                opened
+            };
+            match opened {
+                Ok(status) => Response::success(op).with_status(status),
                 Err(reject) => Response::failure(op, reject.code, reject.message),
             }
         }
@@ -498,10 +500,18 @@ fn handle_request(
             let Some(id) = request.session.as_deref() else {
                 return Response::failure(op, codes::USAGE, "close requires a session id");
             };
-            attached.retain(|a| a != id);
-            match lock(&shared.sessions).detach(id) {
+            // Release only this connection's hold: another connection
+            // may still be driving the session.
+            let held = attached.iter().position(|a| a == id);
+            let released =
+                held.and_then(|at| lock(&shared.sessions).detach(&attached.swap_remove(at)));
+            match released {
                 Some(status) => Response::success(op).with_status(status),
-                None => Response::failure(op, codes::UNKNOWN_SESSION, format!("no session {id:?}")),
+                None => Response::failure(
+                    op,
+                    codes::UNKNOWN_SESSION,
+                    format!("session {id:?} is not attached on this connection"),
+                ),
             }
         }
         "shutdown" => {
@@ -670,6 +680,37 @@ mod tests {
         assert!(response.ok, "{:?}", response.error);
         let indices: Vec<u64> = response.records.unwrap().iter().map(|r| r.index).collect();
         assert_eq!(indices, [0, 1]);
+    }
+
+    #[test]
+    fn repeated_hellos_hold_a_session_once_and_one_close_detaches_it() {
+        let shared = shared_with_session();
+        let shard = shared.metrics.handler_shard(0);
+        let session = |op: &str| {
+            let mut request = Request::new(op);
+            request.session = Some("s".to_string());
+            request
+        };
+        let mut attached = Vec::new();
+        for _ in 0..3 {
+            let response = handle_request(session("hello"), &shared, &shard, &mut attached);
+            assert!(response.ok, "{:?}", response.error);
+        }
+        assert_eq!(attached, ["s"]);
+        let mut conflicting = session("hello");
+        conflicting.seed = Some(10);
+        let response = handle_request(conflicting, &shared, &shard, &mut attached);
+        assert_eq!(response.code.as_deref(), Some(codes::CONFLICT));
+
+        // `shared_with_session` holds "s" too; once its hold goes, this
+        // connection's one `close` detaches the session.
+        lock(&shared.sessions).detach("s").unwrap();
+        let response = handle_request(session("close"), &shared, &shard, &mut attached);
+        assert!(response.ok, "{:?}", response.error);
+        assert!(attached.is_empty());
+        assert_eq!(lock(&shared.sessions).attached_count(), 0);
+        let response = handle_request(session("close"), &shared, &shard, &mut attached);
+        assert_eq!(response.code.as_deref(), Some(codes::UNKNOWN_SESSION));
     }
 
     #[test]

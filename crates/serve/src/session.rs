@@ -85,6 +85,34 @@ impl SessionState {
             used: self.used,
         }
     }
+
+    /// A resume may omit the session's keying; values it does supply
+    /// must match the stored state ([`codes::CONFLICT`] otherwise).
+    fn check_resume(
+        &self,
+        id: &str,
+        victim: Option<&str>,
+        seed: Option<u64>,
+        budget: Option<u64>,
+    ) -> std::result::Result<(), Reject> {
+        if victim.is_some_and(|v| v != self.victim)
+            || seed.is_some_and(|s| s != self.seed)
+            || (budget.is_some() && budget != self.budget)
+        {
+            return Err(Reject::new(
+                codes::CONFLICT,
+                format!("session {id:?} exists with different victim/seed/budget"),
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// An attached session's accounting and the number of connections
+/// holding it (always at least 1).
+struct Attached {
+    state: SessionState,
+    holders: usize,
 }
 
 /// Session table with admission control and optional persistence.
@@ -92,10 +120,13 @@ impl SessionState {
 /// *Attached* sessions have a live connection and count against
 /// `max_sessions`; *detached* sessions (closed, disconnected, or loaded
 /// from the journal) keep their accounting and re-attach on the next
-/// `hello` with the same id.
+/// `hello` with the same id. Each connection that opens a session holds
+/// it once and [`SessionManager::detach`] releases one hold, so a
+/// session two connections drive stays attached until both have let go;
+/// it still takes one admission slot.
 pub struct SessionManager {
     max_sessions: usize,
-    attached: HashMap<String, SessionState>,
+    attached: HashMap<String, Attached>,
     detached: HashMap<String, SessionState>,
     journal: Option<JsonlAppender>,
     metrics: Option<Arc<MetricsShard>>,
@@ -163,7 +194,9 @@ impl SessionManager {
         self.attached.len()
     }
 
-    /// Opens or resumes the session `id` (the `hello` op).
+    /// Opens or resumes the session `id` (the `hello` op) for a
+    /// connection that does not hold it yet, adding that connection's
+    /// hold.
     ///
     /// A new session requires `victim` (present in `registry`) and
     /// `seed`. A resume may omit them; values it does supply must match
@@ -178,28 +211,24 @@ impl SessionManager {
         budget: Option<u64>,
         registry: &VictimRegistry,
     ) -> std::result::Result<SessionStatus, Reject> {
-        if let Some(state) = self.attached.get(id).or_else(|| self.detached.get(id)) {
-            let state = state.clone();
-            if victim.is_some_and(|v| v != state.victim)
-                || seed.is_some_and(|s| s != state.seed)
-                || (budget.is_some() && budget != state.budget)
-            {
+        if let Some(held) = self.attached.get_mut(id) {
+            held.state.check_resume(id, victim, seed, budget)?;
+            held.holders += 1;
+            return Ok(held.state.status(id));
+        }
+        if let Some(state) = self.detached.get(id) {
+            state.check_resume(id, victim, seed, budget)?;
+            if self.attached.len() >= self.max_sessions {
                 return Err(Reject::new(
-                    codes::CONFLICT,
-                    format!("session {id:?} exists with different victim/seed/budget"),
+                    codes::SESSION_TABLE_FULL,
+                    format!("{} sessions already attached", self.max_sessions),
                 ));
             }
-            if !self.attached.contains_key(id) {
-                if self.attached.len() >= self.max_sessions {
-                    return Err(Reject::new(
-                        codes::SESSION_TABLE_FULL,
-                        format!("{} sessions already attached", self.max_sessions),
-                    ));
-                }
-                let state = self.detached.remove(id).expect("checked above");
-                self.attached.insert(id.to_string(), state);
-            }
-            return Ok(self.attached[id].status(id));
+            let state = self.detached.remove(id).expect("checked above");
+            let status = state.status(id);
+            self.attached
+                .insert(id.to_string(), Attached { state, holders: 1 });
+            return Ok(status);
         }
 
         let victim = victim
@@ -226,11 +255,31 @@ impl SessionManager {
         };
         self.persist(id, &state)?;
         let status = state.status(id);
-        self.attached.insert(id.to_string(), state);
+        self.attached
+            .insert(id.to_string(), Attached { state, holders: 1 });
         if let Some(shard) = &self.metrics {
             shard.counter_add(victim, xbar_obs::names::SERVE_SESSIONS, 1);
         }
         Ok(status)
+    }
+
+    /// Answers a repeated `hello` from a connection that already holds
+    /// session `id`: the supplied fields are checked as [`Self::open`]
+    /// checks them, but no hold is added.
+    pub fn confirm(
+        &self,
+        id: &str,
+        victim: Option<&str>,
+        seed: Option<u64>,
+        budget: Option<u64>,
+    ) -> std::result::Result<SessionStatus, Reject> {
+        let state = &self
+            .attached
+            .get(id)
+            .ok_or_else(|| Reject::new(codes::UNKNOWN_SESSION, format!("no session {id:?}")))?
+            .state;
+        state.check_resume(id, victim, seed, budget)?;
+        Ok(state.status(id))
     }
 
     /// Reserves `count` queries against session `id`'s budget —
@@ -243,10 +292,11 @@ impl SessionManager {
     /// resumes with those indices already consumed, never re-issuing an
     /// index the client might have seen.
     pub fn reserve(&mut self, id: &str, count: u64) -> std::result::Result<SessionStatus, Reject> {
-        let state = self
+        let state = &self
             .attached
             .get(id)
-            .ok_or_else(|| Reject::new(codes::UNKNOWN_SESSION, format!("no session {id:?}")))?;
+            .ok_or_else(|| Reject::new(codes::UNKNOWN_SESSION, format!("no session {id:?}")))?
+            .state;
         if let Some(budget) = state.budget {
             let remaining = budget.saturating_sub(state.used);
             if count > remaining {
@@ -260,13 +310,13 @@ impl SessionManager {
         updated.used += count;
         self.persist(id, &updated)?;
         let status = updated.status(id);
-        self.attached.insert(id.to_string(), updated);
+        self.attached.get_mut(id).expect("checked above").state = updated;
         Ok(status)
     }
 
     /// The current accounting of the *attached* session `id`.
     pub fn status(&self, id: &str) -> Option<SessionStatus> {
-        self.attached.get(id).map(|state| state.status(id))
+        self.attached.get(id).map(|held| held.state.status(id))
     }
 
     /// Releases the `count` queries of a reservation whose evaluation
@@ -281,22 +331,33 @@ impl SessionManager {
     /// duplicated ones would.
     pub fn unreserve(&mut self, reserved: &SessionStatus, count: u64) {
         let id = reserved.session.as_str();
-        let Some(state) = self.attached.get(id).filter(|s| s.used == reserved.used) else {
+        let Some(held) = self
+            .attached
+            .get(id)
+            .filter(|h| h.state.used == reserved.used)
+        else {
             return;
         };
-        let mut updated = state.clone();
+        let mut updated = held.state.clone();
         updated.used = updated.used.saturating_sub(count);
         // A failed rollback journal write leaves `used` too high on
         // resume — indices are skipped, never duplicated, so the
         // bit-identity contract survives; ignore the error.
         let _ = self.persist(id, &updated);
-        self.attached.insert(id.to_string(), updated);
+        self.attached.get_mut(id).expect("checked above").state = updated;
     }
 
-    /// Detaches session `id` (close or connection loss), freeing its
-    /// admission slot but keeping its accounting for resume.
+    /// Releases one connection's hold on session `id` (close or
+    /// connection loss). The last release detaches it, freeing its
+    /// admission slot but keeping its accounting for resume. Returns the
+    /// session's status, or `None` if it was not attached.
     pub fn detach(&mut self, id: &str) -> Option<SessionStatus> {
-        let state = self.attached.remove(id)?;
+        let held = self.attached.get_mut(id)?;
+        held.holders -= 1;
+        if held.holders > 0 {
+            return Some(held.state.status(id));
+        }
+        let state = self.attached.remove(id)?.state;
         let status = state.status(id);
         self.detached.insert(id.to_string(), state);
         Some(status)
@@ -394,10 +455,16 @@ mod tests {
             .open("s2", Some("toy"), Some(2), None, &registry)
             .unwrap_err();
         assert_eq!(err.code, codes::SESSION_TABLE_FULL);
-        // Re-attaching an attached session is idempotent.
+        // A second connection's hold takes no second slot, and the
+        // session stays attached until both holds are released.
         mgr.open("s1", None, None, None, &registry).unwrap();
+        assert_eq!(mgr.attached_count(), 1);
+        mgr.detach("s1").unwrap();
+        assert_eq!(mgr.attached_count(), 1);
+        assert!(mgr.status("s1").is_some());
         // Detaching frees the slot; the detached session resumes later.
         mgr.detach("s1").unwrap();
+        assert!(mgr.detach("s1").is_none());
         mgr.open("s2", Some("toy"), Some(2), None, &registry)
             .unwrap();
         let err = mgr.open("s1", None, None, None, &registry).unwrap_err();
@@ -405,6 +472,21 @@ mod tests {
         mgr.detach("s2").unwrap();
         let resumed = mgr.open("s1", None, None, None, &registry).unwrap();
         assert_eq!(resumed.seed, 1);
+    }
+
+    #[test]
+    fn confirm_checks_a_held_session_without_adding_a_hold() {
+        let registry = registry();
+        let mut mgr = SessionManager::new(4);
+        mgr.open("s1", Some("toy"), Some(7), None, &registry)
+            .unwrap();
+        assert_eq!(mgr.confirm("s1", Some("toy"), None, None).unwrap().seed, 7);
+        let err = mgr.confirm("s1", None, Some(8), None).unwrap_err();
+        assert_eq!(err.code, codes::CONFLICT);
+        let err = mgr.confirm("s2", None, None, None).unwrap_err();
+        assert_eq!(err.code, codes::UNKNOWN_SESSION);
+        mgr.detach("s1").unwrap();
+        assert_eq!(mgr.attached_count(), 0);
     }
 
     #[test]

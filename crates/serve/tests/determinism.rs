@@ -205,8 +205,8 @@ fn one_session_from_two_connections_numbers_every_query_once() {
                         served.extend(batch.iter().cloned().zip(records));
                         offset += take;
                     }
-                    // A closing connection detaches the session: hold
-                    // on until the other stream is done too.
+                    // Hold on until the other stream is done too, so
+                    // the two connections race for the whole run.
                     done.wait();
                     served
                 })
@@ -239,5 +239,40 @@ fn one_session_from_two_connections_numbers_every_query_once() {
         assert_eq!(got, want, "record at index {}", want.index);
     }
     drop(opener);
+    server.shutdown();
+}
+
+#[test]
+fn a_session_outlives_one_of_its_two_connections() {
+    // Connection `a` opens the session and `b` attaches to it. `a`
+    // closes halfway, and a third connection `c` hangs up without
+    // closing, whenever the server sees that; `b` must finish the
+    // stream with no `unknown_session`, and every record must be the
+    // session view's.
+    let deployed = victim();
+    let server = server();
+    let addr = server.local_addr();
+    let inputs = session_inputs(0);
+    let mut a = Client::connect(addr).unwrap();
+    a.hello("shared", Some("victim"), Some(session_seed(0)), None)
+        .unwrap();
+    let mut b = Client::connect(addr).unwrap();
+    b.hello("shared", None, None, None).unwrap();
+    let mut served = a.query("shared", &inputs[..3]).unwrap();
+    served.extend(b.query("shared", &inputs[3..5]).unwrap());
+    let closed = a.close("shared").unwrap();
+    assert_eq!(closed.used, 5);
+    drop(a);
+    served.extend(b.query("shared", &inputs[5..7]).unwrap());
+
+    let mut c = Client::connect(addr).unwrap();
+    c.hello("shared", None, None, None).unwrap();
+    served.extend(c.query("shared", &inputs[7..8]).unwrap());
+    drop(c);
+    for batch in inputs[8..].chunks(2) {
+        served.extend(b.query("shared", batch).unwrap());
+    }
+    assert_eq!(served, direct_records(&deployed, 0));
+    assert_eq!(b.close("shared").unwrap().used, QUERIES_PER_SESSION as u64);
     server.shutdown();
 }

@@ -39,15 +39,6 @@ impl RunSummary {
             max: rs.max(),
         }
     }
-
-    /// Standard error of the mean.
-    pub fn sem(&self) -> f64 {
-        if self.runs == 0 {
-            0.0
-        } else {
-            self.std / (self.runs as f64).sqrt()
-        }
-    }
 }
 
 impl std::fmt::Display for RunSummary {
@@ -79,48 +70,6 @@ pub fn summarize_runs(runs: &[Vec<f64>]) -> Vec<RunSummary> {
         .collect()
 }
 
-/// Percentile bootstrap confidence interval for the mean of `values`.
-///
-/// Resamples with replacement `resamples` times using a caller-supplied
-/// uniform index source (`next_index(len)`), so the crate stays free of a
-/// direct RNG dependency and results are reproducible.
-///
-/// Returns `(lo, hi)` at the given confidence level (e.g. `0.95`).
-///
-/// # Panics
-///
-/// Panics if `values` is empty, `resamples == 0`, or `confidence` is not
-/// in `(0, 1)`.
-pub fn bootstrap_mean_ci<F: FnMut(usize) -> usize>(
-    values: &[f64],
-    resamples: usize,
-    confidence: f64,
-    mut next_index: F,
-) -> (f64, f64) {
-    assert!(!values.is_empty(), "bootstrap of empty sample");
-    assert!(resamples > 0, "need at least one resample");
-    assert!(
-        confidence > 0.0 && confidence < 1.0,
-        "confidence must be in (0, 1)"
-    );
-    let n = values.len();
-    let mut means = Vec::with_capacity(resamples);
-    for _ in 0..resamples {
-        let mut acc = 0.0;
-        for _ in 0..n {
-            let idx = next_index(n);
-            assert!(idx < n, "index source returned {idx} >= {n}");
-            acc += values[idx];
-        }
-        means.push(acc / n as f64);
-    }
-    means.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let alpha = (1.0 - confidence) / 2.0;
-    let lo_idx = ((resamples as f64) * alpha).floor() as usize;
-    let hi_idx = (((resamples as f64) * (1.0 - alpha)).ceil() as usize).min(resamples - 1);
-    (means[lo_idx], means[hi_idx])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,7 +90,6 @@ mod tests {
         assert_eq!(s.runs, 3);
         assert!((s.mean - 2.0).abs() < 1e-12);
         assert!((s.std - 1.0).abs() < 1e-12);
-        assert!((s.sem() - 1.0 / 3.0_f64.sqrt()).abs() < 1e-12);
         assert_eq!(s.min, 1.0);
         assert_eq!(s.max, 3.0);
     }
@@ -160,53 +108,6 @@ mod tests {
     #[should_panic(expected = "inconsistent length")]
     fn ragged_runs_rejected() {
         let _ = summarize_runs(&[vec![1.0], vec![1.0, 2.0]]);
-    }
-
-    /// A tiny deterministic LCG for index generation in tests.
-    fn lcg(seed: u64) -> impl FnMut(usize) -> usize {
-        let mut state = seed;
-        move |n: usize| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 33) as usize) % n
-        }
-    }
-
-    #[test]
-    fn bootstrap_ci_contains_true_mean_for_tight_data() {
-        let values: Vec<f64> = (0..50).map(|i| 10.0 + (i % 5) as f64 * 0.01).collect();
-        let (lo, hi) = bootstrap_mean_ci(&values, 500, 0.95, lcg(7));
-        let mean = values.iter().sum::<f64>() / 50.0;
-        assert!(
-            lo <= mean && mean <= hi,
-            "[{lo}, {hi}] should contain {mean}"
-        );
-        assert!(hi - lo < 0.02, "tight data gives a tight interval");
-    }
-
-    #[test]
-    fn bootstrap_ci_widens_with_variance() {
-        let tight: Vec<f64> = (0..40).map(|i| (i % 2) as f64 * 0.01).collect();
-        let wide: Vec<f64> = (0..40).map(|i| (i % 2) as f64 * 10.0).collect();
-        let (lo1, hi1) = bootstrap_mean_ci(&tight, 400, 0.95, lcg(1));
-        let (lo2, hi2) = bootstrap_mean_ci(&wide, 400, 0.95, lcg(1));
-        assert!(hi2 - lo2 > 10.0 * (hi1 - lo1));
-    }
-
-    #[test]
-    fn bootstrap_ci_narrows_with_higher_confidence_demand() {
-        let values: Vec<f64> = (0..30).map(|i| (i as f64 * 0.77).sin()).collect();
-        let (lo50, hi50) = bootstrap_mean_ci(&values, 800, 0.5, lcg(3));
-        let (lo99, hi99) = bootstrap_mean_ci(&values, 800, 0.99, lcg(3));
-        assert!(hi99 - lo99 > hi50 - lo50);
-        assert!(lo99 <= lo50 && hi99 >= hi50);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty")]
-    fn bootstrap_rejects_empty() {
-        let _ = bootstrap_mean_ci(&[], 10, 0.95, lcg(0));
     }
 
     #[test]

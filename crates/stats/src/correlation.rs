@@ -80,45 +80,6 @@ pub fn covariance(x: &[f64], y: &[f64]) -> Result<f64> {
     Ok(sxy / (n - 1.0))
 }
 
-/// Spearman rank correlation (Pearson correlation of the mid-ranks; ties
-/// receive averaged ranks).
-///
-/// # Errors
-///
-/// Same conditions as [`pearson`].
-pub fn spearman(x: &[f64], y: &[f64]) -> Result<f64> {
-    if x.len() != y.len() {
-        return Err(StatsError::LengthMismatch {
-            lhs: x.len(),
-            rhs: y.len(),
-        });
-    }
-    let rx = mid_ranks(x);
-    let ry = mid_ranks(y);
-    pearson(&rx, &ry)
-}
-
-/// Assigns mid-ranks (1-based; tied values get the average of their ranks).
-fn mid_ranks(x: &[f64]) -> Vec<f64> {
-    let mut idx: Vec<usize> = (0..x.len()).collect();
-    idx.sort_by(|&a, &b| x[a].partial_cmp(&x[b]).unwrap_or(std::cmp::Ordering::Equal));
-    let mut ranks = vec![0.0; x.len()];
-    let mut i = 0;
-    while i < idx.len() {
-        let mut j = i;
-        while j + 1 < idx.len() && x[idx[j + 1]] == x[idx[i]] {
-            j += 1;
-        }
-        // Average 1-based rank of positions i..=j.
-        let avg = (i + j) as f64 / 2.0 + 1.0;
-        for &k in &idx[i..=j] {
-            ranks[k] = avg;
-        }
-        i = j + 1;
-    }
-    ranks
-}
-
 /// Pearson correlation where pairs containing NaN are skipped; returns
 /// `None` when fewer than two valid pairs remain or when a variance is zero.
 ///
@@ -196,27 +157,6 @@ mod tests {
         let x = [1.0, 2.0, 3.0];
         let y = [2.0, 4.0, 6.0];
         assert!((covariance(&x, &y).unwrap() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn spearman_monotone_is_one() {
-        let x = [1.0, 5.0, 2.0, 8.0];
-        let y: Vec<f64> = x.iter().map(|v: &f64| v.powi(3)).collect(); // monotone, nonlinear
-        assert!((spearman(&x, &y).unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn spearman_handles_ties() {
-        let x = [1.0, 2.0, 2.0, 3.0];
-        let y = [1.0, 2.5, 2.5, 4.0];
-        let r = spearman(&x, &y).unwrap();
-        assert!((r - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mid_ranks_known() {
-        assert_eq!(mid_ranks(&[30.0, 10.0, 20.0]), vec![3.0, 1.0, 2.0]);
-        assert_eq!(mid_ranks(&[1.0, 2.0, 2.0, 3.0]), vec![1.0, 2.5, 2.5, 4.0]);
     }
 
     #[test]

@@ -33,28 +33,6 @@ pub fn variance(x: &[f64]) -> Result<f64> {
     Ok(ss / (x.len() - 1) as f64)
 }
 
-/// Unbiased sample standard deviation.
-///
-/// # Errors
-///
-/// Returns [`StatsError::TooFewSamples`] for fewer than two samples.
-pub fn std_dev(x: &[f64]) -> Result<f64> {
-    Ok(variance(x)?.sqrt())
-}
-
-/// Population (n) variance.
-///
-/// # Errors
-///
-/// Returns [`StatsError::TooFewSamples`] for an empty slice.
-pub fn population_variance(x: &[f64]) -> Result<f64> {
-    if x.is_empty() {
-        return Err(StatsError::TooFewSamples { needed: 1, got: 0 });
-    }
-    let m = mean(x)?;
-    Ok(x.iter().map(|&v| (v - m) * (v - m)).sum::<f64>() / x.len() as f64)
-}
-
 /// Median (average of the two central order statistics for even lengths).
 ///
 /// # Errors
@@ -244,13 +222,7 @@ mod tests {
         // Sample variance of [2, 4, 4, 4, 5, 5, 7, 9] is 32/7.
         let x = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((variance(&x).unwrap() - 32.0 / 7.0).abs() < 1e-12);
-        assert!((population_variance(&x).unwrap() - 4.0).abs() < 1e-12);
         assert!(variance(&[1.0]).is_err());
-    }
-
-    #[test]
-    fn std_dev_known() {
-        assert!((std_dev(&[1.0, 3.0]).unwrap() - std::f64::consts::SQRT_2).abs() < 1e-12);
     }
 
     #[test]

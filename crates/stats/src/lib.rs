@@ -6,9 +6,9 @@
 //!
 //! * [`descriptive`] — means, variances, medians, quantiles, and
 //!   numerically stable streaming moments ([`descriptive::RunningStats`]).
-//! * [`correlation`] — Pearson and Spearman correlation; used for Table I's
+//! * [`correlation`] — Pearson correlation; used for Table I's
 //!   sensitivity-vs-1-norm correlations.
-//! * [`special`] — ln-gamma, regularised incomplete beta, erf; the
+//! * [`special`] — ln-gamma and the regularised incomplete beta; the
 //!   machinery behind exact t-distribution p-values.
 //! * [`ttest`] — Welch's and Student's t-tests with two-sided p-values;
 //!   used for Figure 5's statistical-significance asterisks.

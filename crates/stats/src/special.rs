@@ -1,4 +1,4 @@
-//! Special functions: log-gamma, regularised incomplete beta, and erf.
+//! Special functions: log-gamma and the regularised incomplete beta.
 //!
 //! These provide the exact tail probabilities behind [`crate::ttest`]'s
 //! p-values (the paper's Fig. 5 marks improvements with `p < 0.05`
@@ -111,25 +111,6 @@ fn beta_cf(a: f64, b: f64, x: f64) -> f64 {
     h
 }
 
-/// Error function, Abramowitz & Stegun 7.1.26 rational approximation
-/// (max absolute error ~1.5e-7), sign-symmetric.
-pub fn erf(x: f64) -> f64 {
-    let sign = if x < 0.0 { -1.0 } else { 1.0 };
-    let x = x.abs();
-    let t = 1.0 / (1.0 + 0.327_591_1 * x);
-    let y = 1.0
-        - (((((1.061_405_429 * t - 1.453_152_027) * t) + 1.421_413_741) * t - 0.284_496_736) * t
-            + 0.254_829_592)
-            * t
-            * (-x * x).exp();
-    sign * y
-}
-
-/// Standard normal cumulative distribution function.
-pub fn normal_cdf(x: f64) -> f64 {
-    0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2))
-}
-
 /// Two-sided p-value of a t statistic with `df` degrees of freedom:
 /// `P(|T| >= |t|) = I_{df/(df+t²)}(df/2, 1/2)`.
 ///
@@ -202,23 +183,6 @@ mod tests {
             assert!(v >= prev);
             prev = v;
         }
-    }
-
-    #[test]
-    fn erf_known_values() {
-        // The A&S 7.1.26 approximation is only ~1.5e-7 accurate, and its
-        // polynomial sums to 1 - 1e-9 at x = 0.
-        assert!(erf(0.0).abs() < 1e-8);
-        assert!((erf(1.0) - 0.842_700_79).abs() < 1e-5);
-        assert!((erf(-1.0) + 0.842_700_79).abs() < 1e-5);
-        assert!((erf(3.0) - 0.999_977_91).abs() < 1e-5);
-    }
-
-    #[test]
-    fn normal_cdf_known_values() {
-        assert!((normal_cdf(0.0) - 0.5).abs() < 1e-8);
-        assert!((normal_cdf(1.96) - 0.975).abs() < 1e-3);
-        assert!((normal_cdf(-1.96) - 0.025).abs() < 1e-3);
     }
 
     #[test]

@@ -22,14 +22,6 @@ pub struct TTestResult {
     pub mean_diff: f64,
 }
 
-impl TTestResult {
-    /// Whether the difference is significant at the given level (e.g.
-    /// `0.05`, the threshold the paper uses for its asterisks).
-    pub fn significant_at(&self, alpha: f64) -> bool {
-        self.p_value < alpha
-    }
-}
-
 fn mean_var(x: &[f64]) -> Result<(f64, f64)> {
     if x.len() < 2 {
         return Err(StatsError::TooFewSamples {
@@ -119,44 +111,6 @@ pub fn student_t_test(a: &[f64], b: &[f64]) -> Result<TTestResult> {
     })
 }
 
-/// Paired-sample t-test (two-sided) on the per-pair differences.
-///
-/// # Errors
-///
-/// * [`StatsError::LengthMismatch`] if the samples differ in length.
-/// * [`StatsError::TooFewSamples`] with fewer than two pairs.
-/// * [`StatsError::ZeroVariance`] if all differences are identical and zero.
-pub fn paired_t_test(a: &[f64], b: &[f64]) -> Result<TTestResult> {
-    if a.len() != b.len() {
-        return Err(StatsError::LengthMismatch {
-            lhs: a.len(),
-            rhs: b.len(),
-        });
-    }
-    let d: Vec<f64> = a.iter().zip(b).map(|(&x, &y)| x - y).collect();
-    let (md, vd) = mean_var(&d)?;
-    let n = d.len() as f64;
-    let df = n - 1.0;
-    if vd == 0.0 {
-        if md == 0.0 {
-            return Err(StatsError::ZeroVariance);
-        }
-        return Ok(TTestResult {
-            t: f64::INFINITY * md.signum(),
-            df,
-            p_value: 0.0,
-            mean_diff: md,
-        });
-    }
-    let t = md / (vd / n).sqrt();
-    Ok(TTestResult {
-        t,
-        df,
-        p_value: t_two_sided_p(t, df),
-        mean_diff: md,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,7 +122,6 @@ mod tests {
         let r = welch_t_test(&a, &b).unwrap();
         assert!((r.t).abs() < 1e-12);
         assert!((r.p_value - 1.0).abs() < 1e-9);
-        assert!(!r.significant_at(0.05));
     }
 
     #[test]
@@ -177,7 +130,6 @@ mod tests {
         let b = [0.0, 0.1, -0.1, 0.05, -0.05];
         let r = welch_t_test(&a, &b).unwrap();
         assert!(r.p_value < 1e-6);
-        assert!(r.significant_at(0.05));
         assert!(r.mean_diff > 9.0);
     }
 
@@ -214,28 +166,8 @@ mod tests {
     }
 
     #[test]
-    fn paired_detects_consistent_shift() {
-        let a = [5.0, 6.0, 7.0, 8.0];
-        let b = [4.5, 5.5, 6.5, 7.5];
-        let r = paired_t_test(&a, &b).unwrap();
-        // Every pair differs by exactly 0.5 with tiny variance: but variance
-        // of differences is zero here -> infinite t, p = 0.
-        assert_eq!(r.p_value, 0.0);
-        assert_eq!(r.mean_diff, 0.5);
-    }
-
-    #[test]
-    fn paired_with_noise() {
-        let a = [5.0, 6.1, 7.0, 8.2, 9.0, 10.1];
-        let b = [4.0, 5.0, 6.2, 7.0, 8.1, 9.0];
-        let r = paired_t_test(&a, &b).unwrap();
-        assert!(r.p_value < 0.01);
-    }
-
-    #[test]
     fn error_conditions() {
         assert!(welch_t_test(&[1.0], &[1.0, 2.0]).is_err());
-        assert!(paired_t_test(&[1.0, 2.0], &[1.0]).is_err());
         assert!(matches!(
             welch_t_test(&[2.0, 2.0], &[2.0, 2.0]),
             Err(StatsError::ZeroVariance)
