@@ -11,8 +11,8 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
 use xbar_runtime::{
-    run_campaign_traced, Campaign, CampaignReport, ExecutorConfig, JsonlReporter, NullSink,
-    ProgressSink, StderrReporter, TrialRunner,
+    run_campaign_traced, Campaign, CampaignReport, ExecutorConfig, NullSink, ProgressSink,
+    StderrReporter, TrialRunner,
 };
 
 use crate::campaign::{
@@ -76,8 +76,6 @@ pub enum ProgressMode {
     /// Human-readable lines on stderr (the default).
     #[default]
     Stderr,
-    /// JSON Lines on stderr (the `xbar-obs` event encoding).
-    Json,
     /// No progress output.
     None,
 }
@@ -88,10 +86,9 @@ impl std::str::FromStr for ProgressMode {
     fn from_str(s: &str) -> Result<Self, String> {
         match s {
             "stderr" => Ok(ProgressMode::Stderr),
-            "json" => Ok(ProgressMode::Json),
             "none" => Ok(ProgressMode::None),
             other => Err(format!(
-                "unknown progress mode {other:?} (expected stderr, json, or none)"
+                "unknown progress mode {other:?} (expected stderr or none)"
             )),
         }
     }
@@ -104,8 +101,6 @@ pub struct CampaignOptions {
     pub quick: bool,
     /// Worker threads; `0` means one per available core.
     pub threads: usize,
-    /// Retries per failed trial before it is journaled as failed.
-    pub max_retries: u32,
     /// Skip trials already completed in the journal.
     pub resume: bool,
     /// Journal path; `None` disables checkpointing (and `resume`).
@@ -131,20 +126,19 @@ pub struct CampaignOptions {
     /// conductance jitter), keyed by `(campaign_seed, trial_index,
     /// query index)`; `None` disables them.
     pub transients: Option<TransientSpec>,
-    /// Keep going when trials fail permanently: degraded results are
-    /// journaled and reported instead of aborting the figure. Defaults
-    /// to `false` — the figure drivers need every cell.
+    /// Keep going when trials fail: failed trials are journaled and
+    /// reported instead of aborting the figure. Defaults to `false` —
+    /// the figure drivers need every cell.
     pub tolerate_failures: bool,
 }
 
 impl CampaignOptions {
-    /// Defaults: all cores, one retry, no resume, no journal, no trace,
-    /// stderr progress on every trial, naive backend.
+    /// Defaults: all cores, no resume, no journal, no trace, stderr
+    /// progress on every trial, naive backend.
     pub fn new(quick: bool) -> Self {
         CampaignOptions {
             quick,
             threads: 0,
-            max_retries: 1,
             resume: false,
             journal: None,
             trace: None,
@@ -185,18 +179,9 @@ impl CampaignOptions {
     }
 }
 
-fn executor_config(opts: &CampaignOptions) -> ExecutorConfig {
-    let mut cfg = if opts.threads == 0 {
-        ExecutorConfig::default()
-    } else {
-        ExecutorConfig::with_threads(opts.threads)
-    };
-    cfg.max_retries = opts.max_retries;
-    cfg
-}
-
 /// Runs `campaign` with progress on stderr; errors if any trial failed
-/// permanently (the journal still records the partial results).
+/// (the journal still records the partial results) unless
+/// `opts.tolerate_failures` is set.
 pub(crate) fn execute<R: TrialRunner>(
     runner: &R,
     campaign: &Campaign<R::Spec>,
@@ -213,16 +198,16 @@ pub(crate) fn execute<R: TrialRunner>(
             campaign.name.clone(),
             opts.progress_every,
         )),
-        ProgressMode::Json => Box::new(JsonlReporter::stderr(
-            campaign.name.clone(),
-            opts.progress_every,
-        )),
         ProgressMode::None => Box::new(NullSink),
+    };
+    let config = match opts.threads {
+        0 => ExecutorConfig::default(),
+        threads => ExecutorConfig::with_threads(threads),
     };
     let report = run_campaign_traced(
         runner,
         campaign,
-        &executor_config(opts),
+        &config,
         opts.journal.as_deref(),
         opts.resume,
         sink.as_mut(),
@@ -232,13 +217,13 @@ pub(crate) fn execute<R: TrialRunner>(
     if !report.all_ok() {
         for failure in &report.failures {
             eprintln!(
-                "[{}] trial {} failed after {} attempt(s) [{:?}]: {}",
-                campaign.name, failure.trial_index, failure.attempts, failure.class, failure.error
+                "[{}] trial {} failed: {}",
+                campaign.name, failure.trial_index, failure.error
             );
         }
         if !opts.tolerate_failures {
             return Err(format!(
-                "{} of {} trials failed permanently",
+                "{} of {} trials failed",
                 report.failures.len(),
                 campaign.len()
             ));
@@ -1008,7 +993,7 @@ pub fn run_ablations(opts: &CampaignOptions) -> Result<(), String> {
         );
     }
 
-    println!("Expected shape: probe correlation ~1 for the ideal crossbar, degraded by");
+    println!("Expected shape: probe correlation ~1 for the ideal crossbar, reduced by");
     println!("noise (recovered by averaging) and device faults; static dummies, randomised");
     println!("dummies and injected noise each lower the probe correlation, which is what");
     println!("study 3 measures (at this attack strength the undefended attack costs only");

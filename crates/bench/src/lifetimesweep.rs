@@ -16,9 +16,8 @@
 //! transients, defenses) plus the global query index (transients), so
 //! the persisted cells are bit-identical at any thread count and across
 //! evaluation backends. A spec whose level indices fall outside the
-//! grid tables fails with a [`xbar_runtime::permanent_error`] — the
-//! executor journals it after a single attempt and the remaining cells
-//! complete.
+//! grid tables fails; the executor journals it as failed and the
+//! remaining cells complete.
 
 use serde::{Deserialize, Serialize};
 use xbar_core::defense::{DefendedOracle, PowerDefense};
@@ -28,7 +27,7 @@ use xbar_core::probe::RecalibrationPolicy;
 use xbar_core::report::{fmt, format_table};
 use xbar_crossbar::backend::BackendSpec;
 use xbar_faults::{FaultInjection, FaultKey, FaultSpec, TransientInjection, TransientSpec};
-use xbar_runtime::{permanent_error, Campaign, TrialContext, TrialRunner};
+use xbar_runtime::{Campaign, TrialContext, TrialRunner};
 use xbar_stats::aggregate::RunSummary;
 use xbar_stats::correlation::pearson;
 
@@ -241,21 +240,12 @@ impl TrialRunner for LifetimeSweepRunner {
 
     fn run(&self, spec: &LifetimeSpec, ctx: &TrialContext) -> Result<LifetimeOutput, String> {
         let _span = xbar_obs::span(xbar_obs::names::SPAN_LIFETIME_TRIAL);
-        // Out-of-range grid cells are deterministic failures: journal
-        // them after one attempt instead of burning retries.
         let drift_time = *lifetime_drift_times(self.quick)
             .get(spec.drift_index)
-            .ok_or_else(|| {
-                permanent_error(format!("drift index {} out of range", spec.drift_index))
-            })?;
+            .ok_or_else(|| format!("drift index {} out of range", spec.drift_index))?;
         let rate = *lifetime_transient_rates(self.quick)
             .get(spec.transient_index)
-            .ok_or_else(|| {
-                permanent_error(format!(
-                    "transient index {} out of range",
-                    spec.transient_index
-                ))
-            })?;
+            .ok_or_else(|| format!("transient index {} out of range", spec.transient_index))?;
 
         let key = FaultKey::new(ctx.campaign_seed, ctx.trial_index as u64);
         let n = self.victim.net.num_inputs();
@@ -479,13 +469,6 @@ pub fn run_lifetime_sweep(
     let report = execute(&runner, &campaign, opts)?;
     let cells = lifetime_cells(opts.quick, &report.outputs)?;
     print_cells(&cells);
-    if report.metrics.degraded > 0 || !report.all_ok() {
-        println!(
-            "lifetime: {} degraded trial(s), {} failed trial(s)",
-            report.metrics.degraded,
-            report.failures.len()
-        );
-    }
     write_json(&opts.json_path("lifetime-sweep"), &cells)
 }
 
@@ -493,7 +476,7 @@ pub fn run_lifetime_sweep(
 mod tests {
     use super::*;
     use xbar_crossbar::backend::BackendKind;
-    use xbar_runtime::{run_campaign, ExecutorConfig, FailureClass, NullSink};
+    use xbar_runtime::{run_campaign, ExecutorConfig, NullSink};
 
     #[test]
     fn grid_shape_and_fingerprint_stability() {
@@ -511,9 +494,9 @@ mod tests {
         assert_ne!(a.fingerprint(), lifetime_campaign(false).fingerprint());
     }
 
-    /// The graceful-degradation acceptance contract: a permanently
-    /// failing cell is journaled and reported without aborting the rest
-    /// of the campaign, and the aggregation skips it.
+    /// The failure-tolerance contract: a failing cell is journaled and
+    /// reported without aborting the rest of the campaign, and the
+    /// aggregation skips it.
     #[test]
     fn out_of_range_cell_fails_permanently_without_aborting() {
         let mut campaign = Campaign::new("lifetime-test", LIFETIME_SWEEP_SEED);
@@ -538,11 +521,7 @@ mod tests {
         let report = run_campaign(
             &runner,
             &campaign,
-            &ExecutorConfig {
-                threads: 2,
-                max_retries: 3,
-                trial_deadline: None,
-            },
+            &ExecutorConfig::with_threads(2),
             Some(&path),
             false,
             &mut NullSink,
@@ -552,9 +531,7 @@ mod tests {
         assert_eq!(report.metrics.failed, 1);
         assert_eq!(report.failures.len(), 1);
         assert_eq!(report.failures[0].trial_index, 1);
-        assert_eq!(report.failures[0].class, FailureClass::Permanent);
-        // Exactly one attempt: the permanent class skipped the retries.
-        assert_eq!(report.failures[0].attempts, 1);
+        assert_eq!(report.failures[0].error, "drift index 99 out of range");
 
         let (_, records) = xbar_runtime::journal::read_journal(&path).unwrap();
         let failed: Vec<_> = records
@@ -562,7 +539,10 @@ mod tests {
             .filter(|r| r.status == xbar_runtime::TrialStatus::Failed)
             .collect();
         assert_eq!(failed.len(), 1);
-        assert_eq!(failed[0].failure_class, Some(FailureClass::Permanent));
+        assert_eq!(
+            failed[0].error.as_deref(),
+            Some("drift index 99 out of range")
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

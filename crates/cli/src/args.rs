@@ -29,6 +29,13 @@ pub enum ArgsError {
         /// The option's name (without dashes).
         name: &'static str,
     },
+    /// An option the subcommand does not take.
+    UnknownOption {
+        /// The option's name (without dashes).
+        name: String,
+        /// The subcommand.
+        command: String,
+    },
     /// An option's value failed to parse.
     BadValue {
         /// The option's name.
@@ -44,6 +51,10 @@ impl fmt::Display for ArgsError {
             ArgsError::MissingCommand => write!(f, "missing subcommand (try `xbar help`)"),
             ArgsError::Malformed { token } => write!(f, "malformed argument: {token}"),
             ArgsError::MissingOption { name } => write!(f, "missing required option --{name}"),
+            ArgsError::UnknownOption { name, command } => write!(
+                f,
+                "unknown option --{name} for `xbar {command}` (see `xbar {command} --help`)"
+            ),
             ArgsError::BadValue { name, value } => {
                 write!(f, "invalid value for --{name}: {value}")
             }
@@ -112,6 +123,11 @@ impl ParsedArgs {
                 token: token.clone(),
             }),
         }
+    }
+
+    /// The names of every `--key` given, valued or not.
+    pub fn option_names(&self) -> impl Iterator<Item = &str> {
+        self.options.keys().map(String::as_str)
     }
 
     /// An optional string option. Boolean flags read as `Some("")`.

@@ -36,6 +36,20 @@ pub fn dispatch(args: &ParsedArgs) -> Result<(), CliError> {
     if args.flag("help") && print_command_help(&args.command) {
         return Ok(());
     }
+    // An option the command's usage does not list is refused before
+    // anything runs, so a typo cannot fall back to a default silently.
+    if let Some((_, usage)) = COMMAND_USAGE.iter().find(|(name, _)| *name == args.command) {
+        let unknown = args
+            .option_names()
+            .filter(|name| *name != "help" && !usage_lists(usage, name))
+            .min();
+        if let Some(name) = unknown {
+            return Err(Box::new(ArgsError::UnknownOption {
+                name: name.to_string(),
+                command: args.command.clone(),
+            }));
+        }
+    }
     // Only `trace`, `bench`, `faults`, `lifetime`, `infer` and `serve`
     // take positional arguments (their action, plus the trace path).
     if args.command != "trace"
@@ -70,13 +84,23 @@ pub fn dispatch(args: &ParsedArgs) -> Result<(), CliError> {
     }
 }
 
-/// The usage block of every subcommand, in `xbar help` order.
+/// Whether a usage block lists the option `--name`.
+fn usage_lists(usage: &str, name: &str) -> bool {
+    usage.split("--").skip(1).any(|rest| {
+        rest.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .next()
+            == Some(name)
+    })
+}
+
+/// The usage block of every subcommand, in `xbar help` order. A command
+/// accepts exactly the `--options` its block names (plus `--help`).
 const COMMAND_USAGE: &[(&str, &str)] = &[
     (
         "train",
         "  train     train a victim and save it
             --out FILE [--dataset digits|objects] [--head linear|softmax]
-            [--samples N] [--seed S]",
+            [--samples N] [--epochs N] [--seed S]",
     ),
     (
         "probe",
@@ -106,8 +130,8 @@ const COMMAND_USAGE: &[(&str, &str)] = &[
             writes results/FIGURE.json)
             --figure table1|fig3|fig4|fig5|multipixel|recovery|ablations|multilayer
             [--threads N] [--resume] [--journal FILE] [--out FILE]
-            [--retries N] [--quick] [--trace FILE]
-            [--progress stderr|json|none] [--progress-every N]
+            [--quick] [--trace FILE] [--progress stderr|none]
+            [--progress-every N]
             [--backend naive|blocked|parallel[:N]]
                 (fig4, fig5, multipixel, recovery, ablations)
             [--faults SPEC.json] [--transients FLIP[,JITTER]]
@@ -154,9 +178,8 @@ const COMMAND_USAGE: &[(&str, &str)] = &[
         "faults",
         "  faults    deterministic device fault injection
             sweep [--quick] [--threads N] [--out FILE] [--resume]
-                  [--journal FILE] [--retries N]
-                  [--backend naive|blocked|parallel[:N]]
-                  [--trace FILE] [--progress stderr|json|none]
+                  [--journal FILE] [--backend naive|blocked|parallel[:N]]
+                  [--trace FILE] [--progress stderr|none]
                   [--progress-every N]
             attack-success-vs-fault-rate robustness curves over stuck-at,
             variation, drift and line-resistance axes (writes
@@ -166,21 +189,19 @@ const COMMAND_USAGE: &[(&str, &str)] = &[
         "lifetime",
         "  lifetime  device-lifetime robustness
             sweep [--quick] [--threads N] [--out FILE] [--resume]
-                  [--journal FILE] [--retries N]
-                  [--backend naive|blocked|parallel[:N]]
+                  [--journal FILE] [--backend naive|blocked|parallel[:N]]
                   [--recalibrate never|every:N|stale:X] [--trace FILE]
-                  [--progress stderr|json|none] [--progress-every N]
+                  [--progress stderr|none] [--progress-every N]
             (drift time x transient rate x defense) cross-sweep with
-            probe recalibration and graceful degradation — failed cells
-            are journaled and skipped (writes results/lifetime-sweep.json)",
+            probe recalibration; failed cells are journaled and skipped
+            (writes results/lifetime-sweep.json)",
     ),
     (
         "infer",
         "  infer     Bayesian weight recovery from the power side channel
             sweep [--quick] [--threads N] [--out FILE] [--resume]
-                  [--journal FILE] [--retries N]
-                  [--backend naive|blocked|parallel[:N]]
-                  [--trace FILE] [--progress stderr|json|none]
+                  [--journal FILE] [--backend naive|blocked|parallel[:N]]
+                  [--trace FILE] [--progress stderr|none]
                   [--progress-every N]
             MCMC posterior over column 1-norms from noisy power
             readings, swept over query budget x noise x chain count;
@@ -311,7 +332,6 @@ fn campaign_options(
 
     let mut opts = CampaignOptions::new(args.flag("quick"));
     opts.threads = args.get_or("threads", 0usize)?;
-    opts.max_retries = args.get_or("retries", 1u32)?;
     opts.resume = args.flag("resume");
     opts.json_out = args.get("out").map(str::to_string);
     opts.trace = args
@@ -599,8 +619,7 @@ fn cmd_lifetime(args: &ParsedArgs) -> Result<(), CliError> {
     match args.positional(0) {
         Some("sweep") => {
             let mut opts = campaign_options(args, "results/lifetime-sweep-journal.jsonl")?;
-            // The lifetime sweep is the graceful-degradation showcase:
-            // permanently failing cells are journaled and skipped in the
+            // Failing cells are journaled and skipped in the
             // aggregation instead of aborting the sweep.
             opts.tolerate_failures = true;
             let policy = args
@@ -1092,6 +1111,29 @@ mod tests {
     }
 
     #[test]
+    fn options_outside_the_usage_are_refused() {
+        let model = tmp("unknown-option-model");
+        for (tokens, option) in [
+            (
+                vec!["campaign", "--figure", "fig4", "--retries", "2"],
+                "--retries",
+            ),
+            (vec!["train", "--out", &model, "--epoch", "3"], "--epoch"),
+            (
+                vec!["faults", "sweep", "--progress", "none", "--thread", "4"],
+                "--thread",
+            ),
+        ] {
+            let err = dispatch(&parse(&tokens)).unwrap_err().to_string();
+            assert!(err.contains(&format!("unknown option {option} ")), "{err}");
+        }
+        // Refused before anything ran: no model was written.
+        assert!(!std::path::Path::new(&model).exists());
+        // `--help` is always accepted.
+        assert!(dispatch(&parse(&["train", "--help"])).is_ok());
+    }
+
+    #[test]
     fn help_succeeds() {
         assert!(dispatch(&parse(&["help"])).is_ok());
     }
@@ -1554,7 +1596,7 @@ mod tests {
         writer.campaign_header("test-campaign", 9, 2).unwrap();
         for trial in 0..2 {
             writer
-                .trial(trial, true, 1, Duration::from_millis(2), &metrics)
+                .trial(trial, true, Duration::from_millis(2), &metrics)
                 .unwrap();
         }
         writer
@@ -1664,7 +1706,7 @@ mod tests {
         let mut writer = TraceWriter::create(std::path::Path::new(&path)).unwrap();
         writer.campaign_header("corrupt", 1, 1).unwrap();
         writer
-            .trial(0, true, 1, Duration::from_millis(1), &metrics)
+            .trial(0, true, Duration::from_millis(1), &metrics)
             .unwrap();
         drop(writer);
         let clean = std::fs::read_to_string(&path).unwrap();

@@ -114,6 +114,21 @@ mod tests {
     }
 
     #[test]
+    fn saved_model_with_a_null_bias_still_loads() {
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let net = SingleLayerNet::new_random(4, 2, Activation::Identity, &mut rng);
+        let mut buf = Vec::new();
+        save_artifact(&mut buf, "single-layer-net", &net).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        assert!(!text.contains("\"bias\""), "{text}");
+        // Models saved before the bias field was dropped carry it as null.
+        let old = text.replacen("\"payload\": {", "\"payload\": {\"bias\": null,", 1);
+        assert_ne!(old, text);
+        let loaded: SingleLayerNet = load_artifact(old.as_bytes(), "single-layer-net").unwrap();
+        assert_eq!(loaded, net);
+    }
+
+    #[test]
     fn kind_mismatch_rejected() {
         let net = SingleLayerNet::new_random(
             2,

@@ -11,7 +11,7 @@
 //!
 //! With `r_wire = 0` the solver reproduces the ideal crossbar exactly
 //! (verified by test); with realistic wire resistance, cells far from the
-//! drivers/sense amplifiers see degraded voltages, attenuating both the
+//! drivers/sense amplifiers see reduced voltages, attenuating both the
 //! MVM result and the total supply current — and, interestingly for the
 //! attack, attenuating *far* columns' power signatures more than near
 //! ones.

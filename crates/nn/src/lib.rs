@@ -5,9 +5,8 @@
 //!
 //! The paper's models are `ŷ = f(W u)` (Eq. 4) with two configurations:
 //! a **linear** output trained with MSE loss, and a **softmax** output
-//! trained with categorical cross-entropy. Both are bias-free by default,
-//! matching the crossbar of the paper's Fig. 2 (a bias can be enabled and
-//! is then carried as an extra `+1` input column by the crossbar mapping).
+//! trained with categorical cross-entropy. Both are bias-free, matching
+//! the crossbar of the paper's Fig. 2, which implements `W u` only.
 //!
 //! Modules:
 //!

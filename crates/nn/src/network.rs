@@ -1,4 +1,4 @@
-//! The paper's model: a single dense layer `ŷ = f(W u [+ b])`.
+//! The paper's model: a single dense layer `ŷ = f(W u)`.
 
 use crate::activation::Activation;
 use crate::{NnError, Result};
@@ -6,13 +6,14 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use xbar_linalg::{vec_ops, Matrix};
 
-/// A single-layer neural network with an `outputs x inputs` weight matrix,
-/// an optional bias, and an output activation — exactly the model of the
-/// paper's Eq. 4, and the model an NVM crossbar implements directly.
+/// A single-layer neural network with an `outputs x inputs` weight matrix
+/// and an output activation — exactly the model of the paper's Eq. 4, and
+/// the model an NVM crossbar implements directly.
 ///
-/// Bias defaults to **off** so that the network's pre-activation equals the
-/// crossbar's output current vector and its weights fully determine the
-/// power signature (Eq. 5).
+/// There is no bias: the network's pre-activation equals the crossbar's
+/// output current vector and its weights fully determine the power
+/// signature (Eq. 5). A saved model that carries a `"bias": null` field
+/// still loads; the field is ignored.
 ///
 /// # Example
 ///
@@ -30,17 +31,14 @@ use xbar_linalg::{vec_ops, Matrix};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SingleLayerNet {
     weights: Matrix,
-    bias: Option<Vec<f64>>,
     activation: Activation,
 }
 
 impl SingleLayerNet {
-    /// Creates a network from an existing `outputs x inputs` weight matrix
-    /// (no bias).
+    /// Creates a network from an existing `outputs x inputs` weight matrix.
     pub fn from_weights(weights: Matrix, activation: Activation) -> Self {
         SingleLayerNet {
             weights,
-            bias: None,
             activation,
         }
     }
@@ -56,15 +54,8 @@ impl SingleLayerNet {
         let r = 1.0 / (inputs.max(1) as f64).sqrt();
         SingleLayerNet {
             weights: Matrix::random_uniform(outputs, inputs, -r, r, rng),
-            bias: None,
             activation,
         }
-    }
-
-    /// Enables a bias vector (initialised to zero).
-    pub fn with_bias(mut self) -> Self {
-        self.bias = Some(vec![0.0; self.weights.rows()]);
-        self
     }
 
     /// Input dimension `N`.
@@ -87,22 +78,12 @@ impl SingleLayerNet {
         &mut self.weights
     }
 
-    /// The bias vector, if enabled.
-    pub fn bias(&self) -> Option<&[f64]> {
-        self.bias.as_deref()
-    }
-
-    /// Mutable bias vector, if enabled.
-    pub fn bias_mut(&mut self) -> Option<&mut Vec<f64>> {
-        self.bias.as_mut()
-    }
-
     /// The output activation.
     pub fn activation(&self) -> Activation {
         self.activation
     }
 
-    /// Pre-activations `s = W u (+ b)` for one input.
+    /// Pre-activations `s = W u` for one input.
     ///
     /// # Errors
     ///
@@ -114,11 +95,7 @@ impl SingleLayerNet {
                 got: u.len(),
             });
         }
-        let mut s = self.weights.matvec(u);
-        if let Some(b) = &self.bias {
-            vec_ops::axpy(1.0, b, &mut s);
-        }
-        Ok(s)
+        Ok(self.weights.matvec(u))
     }
 
     /// Output `ŷ = f(s)` for one input.
@@ -145,15 +122,9 @@ impl SingleLayerNet {
                 got: inputs.cols(),
             });
         }
-        let mut s = inputs
+        Ok(inputs
             .matmul_nt(&self.weights)
-            .expect("dimensions checked above");
-        if let Some(b) = &self.bias {
-            for i in 0..s.rows() {
-                vec_ops::axpy(1.0, b, s.row_mut(i));
-            }
-        }
-        Ok(s)
+            .expect("dimensions checked above"))
     }
 
     /// Outputs for a batch.
@@ -182,9 +153,7 @@ impl SingleLayerNet {
     }
 
     /// The 1-norms of the weight-matrix columns — the exact quantity the
-    /// crossbar's total current leaks (paper Eq. 5–6). Includes the bias
-    /// column only implicitly (bias, when enabled, is a separate device
-    /// column in the crossbar mapping).
+    /// crossbar's total current leaks (paper Eq. 5–6).
     pub fn column_l1_norms(&self) -> Vec<f64> {
         self.weights.col_l1_norms()
     }
@@ -220,14 +189,6 @@ mod tests {
                 assert!((a - b).abs() < 1e-12);
             }
         }
-    }
-
-    #[test]
-    fn bias_shifts_preactivation() {
-        let mut net = toy_net().with_bias();
-        net.bias_mut().unwrap()[0] = 10.0;
-        let s = net.preactivation_one(&[1.0, 1.0, 2.0]).unwrap();
-        assert_eq!(s, vec![10.0, 3.0]);
     }
 
     #[test]

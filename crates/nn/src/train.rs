@@ -157,7 +157,6 @@ pub fn train_on_matrices<R: Rng + ?Sized>(
     let mut epoch_losses = Vec::with_capacity(cfg.epochs);
     let mut lr = cfg.learning_rate;
     let mut velocity = Matrix::zeros(net.num_outputs(), net.num_inputs());
-    let mut bias_velocity = vec![0.0; net.num_outputs()];
     let mut order: Vec<usize> = (0..n).collect();
 
     for _epoch in 0..cfg.epochs {
@@ -186,17 +185,6 @@ pub fn train_on_matrices<R: Rng + ?Sized>(
             velocity.scale_inplace(cfg.momentum);
             velocity.axpy(-lr, &grad);
             net.weights_mut().axpy(1.0, &velocity);
-            if net.bias().is_some() {
-                // Bias gradient: column means of Δ.
-                let grad_b: Vec<f64> = (0..deltas.cols())
-                    .map(|j| deltas.col(j).iter().sum::<f64>() / b)
-                    .collect();
-                let bias = net.bias_mut().expect("bias checked above");
-                for ((v, g), b_i) in bias_velocity.iter_mut().zip(&grad_b).zip(bias.iter_mut()) {
-                    *v = cfg.momentum * *v - lr * g;
-                    *b_i += *v;
-                }
-            }
         }
         lr *= cfg.lr_decay;
         epoch_losses.push(dataset_loss(net, inputs, targets, loss)?);
@@ -315,17 +303,6 @@ mod tests {
         let preds = net.predict_batch(split.test.inputs()).unwrap();
         let acc = accuracy(&preds, split.test.labels());
         assert!(acc > 0.9, "blob accuracy too low: {acc}");
-    }
-
-    #[test]
-    fn training_with_bias_works() {
-        let ds = BlobsConfig::new(2, 4).num_samples(80).seed(5).generate();
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let mut net = SingleLayerNet::new_random(4, 2, Activation::Identity, &mut rng).with_bias();
-        let report = train(&mut net, &ds, Loss::Mse, &SgdConfig::default(), &mut rng).unwrap();
-        assert!(report.final_loss < report.initial_loss);
-        // Bias actually moved.
-        assert!(net.bias().unwrap().iter().any(|&b| b != 0.0));
     }
 
     #[test]

@@ -24,9 +24,8 @@
 //!   and an `Option` check, so un-observed code pays near-zero
 //!   overhead. A span records its wall-clock duration into a timing
 //!   histogram.
-//! * The campaign executor (`xbar-runtime`) gives each trial attempt a
-//!   fresh shard — a retried attempt's events are dropped with its
-//!   shard — and [`TraceWriter`] appends each finished trial's
+//! * The campaign executor (`xbar-runtime`) gives each trial a fresh
+//!   shard, and [`TraceWriter`] appends each finished trial's
 //!   [`ScopeMetrics`] to a JSON Lines trace.
 //! * [`Histogram`], [`ScopeMetrics`] and [`MetricsSnapshot`] encode
 //!   through `serde::Serialize` (traces, `stats` replies, metrics

@@ -7,7 +7,7 @@
 //! [`Histogram`]s keyed by the typed static names of
 //! [`crate::names`]. Each recording thread holds its own shard, so the
 //! hot path takes only an uncontended lock; a campaign gives every
-//! trial attempt a fresh shard, and the service one shard per worker
+//! trial a fresh shard, and the service one shard per worker
 //! and per handler group inside a [`MetricsRegistry`].
 //!
 //! Merging shards is well-defined because every piece of state is a

@@ -125,8 +125,7 @@ pub const ATTACK_PGD_STEP: CounterName = CounterName("attack.pgd_step");
 /// One candidate pixel examined by the single-pixel attack search.
 pub const ATTACK_PIXEL_STEP: CounterName = CounterName("attack.pixel_step");
 
-/// Span: one campaign trial attempt (`runner.run`); a trace keeps
-/// only the final attempt's.
+/// Span: one campaign trial (`runner.run`).
 pub const SPAN_TRIAL: HistogramName = HistogramName::timing("trial");
 
 /// Span: probing the column norms of the victim.

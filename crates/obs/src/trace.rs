@@ -5,7 +5,7 @@
 //! 1. a header line: `{"kind":"xbar-trace","format_version":2,
 //!    "campaign":…,"campaign_seed":…,"total_trials":…}`
 //! 2. one `{"kind":"trial",…}` line per executed trial, in completion
-//!    order, carrying the final attempt's `counters`, `values` (value
+//!    order, carrying the trial's `counters`, `values` (value
 //!    histograms) and `spans` (timing histograms) — see
 //!    [`ScopeMetrics::trace_fields`]; every histogram entry is a
 //!    [`crate::Histogram`] in its `Serialize` encoding,
@@ -85,7 +85,6 @@ impl TraceWriter {
         &mut self,
         trial: usize,
         ok: bool,
-        attempts: u32,
         wall: Duration,
         metrics: &ScopeMetrics,
     ) -> io::Result<()> {
@@ -93,7 +92,6 @@ impl TraceWriter {
             field("kind", "trial"),
             field("trial", trial),
             field("status", if ok { "ok" } else { "failed" }),
-            field("attempts", attempts),
             field("wall_nanos", duration_nanos(wall)),
         ];
         record.extend(metrics.trace_fields());
@@ -141,7 +139,7 @@ mod tests {
         let mut writer = TraceWriter::create(&path).unwrap();
         writer.campaign_header("fig4", 42, 2).unwrap();
         writer
-            .trial(0, true, 1, Duration::from_millis(3), &metrics)
+            .trial(0, true, Duration::from_millis(3), &metrics)
             .unwrap();
         writer
             .end(1, 0, 1, Duration::from_millis(5), &metrics)

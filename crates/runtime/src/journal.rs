@@ -25,9 +25,9 @@ pub const JOURNAL_KIND: &str = "xbar-campaign-journal";
 
 /// Current journal format version.
 ///
-/// Version history: v1 had no `failure_class` field on [`TrialRecord`];
-/// v2 added it so failed trials carry their
-/// [`FailureClass`](crate::runner::FailureClass) into the journal.
+/// Version 2 records written by earlier builds also carry `attempts` and
+/// `failure_class` fields; readers ignore them, so those journals still
+/// resume.
 pub const JOURNAL_FORMAT_VERSION: u32 = 2;
 
 /// First line of a journal: identifies the campaign the records belong to.
@@ -52,7 +52,7 @@ pub struct JournalHeader {
 pub enum TrialStatus {
     /// The trial produced an output.
     Ok,
-    /// The trial exhausted its retries.
+    /// The trial returned an error or panicked.
     Failed,
 }
 
@@ -67,15 +67,10 @@ pub struct TrialRecord {
     pub trial: usize,
     /// Outcome.
     pub status: TrialStatus,
-    /// Number of attempts consumed (1 = succeeded first try).
-    pub attempts: u32,
     /// Serialised trial output (present iff `status == Ok`).
     pub output: Option<Value>,
     /// Failure message (present iff `status == Failed`).
     pub error: Option<String>,
-    /// How the executor classified the failure (present iff
-    /// `status == Failed`).
-    pub failure_class: Option<crate::runner::FailureClass>,
 }
 
 /// Append-only journal writer: a [`JsonlAppender`] whose first line is
@@ -179,10 +174,8 @@ mod tests {
         TrialRecord {
             trial,
             status: TrialStatus::Ok,
-            attempts: 1,
             output: Some(Value::U64(trial as u64 * 10)),
             error: None,
-            failure_class: None,
         }
     }
 
@@ -195,10 +188,8 @@ mod tests {
             .record(&TrialRecord {
                 trial: 1,
                 status: TrialStatus::Failed,
-                attempts: 3,
                 output: None,
                 error: Some("boom".into()),
-                failure_class: Some(crate::runner::FailureClass::Retryable),
             })
             .unwrap();
         drop(writer);

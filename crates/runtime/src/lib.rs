@@ -3,7 +3,7 @@
 //! A deterministic parallel campaign runner for the experiment harness:
 //! a *campaign* is a grid of independent trials (dataset × oracle
 //! configuration × attack method × strength × seed), and the runtime
-//! executes it on a worker pool with checkpointing, bounded retries, and
+//! executes each trial once on a worker pool, with checkpointing and
 //! progress metrics.
 //!
 //! Design invariants:
@@ -14,24 +14,21 @@
 //!   trial's position in the grid and on nothing else, results are
 //!   bit-identical regardless of thread count or scheduling order.
 //! * **Deterministic journal.** The trial journal (JSON Lines) records
-//!   only deterministic content — trial index, status, attempts, and the
-//!   serialised output. Wall-clock timing is reported through the
+//!   only deterministic content — trial index, status, and the
+//!   serialised output or error. Wall-clock timing is reported through the
 //!   [`progress::ProgressSink`] instead, so two runs of the same
 //!   campaign produce byte-identical journals once sorted by trial
 //!   index.
-//! * **Failure isolation.** A failing (or panicking) trial is retried up
-//!   to a bound and then journaled as failed; it never aborts the
-//!   campaign. Failures are classified: an error prefixed with
-//!   [`runner::PERMANENT_ERROR_PREFIX`] is deterministic (bad spec,
-//!   shape error) and gets exactly one attempt, everything else is
-//!   presumed transient and retried — optionally under a per-trial
-//!   wall-clock deadline ([`ExecutorConfig::trial_deadline`]). Trials
-//!   that recover after a retry are surfaced as
-//!   [`CampaignMetrics::degraded`].
+//! * **Failure isolation.** Each trial runs exactly once, under
+//!   `catch_unwind`. A trial that returns `Err` or panics is journaled
+//!   as failed; it never aborts the campaign. Trials are deterministic,
+//!   so running one again in the same process would reach the same
+//!   error.
 //! * **Resumability.** The journal doubles as a checkpoint: re-running
-//!   with resume enabled skips every trial already recorded as completed,
-//!   after verifying the journal header's campaign fingerprint. A
-//!   truncated final line (from a killed run) is tolerated.
+//!   with resume enabled skips every trial already recorded as completed
+//!   and re-runs the rest (failed or never finished), after verifying the
+//!   journal header's campaign fingerprint. A truncated final line (from
+//!   a killed run) is tolerated.
 //!
 //! ```
 //! use xbar_runtime::{
@@ -92,10 +89,5 @@ pub use executor::{
 };
 pub use journal::{JournalHeader, TrialRecord, TrialStatus};
 pub use jsonl::{read_jsonl, JsonlAppender};
-pub use progress::{
-    CampaignMetrics, JsonlReporter, NullSink, ProgressSink, StderrReporter, TrialOutcome,
-};
-pub use runner::{
-    classify_failure, permanent_error, FailureClass, TrialContext, TrialRunner,
-    PERMANENT_ERROR_PREFIX,
-};
+pub use progress::{CampaignMetrics, NullSink, ProgressSink, StderrReporter, TrialOutcome};
+pub use runner::{permanent_error, TrialContext, TrialRunner};

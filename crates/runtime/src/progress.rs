@@ -4,10 +4,8 @@
 //! must stay deterministic, while progress reporting is free to talk
 //! about wall clocks and throughput.
 
-use std::io::Write;
 use std::time::Duration;
 
-use serde::{Serialize, Value};
 use xbar_obs::ScopeMetrics;
 
 /// Counters describing a campaign run so far.
@@ -19,12 +17,8 @@ pub struct CampaignMetrics {
     pub skipped: usize,
     /// Trials completed successfully in this run.
     pub completed: usize,
-    /// Trials that exhausted their retries in this run.
+    /// Trials that returned an error or panicked in this run.
     pub failed: usize,
-    /// Trials that completed only after at least one retry — the
-    /// campaign's graceful-degradation signal: work got done, but the
-    /// run needed extra attempts to do it.
-    pub degraded: usize,
     /// Oracle queries consumed across all trials finished in this run
     /// (the [`xbar_obs::names::ORACLE_QUERY`] counter, summed).
     pub oracle_queries: u64,
@@ -76,14 +70,10 @@ impl CampaignMetrics {
 pub struct TrialOutcome<'a> {
     /// Trial index within the campaign grid.
     pub trial_index: usize,
-    /// Attempts consumed (1 = first try succeeded).
-    pub attempts: u32,
-    /// Wall-clock time spent across all attempts of this trial.
+    /// Wall-clock time the trial took.
     pub wall: Duration,
-    /// The failure message, if the trial failed permanently.
+    /// The failure message, if the trial failed.
     pub error: Option<&'a str>,
-    /// What the trial's final attempt recorded through `xbar-obs`.
-    pub observations: Option<&'a ScopeMetrics>,
 }
 
 /// Receives progress events from the executor.
@@ -132,8 +122,8 @@ impl ProgressSink for StderrReporter {
         let mut lines: Vec<String> = Vec::new();
         if let Some(error) = outcome.error {
             lines.push(format!(
-                "[{}] trial {} FAILED after {} attempt(s): {error}",
-                self.label, outcome.trial_index, outcome.attempts
+                "[{}] trial {} FAILED: {error}",
+                self.label, outcome.trial_index
             ));
         }
         let finished = metrics.finished();
@@ -161,12 +151,11 @@ impl ProgressSink for StderrReporter {
 
     fn on_end(&mut self, metrics: &CampaignMetrics) {
         eprintln!(
-            "[{}] campaign finished: {} completed ({} degraded), {} failed, \
+            "[{}] campaign finished: {} completed, {} failed, \
              {} resumed, {} oracle queries, {} probe measurements, \
              {} mvm batches, {:.2}s elapsed ({:.2} trials/s)",
             self.label,
             metrics.completed,
-            metrics.degraded,
             metrics.failed,
             metrics.skipped,
             metrics.oracle_queries,
@@ -175,109 +164,6 @@ impl ProgressSink for StderrReporter {
             metrics.elapsed.as_secs_f64(),
             metrics.throughput(),
         );
-    }
-}
-
-/// Emits progress as JSON Lines (one object per event) to an arbitrary
-/// writer — `xbar campaign --progress json` uses stderr.
-///
-/// Events use the `xbar-obs` JSON encoder and look like:
-///
-/// ```json
-/// {"event":"trial","campaign":"fig4","trial":3,"attempts":1,
-///  "wall_nanos":1200,"finished":4,"total":16,"failed":0,"skipped":0,
-///  "oracle_queries":400,"probe_measurements":32,"mvm_batches":12}
-/// {"event":"end","campaign":"fig4","completed":16,"degraded":0,
-///  "failed":0,"skipped":0,"oracle_queries":1600,
-///  "probe_measurements":128,"mvm_batches":48,"elapsed_nanos":52000000}
-/// ```
-///
-/// Like [`StderrReporter`], trial events are throttled to every `every`
-/// finished trials plus all failures; the end event always fires.
-pub struct JsonlReporter<W: Write> {
-    label: String,
-    every: usize,
-    out: W,
-}
-
-impl JsonlReporter<std::io::Stderr> {
-    /// A stderr-backed reporter labelled `label`, emitting a trial event
-    /// every `every` trials (clamped to at least 1).
-    pub fn stderr(label: impl Into<String>, every: usize) -> Self {
-        JsonlReporter::new(label, every, std::io::stderr())
-    }
-}
-
-impl<W: Write> JsonlReporter<W> {
-    /// A reporter writing JSON lines to `out`.
-    pub fn new(label: impl Into<String>, every: usize, out: W) -> Self {
-        JsonlReporter {
-            label: label.into(),
-            every: every.max(1),
-            out,
-        }
-    }
-
-    fn emit(&mut self, fields: Vec<(String, Value)>) {
-        // Progress is advisory: swallow write errors rather than
-        // aborting the campaign over a closed stderr.
-        if let Ok(line) = serde_json::to_string(&Value::Object(fields)) {
-            let _ = writeln!(self.out, "{line}");
-            let _ = self.out.flush();
-        }
-    }
-}
-
-fn field(key: &str, value: impl Serialize) -> (String, Value) {
-    (key.to_owned(), value.serialize())
-}
-
-fn nanos_u64(d: Duration) -> u64 {
-    d.as_nanos().min(u128::from(u64::MAX)) as u64
-}
-
-impl<W: Write> ProgressSink for JsonlReporter<W> {
-    fn on_trial(&mut self, outcome: &TrialOutcome<'_>, metrics: &CampaignMetrics) {
-        let finished = metrics.finished();
-        if outcome.error.is_none()
-            && !finished.is_multiple_of(self.every)
-            && metrics.remaining() != 0
-        {
-            return;
-        }
-        let mut record = vec![
-            field("event", "trial"),
-            field("campaign", &self.label),
-            field("trial", outcome.trial_index),
-            field("attempts", outcome.attempts),
-            field("wall_nanos", nanos_u64(outcome.wall)),
-            field("finished", finished),
-            field("total", metrics.total),
-            field("failed", metrics.failed),
-            field("skipped", metrics.skipped),
-            field("oracle_queries", metrics.oracle_queries),
-            field("probe_measurements", metrics.probe_measurements),
-            field("mvm_batches", metrics.mvm_batches),
-        ];
-        if let Some(error) = outcome.error {
-            record.push(field("error", error));
-        }
-        self.emit(record);
-    }
-
-    fn on_end(&mut self, metrics: &CampaignMetrics) {
-        self.emit(vec![
-            field("event", "end"),
-            field("campaign", &self.label),
-            field("completed", metrics.completed),
-            field("degraded", metrics.degraded),
-            field("failed", metrics.failed),
-            field("skipped", metrics.skipped),
-            field("oracle_queries", metrics.oracle_queries),
-            field("probe_measurements", metrics.probe_measurements),
-            field("mvm_batches", metrics.mvm_batches),
-            field("elapsed_nanos", nanos_u64(metrics.elapsed)),
-        ]);
     }
 }
 
@@ -333,42 +219,5 @@ mod tests {
         assert_eq!(metrics.oracle_queries, 50);
         assert_eq!(metrics.probe_measurements, 8);
         assert_eq!(metrics.mvm_batches, 6);
-    }
-
-    #[test]
-    fn jsonl_reporter_throttles_and_always_reports_failures_and_end() {
-        let mut buffer: Vec<u8> = Vec::new();
-        {
-            let mut sink = JsonlReporter::new("t", 2, &mut buffer);
-            let mut metrics = CampaignMetrics {
-                total: 4,
-                ..CampaignMetrics::default()
-            };
-            let outcome = |trial_index, error| TrialOutcome {
-                trial_index,
-                attempts: 1,
-                wall: Duration::from_millis(1),
-                error,
-                observations: None,
-            };
-            metrics.completed = 1;
-            sink.on_trial(&outcome(0, None), &metrics); // 1 finished: throttled
-            metrics.completed = 2;
-            sink.on_trial(&outcome(1, None), &metrics); // 2 finished: emitted
-            metrics.failed = 1;
-            sink.on_trial(&outcome(2, Some("boom")), &metrics); // failure: emitted
-            metrics.completed = 3;
-            sink.on_trial(&outcome(3, None), &metrics); // last: emitted
-            sink.on_end(&metrics);
-        }
-        let text = String::from_utf8(buffer).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 4, "{text}");
-        assert!(lines[0].contains("\"event\":\"trial\""));
-        assert!(lines[0].contains("\"trial\":1"));
-        assert!(lines[1].contains("\"error\":\"boom\""));
-        assert!(lines[2].contains("\"trial\":3"));
-        assert!(lines[3].contains("\"event\":\"end\""));
-        assert!(lines[3].contains("\"completed\":3"));
     }
 }

@@ -3,44 +3,14 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::de::DeserializeOwned;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt::Display;
 
-/// Error-message prefix that marks a trial failure as permanent.
-///
-/// Runners signal "retrying cannot help" (bad spec, shape mismatch,
-/// out-of-range grid cell) by prefixing their error string with this
-/// marker — most conveniently through [`permanent_error`]. The executor
-/// gives such failures exactly one attempt; everything else (panics,
-/// plain `Err` strings) is presumed transient and retried up to the
-/// configured bound.
-pub const PERMANENT_ERROR_PREFIX: &str = "permanent:";
-
-/// How the executor should treat a trial failure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FailureClass {
-    /// Plausibly transient (fault storm, budget race, panic): worth a
-    /// bounded retry.
-    Retryable,
-    /// Deterministic (bad spec, shape error): retrying reproduces the
-    /// same failure, so the executor journals it after one attempt.
-    Permanent,
-}
-
-/// Classifies a trial error message by the [`PERMANENT_ERROR_PREFIX`]
-/// convention. Unmarked messages — including panic payloads — default to
-/// [`FailureClass::Retryable`].
-pub fn classify_failure(message: &str) -> FailureClass {
-    if message.trim_start().starts_with(PERMANENT_ERROR_PREFIX) {
-        FailureClass::Permanent
-    } else {
-        FailureClass::Retryable
-    }
-}
-
-/// Builds a permanent-classified error message: `"permanent: {msg}"`.
+/// Builds an error message for a deterministic trial failure:
+/// `"permanent: {msg}"`. The executor treats every failure alike (one
+/// run, journaled as failed); the prefix only labels the message.
 pub fn permanent_error(msg: impl Display) -> String {
-    format!("{PERMANENT_ERROR_PREFIX} {msg}")
+    format!("permanent: {msg}")
 }
 
 /// Per-trial execution context handed to [`TrialRunner::run`].
@@ -56,18 +26,13 @@ pub struct TrialContext {
     pub trial_index: usize,
     /// The campaign-level seed every trial stream is derived from.
     pub campaign_seed: u64,
-    /// The 1-based attempt number (`1` on the first try, `2` after one
-    /// retry, ...). Note [`TrialContext::rng`] deliberately ignores it.
+    /// Always `1`: the executor runs each trial exactly once.
     pub attempt: u32,
 }
 
 impl TrialContext {
-    /// The trial's deterministic RNG.
-    ///
-    /// All attempts of a trial get the *same* stream: retries exist to
-    /// absorb transient external failures, and a retried trial must
-    /// produce the same output it would have produced on its first
-    /// attempt.
+    /// The trial's deterministic RNG: the same stream every time the
+    /// trial runs, in this run or a resumed one.
     pub fn rng(&self) -> ChaCha8Rng {
         let mut rng = ChaCha8Rng::seed_from_u64(self.campaign_seed);
         rng.set_stream(self.trial_index as u64);
@@ -86,8 +51,10 @@ pub trait TrialRunner: Sync {
     /// The per-trial result, journaled as JSON on completion.
     type Output: Serialize + DeserializeOwned + Send;
 
-    /// Runs one trial. `Err` (and panics, which the executor converts to
-    /// `Err`) trigger a bounded retry, then a journaled failure.
+    /// Runs one trial, exactly once per campaign run. `Err` (and panics,
+    /// which the executor converts to `Err`) is journaled as a failed
+    /// trial without aborting the campaign; a resumed run re-runs every
+    /// trial not journaled as completed.
     fn run(&self, spec: &Self::Spec, ctx: &TrialContext) -> Result<Self::Output, String>;
 }
 
@@ -109,49 +76,5 @@ mod tests {
         let first0 = r0.next_u64();
         assert_eq!(first0, r0b.next_u64(), "same trial, same stream");
         assert_ne!(first0, r1.next_u64(), "different trials, different streams");
-    }
-
-    #[test]
-    fn failure_classification_follows_the_prefix_convention() {
-        assert_eq!(
-            classify_failure(&permanent_error("spec cell out of range")),
-            FailureClass::Permanent
-        );
-        assert_eq!(
-            classify_failure("  permanent: leading whitespace tolerated"),
-            FailureClass::Permanent
-        );
-        assert_eq!(
-            classify_failure("oracle budget exhausted"),
-            FailureClass::Retryable
-        );
-        assert_eq!(
-            classify_failure("trial panicked: index out of bounds"),
-            FailureClass::Retryable
-        );
-        assert_eq!(classify_failure(""), FailureClass::Retryable);
-        assert_eq!(
-            permanent_error("bad spec"),
-            format!("{PERMANENT_ERROR_PREFIX} bad spec")
-        );
-    }
-
-    #[test]
-    fn attempt_does_not_perturb_the_stream() {
-        let mut first = TrialContext {
-            trial_index: 3,
-            campaign_seed: 9,
-            attempt: 1,
-        }
-        .rng();
-        let mut retry = TrialContext {
-            trial_index: 3,
-            campaign_seed: 9,
-            attempt: 2,
-        }
-        .rng();
-        for _ in 0..16 {
-            assert_eq!(first.next_u64(), retry.next_u64());
-        }
     }
 }
