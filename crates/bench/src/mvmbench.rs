@@ -26,6 +26,10 @@
 //! `host_threads` (the machine's available parallelism) and `cpu_model`
 //! name the host so the thread-scaling columns are interpretable: thread
 //! counts above `host_threads` measure scheduling overhead, not speedup.
+//! `tile_kernel` names the register-tile instance the tiled backend ran
+//! ([`TileKernel::detect`]), since the GMAC/s columns depend on it, and
+//! `kernels` times every instance the CPU runs on each size, one thread,
+//! so the two instances' GMAC/s can be compared in one report.
 
 use std::time::Instant;
 
@@ -33,9 +37,10 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
 use xbar_crossbar::array::CrossbarArray;
-use xbar_crossbar::backend::{BackendKind, BackendSpec, BlockedBackend, EvalBackend};
+use xbar_crossbar::backend::{BackendKind, BackendSpec, BatchConfig, BlockedBackend, EvalBackend};
 use xbar_crossbar::device::DeviceModel;
 use xbar_faults::{FaultKey, FaultPlan, FaultSpec};
+use xbar_linalg::vec_ops::TileKernel;
 use xbar_linalg::Matrix;
 use xbar_stats::descriptive;
 
@@ -128,6 +133,34 @@ pub struct MvmBenchRow {
     pub prepared_speedup: f64,
 }
 
+/// One [`TileKernel`] instance on one benchmark size: the one-thread
+/// tiled pass the `blocked` backend runs (default [`BatchConfig`]
+/// blocks), with the instance fixed instead of detected, so both
+/// instances' GMAC/s sit side by side in one report.
+#[derive(Debug, Clone, Serialize)]
+pub struct KernelRow {
+    /// The instance's name (`"portable-4x4"` or `"avx2-6x8"`).
+    pub kernel: &'static str,
+    /// Crossbar output rows.
+    pub outputs: usize,
+    /// Crossbar input columns.
+    pub inputs: usize,
+    /// Batch size.
+    pub batch: usize,
+    /// Median nanoseconds per pass.
+    pub nanos: u64,
+    /// Median absolute deviation of the `nanos` repeats.
+    pub mad_nanos: u64,
+    /// Fastest of the `nanos` repeats.
+    pub min_nanos: u64,
+    /// Throughput in GMAC/s (`outputs * inputs * batch` multiply-adds
+    /// per `nanos`).
+    pub gmacs: f64,
+    /// Whether the pass's outputs were bit-identical to the naive
+    /// backend's.
+    pub bit_identical: bool,
+}
+
 /// Fault-injection lifecycle timings on the largest benchmark size.
 #[derive(Debug, Clone, Serialize)]
 pub struct FaultLifecycleReport {
@@ -188,9 +221,15 @@ pub struct MvmBenchReport {
     /// The CPU model from `/proc/cpuinfo` (`"unknown"` where that file
     /// is unavailable).
     pub cpu_model: String,
+    /// The [`TileKernel`] instance the tiled backend ran
+    /// (`"avx2-6x8"` or `"portable-4x4"`), chosen once per process from
+    /// the CPU's features.
+    pub tile_kernel: &'static str,
     /// The (size x threads) matrix, sizes ascending, threads ascending
     /// within a size.
     pub rows: Vec<MvmBenchRow>,
+    /// Every instance this CPU runs, per size (sizes ascending).
+    pub kernels: Vec<KernelRow>,
     /// Fault-injection lifecycle timings on the largest size.
     pub faults: FaultLifecycleReport,
 }
@@ -225,15 +264,37 @@ fn sample<R>(repeats: usize, mut f: impl FnMut() -> R) -> Timing {
     }
 }
 
+/// One pass of `kernel` over `w`'s rows against `inputs`, blocked the
+/// way the one-thread `blocked` backend blocks it.
+fn kernel_pass(kernel: TileKernel, w: &Matrix, inputs: &[&[f64]]) -> Vec<Vec<f64>> {
+    let BatchConfig {
+        block_outputs,
+        block_samples,
+    } = BatchConfig::default();
+    let (m, n) = (w.rows(), w.cols());
+    let mut out = vec![vec![0.0; m]; inputs.len()];
+    for (samples, outs) in inputs
+        .chunks(block_samples)
+        .zip(out.chunks_mut(block_samples))
+    {
+        for i0 in (0..m).step_by(block_outputs) {
+            let i1 = (i0 + block_outputs).min(m);
+            let mut cells: Vec<&mut [f64]> = outs.iter_mut().map(|o| &mut o[i0..i1]).collect();
+            kernel.dot_tile(&w.as_slice()[i0 * n..i1 * n], samples, &mut cells);
+        }
+    }
+    out
+}
+
 /// One benchmark size: programs the array once and emits a row per
-/// thread count.
+/// thread count, and a [`KernelRow`] per instance this CPU runs.
 fn bench_size(
     outputs: usize,
     inputs: usize,
     batch: usize,
     iterations: usize,
     rng: &mut ChaCha8Rng,
-) -> Result<Vec<MvmBenchRow>, String> {
+) -> Result<(Vec<MvmBenchRow>, Vec<KernelRow>), String> {
     let w = Matrix::random_uniform(outputs, inputs, -1.0, 1.0, rng);
     let array =
         CrossbarArray::program(&w, &DeviceModel::ideal(), rng).map_err(|e| e.to_string())?;
@@ -276,6 +337,26 @@ fn bench_size(
     let probe_refs = &refs[..probe];
 
     let macs = (outputs * inputs * batch) as f64;
+    let w_eff = array.effective_weights();
+    let kernels = [TileKernel::Portable, TileKernel::Avx2]
+        .into_iter()
+        .filter(|kernel| kernel.is_supported())
+        .map(|kernel| {
+            let time = sample(iterations, || kernel_pass(kernel, &w_eff, &refs));
+            KernelRow {
+                kernel: kernel.name(),
+                outputs,
+                inputs,
+                batch,
+                nanos: time.median,
+                mad_nanos: time.mad,
+                min_nanos: time.min,
+                gmacs: macs / time.median.max(1) as f64,
+                bit_identical: kernel_pass(kernel, &w_eff, &refs) == out_naive,
+            }
+        })
+        .collect();
+
     let mut rows = Vec::with_capacity(THREAD_COUNTS.len());
     for threads in THREAD_COUNTS {
         let parallel = BackendSpec::new(BackendKind::Blocked)
@@ -342,7 +423,7 @@ fn bench_size(
             prepared_speedup: cold_batch_time.median as f64 / warm_batch_time.median.max(1) as f64,
         });
     }
-    Ok(rows)
+    Ok((rows, kernels))
 }
 
 /// Fault-injection lifecycle timings on one array.
@@ -453,9 +534,11 @@ pub fn run_mvm_bench(quick: bool, json_out: Option<&str>) -> Result<MvmBenchRepo
     let cpu_model = crate::cpu_model();
 
     let mut rng = ChaCha8Rng::seed_from_u64(MVM_BENCH_SEED);
-    let mut rows = Vec::new();
+    let (mut rows, mut kernels) = (Vec::new(), Vec::new());
     for &(outputs, inputs, batch, iterations) in sizes {
-        rows.extend(bench_size(outputs, inputs, batch, iterations, &mut rng)?);
+        let (size_rows, size_kernels) = bench_size(outputs, inputs, batch, iterations, &mut rng)?;
+        rows.extend(size_rows);
+        kernels.extend(size_kernels);
     }
     let &(outputs, inputs, batch, iterations) = sizes.last().expect("matrix is non-empty");
     let faults = bench_faults(outputs, inputs, batch, iterations, &mut rng)?;
@@ -465,7 +548,9 @@ pub fn run_mvm_bench(quick: bool, json_out: Option<&str>) -> Result<MvmBenchRepo
         seed: MVM_BENCH_SEED,
         host_threads,
         cpu_model,
+        tile_kernel: TileKernel::detect().name(),
         rows,
+        kernels,
         faults,
     };
     for row in &report.rows {
@@ -491,9 +576,22 @@ pub fn run_mvm_bench(quick: bool, json_out: Option<&str>) -> Result<MvmBenchRepo
             row.bit_identical,
         );
     }
+    for k in &report.kernels {
+        println!(
+            "kernel {} {}x{} batch={} threads=1: {:.3} ms ({:.2} GMAC/s), bit-identical: {}",
+            k.kernel,
+            k.outputs,
+            k.inputs,
+            k.batch,
+            k.nanos as f64 / 1e6,
+            k.gmacs,
+            k.bit_identical,
+        );
+    }
     println!(
-        "host: {host_threads} threads, {} (thread counts above this measure oversubscription)",
-        report.cpu_model
+        "host: {host_threads} threads, {}, tile kernel {} (thread counts above this measure \
+         oversubscription)",
+        report.cpu_model, report.tile_kernel
     );
     println!(
         "faults {}x{}: faulted deploy (blocked) {:.3} ms (MAD {:.3}), overhead {:.2}x, \
@@ -514,6 +612,12 @@ pub fn run_mvm_bench(quick: bool, json_out: Option<&str>) -> Result<MvmBenchRepo
         return Err(format!(
             "backend outputs diverged from naive at {}x{} threads={}",
             bad.outputs, bad.inputs, bad.threads
+        ));
+    }
+    if let Some(bad) = report.kernels.iter().find(|k| !k.bit_identical) {
+        return Err(format!(
+            "tile kernel {} diverged from naive at {}x{}",
+            bad.kernel, bad.outputs, bad.inputs
         ));
     }
     if !report.faults.faulty_noop_bit_identical {
@@ -564,6 +668,16 @@ mod tests {
             [1, 2, 4, 8, 1, 2, 4, 8, 1, 2, 4, 8]
         );
         assert_eq!((report.rows[0].outputs, report.rows[0].batch), (10, 61));
+        // Every instance this CPU runs, on each of the 3 sizes.
+        let instances = [TileKernel::Portable, TileKernel::Avx2]
+            .into_iter()
+            .filter(|k| k.is_supported())
+            .count();
+        assert_eq!(report.kernels.len(), 3 * instances);
+        for k in &report.kernels {
+            assert!(k.bit_identical && k.gmacs > 0.0, "{k:?}");
+            assert!(k.min_nanos <= k.nanos);
+        }
         assert!(report.faults.faulty_noop_bit_identical);
         assert!(report.faults.fault_overhead > 0.0);
         assert!(report.faults.fault_compile_nanos > 0 && report.faults.fault_apply_nanos > 0);
@@ -572,6 +686,8 @@ mod tests {
         assert!(json.contains("\"bit_identical\": true"));
         assert!(json.contains("\"host_threads\""));
         assert!(json.contains("\"cpu_model\""));
+        let kernel = format!("\"tile_kernel\": \"{}\"", TileKernel::detect().name());
+        assert!(json.contains(&kernel), "{kernel}");
         assert!(json.contains("\"parallel_speedup\""));
         assert!(json.contains("\"blocked_gmacs\""));
         assert!(json.contains("\"prepared_speedup\""));

@@ -211,10 +211,11 @@ const COMMAND_USAGE: &[(&str, &str)] = &[
     ),
     (
         "trace",
-        "  trace     inspect an xbar-obs JSONL trace written by --trace
+        "  trace     inspect an xbar-obs JSONL trace file written by a
+            campaign or sweep
             summarize FILE   per-campaign counters and histograms
                              (count, p50/p90/p99, max; spans in ns);
-                             also reads `serve host --metrics` snapshot
+                             also reads the service's metrics snapshot
                              files (last snapshot wins — counters are
                              cumulative)",
     ),
@@ -1122,6 +1123,15 @@ mod tests {
             (
                 vec!["faults", "sweep", "--progress", "none", "--thread", "4"],
                 "--thread",
+            ),
+            // `trace` takes no option, whatever its usage prose mentions.
+            (
+                vec!["trace", "summarize", &model, "--trace", "x.jsonl"],
+                "--trace",
+            ),
+            (
+                vec!["trace", "summarize", &model, "--metrics", "m.jsonl"],
+                "--metrics",
             ),
         ] {
             let err = dispatch(&parse(&tokens)).unwrap_err().to_string();

@@ -7,7 +7,7 @@
 
 use crate::{AttackError, Result};
 use serde::de::DeserializeOwned;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::io::{Read, Write};
 use std::path::Path;
 use xbar_nn::network::SingleLayerNet;
@@ -83,10 +83,23 @@ pub fn save_network<P: AsRef<Path>>(path: P, net: &SingleLayerNet) -> Result<()>
 /// * [`AttackError::Io`] if the file cannot be opened.
 /// * [`AttackError::Serde`] on malformed JSON.
 /// * [`AttackError::InvalidParameter`] if the file holds a different
-///   kind of artifact or format version.
+///   kind of artifact or format version, or a network with a non-null
+///   `bias` (`name: "bias"`).
 pub fn load_network<P: AsRef<Path>>(path: P) -> Result<SingleLayerNet> {
     let f = std::fs::File::open(path).map_err(io_err)?;
-    load_artifact(std::io::BufReader::new(f), "single-layer-net")
+    let payload = load_artifact(std::io::BufReader::new(f), "single-layer-net")?;
+    network_from_payload(payload)
+}
+
+/// Decodes a saved network's payload. The network has no bias: files
+/// saved while it had one carry `"bias": null`, which loads, but the
+/// derived decoder skips unknown keys and would silently drop a real
+/// bias, so a non-null one is refused.
+fn network_from_payload(payload: Value) -> Result<SingleLayerNet> {
+    if payload.get("bias").is_some_and(|bias| *bias != Value::Null) {
+        return Err(AttackError::InvalidParameter { name: "bias" });
+    }
+    serde_json::from_value(payload).map_err(AttackError::Serde)
 }
 
 #[cfg(test)]
@@ -126,6 +139,35 @@ mod tests {
         assert_ne!(old, text);
         let loaded: SingleLayerNet = load_artifact(old.as_bytes(), "single-layer-net").unwrap();
         assert_eq!(loaded, net);
+    }
+
+    #[test]
+    fn saved_model_with_a_bias_is_refused() {
+        let net = SingleLayerNet::new_random(
+            3,
+            2,
+            Activation::Identity,
+            &mut ChaCha8Rng::seed_from_u64(4),
+        );
+        let path = tmp("bias");
+        save_network(&path, &net).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        for (bias, loads) in [("null", true), ("[0.5, -0.5]", false), ("0.0", false)] {
+            let old = text.replacen(
+                "\"payload\": {",
+                &format!("\"payload\": {{\"bias\": {bias},"),
+                1,
+            );
+            std::fs::write(&path, old).unwrap();
+            match load_network(&path) {
+                Ok(loaded) => assert!(loads && loaded == net, "bias {bias}"),
+                Err(e) => assert!(
+                    !loads && matches!(e, AttackError::InvalidParameter { name: "bias" }),
+                    "bias {bias}: {e}"
+                ),
+            }
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

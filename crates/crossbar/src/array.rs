@@ -8,7 +8,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use xbar_linalg::{par, Matrix};
+use xbar_linalg::{par, vec_ops, Matrix};
 
 /// Process-wide source of conductance-generation fingerprints. Starts
 /// at 1 so generation 0 can never name a live array (a useful sentinel
@@ -333,7 +333,21 @@ impl CrossbarArray {
             });
         }
         xbar_obs::count(xbar_obs::names::XBAR_ANALOG_MVM, 1);
-        Ok(self.effective_weights().matvec(v))
+        // `effective_weights().matvec(v)` bit for bit, one row at a
+        // time: each row is formed into one reused buffer by the same
+        // subtraction and scaling, then reduced by the same `dot`, so no
+        // M x N matrix is allocated per vector.
+        let inv_scale = 1.0 / self.mapping.scale;
+        let mut w_row = vec![0.0; v.len()];
+        let rows = self.g_plus.rows_iter().zip(self.g_minus.rows_iter());
+        Ok(rows
+            .map(|(gp, gm)| {
+                for ((w, &p), &m) in w_row.iter_mut().zip(gp).zip(gm) {
+                    *w = (p - m) * inv_scale;
+                }
+                vec_ops::dot(&w_row, v)
+            })
+            .collect())
     }
 
     /// Differential MVM with per-read device noise applied to every

@@ -112,8 +112,9 @@ impl std::str::FromStr for BackendKind {
 ///
 /// The defaults keep one tile of effective weights plus the tile's
 /// input/output slices within a typical L1/L2 working set. Within a
-/// tile, [`xbar_linalg::vec_ops::dot_tile`] computes 4 rows x 4
-/// samples per pass (a fixed register tile, not a knob). Tiling never
+/// tile, [`xbar_linalg::vec_ops::dot_tile`] computes one register tile
+/// per pass — 6 rows x 8 samples on AVX2, 4 x 4 elsewhere, chosen once
+/// per process from the CPU, not a knob. Tiling never
 /// changes results — each output cell is one full-length ascending
 /// reduction, whichever tile or SIMD lane computes it — so these are
 /// pure performance knobs.
@@ -566,9 +567,10 @@ fn noisy_mvm_per_sample(
 ///
 /// This is the one kernel every [`BlockedBackend`] worker runs: each
 /// `block_outputs x block_samples` tile goes through [`dot_tile`],
-/// whose 4x4 register tile computes 16 cells side by side, each still
+/// whose register tile (6 x 8 on AVX2, else 4 x 4) computes 48 or 16
+/// cells side by side, each still
 /// one full-length ascending-index [`dot`] reduction — the identical
-/// sum `checked_mvm`'s `matvec` performs — so tile boundaries, SIMD
+/// sum `checked_mvm` performs — so tile boundaries, SIMD
 /// lanes and work partitioning never change a single bit of the result.
 fn mvm_tiles_into(
     w_eff: &Matrix,
@@ -676,8 +678,9 @@ impl EvalBackend for NaiveBackend {
 /// Noiseless evaluation reads the handle's materialised weights (or
 /// line conductances) and walks `outputs x batch` tiles so a tile of
 /// weight rows stays cache-resident across the tile's samples; inside a
-/// tile, [`dot_tile`] streams 4 weight rows against a packed panel of 4
-/// samples with 16 independent accumulators, one per output cell. With
+/// tile, [`dot_tile`] streams 6 weight rows against a packed panel of 8
+/// samples on AVX2 (4 against 4 elsewhere), with one independent
+/// accumulator per output cell. With
 /// more than one worker, MVM splits the batch into contiguous sample
 /// runs, one per worker, each writing a disjoint slice of the output;
 /// when the batch is smaller than the pool, workers instead take

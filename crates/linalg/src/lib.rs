@@ -11,9 +11,13 @@
 //! * [`par`] — the workspace's one data-parallel fan-out: thread-count
 //!   resolution and contiguous runs over scoped threads.
 //! * [`vec_ops`] — slice-level vector kernels (dot and its register-tiled
-//!   batch form `dot_tile`, axpy, norms, argmax).
+//!   batch form `dot_tile`, whose AVX2 or portable instance is chosen once
+//!   per process; axpy, norms, argmax).
 //! * [`qr`] — Householder QR and least-squares solves.
 //! * [`cholesky`] — Cholesky factorisation and ridge-regularised solves.
+//!
+//! The crate denies `unsafe` code except for one call: `dot_tile`'s
+//! entry into its AVX2 instance, after the CPU reported AVX2.
 //!
 //! The paper's Section IV writes exact weight recovery as `W = U† Ŷ`. Here
 //! that is a least-squares solve: with at least `N` independent queries
@@ -36,6 +40,7 @@
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod cholesky;
 mod error;

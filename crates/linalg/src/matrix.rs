@@ -436,8 +436,8 @@ impl Matrix {
     /// (the rows of `self` as its samples, the rows of `other` as its
     /// weight rows). Every output entry is still one row-row
     /// [`crate::vec_ops::dot`] — the same full-length ascending-index
-    /// reduction [`Matrix::matvec`] performs; the tile only computes 16
-    /// such sums side by side — so `a.matmul_nt(&b)` row `i` is
+    /// reduction [`Matrix::matvec`] performs; the tile only computes 48
+    /// (AVX2) or 16 such sums side by side — so `a.matmul_nt(&b)` row `i` is
     /// bit-identical to `b.matvec(a.row(i))`. Batch evaluation paths rely
     /// on this to stay bit-identical to their per-vector counterparts.
     /// Rows are independent, so the row split above `PAR_ROW_THRESHOLD`
@@ -939,8 +939,8 @@ mod tests {
     #[test]
     fn matmul_nt_matches_dot_cell_by_cell_on_ragged_shapes() {
         let mut r = rng();
-        // Row counts on both sides cross the 4x4 tile, the one-row tile
-        // and the plain-dot sample remainder; 70 rows also cross the
+        // Row counts on both sides cross the 4x4 and 6x8 tiles, their
+        // one-row tiles and plain-dot sample remainders; 70 rows also cross the
         // parallel split; k = 0 is the empty reduction.
         for (m, n, k) in [
             (1, 1, 1),
