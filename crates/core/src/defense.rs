@@ -175,33 +175,27 @@ impl DefendedOracle {
 
     /// Probes all column norms through the defense (the defended analogue
     /// of [`crate::probe::probe_column_norms`]); what the attacker
-    /// recovers is the *defended* landscape. Each repeat issues its `N`
-    /// basis probes as one defended batch.
+    /// recovers is the *defended* landscape. Each repeat reads its `N`
+    /// basis probes through one [`Oracle::one_hot_powers`] call, then
+    /// adds the defense's term per probe in column order over one reused
+    /// one-hot row, so the defense draws as it would for the same probes
+    /// issued as one defended batch.
     ///
     /// # Errors
     ///
     /// Same conditions as [`crate::probe::probe_column_norms`].
     pub fn probe_column_norms(&mut self, beta: f64, repeats: usize) -> Result<Vec<f64>> {
-        if !(beta.is_finite() && beta != 0.0) {
-            return Err(AttackError::InvalidParameter { name: "beta" });
-        }
-        if repeats == 0 {
-            return Err(AttackError::InvalidParameter { name: "repeats" });
-        }
+        crate::probe::validate_probe(beta, repeats)?;
         let n = self.num_inputs();
-        let probes: Vec<Vec<f64>> = (0..n)
-            .map(|j| {
-                let mut probe = vec![0.0; n];
-                probe[j] = beta;
-                probe
-            })
-            .collect();
-        let refs: Vec<&[f64]> = probes.iter().map(Vec::as_slice).collect();
+        let columns: Vec<usize> = (0..n).collect();
+        let mut row = vec![0.0; n];
         let mut norms = vec![0.0; n];
         for _ in 0..repeats {
-            let records = self.query_batch(&refs)?;
-            for (norm, rec) in norms.iter_mut().zip(&records) {
-                *norm += rec.observation.power;
+            let powers = self.oracle.one_hot_powers(&columns, beta)?;
+            for (j, (norm, power)) in norms.iter_mut().zip(powers).enumerate() {
+                row[j] = beta;
+                *norm += power + self.defense.extra_power(&row, &mut self.rng);
+                row[j] = 0.0;
             }
         }
         for norm in &mut norms {

@@ -5,6 +5,7 @@ use crate::{AttackError, Result};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 use xbar_crossbar::array::CrossbarArray;
 use xbar_crossbar::backend::{BackendKind, BackendSpec, EvalBackend, PreparedEval, RngStreams};
@@ -508,11 +509,12 @@ impl Oracle {
         Ok(())
     }
 
-    /// Calibrates one raw power measurement to weight units.
-    fn calibrate(&self, raw: f64, u: &[f64]) -> f64 {
+    /// Calibrates one raw power measurement to weight units, given the
+    /// sum of the query's input elements.
+    fn calibrate(&self, raw: f64, input_sum: f64) -> f64 {
         let mapping = self.xbar.mapping();
         let m = self.xbar.num_outputs() as f64;
-        let baseline = 2.0 * m * mapping.g_min * u.iter().sum::<f64>();
+        let baseline = 2.0 * m * mapping.g_min * input_sum;
         (raw / self.config.power.v_dd - baseline) / mapping.scale
     }
 
@@ -588,29 +590,43 @@ impl Oracle {
         }
         self.check_inputs(inputs)?;
         let base = self.consume_queries(inputs.len())?;
+        self.split_at_epochs(inputs.len(), base, |oracle, range, q| {
+            oracle.query_chunk(&inputs[range], q)
+        })
+    }
+
+    /// Runs `run(oracle, range, first_index)` over the `count` consumed
+    /// queries whose first has global index `base`, and concatenates the
+    /// results. The deployed array is a pure function of each query's
+    /// global index, so a drifting oracle splits the queries at
+    /// drift-epoch boundaries and redeploys before each run: a batch
+    /// spanning an epoch stays bit-identical to the same queries issued
+    /// one at a time.
+    fn split_at_epochs<T>(
+        &mut self,
+        count: usize,
+        base: u64,
+        mut run: impl FnMut(&Self, Range<usize>, u64) -> Result<Vec<T>>,
+    ) -> Result<Vec<T>> {
         if !self.drifting() {
-            return self.query_chunk(inputs, base);
+            return run(self, 0..count, base);
         }
-        // The deployed array is a pure function of each query's global
-        // index; split the batch at drift-epoch boundaries so a batch
-        // spanning an epoch stays bit-identical to the same queries
-        // issued one at a time.
-        let mut records = Vec::with_capacity(inputs.len());
+        let mut out = Vec::with_capacity(count);
         let mut start = 0usize;
-        while start < inputs.len() {
+        while start < count {
             let q = base + start as u64;
             self.advance_drift_to(q)?;
             let boundary = (self.config.drift.epoch(q) + 1) * self.config.drift.interval_queries;
-            let end = inputs.len().min((boundary - base) as usize);
-            records.extend(self.query_chunk(&inputs[start..end], q)?);
+            let end = count.min((boundary - base) as usize);
+            out.extend(run(self, start..end, q)?);
             start = end;
         }
-        Ok(records)
+        Ok(out)
     }
 
     /// Evaluates one epoch-homogeneous chunk of queries whose first
     /// sample has global index `base`.
-    fn query_chunk(&mut self, inputs: &[&[f64]], base: u64) -> Result<Vec<QueryRecord>> {
+    fn query_chunk(&self, inputs: &[&[f64]], base: u64) -> Result<Vec<QueryRecord>> {
         let keys: Vec<QueryKey> = (0..inputs.len())
             .map(|i| QueryKey::new(self.seed, base + i as u64))
             .collect();
@@ -621,6 +637,98 @@ impl Oracle {
             .map(|(i, observation)| QueryRecord {
                 index: base + i as u64,
                 observation,
+            })
+            .collect())
+    }
+
+    /// The calibrated power of each one-hot query `beta · e_j`, one per
+    /// entry of `columns`, in order: the Case-1 probe reading, without
+    /// materialising the rows or running the forward pass.
+    ///
+    /// Each value is bit-identical to the power [`Oracle::query_batch`]
+    /// returns for the materialised row, at any [`OutputAccess`], and
+    /// the accounting is the same: the queries are consumed
+    /// all-or-nothing, take consecutive global indices, count as
+    /// `oracle.query`, and a drifting oracle splits them at the same
+    /// epoch boundaries. Without transients, the exact reading of
+    /// `beta · e_j` is the one nonzero term of the handle's line
+    /// conductance dot (see [`one_hot_dot`]), the calibration sum of the
+    /// row is `beta`, and the measurement noise comes first in the
+    /// query's stream ([`Oracle::stream_rng`]), so skipping the forward
+    /// pass and its read draws moves no power bit. Such queries count
+    /// as `oracle.power_only`. With transients active each query reads
+    /// its own perturbed array, so it is evaluated as a batch of one
+    /// over one reused row; so is every query of a zero `beta`, whose
+    /// row sums to a zero of either sign.
+    ///
+    /// # Errors
+    ///
+    /// Nothing is consumed on error.
+    ///
+    /// * [`AttackError::InvalidParameter`] (`columns`) for a column
+    ///   outside `0..num_inputs()`.
+    /// * [`AttackError::NonFiniteInput`] for a NaN or infinite `beta`,
+    ///   as [`Oracle::check_inputs`] reports the first row.
+    /// * [`AttackError::QueryBudgetExhausted`] if the queries do not fit
+    ///   in the remaining budget.
+    pub fn one_hot_powers(&mut self, columns: &[usize], beta: f64) -> Result<Vec<f64>> {
+        let Some(&first) = columns.first() else {
+            return Ok(Vec::new());
+        };
+        let n = self.num_inputs();
+        if columns.iter().any(|&j| j >= n) {
+            return Err(AttackError::InvalidParameter { name: "columns" });
+        }
+        if !beta.is_finite() {
+            return Err(AttackError::NonFiniteInput {
+                sample: 0,
+                element: first,
+            });
+        }
+        let base = self.consume_queries(columns.len())?;
+        let mut row = vec![0.0; n];
+        self.split_at_epochs(columns.len(), base, |oracle, range, q| {
+            oracle.one_hot_chunk(&columns[range], beta, q, &mut row)
+        })
+    }
+
+    /// [`Oracle::one_hot_powers`] for one epoch-homogeneous chunk whose
+    /// first query has global index `base`; `row` is all zeros on entry
+    /// and on return.
+    fn one_hot_chunk(
+        &self,
+        columns: &[usize],
+        beta: f64,
+        base: u64,
+        row: &mut [f64],
+    ) -> Result<Vec<f64>> {
+        let indices = (base..).zip(columns);
+        if self.config.active_transients().is_some() || beta == 0.0 {
+            return indices
+                .map(|(q, &j)| {
+                    row[j] = beta;
+                    let record = self.query_chunk(&[&*row], q);
+                    row[j] = 0.0;
+                    Ok(record?[0].observation.power)
+                })
+                .collect();
+        }
+        xbar_obs::count(xbar_obs::names::XBAR_POWER_READ, columns.len() as u64);
+        xbar_obs::count(xbar_obs::names::ORACLE_POWER_ONLY, columns.len() as u64);
+        let session = self.prepared_session()?;
+        let conductances = session.prepared.line_conductances();
+        let power = &self.config.power;
+        Ok(indices
+            .map(|(q, &j)| {
+                let exact = one_hot_dot(conductances, j, beta, row);
+                let measured = power.v_dd * exact;
+                let raw = if power.noise_sigma > 0.0 {
+                    power.corrupt(measured, &mut Self::stream_rng(self.seed, q))
+                } else {
+                    measured
+                };
+                // A one-hot row with a nonzero `beta` sums to `beta`.
+                self.calibrate(raw, beta)
             })
             .collect())
     }
@@ -774,7 +882,7 @@ impl Oracle {
                         (raw, self.xbar.noisy_mvm(u, &mut rng)?)
                     }
                 };
-                powers.push(self.calibrate(raw, u));
+                powers.push(self.calibrate(raw, u.iter().sum()));
                 outs.push(out);
             }
             (powers, Some(outs))
@@ -792,7 +900,7 @@ impl Oracle {
             let powers = raws
                 .iter()
                 .zip(inputs)
-                .map(|(&raw, u)| self.calibrate(raw, u))
+                .map(|(&raw, u)| self.calibrate(raw, u.iter().sum()))
                 .collect();
             let outs = if !needs_forward {
                 None
@@ -931,6 +1039,25 @@ impl Oracle {
         let preds = self.eval_predict_batch(inputs)?;
         Ok(xbar_nn::metrics::accuracy(&preds, labels))
     }
+}
+
+/// `dot(conductances, beta · e_j)`, bit for bit, with `row` as scratch
+/// (all zeros on entry and on return).
+///
+/// In the `-0.0`-seeded ascending sum every term but the `j`th is a
+/// product with `+0.0`, a signed zero that leaves a nonzero finite
+/// partial sum unchanged, so a nonzero product `conductances[j] * beta`
+/// is the sum. A zero product's sign depends on its neighbours, so that
+/// case runs the dot itself.
+fn one_hot_dot(conductances: &[f64], j: usize, beta: f64, row: &mut [f64]) -> f64 {
+    let product = conductances[j] * beta;
+    if product != 0.0 {
+        return product;
+    }
+    row[j] = beta;
+    let exact = vec_ops::dot(conductances, row);
+    row[j] = 0.0;
+    exact
 }
 
 #[cfg(test)]
@@ -1202,7 +1329,7 @@ mod tests {
                     observation: Observation {
                         label: Some(vec_ops::argmax(&output)),
                         output: Some(output),
-                        power: reference.calibrate(raw, u),
+                        power: reference.calibrate(raw, u.iter().sum()),
                     },
                 }
             })
@@ -1824,5 +1951,140 @@ mod tests {
             drifting.observe_batch_keyed(&[&u], &[QueryKey::new(1, 0)]),
             Err(AttackError::InvalidParameter { .. })
         ));
+    }
+
+    /// Every float as its bit pattern.
+    fn bit_vec(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The powers `query_batch` returns for the materialised rows
+    /// `beta · e_j`.
+    fn materialised_powers(o: &mut Oracle, columns: &[usize], beta: f64) -> Vec<f64> {
+        let rows: Vec<Vec<f64>> = columns
+            .iter()
+            .map(|&j| {
+                let mut row = vec![0.0; o.num_inputs()];
+                row[j] = beta;
+                row
+            })
+            .collect();
+        let refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
+        o.query_batch(&refs)
+            .unwrap()
+            .into_iter()
+            .map(|r| r.observation.power)
+            .collect()
+    }
+
+    #[test]
+    fn one_hot_dot_returns_dots_bits() {
+        let cases: [(&[f64], f64); 7] = [
+            // A zero line total: the product is -0.0, the dot +0.0
+            // unless the zero term is the only one.
+            (&[0.0, 0.3, 0.7], -2.5),
+            (&[0.3, 0.7, 0.0], -2.5),
+            (&[0.0], -2.5),
+            (&[0.0], 2.5),
+            // A product that underflows to zero.
+            (&[1e-200, 0.5], -1e-200),
+            (&[0.25, 0.5, 1.5], -0.37),
+            (&[0.25, 0.5, 1.5], 1.0),
+        ];
+        for (conductances, beta) in cases {
+            let mut row = vec![0.0; conductances.len()];
+            for j in 0..conductances.len() {
+                let got = one_hot_dot(conductances, j, beta, &mut row);
+                let mut one_hot = vec![0.0; conductances.len()];
+                one_hot[j] = beta;
+                let want = vec_ops::dot(conductances, &one_hot);
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{conductances:?} j={j} β={beta}"
+                );
+                assert!(row.iter().all(|&x| x.to_bits() == 0), "row restored");
+            }
+        }
+    }
+
+    #[test]
+    fn one_hot_powers_read_zero_line_totals_bit_for_bit() {
+        use xbar_faults::{FaultInjection, FaultKey, FaultSpec};
+        // Every device stuck off at `g_min = 0`: each line total is zero.
+        let dead = OracleConfig::ideal()
+            .with_access(OutputAccess::None)
+            .with_faults(FaultInjection::new(
+                FaultSpec::none().with_stuck_off_rate(1.0),
+                FaultKey::new(3, 0),
+            ));
+        let wide = Matrix::from_rows(&[&[1.0, -0.5, 0.2, 0.9], &[0.25, 0.5, -1.0, 0.0]]);
+        let single = Matrix::from_rows(&[&[0.8], &[-0.3]]);
+        for (w, columns) in [(wide, vec![0, 2, 3]), (single, vec![0, 0])] {
+            let net = SingleLayerNet::from_weights(w, Activation::Identity);
+            for beta in [-2.5, -1.0, 1.0] {
+                let mut fast = Oracle::new(net.clone(), &dead, 4).unwrap();
+                let mut reference = Oracle::new(net.clone(), &dead, 4).unwrap();
+                let got = fast.one_hot_powers(&columns, beta).unwrap();
+                let want = materialised_powers(&mut reference, &columns, beta);
+                assert_eq!(bit_vec(&got), bit_vec(&want), "β={beta} {columns:?}");
+                assert!(got.iter().all(|&p| p == 0.0));
+            }
+        }
+    }
+
+    #[test]
+    fn one_hot_powers_account_like_query_batch() {
+        use xbar_faults::{FaultKey, TransientInjection, TransientSpec};
+        let net = SingleLayerNet::from_weights(
+            Matrix::from_rows(&[&[1.0, -0.5, 0.2], &[0.25, 0.5, -1.0]]),
+            Activation::Identity,
+        );
+        let cfg = OracleConfig::ideal().with_query_budget(5);
+        let mut o = Oracle::new(net.clone(), &cfg, 3).unwrap();
+        // Refusals consume nothing.
+        assert!(matches!(
+            o.one_hot_powers(&[0, 3], 1.0),
+            Err(AttackError::InvalidParameter { name: "columns" })
+        ));
+        assert!(matches!(
+            o.one_hot_powers(&[2, 0], f64::NAN),
+            Err(AttackError::NonFiniteInput {
+                sample: 0,
+                element: 2
+            })
+        ));
+        assert!(matches!(
+            o.one_hot_powers(&[0; 6], 1.0),
+            Err(AttackError::QueryBudgetExhausted { budget: 5 })
+        ));
+        assert_eq!(o.query_count(), 0);
+        assert!(o.one_hot_powers(&[], 1.0).unwrap().is_empty());
+
+        // Each answered query counts once as a query; without
+        // transients every one is also a power-only read.
+        let transients = TransientInjection::new(
+            TransientSpec::none().with_flip_rate(0.1),
+            FaultKey::new(2, 0),
+        );
+        for (cfg, power_only) in [
+            (OracleConfig::ideal(), 4),
+            (OracleConfig::ideal().with_transients(transients), 0),
+        ] {
+            let shard = Arc::new(xbar_obs::MetricsShard::new());
+            xbar_obs::with_scope(&shard, "scan", || {
+                let mut o = Oracle::new(net.clone(), &cfg, 3).unwrap();
+                o.one_hot_powers(&[0, 1, 2, 1], -0.5).unwrap();
+                assert_eq!(o.query_count(), 4);
+                assert_eq!(o.query(&[0.1, 0.2, 0.3]).unwrap().index, 4);
+            });
+            let observed = shard.take_scope("scan");
+            assert_eq!(observed.counter(xbar_obs::names::ORACLE_QUERY), 5);
+            assert_eq!(observed.counter(xbar_obs::names::XBAR_POWER_READ), 5);
+            assert_eq!(
+                observed.counter(xbar_obs::names::ORACLE_POWER_ONLY),
+                power_only
+            );
+        }
     }
 }

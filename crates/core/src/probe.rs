@@ -89,12 +89,11 @@ impl RecalibrationPolicy {
 /// (`N` queries total, times `repeats` for noise averaging).
 ///
 /// `beta` is the probe amplitude (the paper's `β e_j` inputs); the result
-/// is normalised back by `beta`. Each repeat scans the `N` basis probes
-/// in consecutive [`Oracle::query_batch`] chunks of up to 64 one-hot
-/// rows built in one reused buffer, so the scan never materialises all
-/// `N` length-`N` probes at once. The chunks' global query indices are
-/// consecutive, so the readings are bit-identical to issuing the repeat
-/// as one batch.
+/// is normalised back by `beta`. Each repeat reads the `N` basis probes
+/// through one [`Oracle::one_hot_powers`] call, which answers them from
+/// the deployed array's line conductances without materialising a
+/// probe, bit-identical to issuing the repeat's rows as one
+/// [`Oracle::query_batch`].
 ///
 /// The budget is all-or-nothing per repeat: a repeat that does not fit
 /// in the remaining budget fails before any of its queries is consumed.
@@ -140,10 +139,9 @@ pub fn probe_columns_subset(
         .collect())
 }
 
-/// One-hot rows per [`Oracle::query_batch`] chunk of a probe scan.
-const SCAN_CHUNK: usize = 64;
-
-fn validate_probe(beta: f64, repeats: usize) -> Result<()> {
+/// Checks a probe's amplitude (finite, nonzero) and repeat count
+/// (nonzero).
+pub(crate) fn validate_probe(beta: f64, repeats: usize) -> Result<()> {
     if !(beta.is_finite() && beta != 0.0) {
         return Err(AttackError::InvalidParameter { name: "beta" });
     }
@@ -154,41 +152,19 @@ fn validate_probe(beta: f64, repeats: usize) -> Result<()> {
 }
 
 /// Sums `repeats` power readings of the one-hot inputs `beta · e_j`, one
-/// per entry of `columns` (in range), in order.
-///
-/// Each repeat is issued in [`SCAN_CHUNK`]-row chunks through one
-/// buffer: row `r` of a chunk starting at `c0` carries `beta` at
-/// `columns[c0 + r]`, which is reset to `0.0` after the chunk is read.
-/// A repeat is refused, with nothing consumed, unless all of its
-/// queries fit in the remaining budget.
+/// per entry of `columns` (in range), in order. Each repeat is one
+/// [`Oracle::one_hot_powers`] call, so it is refused, with nothing
+/// consumed, unless all of its queries fit in the remaining budget.
 fn one_hot_scan(
     oracle: &mut Oracle,
     columns: &[usize],
     beta: f64,
     repeats: usize,
 ) -> Result<Vec<f64>> {
-    let n = oracle.num_inputs();
-    let mut buffer = vec![0.0; SCAN_CHUNK.min(columns.len()) * n];
     let mut sums = vec![0.0; columns.len()];
     for _ in 0..repeats {
-        if let Some(budget) = oracle.config().query_budget {
-            if oracle.query_count() + columns.len() > budget {
-                return Err(AttackError::QueryBudgetExhausted { budget });
-            }
-        }
-        for (chunk, chunk_sums) in columns.chunks(SCAN_CHUNK).zip(sums.chunks_mut(SCAN_CHUNK)) {
-            let rows = &mut buffer[..chunk.len() * n];
-            for (row, &j) in rows.chunks_mut(n).zip(chunk) {
-                row[j] = beta;
-            }
-            let refs: Vec<&[f64]> = rows.chunks(n).collect();
-            let records = oracle.query_batch(&refs)?;
-            for (sum, rec) in chunk_sums.iter_mut().zip(&records) {
-                *sum += rec.observation.power;
-            }
-            for (row, &j) in rows.chunks_mut(n).zip(chunk) {
-                row[j] = 0.0;
-            }
+        for (sum, power) in sums.iter_mut().zip(oracle.one_hot_powers(columns, beta)?) {
+            *sum += power;
         }
         xbar_obs::count(xbar_obs::names::PROBE_MEASUREMENT, columns.len() as u64);
     }

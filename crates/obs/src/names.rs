@@ -49,9 +49,16 @@ impl HistogramName {
 }
 
 /// One oracle query answered: a budgeted query (`Oracle::query` /
-/// `Oracle::query_batch`) or a keyed observation
+/// `Oracle::query_batch` / `Oracle::one_hot_powers`) or a keyed
+/// observation
 /// (`Oracle::observe_batch_keyed`, the service's evaluation path).
 pub const ORACLE_QUERY: CounterName = CounterName("oracle.query");
+
+/// One oracle query answered by the power-only one-hot path
+/// (`Oracle::one_hot_powers` without transients): its power read from
+/// the prepared handle's line conductances, with no row materialised
+/// and no forward pass. Each also counts under [`ORACLE_QUERY`].
+pub const ORACLE_POWER_ONLY: CounterName = CounterName("oracle.power_only");
 
 /// One power-probe measurement (basis or random input) issued by the
 /// probing routines in `xbar-core`.
