@@ -186,6 +186,7 @@ impl DefendedOracle {
     /// Same conditions as [`crate::probe::probe_column_norms`].
     pub fn probe_column_norms(&mut self, beta: f64, repeats: usize) -> Result<Vec<f64>> {
         crate::probe::validate_probe(beta, repeats)?;
+        let _span = xbar_obs::span(xbar_obs::names::SPAN_PROBE);
         let n = self.num_inputs();
         let columns: Vec<usize> = (0..n).collect();
         let mut row = vec![0.0; n];
@@ -197,6 +198,7 @@ impl DefendedOracle {
                 *norm += power + self.defense.extra_power(&row, &mut self.rng);
                 row[j] = 0.0;
             }
+            xbar_obs::count(xbar_obs::names::PROBE_MEASUREMENT, n as u64);
         }
         for norm in &mut norms {
             *norm /= repeats as f64 * beta;
@@ -234,6 +236,27 @@ mod tests {
             bare.query(&u).unwrap().observation.power,
             defended.query(&u).unwrap().observation.power
         );
+    }
+
+    #[test]
+    fn defended_probe_counts_each_measurement_as_a_power_only_query() {
+        let shard = std::sync::Arc::new(xbar_obs::MetricsShard::new());
+        xbar_obs::with_scope(&shard, "probe", || {
+            let defense = PowerDefense::AdditiveNoise { sigma: 0.5 };
+            let mut defended = DefendedOracle::new(base_oracle(), defense, 6).unwrap();
+            defended.probe_column_norms(1.0, 3).unwrap();
+        });
+        let observed = shard.take_scope("probe");
+        let measurements = observed.counter(xbar_obs::names::PROBE_MEASUREMENT);
+        assert_eq!(measurements, 12 * 3);
+        assert_eq!(
+            observed.counter(xbar_obs::names::ORACLE_POWER_ONLY),
+            measurements
+        );
+        let spans = observed
+            .histogram(xbar_obs::names::SPAN_PROBE)
+            .map(xbar_obs::Histogram::count);
+        assert_eq!(spans, Some(1));
     }
 
     #[test]

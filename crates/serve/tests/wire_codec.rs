@@ -6,7 +6,8 @@
 //! * Decode: [`decode_request`] and `serde_json::from_str::<Request>`
 //!   agree — both fail, or both succeed with equal requests (floats
 //!   compared bit for bit) — on every encoded line, on a fixed list of
-//!   edge cases, and on mutated lines.
+//!   edge cases, on mutated lines, on rows of tokens around the number
+//!   fast path's edges, and on arbitrary strings.
 //!
 //! No case may panic. Over a socket, a line that fails to decode is a
 //! `usage` error and the connection stays open, and so is a query whose
@@ -197,6 +198,127 @@ proptest! {
             }
         };
         prop_assert!(agree(&mutated).is_ok(), "{}", agree(&mutated).unwrap_err());
+    }
+}
+
+/// Digit strings at the decoder's number edges: mantissas at 2^53 − 1,
+/// 2^53 and 2^53 + 1; 19- and 20-digit strings (around the 64-bit
+/// integer limit); 21 to 24 digits (22 and 23 fraction digits after
+/// `0.`); and short ones.
+fn edge_digits() -> impl Strategy<Value = String> {
+    (0u8..5, any::<u64>(), any::<u64>()).prop_map(|(kind, a, b)| match kind {
+        0 => ((1u64 << 53) - 1 + a % 3).to_string(),
+        1 => format!("{:019}", a % 10u64.pow(19)),
+        2 => format!("{a:020}"),
+        3 => format!("{a:020}{:04}", b % 10_000)[..21 + (b % 4) as usize].to_string(),
+        _ => (a % 1000).to_string(),
+    })
+}
+
+/// Tokens of the number grammar around the fast path's edges: a sign,
+/// leading zeros, the digits of [`edge_digits`] split by a point so that
+/// they carry a chosen number of fraction digits (none: `1.`; all:
+/// `.5`; more than the digits: zero-padded after `0.`), or no point at
+/// all, then a suffix that may extend the token (`5`, an exponent, a
+/// bare `e`/`E`) or end it (a space). One token in five is a fixed edge
+/// instead.
+fn edge_token() -> impl Strategy<Value = String> {
+    const FRACTION: &[Option<usize>] = &[
+        None,
+        Some(0),
+        Some(1),
+        Some(2),
+        Some(8),
+        Some(16),
+        Some(17),
+        Some(21),
+        Some(22),
+        Some(23),
+        Some(24),
+    ];
+    const SUFFIX: &[&str] = &["", "", "", " ", "5", "e0", "e", "E", "E+1", "e-"];
+    const FIXED: &[&str] = &[
+        "0.0", "0.0", "-0.0", "0.0 ", "0.05", "0.0e0", "-0", "00.0", "1.", "1.e", "1.0E", "-0.",
+    ];
+    (
+        (edge_digits(), any::<bool>(), 0usize..3),
+        prop::sample::select(FRACTION.to_vec()),
+        prop::sample::select(SUFFIX.to_vec()),
+        (0u8..5, prop::sample::select(FIXED.to_vec())),
+    )
+        .prop_map(
+            |((digits, negative, zeros), fraction, suffix, (pick, fixed))| {
+                if pick == 0 {
+                    return fixed.to_string();
+                }
+                let sign = if negative { "-" } else { "" };
+                let zeros = "0".repeat(zeros);
+                let number = match fraction {
+                    None => digits,
+                    Some(f) if f <= digits.len() => {
+                        let (int, frac) = digits.split_at(digits.len() - f);
+                        format!("{int}.{frac}")
+                    }
+                    Some(f) => format!("0.{digits:0>f$}"),
+                };
+                format!("{sign}{zeros}{number}{suffix}")
+            },
+        )
+}
+
+/// Characters for arbitrary lines: JSON's structural bytes, number and
+/// keyword letters, whitespace (JSON's and not), escapes and multi-byte
+/// UTF-8.
+const LINE_CHARS: &[char] = &[
+    '{', '}', '[', ']', ',', ':', '"', '\\', '-', '+', '.', 'e', 'E', '0', '1', '5', '9', ' ',
+    '\t', '\n', '\r', 'n', 'u', 'l', 't', 'r', 'f', 'a', 's', 'x', '/', '\u{0}', '\u{a0}', 'é',
+    '😀',
+];
+
+/// Arbitrary strings: one character in four is any code point, the
+/// others come from [`LINE_CHARS`].
+fn arbitrary_text() -> impl Strategy<Value = String> {
+    let character = (
+        any::<u32>(),
+        prop::sample::select(LINE_CHARS.to_vec()),
+        0u8..4,
+    )
+        .prop_map(|(code, common, pick)| {
+            if pick == 0 {
+                char::from_u32(code % 0x11_0000).unwrap_or('\u{fffd}')
+            } else {
+                common
+            }
+        });
+    prop::collection::vec(character, 0..40).prop_map(|chars| chars.into_iter().collect())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(5000))]
+
+    /// Rows of tokens around the number edges decode as the shim reads
+    /// them: the same lines accepted and the same bits.
+    #[test]
+    fn number_edges_agree_with_the_shim(
+        rows in prop::collection::vec(prop::collection::vec(edge_token(), 1..6), 1..3),
+    ) {
+        let rows: Vec<String> = rows.iter().map(|row| format!("[{}]", row.join(","))).collect();
+        let line = format!(r#"{{"op":"query","session":"s","inputs":[{}]}}"#, rows.join(","));
+        prop_assert!(agree(&line).is_ok(), "{}", agree(&line).unwrap_err());
+    }
+
+    /// Arbitrary strings, alone, as the rest of a query's first row, and
+    /// as that row's contents, are accepted or rejected as the shim
+    /// does; none panics.
+    #[test]
+    fn arbitrary_text_decodes_like_the_shim(text in arbitrary_text()) {
+        for line in [
+            text.clone(),
+            format!(r#"{{"op":"query","inputs":[[{text}"#),
+            format!(r#"{{"op":"query","inputs":[[{text}]]}}"#),
+        ] {
+            prop_assert!(agree(&line).is_ok(), "{}", agree(&line).unwrap_err());
+        }
     }
 }
 
