@@ -15,8 +15,7 @@
 //! sessions, driven from several connections at once, or resumed after
 //! a server restart. The float payloads survive the wire because both
 //! codecs round-trip `f64` exactly: [`wire`] for requests (shortest
-//! round-trip digits out; an exact short-decimal read or `str::parse`
-//! in) and the vendored
+//! round-trip digits out, `str::parse` in) and the vendored
 //! `serde_json` for responses (`float_roundtrip`).
 //!
 //! ## Architecture

@@ -24,19 +24,11 @@
 //!   unknown keys are skipped but must hold valid JSON; trailing
 //!   non-whitespace is rejected.
 //!
-//! Row elements take one of two number reads. A token of the form
-//! `-?[0-9]+\.[0-9]+` with no exponent, whose digits read as one
-//! integer `m ≤ 2^53` and which has `f ≤ 22` fraction digits, is read
-//! without `str::parse`: `m` is accumulated 8 digits at a time (SWAR)
-//! and the value is `±m / 10^f`. Both operands are exact doubles and
-//! one IEEE division is correctly rounded, so this is `str::parse`'s
-//! result bit for bit, `-0.0` included (Clinger, "How to read floating
-//! point numbers accurately", PLDI 1990). A bare `0.0` before `,` or
-//! `]`, nearly every element of a one-hot probe row, is checked first.
-//! Every other token — exponents, longer mantissas, more fraction
-//! digits, integer tokens, `1.` — is read by `str::parse` as the shim
-//! reads it. The server times this layer as `serve.decode_ns` (`xbar
-//! serve stats`).
+//! Number tokens are read by `str::parse`, as the shim reads them, with
+//! one shortcut: in a row, a bare `0.0` directly before `,` or `]`,
+//! nearly every element of a one-hot probe row, is `+0.0` (the value
+//! `str::parse` gives it) without being scanned as a token. The server
+//! times this layer as `serve.decode_ns` (`xbar serve stats`).
 //!
 //! One deliberate difference: values skipped under unknown keys are
 //! walked iteratively, so deep nesting costs no stack.
@@ -619,61 +611,6 @@ impl Number {
     }
 }
 
-/// Every integer up to 2^53 is an exact double; 2^53 + 1 is not.
-const MAX_EXACT_MANTISSA: u64 = 1 << 53;
-
-/// `10^0 ..= 10^22`: every power of ten that is an exact double.
-const EXACT_POW10: [f64; 23] = [
-    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
-    1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
-];
-
-/// Appends the ASCII digits at `bytes[at..]` to `m` in base ten and
-/// returns the index after the last one, or `None` once `m` would pass
-/// [`MAX_EXACT_MANTISSA`]. Reads 8 digits at a time while a whole
-/// chunk cannot carry `m` past the bound, then one at a time.
-fn accumulate_digits(bytes: &[u8], mut at: usize, m: &mut u64) -> Option<usize> {
-    const CHUNK_LIMIT: u64 = (MAX_EXACT_MANTISSA - 99_999_999) / 100_000_000;
-    while *m <= CHUNK_LIMIT {
-        let Some(chunk) = bytes.get(at..at + 8) else {
-            break;
-        };
-        let word = u64::from_le_bytes(chunk.try_into().expect("an 8-byte slice"));
-        if !is_eight_digits(word) {
-            break;
-        }
-        *m = *m * 100_000_000 + eight_digits(word);
-        at += 8;
-    }
-    while let Some(&digit @ b'0'..=b'9') = bytes.get(at) {
-        *m = *m * 10 + u64::from(digit - b'0');
-        if *m > MAX_EXACT_MANTISSA {
-            return None;
-        }
-        at += 1;
-    }
-    Some(at)
-}
-
-/// Whether all 8 bytes of a little-endian word are ASCII digits: each
-/// byte's high nibble must be 3 both before and after adding 6.
-fn is_eight_digits(word: u64) -> bool {
-    const HIGH: u64 = 0xF0F0_F0F0_F0F0_F0F0;
-    (word & HIGH) | ((word.wrapping_add(0x0606_0606_0606_0606) & HIGH) >> 4)
-        == 0x3333_3333_3333_3333
-}
-
-/// The value of 8 ASCII digits read as a little-endian word (the first
-/// digit in the low byte), by SWAR: pairs, then quads, then the whole.
-fn eight_digits(word: u64) -> u64 {
-    const MASK: u64 = 0x0000_00FF_0000_00FF;
-    let digits = word - 0x3030_3030_3030_3030;
-    let pairs = digits * 10 + (digits >> 8);
-    ((pairs & MASK).wrapping_mul(100 + (1_000_000 << 32))
-        + ((pairs >> 16) & MASK).wrapping_mul(1 + (10_000 << 32)))
-        >> 32
-}
-
 /// A single-pass scanner over one line, with the shim's grammar.
 struct Decoder<'a> {
     text: &'a str,
@@ -845,52 +782,21 @@ impl<'a> Decoder<'a> {
         }
         loop {
             self.skip_ws();
-            let value = match self.short_decimal() {
-                Some(value) => value,
-                None => {
-                    if !matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
-                        return Err(self.err("expected number"));
-                    }
-                    self.number()?.to_f64()
+            // Nearly every element of a one-hot probe row is a bare
+            // `0.0`, which `str::parse` reads as `+0.0`.
+            if let [b'0', b'.', b'0', b',' | b']', ..] = self.bytes[self.pos..] {
+                self.pos += 3;
+                row.push(0.0);
+            } else {
+                if !matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
+                    return Err(self.err("expected number"));
                 }
-            };
-            row.push(value);
+                row.push(self.number()?.to_f64());
+            }
             if !self.next_element(b']')? {
                 return Ok(row);
             }
         }
-    }
-
-    /// The exact fast path for a row element (see the module doc):
-    /// consumes a token `-?[0-9]+\.[0-9]+` with no exponent, `m ≤ 2^53`
-    /// and `f ≤ 22`, and returns `±m / 10^f`, which is `str::parse`'s
-    /// result. Returns `None`, consuming nothing, for every other token;
-    /// [`Self::number`] reads those.
-    fn short_decimal(&mut self) -> Option<f64> {
-        let rest = &self.bytes[self.pos..];
-        // The one-hot probe rows are almost all `0.0`.
-        if let [b'0', b'.', b'0', b',' | b']', ..] = rest {
-            self.pos += 3;
-            return Some(0.0);
-        }
-        let negative = rest.first() == Some(&b'-');
-        let int_start = usize::from(negative);
-        let mut m = 0;
-        let point = accumulate_digits(rest, int_start, &mut m)?;
-        if point == int_start || rest.get(point) != Some(&b'.') {
-            return None;
-        }
-        let end = accumulate_digits(rest, point + 1, &mut m)?;
-        let fraction_digits = end - point - 1;
-        if fraction_digits == 0
-            || fraction_digits >= EXACT_POW10.len()
-            || matches!(rest.get(end), Some(b'e' | b'E'))
-        {
-            return None;
-        }
-        self.pos += end;
-        let magnitude = m as f64 / EXACT_POW10[fraction_digits];
-        Some(if negative { -magnitude } else { magnitude })
     }
 
     /// A number token, read exactly as the shim reads it: the token
@@ -1236,94 +1142,5 @@ mod tests {
         assert_eq!(decode_request(&line).unwrap(), Request::new("stats"));
         let unclosed = format!("{{\"op\":\"stats\",\"x\":{}}}", "[{\"a\":".repeat(depth));
         assert!(decode_request(&unclosed).is_err());
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(20_000))]
-
-        /// The SWAR digit test and read agree with a byte-by-byte read,
-        /// on words of 8 digits with up to one byte replaced.
-        #[test]
-        fn swar_digits_match_bytewise_reads(
-            digits in any::<u64>(),
-            at in 0usize..16,
-            byte in any::<u8>(),
-        ) {
-            let mut bytes = (digits % 100_000_000).to_string().into_bytes();
-            bytes.resize(8, b'0');
-            if at < 8 {
-                bytes[at] = byte;
-            }
-            let word = u64::from_le_bytes(bytes.as_slice().try_into().unwrap());
-            let all_digits = bytes.iter().all(u8::is_ascii_digit);
-            prop_assert_eq!(is_eight_digits(word), all_digits);
-            if all_digits {
-                let text = std::str::from_utf8(&bytes).unwrap();
-                prop_assert_eq!(eight_digits(word), text.parse::<u64>().unwrap());
-            }
-        }
-    }
-
-    /// The fast path takes exactly the tokens it claims, returns std's
-    /// bits for them, and leaves every other token to `number`.
-    #[test]
-    fn short_decimals_take_the_exact_path_only() {
-        let fast = |token: &str| {
-            let line = format!("{token},");
-            let mut decoder = Decoder {
-                text: &line,
-                bytes: line.as_bytes(),
-                pos: 0,
-            };
-            let value = decoder.short_decimal();
-            if let Some(value) = value {
-                assert_eq!(decoder.pos, token.len(), "{token}");
-                assert_eq!(
-                    value.to_bits(),
-                    token.parse::<f64>().unwrap().to_bits(),
-                    "{token}"
-                );
-            } else {
-                assert_eq!(decoder.pos, 0, "{token}");
-            }
-            value.is_some()
-        };
-        let zeros22 = "0".repeat(22);
-        for token in [
-            "0.0",
-            "-0.0",
-            "1.0",
-            "0.1",
-            "-0.3",
-            "00.5",
-            "0.1234567890123456",
-            "12345678.12345678",
-            "900719925474099.2",
-            "90071992.54740992",
-            &format!("{zeros22}1.5"),
-            &format!("0.{}1", &zeros22[1..]),
-            &format!("0.{zeros22}"),
-        ] {
-            assert!(fast(token), "{token} should take the fast path");
-        }
-        for token in [
-            "0",
-            "-0",
-            "1.",
-            "-1.",
-            "-",
-            ".5",
-            "1.5e3",
-            "0.0e0",
-            "1.0E",
-            "0.12345678901234567",
-            "900719925474099.3",
-            "9007199254740992.0",
-            "12345678901234567890.5",
-            &format!("0.{zeros22}1"),
-            &format!("0.0{zeros22}"),
-        ] {
-            assert!(!fast(token), "{token} should not take the fast path");
-        }
     }
 }

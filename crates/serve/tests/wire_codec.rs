@@ -6,8 +6,8 @@
 //! * Decode: [`decode_request`] and `serde_json::from_str::<Request>`
 //!   agree — both fail, or both succeed with equal requests (floats
 //!   compared bit for bit) — on every encoded line, on a fixed list of
-//!   edge cases, on mutated lines, on rows of tokens around the number
-//!   fast path's edges, and on arbitrary strings.
+//!   edge cases, on mutated lines, on rows of tokens at the number
+//!   edges, and on arbitrary strings.
 //!
 //! No case may panic. Over a socket, a line that fails to decode is a
 //! `usage` error and the connection stays open, and so is a query whose
@@ -215,13 +215,13 @@ fn edge_digits() -> impl Strategy<Value = String> {
     })
 }
 
-/// Tokens of the number grammar around the fast path's edges: a sign,
+/// Tokens of the number grammar at its edges: a sign,
 /// leading zeros, the digits of [`edge_digits`] split by a point so that
 /// they carry a chosen number of fraction digits (none: `1.`; all:
 /// `.5`; more than the digits: zero-padded after `0.`), or no point at
 /// all, then a suffix that may extend the token (`5`, an exponent, a
 /// bare `e`/`E`) or end it (a space). One token in five is a fixed edge
-/// instead.
+/// instead, most of them next to the decoder's bare-`0.0` shortcut.
 fn edge_token() -> impl Strategy<Value = String> {
     const FRACTION: &[Option<usize>] = &[
         None,
