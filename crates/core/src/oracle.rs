@@ -652,9 +652,9 @@ impl Oracle {
     /// `oracle.query`, and a drifting oracle splits them at the same
     /// epoch boundaries. Without transients, the exact reading of
     /// `beta · e_j` is the one nonzero term of the handle's line
-    /// conductance dot (see [`one_hot_dot`]), the calibration sum of the
+    /// conductance dot (see `one_hot_dot`), the calibration sum of the
     /// row is `beta`, and the measurement noise comes first in the
-    /// query's stream ([`Oracle::stream_rng`]), so skipping the forward
+    /// query's stream (`Oracle::stream_rng`), so skipping the forward
     /// pass and its read draws moves no power bit. Such queries count
     /// as `oracle.power_only`. With transients active each query reads
     /// its own perturbed array, so it is evaluated as a batch of one

@@ -11,10 +11,10 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use xbar_linalg::standard_normal;
 
-use crate::distribution::Distribution;
 use crate::error::InferError;
-use crate::mcmc::{ess_step, rwm_step, BayesModel, ChainState, Kernel, StepStats};
+use crate::mcmc::{ess_step, BayesModel, ChainState, Kernel};
 use crate::Result;
 
 /// Domain-separation salt so chain streams never collide with oracle
@@ -48,7 +48,7 @@ pub struct ChainConfig {
 
 impl ChainConfig {
     /// Validates `samples >= 1`, `thin >= 1`, and a total step count
-    /// that fits the stream-index layout.
+    /// that fits the stream-index layout (checked without overflow).
     pub fn new(burn_in: usize, samples: usize, thin: usize) -> Result<Self> {
         if samples == 0 {
             return Err(InferError::InvalidParameter { name: "samples" });
@@ -56,15 +56,17 @@ impl ChainConfig {
         if thin == 0 {
             return Err(InferError::InvalidParameter { name: "thin" });
         }
-        let cfg = ChainConfig {
+        let total = (samples as u64)
+            .checked_mul(thin as u64)
+            .and_then(|draws| draws.checked_add(burn_in as u64));
+        if total.is_none_or(|t| t >= 1u64 << STEP_BITS) {
+            return Err(InferError::InvalidParameter { name: "samples" });
+        }
+        Ok(ChainConfig {
             burn_in,
             samples,
             thin,
-        };
-        if cfg.total_steps() >= 1u64 << STEP_BITS {
-            return Err(InferError::InvalidParameter { name: "samples" });
-        }
-        Ok(cfg)
+        })
     }
 
     /// Total transitions one chain performs.
@@ -80,14 +82,13 @@ pub struct ChainResult {
     pub chain_index: usize,
     /// Recorded draws, one `dim`-length vector per retained step.
     pub draws: Vec<Vec<f64>>,
-    /// Accepted transitions (elliptical slice always accepts).
-    pub accepted: u64,
-    /// Total transitions performed (burn-in included).
+    /// Total transitions performed (burn-in included); elliptical
+    /// slice accepts every one.
     pub steps: u64,
-    /// Exact density evaluations spent: the initial state's plus every
-    /// evaluated proposal.
+    /// Exact likelihood evaluations spent: the initial state's plus
+    /// every evaluated proposal.
     pub density_evals: u64,
-    /// Elliptical slice proposals the model's
+    /// Proposals the model's
     /// [`ellipse_screen`](BayesModel::ellipse_screen) rejected without
     /// an evaluation. `density_evals + screened` is one more than the
     /// number of proposals, whether or not the model screens.
@@ -106,22 +107,20 @@ impl ChainResult {
 ///
 /// The initial state is drawn from the priors using step stream `0`;
 /// transition `s` (1-based) uses step stream `s`. Two calls with the
-/// same `(model, kernel, config, campaign_seed, chain_index)` return
-/// identical draws, bit for bit.
+/// same `(model, config, campaign_seed, chain_index)` return identical
+/// draws, bit for bit. `kernel` can only name elliptical slice.
 ///
 /// # Errors
 ///
-/// * Kernel/model mismatches from [`Kernel::validate`].
-/// * [`InferError::InvalidParameter`] if `chain_index` does not fit the
-///   stream layout (`>= 2^23`).
+/// [`InferError::InvalidParameter`] if `chain_index` does not fit the
+/// stream layout (`>= 2^23`).
 pub fn run_chain<M: BayesModel + ?Sized>(
     model: &M,
-    kernel: &Kernel,
+    _kernel: &Kernel,
     config: &ChainConfig,
     campaign_seed: u64,
     chain_index: usize,
 ) -> Result<ChainResult> {
-    kernel.validate(model)?;
     if (chain_index as u64) >= 1u64 << (63 - STEP_BITS) {
         return Err(InferError::InvalidParameter {
             name: "chain_index",
@@ -131,22 +130,17 @@ pub fn run_chain<M: BayesModel + ?Sized>(
     let theta: Vec<f64> = model
         .priors()
         .iter()
-        .map(|p| p.sample(&mut init_rng))
+        .map(|p| p.mean() + p.sigma() * standard_normal(&mut init_rng))
         .collect();
-    let mut state = ChainState::new(model, kernel, theta);
+    let mut state = ChainState::new(model, theta);
 
     let total = config.total_steps();
     let mut draws = Vec::with_capacity(config.samples);
-    let mut accepted = 0u64;
-    let mut density_evals = 1u64; // the initial state's cached density
+    let mut density_evals = 1u64; // the initial state's cached likelihood
     let mut screened = 0u64;
     for step in 1..=total {
         let mut rng = step_rng(campaign_seed, chain_index as u64, step);
-        let stats: StepStats = match kernel {
-            Kernel::RandomWalk { steps } => rwm_step(model, steps, &mut state, &mut rng),
-            Kernel::EllipticalSlice => ess_step(model, &mut state, &mut rng),
-        };
-        accepted += stats.accepted as u64;
+        let stats = ess_step(model, &mut state, &mut rng);
         density_evals += stats.evals;
         screened += stats.screened;
         if step > config.burn_in as u64
@@ -159,7 +153,6 @@ pub fn run_chain<M: BayesModel + ?Sized>(
     Ok(ChainResult {
         chain_index,
         draws,
-        accepted,
         steps: total,
         density_evals,
         screened,
@@ -189,7 +182,6 @@ pub fn run_chains<M: BayesModel + ?Sized>(
     if num_chains == 0 {
         return Err(InferError::InvalidParameter { name: "num_chains" });
     }
-    kernel.validate(model)?;
     let _span = xbar_obs::span(xbar_obs::names::SPAN_INFER_CHAINS);
     let mut results: Vec<Option<Result<ChainResult>>> = (0..num_chains).map(|_| None).collect();
     xbar_linalg::par::for_each_run(&mut results, threads, |start, run| {
@@ -230,7 +222,7 @@ pub fn run_chains<M: BayesModel + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distribution::Prior;
+    use crate::mcmc::Prior;
 
     struct Toy {
         priors: Vec<Prior>,
@@ -266,6 +258,13 @@ mod tests {
     }
 
     #[test]
+    fn config_rejects_step_counts_that_overflow() {
+        let overflow = Err(InferError::InvalidParameter { name: "samples" });
+        assert_eq!(ChainConfig::new(0, 1 << 32, 1 << 32), overflow);
+        assert_eq!(ChainConfig::new(usize::MAX, 1, 1), overflow);
+    }
+
+    #[test]
     fn burn_in_and_thinning_shape_the_draws() {
         let model = toy(2);
         let cfg = ChainConfig::new(20, 30, 4).unwrap();
@@ -273,16 +272,13 @@ mod tests {
         assert_eq!(result.draws.len(), 30);
         assert_eq!(result.steps, 20 + 30 * 4);
         assert_eq!(result.dim_series(0).len(), 30);
-        assert!(result.accepted > 0);
     }
 
     #[test]
     fn chains_are_deterministic_and_separated_by_their_key() {
         let model = toy(3);
         let cfg = ChainConfig::new(10, 20, 1).unwrap();
-        let kernel = Kernel::RandomWalk {
-            steps: vec![0.3; 3],
-        };
+        let kernel = Kernel::EllipticalSlice;
         let a = run_chain(&model, &kernel, &cfg, 42, 1).unwrap();
         let b = run_chain(&model, &kernel, &cfg, 42, 1).unwrap();
         assert_eq!(a, b, "same key must replay the same chain");

@@ -19,12 +19,6 @@ pub enum InferError {
         /// Supplied length.
         got: usize,
     },
-    /// The elliptical slice kernel was asked to sample a non-Gaussian
-    /// prior.
-    NonGaussianPrior {
-        /// Dimension carrying the offending prior.
-        dim: usize,
-    },
     /// An oracle query failed (budget exhaustion, shape errors, …).
     Oracle(String),
     /// A convergence diagnostic failed.
@@ -39,12 +33,6 @@ impl fmt::Display for InferError {
             }
             InferError::DimensionMismatch { expected, got } => {
                 write!(f, "dimension mismatch: expected {expected}, got {got}")
-            }
-            InferError::NonGaussianPrior { dim } => {
-                write!(
-                    f,
-                    "elliptical slice sampling requires Gaussian priors (dimension {dim} is not)"
-                )
             }
             InferError::Oracle(msg) => write!(f, "oracle query failed: {msg}"),
             InferError::Stats(e) => write!(f, "convergence diagnostic failed: {e}"),
@@ -82,9 +70,6 @@ mod tests {
         }
         .to_string()
         .contains('3'));
-        assert!(InferError::NonGaussianPrior { dim: 1 }
-            .to_string()
-            .contains("Gaussian"));
         let wrapped: InferError = StatsError::ZeroVariance.into();
         assert!(wrapped.to_string().contains("zero-variance"));
     }

@@ -10,15 +10,13 @@
 //! queries until the posterior is tight enough to attack?* with
 //! credible intervals instead of point guesses.
 //!
-//! The pieces, bottom up:
+//! One sampler over one prior family: every dimension carries a
+//! Gaussian [`Prior`], and elliptical slice sampling draws the
+//! posterior. The pieces, bottom up:
 //!
-//! * [`distribution`] — a [`Distribution`] trait (log-density +
-//!   deterministic sampling from a caller-supplied ChaCha8 stream) with
-//!   [`Normal`] and [`Uniform`] instances, wrapped by
-//!   the [`Prior`] enum the samplers consume.
-//! * [`mcmc`] — the [`BayesModel`] trait and the two transition
-//!   [`Kernel`]s: random-walk Metropolis–Hastings and elliptical slice
-//!   sampling (for Gaussian priors).
+//! * [`mcmc`] — the [`Prior`] (`N(mean, sigma²)`), the [`BayesModel`]
+//!   trait, and the elliptical slice transition ([`Kernel`]), which
+//!   draws only from a caller-supplied ChaCha8 stream.
 //! * [`chain`] — the chain runner: burn-in, thinning, and multi-chain
 //!   support, with every random draw keyed by
 //!   `(campaign_seed, chain_index, step)` so results are bit-identical
@@ -82,7 +80,6 @@
 #![deny(unsafe_code)]
 
 pub mod chain;
-pub mod distribution;
 pub mod error;
 pub mod likelihood;
 pub mod mcmc;
@@ -90,10 +87,9 @@ pub mod posterior;
 pub mod screen;
 
 pub use chain::{run_chain, run_chains, ChainConfig, ChainResult};
-pub use distribution::{Distribution, Normal, Prior, Uniform};
 pub use error::InferError;
 pub use likelihood::{estimate_noise_sigma, random_design, NormPosterior, PowerObservations};
-pub use mcmc::{BayesModel, Kernel};
+pub use mcmc::{BayesModel, Kernel, Prior};
 pub use posterior::{evenly_spaced_draws, summarize, DimPosterior, PosteriorReport};
 pub use screen::{EllipseScreen, ScreenEstimate};
 

@@ -15,9 +15,8 @@ use rand_chacha::ChaCha8Rng;
 use xbar_core::oracle::Oracle;
 use xbar_linalg::Matrix;
 
-use crate::distribution::Prior;
 use crate::error::InferError;
-use crate::mcmc::BayesModel;
+use crate::mcmc::{BayesModel, Prior};
 use crate::screen::{EllipseScreen, RowSums, ScreenBase, StepSums};
 use crate::Result;
 
@@ -178,8 +177,7 @@ pub struct NormPosterior {
     subset: Vec<usize>,
     input_dim: usize,
     /// What [`BayesModel::ellipse_screen`] needs beyond the panels;
-    /// `None` when some prior is not Gaussian or the bound's constants
-    /// are not finite.
+    /// `None` when the bound's constants are not finite.
     ellipse: Option<EllipseParts>,
 }
 
@@ -195,7 +193,7 @@ struct EllipseParts {
 
 impl EllipseParts {
     /// Folds `c0 = p − X m` and the bound's magnitude sums; `None`
-    /// unless every prior is Gaussian.
+    /// when the bound's constants are not finite.
     fn new(
         design: &Matrix,
         powers: &[f64],
@@ -203,10 +201,7 @@ impl EllipseParts {
         inv_var: f64,
         norm_const: f64,
     ) -> Option<Self> {
-        let means: Vec<f64> = priors
-            .iter()
-            .map(|p| p.as_gaussian().map(|(mean, _)| mean))
-            .collect::<Option<_>>()?;
+        let means: Vec<f64> = priors.iter().map(Prior::mean).collect();
         let mut rows = RowSums::default();
         let mut c0 = Vec::with_capacity(powers.len());
         for (b, &power) in powers.iter().enumerate() {

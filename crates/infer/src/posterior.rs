@@ -210,8 +210,7 @@ pub fn evenly_spaced_draws(chains: &[ChainResult], count: usize) -> Result<Vec<V
 mod tests {
     use super::*;
     use crate::chain::{run_chains, ChainConfig};
-    use crate::distribution::Prior;
-    use crate::mcmc::{BayesModel, Kernel};
+    use crate::mcmc::{BayesModel, Kernel, Prior};
 
     struct Toy {
         priors: Vec<Prior>,

@@ -1,6 +1,6 @@
 //! Property tests for `xbar-infer`: the determinism discipline (draws
 //! keyed by `(campaign_seed, chain_index, step)` and invariant to the
-//! worker-thread count) and statistical sanity of the samplers against
+//! worker-thread count) and statistical sanity of the sampler against
 //! models with known posteriors.
 
 use proptest::prelude::*;
@@ -78,14 +78,9 @@ proptest! {
         samples in 5usize..40,
         burn_in in 0usize..20,
         thin in 1usize..4,
-        ess_kernel in any::<bool>(),
     ) {
         let model = GaussianToy::new(vec![0.8, -0.3, 0.4], 1.5, 0.6);
-        let kernel = if ess_kernel {
-            Kernel::EllipticalSlice
-        } else {
-            Kernel::RandomWalk { steps: vec![0.4; 3] }
-        };
+        let kernel = Kernel::EllipticalSlice;
         let config = ChainConfig::new(burn_in, samples, thin).unwrap();
         let baseline = run_chains(&model, &kernel, &config, campaign_seed, num_chains, 1).unwrap();
         for threads in [4, 8, 0] {
@@ -138,27 +133,18 @@ proptest! {
     }
 }
 
-/// Both kernels target the same posterior: on the conjugate toy their
-/// estimated means agree with each other and with the closed form.
+/// Elliptical slice targets the conjugate toy's posterior: its
+/// estimated means agree with the closed form.
 #[test]
-fn kernels_agree_on_the_conjugate_posterior() {
+fn elliptical_slice_matches_the_conjugate_posterior() {
     let model = GaussianToy::new(vec![1.0, -0.5], 2.0, 0.5);
     let config = ChainConfig::new(500, 4000, 1).unwrap();
     let ess = run_chains(&model, &Kernel::EllipticalSlice, &config, 11, 4, 0).unwrap();
-    let rw_kernel = Kernel::RandomWalk {
-        steps: vec![0.35; 2],
-    };
-    let rw = run_chains(&model, &rw_kernel, &config, 11, 4, 0).unwrap();
     let ess_report = summarize(&ess, &[0, 1], 0.95).unwrap();
-    let rw_report = summarize(&rw, &[0, 1], 0.95).unwrap();
     let shrink = 4.0 / (4.0 + 0.25);
     for (d, c) in ess_report.dims.iter().zip([1.0, -0.5]) {
         assert!((d.mean - c * shrink).abs() < 0.05, "ess mean {}", d.mean);
         assert!(d.rhat < 1.05, "ess rhat {}", d.rhat);
-    }
-    for (d, c) in rw_report.dims.iter().zip([1.0, -0.5]) {
-        assert!((d.mean - c * shrink).abs() < 0.08, "rw mean {}", d.mean);
-        assert!(d.rhat < 1.1, "rw rhat {}", d.rhat);
     }
 }
 
