@@ -290,9 +290,9 @@ impl TrialRunner for InferSweepRunner {
         // across the grid.
         let mixing = (256 / spec.budget.max(1)).clamp(1, 8);
         let config = ChainConfig::new(
-            self.chain_config.burn_in * mixing,
-            self.chain_config.samples,
-            self.chain_config.thin * mixing,
+            self.chain_config.burn_in() * mixing,
+            self.chain_config.samples(),
+            self.chain_config.thin() * mixing,
         )
         .map_err(|e| e.to_string())?;
         // Chains run sequentially inside the trial: the campaign

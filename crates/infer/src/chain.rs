@@ -34,16 +34,13 @@ pub(crate) fn step_rng(campaign_seed: u64, chain_index: u64, step: u64) -> ChaCh
     rng
 }
 
-/// Sampling schedule of one chain.
+/// Sampling schedule of one chain. Built only by [`ChainConfig::new`],
+/// so every schedule has passed its checks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChainConfig {
-    /// Transitions discarded before any draw is recorded.
-    pub burn_in: usize,
-    /// Draws recorded after burn-in.
-    pub samples: usize,
-    /// Transitions between recorded draws (`1` records every
-    /// post-burn-in state).
-    pub thin: usize,
+    burn_in: usize,
+    samples: usize,
+    thin: usize,
 }
 
 impl ChainConfig {
@@ -67,6 +64,22 @@ impl ChainConfig {
             samples,
             thin,
         })
+    }
+
+    /// Transitions discarded before any draw is recorded.
+    pub fn burn_in(&self) -> usize {
+        self.burn_in
+    }
+
+    /// Draws recorded after burn-in.
+    pub fn samples(&self) -> usize {
+        self.samples
+    }
+
+    /// Transitions between recorded draws (`1` records every
+    /// post-burn-in state).
+    pub fn thin(&self) -> usize {
+        self.thin
     }
 
     /// Total transitions one chain performs.

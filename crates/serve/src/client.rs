@@ -19,6 +19,8 @@ pub struct Client {
     reader: BufReader<TcpStream>,
     /// The encoded request line, reused across requests.
     line: Vec<u8>,
+    /// The response line, reused across requests.
+    reply: String,
 }
 
 impl Client {
@@ -32,6 +34,7 @@ impl Client {
             writer: stream,
             reader,
             line: Vec::new(),
+            reply: String::new(),
         })
     }
 
@@ -52,11 +55,11 @@ impl Client {
     fn send(&mut self) -> Result<Response> {
         self.writer.write_all(&self.line)?;
         self.writer.flush()?;
-        let mut reply = String::new();
-        if self.reader.read_line(&mut reply)? == 0 {
+        self.reply.clear();
+        if self.reader.read_line(&mut self.reply)? == 0 {
             return Err(ServeError::Protocol("server closed the connection".into()));
         }
-        Ok(serde_json::from_str(reply.trim())?)
+        Ok(serde_json::from_str(self.reply.trim())?)
     }
 
     fn expect_ok(response: Response) -> Result<Response> {
@@ -92,7 +95,8 @@ impl Client {
     }
 
     /// Issues a batch of queries. Returns the records in input order,
-    /// indices continuing the session's stream.
+    /// indices continuing the session's stream. Dense rows travel as
+    /// exact f64 bits, sparse ones as decimal text (see [`crate::wire`]).
     pub fn query(&mut self, session: &str, inputs: &[Vec<f64>]) -> Result<Vec<QueryRecord>> {
         self.encode(&RequestRef::query(session, inputs));
         Self::expect_ok(self.send()?)?

@@ -14,9 +14,10 @@
 //! bit-identical whether it is served alone, interleaved with other
 //! sessions, driven from several connections at once, or resumed after
 //! a server restart. The float payloads survive the wire because both
-//! codecs round-trip `f64` exactly: [`wire`] for requests (shortest
-//! round-trip digits out, `str::parse` in) and the vendored
-//! `serde_json` for responses (`float_roundtrip`).
+//! codecs round-trip `f64` exactly: [`wire`] for requests (dense rows
+//! as the f64s' own bits, other rows as shortest round-trip digits out
+//! and `str::parse` in) and the vendored `serde_json` for responses
+//! (`float_roundtrip`).
 //!
 //! ## Architecture
 //!
@@ -24,7 +25,7 @@
 //!   ([`Request`] / [`Response`]).
 //! * [`wire`] — the typed [`Request`] codec on the query path, with
 //!   no `serde::Value` tree, equivalent to the `serde_json` shim by
-//!   contract.
+//!   contract on decimal rows, plus the exact bit form of a row.
 //! * [`registry`] — [`VictimRegistry`]: named, deployed, non-drifting
 //!   oracles shared by every session.
 //! * [`session`] — [`SessionManager`]: per-session budgets and query

@@ -7,22 +7,40 @@
 //! shortest-round-trip formatter (Ryū: Adams, "Ryū: fast float-to-string
 //! conversion", PLDI 2018).
 //!
-//! The vendored `serde_json` shim stays the reference, and the codec is
-//! equivalent to it by contract (`tests/wire_codec.rs` checks it
-//! differentially):
+//! A query row travels in one of two forms, and rows of both forms may
+//! share a request:
+//!
+//! * **Decimal**: a JSON array of numbers, `[0.0,0.5,...]`.
+//! * **Bits**: one JSON string holding the base64 (RFC 4648, standard
+//!   alphabet, padded) of the row's f64s as little-endian bytes, ~10.7
+//!   characters per element and exact by construction. It is the only
+//!   form that carries NaN and ±inf, which the server then refuses as
+//!   it refuses `1e999`. The decoder accepts only the canonical text: a
+//!   non-zero whole number of f64s, `=` only as the final padding, zero
+//!   padding bits, and no escapes. Anything else is a [`WireError`].
+//!
+//! Decimal text costs ~130 ns per non-zero element to write and read
+//! back, against ~17 ns per element for bits. [`crate::Client::query`]
+//! therefore writes a row as bits when at least one element in four is
+//! other than `+0.0`; a one-hot probe row stays decimal, where its bare
+//! `0.0`s are cheap.
+//!
+//! The vendored `serde_json` shim stays the reference for decimal lines,
+//! and the codec is equivalent to it by contract (`tests/wire_codec.rs`
+//! checks it differentially; `tests/bit_rows.rs` checks the bit form):
 //!
 //! * [`encode_request`] writes exactly the bytes of
 //!   `serde_json::to_string(&request)`: field declaration order, `null`
 //!   for `None`, the shim's string escaping, `{:?}` float text, and
-//!   `null` for non-finite floats.
-//! * [`decode_request`] accepts and rejects exactly the lines
-//!   `serde_json::from_str::<Request>` does, with equal values. That
-//!   includes the shim's quirks: integer tokens convert through
-//!   `u64`/`i64` and then `as f64` (so `-0` decodes to `+0.0`, and a
-//!   `seed` of `-0` is `0`); integers overflowing 64 bits become floats
-//!   (so such a `seed` is rejected); the first of duplicate keys wins;
-//!   unknown keys are skipped but must hold valid JSON; trailing
-//!   non-whitespace is rejected.
+//!   `null` for non-finite floats. It never writes bits.
+//! * [`decode_request`] accepts and rejects decimal lines exactly as
+//!   `serde_json::from_str::<Request>` does, with equal values; a string
+//!   row is the bit form. That includes the shim's quirks: integer
+//!   tokens convert through `u64`/`i64` and then `as f64` (so `-0`
+//!   decodes to `+0.0`, and a `seed` of `-0` is `0`); integers
+//!   overflowing 64 bits become floats (so such a `seed` is rejected);
+//!   the first of duplicate keys wins; unknown keys are skipped but must
+//!   hold valid JSON; trailing non-whitespace is rejected.
 //!
 //! Number tokens are read by `str::parse`, as the shim reads them, with
 //! one shortcut: in a row, a bare `0.0` directly before `,` or `]`,
@@ -70,6 +88,8 @@ pub(crate) struct RequestRef<'a> {
     budget: Option<u64>,
     inputs: Option<&'a [Vec<f64>]>,
     format: Option<&'a str>,
+    /// Whether dense rows may go in the bit form (see [`is_dense`]).
+    bit_rows: bool,
 }
 
 impl<'a> RequestRef<'a> {
@@ -83,10 +103,12 @@ impl<'a> RequestRef<'a> {
             budget: request.budget,
             inputs: request.inputs.as_deref(),
             format: request.format.as_deref(),
+            bit_rows: false,
         }
     }
 
-    /// A `query` request for `session` carrying `inputs`.
+    /// A `query` request for `session` carrying `inputs`, its dense
+    /// rows in the bit form.
     pub(crate) fn query(session: &'a str, inputs: &'a [Vec<f64>]) -> Self {
         RequestRef {
             op: "query",
@@ -96,8 +118,26 @@ impl<'a> RequestRef<'a> {
             budget: None,
             inputs: Some(inputs),
             format: None,
+            bit_rows: true,
         }
     }
+}
+
+/// A [`crate::Client`] query row goes in the bit form when at least one
+/// element in `BIT_ROW_ONE_IN` has bits other than `+0.0`, and as
+/// decimal text otherwise. Measured per element, encode plus decode: a
+/// decimal `+0.0` costs ~7 ns (the encoder's and the decoder's
+/// shortcuts), a bit-form element ~17 ns whatever its value, and a
+/// decimal non-zero ~130 ns (Ryū, then `str::parse`). The break-even is
+/// about one non-zero in 12, so one-hot probe rows (one in 784) stay
+/// decimal and digit rows (~63% non-zero) go as bits.
+const BIT_ROW_ONE_IN: usize = 4;
+
+/// Whether `row` is dense enough for the bit form: non-empty, with at
+/// least one element in [`BIT_ROW_ONE_IN`] other than `+0.0`.
+fn is_dense(row: &[f64]) -> bool {
+    let nonzero = row.iter().filter(|v| v.to_bits() != 0).count();
+    !row.is_empty() && nonzero * BIT_ROW_ONE_IN >= row.len()
 }
 
 /// Appends the wire text of `request` to `out`: the bytes of
@@ -108,7 +148,9 @@ pub fn encode_request(request: &Request, out: &mut String) {
     *out = String::from_utf8(bytes).expect("the encoder writes UTF-8");
 }
 
-/// Appends the wire text of `request` to `out` (see [`encode_request`]).
+/// Appends the wire text of `request` to `out`: [`encode_request`]'s
+/// bytes, except that a [`RequestRef::query`] writes its dense rows in
+/// the bit form.
 pub(crate) fn write_request(request: &RequestRef<'_>, out: &mut Vec<u8>) {
     out.extend_from_slice(b"{\"op\":");
     write_str(out, request.op);
@@ -129,6 +171,10 @@ pub(crate) fn write_request(request: &RequestRef<'_>, out: &mut Vec<u8>) {
             for (i, row) in rows.iter().enumerate() {
                 if i > 0 {
                     out.push(b',');
+                }
+                if request.bit_rows && is_dense(row) {
+                    write_bit_row(out, row);
+                    continue;
                 }
                 out.push(b'[');
                 for (j, &v) in row.iter().enumerate() {
@@ -276,6 +322,41 @@ fn write_f64(out: &mut Vec<u8>, v: f64, tables: &Pow5Tables) {
         out.resize(out.len() + (point - len) as usize, b'0');
         out.extend_from_slice(b".0");
     }
+}
+
+// --- The bit form: base64 of little-endian f64 bytes ---
+
+/// The standard base64 alphabet (RFC 4648 §4).
+const BASE64: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+
+/// Writes `row` as one JSON string: the padded base64 of its elements'
+/// little-endian bytes, 32 characters per three elements.
+fn write_bit_row(out: &mut Vec<u8>, row: &[f64]) {
+    out.reserve(row.len().div_ceil(3) * 32 + 2);
+    out.push(b'"');
+    for chunk in row.chunks(3) {
+        let mut bytes = [0u8; 24];
+        for (dst, v) in bytes.as_chunks_mut::<8>().0.iter_mut().zip(chunk) {
+            *dst = v.to_le_bytes();
+        }
+        // Three whole elements fill all 32 characters; one or two, the
+        // last block, leave a 2- or 1-byte group padded with `=`.
+        let len = 8 * chunk.len();
+        let mut text = [0u8; 32];
+        for (dst, group) in text
+            .as_chunks_mut::<4>()
+            .0
+            .iter_mut()
+            .zip(bytes.as_chunks::<3>().0)
+        {
+            let n = u32::from(group[0]) << 16 | u32::from(group[1]) << 8 | u32::from(group[2]);
+            *dst = [18, 12, 6, 0].map(|shift| BASE64[(n >> shift & 63) as usize]);
+        }
+        let chars = len.div_ceil(3) * 4;
+        text[chars - (3 - len % 3) % 3..chars].fill(b'=');
+        out.extend_from_slice(&text[..chars]);
+    }
+    out.push(b'"');
 }
 
 // --- Ryū: shortest round-trip digits ---
@@ -611,6 +692,108 @@ impl Number {
     }
 }
 
+/// Each byte's base64 sextet, or `INVALID` outside the alphabet (`=`
+/// included: padding is read by position).
+const SEXTET: [u8; 256] = {
+    let mut table = [INVALID; 256];
+    let mut i = 0;
+    while i < 64 {
+        table[BASE64[i] as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
+
+const INVALID: u8 = 0xff;
+
+/// The 24 bits of four base64 characters; ORs their sextets into `bad`,
+/// which then exceeds 63 if any was outside the alphabet.
+fn quad(chars: &[u8; 4], bad: &mut u8) -> u32 {
+    let [a, b, c, d] = chars.map(|ch| SEXTET[usize::from(ch)]);
+    *bad |= a | b | c | d;
+    u32::from(a) << 18 | u32::from(b) << 12 | u32::from(c) << 6 | u32::from(d)
+}
+
+fn push_f64s(row: &mut Vec<f64>, bytes: &[u8]) {
+    let (words, _) = bytes.as_chunks::<8>();
+    row.extend(words.iter().map(|&word| f64::from_le_bytes(word)));
+}
+
+/// Decodes the text of a bit-form row, or returns what is wrong and its
+/// offset in `text`. Strict and canonical: padded to a multiple of four
+/// characters, `=` only as that padding, zero padding bits, and a whole,
+/// non-zero number of f64s.
+fn decode_bit_row(text: &[u8]) -> Result<Vec<f64>, (&'static str, usize)> {
+    if text.is_empty() {
+        return Err(("empty bit row", 0));
+    }
+    if !text.len().is_multiple_of(4) {
+        return Err(("bit row length is not a multiple of 4", text.len()));
+    }
+    let pad = text
+        .iter()
+        .rev()
+        .take(2)
+        .take_while(|&&b| b == b'=')
+        .count();
+    let bytes = text.len() / 4 * 3 - pad;
+    if !bytes.is_multiple_of(8) {
+        return Err(("bit row bytes are not a multiple of 8", text.len()));
+    }
+    let mut row = Vec::with_capacity(bytes / 8);
+    let mut bad = 0u8;
+    // Whole 32-character blocks hold three elements each; the tail,
+    // which holds the padding, one or two.
+    let (blocks, tail) = text.as_chunks::<32>();
+    for block in blocks {
+        let mut out = [0u8; 24];
+        let (quads, _) = block.as_chunks::<4>();
+        for (chars, dst) in quads.iter().zip(out.chunks_exact_mut(3)) {
+            dst.copy_from_slice(&quad(chars, &mut bad).to_be_bytes()[1..]);
+        }
+        push_f64s(&mut row, &out);
+    }
+    // The tail is 0, 12 or 24 characters (the length checks above fix
+    // it). `A`, sextet 0, stands in for the padding, whose bits are
+    // checked below.
+    let mut chars = [b'A'; 24];
+    chars[..tail.len() - pad].copy_from_slice(&tail[..tail.len() - pad]);
+    let mut out = [0u8; 24];
+    let mut last = 0;
+    let (quads, _) = chars[..tail.len()].as_chunks::<4>();
+    for (chars, dst) in quads.iter().zip(out.chunks_exact_mut(3)) {
+        last = quad(chars, &mut bad);
+        dst.copy_from_slice(&last.to_be_bytes()[1..]);
+    }
+    if bad > 63 {
+        let at = text[..text.len() - pad]
+            .iter()
+            .position(|&b| SEXTET[usize::from(b)] == INVALID)
+            .unwrap_or(0);
+        return Err(("invalid base64 character in bit row", at));
+    }
+    // The bits past the last whole byte must be zero.
+    if last & ((1 << (8 * pad)) - 1) != 0 {
+        return Err(("non-zero padding bits in bit row", text.len() - pad - 1));
+    }
+    push_f64s(&mut row, &out[..tail.len() / 4 * 3 - pad]);
+    Ok(row)
+}
+
+/// The offset of the first `"` or `\` in `bytes`. Whole 32-byte blocks
+/// are tested without an early exit, a loop the compiler vectorises, so
+/// a bit row's ~8 KB string (784 elements) is crossed at memory speed.
+fn find_quote_or_backslash(bytes: &[u8]) -> Option<usize> {
+    let special = |b: &u8| *b == b'"' || *b == b'\\';
+    let (blocks, _) = bytes.as_chunks::<32>();
+    let clean = blocks
+        .iter()
+        .take_while(|block| !block.iter().fold(false, |hit, b| hit | special(b)))
+        .count();
+    let skip = clean * 32;
+    bytes[skip..].iter().position(special).map(|at| skip + at)
+}
+
 /// A single-pass scanner over one line, with the shim's grammar.
 struct Decoder<'a> {
     text: &'a str,
@@ -767,8 +950,12 @@ impl<'a> Decoder<'a> {
         }
         loop {
             self.skip_ws();
-            let capacity = rows.last().map_or(0, Vec::len);
-            rows.push(self.row(capacity)?);
+            let row = if self.peek() == Some(b'"') {
+                self.bit_row()?
+            } else {
+                self.row(rows.last().map_or(0, Vec::len))?
+            };
+            rows.push(row);
             if !self.next_element(b']')? {
                 return Ok(Some(rows));
             }
@@ -797,6 +984,22 @@ impl<'a> Decoder<'a> {
                 return Ok(row);
             }
         }
+    }
+
+    /// A row in the bit form: a string, without escapes, holding the
+    /// strict, canonical base64 of the elements' little-endian bytes.
+    fn bit_row(&mut self) -> Result<Vec<f64>, WireError> {
+        let start = self.pos + 1;
+        let Cow::Borrowed(text) = self.string()? else {
+            return Err(WireError {
+                message: "escape in a bit row".into(),
+                at: start,
+            });
+        };
+        decode_bit_row(text.as_bytes()).map_err(|(message, offset)| WireError {
+            message: message.into(),
+            at: start + offset,
+        })
     }
 
     /// A number token, read exactly as the shim reads it: the token
@@ -852,10 +1055,7 @@ impl<'a> Decoder<'a> {
         loop {
             // `"` and `\` never occur inside a multi-byte character, so
             // every other byte is copied verbatim.
-            let Some(offset) = self.bytes[self.pos..]
-                .iter()
-                .position(|&b| b == b'"' || b == b'\\')
-            else {
+            let Some(offset) = find_quote_or_backslash(&self.bytes[self.pos..]) else {
                 self.pos = self.bytes.len();
                 return Err(self.err("unterminated string"));
             };
@@ -1117,9 +1317,15 @@ mod tests {
         );
     }
 
+    /// Rows too sparse for the bit form, and empty ones, encode as the
+    /// owned request does.
     #[test]
     fn query_view_encodes_like_the_owned_request() {
-        let inputs = vec![vec![0.5, -1.0, 3e-9], vec![]];
+        let inputs = vec![
+            vec![0.5, 0.0, 0.0, 0.0, 0.0],
+            vec![0.0, -0.0, 0.0, 0.0, 0.0],
+            vec![],
+        ];
         let mut request = Request::new("query");
         request.session = Some("s\"1".into());
         request.inputs = Some(inputs.clone());
@@ -1129,6 +1335,55 @@ mod tests {
         write_request(&RequestRef::query("s\"1", &inputs), &mut borrowed);
         assert_eq!(owned.as_bytes(), borrowed.as_slice());
         assert_eq!(owned, serde_json::to_string(&request).unwrap());
+    }
+
+    /// A [`RequestRef::query`] writes a one-hot row, and a row with
+    /// fewer than one non-zero in four, as decimal text, and denser rows
+    /// as bits.
+    #[test]
+    fn client_rows_choose_their_form() {
+        let mut one_hot = vec![0.0; 784];
+        one_hot[17] = 1.0;
+        let dense: Vec<f64> = (0..784).map(|i| f64::from(i % 3) / 2.0).collect();
+        let quarter: Vec<f64> = (0..8).map(|i| f64::from(u8::from(i % 4 == 0))).collect();
+        let mut under = quarter.clone();
+        under[4] = 0.0;
+        let inputs = [one_hot, dense, quarter, under];
+        let mut line = Vec::new();
+        write_request(&RequestRef::query("s", &inputs), &mut line);
+
+        let decimal = |row: &Vec<f64>| serde_json::to_string(row).unwrap();
+        let bits = |row: &Vec<f64>| {
+            let mut out = Vec::new();
+            write_bit_row(&mut out, row);
+            String::from_utf8(out).unwrap()
+        };
+        let rows = [
+            decimal(&inputs[0]),
+            bits(&inputs[1]),
+            bits(&inputs[2]),
+            decimal(&inputs[3]),
+        ];
+        assert_eq!(
+            String::from_utf8(line).unwrap(),
+            format!(
+                "{{\"op\":\"query\",\"session\":\"s\",\"victim\":null,\"seed\":null,\
+                 \"budget\":null,\"inputs\":[{}],\"format\":null}}",
+                rows.join(",")
+            )
+        );
+    }
+
+    #[test]
+    fn bit_rows_round_trip_every_tail_length() {
+        for n in 1..=7 {
+            let row: Vec<f64> = (0..n).map(|i| -1.5e-300 * f64::from(i + 1)).collect();
+            let mut out = Vec::new();
+            write_bit_row(&mut out, &row);
+            assert_eq!(out.len(), 4 * (8 * n as usize).div_ceil(3) + 2);
+            let decoded = decode_bit_row(&out[1..out.len() - 1]).unwrap();
+            assert_eq!(decoded, row);
+        }
     }
 
     #[test]
